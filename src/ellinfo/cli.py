@@ -37,8 +37,8 @@ from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import (FIXTURE_NAMES, PSI_KINDS, build_context,
                               exact_solution, fixture_data, fixture_domain,
                               psi_fixture)
-from ellinfo.grids import (DomainKind, ScalarField, build_grid, inner_l2,
-                           norm_l2, random_smooth_field)
+from ellinfo.grids import (MIN_RESOLUTION, DomainKind, ScalarField, build_grid,
+                           inner_l2, norm_l2, random_smooth_field)
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import degeneracy_profile, eigendecompose, fisher_refinement
@@ -95,8 +95,9 @@ def _parse_resolutions(text: str) -> tuple:
         values = tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(f"bad resolution list {text!r}: {exc}") from None
-    if not values or any(v < 5 for v in values):
-        raise ConfigError(f"resolutions must be integers >= 5, got {text!r}")
+    if not values or any(v < MIN_RESOLUTION for v in values):
+        raise ConfigError(
+            f"resolutions must be integers >= {MIN_RESOLUTION}, got {text!r}")
     return values
 
 
@@ -545,6 +546,9 @@ def main(argv=None) -> int:
         out_dir = _emit(cfg, summary, tables, curves)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a numerical failure, not a config mistake
+        return _fail(1, "LinAlgError", str(exc))
     except ValueError as exc:
         return _fail(2, "config", str(exc))
     except Exception as exc:  # noqa: BLE001 - boundary of the process

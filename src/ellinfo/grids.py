@@ -15,6 +15,12 @@ second-order central differences with one-sided closures at non-periodic
 edges; the compact Laplacian uses the standard 5-point stencil on the square
 and a flux form in polar coordinates on the disk, which kills the coordinate
 singularity at the origin because the innermost face sits at r = 0.
+
+Point evaluation is bilinear on both grids (in (r, theta) on the disk).
+``Grid.sample_matrix(points)`` is the sparse observation operator P: it
+locates the points once, and ``P @ F`` evaluates every column of a nodal
+stack F there.  ``Grid.interpolator`` returns the same interpolant as a
+callable; the curve tracer uses it for its one point per Runge-Kutta stage.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
 MIN_RESOLUTION = 8
@@ -104,9 +111,6 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy())
-
-    def interp(self, points: np.ndarray) -> np.ndarray:
-        return self.grid.interpolator(self.values)(points)
 
 
 @dataclass
@@ -224,6 +228,58 @@ class Grid:
     def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         raise NotImplementedError
 
+    def sample_matrix(self, points: np.ndarray) -> sp.csr_matrix:
+        """Sparse observation operator P of shape (n_points, n_nodes).
+
+        Row i holds the bilinear weights of point i, so ``P @ values``
+        evaluates the same interpolant as :meth:`interpolator` (including its
+        linear extrapolation past the edges), and ``P @ F`` evaluates every
+        column of an (n_nodes, k) stack at once.  Every row sums to one.
+        """
+        raise NotImplementedError
+
+
+def _locate(coord: np.ndarray, nodes: np.ndarray, h: float):
+    """Cell index and offset in cells on an axis of uniformly spaced nodes.
+
+    The cell is found arithmetically and clipped to the first and last
+    cells, so the offset leaves [0, 1] for points past an edge and the
+    weights extrapolate linearly.  The offset is measured from the stored
+    node coordinates, as ``RegularGridInterpolator`` measures it.
+    """
+    s = (coord - nodes[0]) / h
+    cell = np.clip(np.floor(s, out=s), 0, nodes.size - 2, out=s).astype(np.int32)
+    lo = nodes[cell]
+    offset = np.subtract(coord, lo, out=s)
+    offset /= nodes[cell + 1] - lo
+    return cell, offset
+
+
+def _bilinear_entries(row, row_step, a, col_lo, col_hi, b):
+    """Node ids and weights of each point's four cell corners, shape (n, 4).
+
+    The cell spans the flat row offsets ``row`` and ``row + row_step`` along
+    axis 0, weighted 1 - a and a, and the axis-1 indices ``col_lo`` and
+    ``col_hi``, weighted 1 - b and b.  Both arrays are filled in place, one
+    column at a time, which keeps the memory of the build close to that of
+    the matrix.
+    """
+    idx = np.empty((a.size, 4), dtype=np.int32)
+    data = np.empty((a.size, 4))
+    for c, (row_c, wa) in enumerate(((row, 1.0 - a), (row + row_step, a))):
+        for d, (col, wb) in enumerate(((col_lo, 1.0 - b), (col_hi, b))):
+            np.add(row_c, col, out=idx[:, 2 * c + d])
+            np.multiply(wa, wb, out=data[:, 2 * c + d])
+    return idx, data
+
+
+def _four_point_csr(idx: np.ndarray, data: np.ndarray, n_nodes: int) -> sp.csr_matrix:
+    """CSR matrix whose row i holds the four entries idx[i], data[i]."""
+    n = idx.shape[0]
+    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
+    return sp.csr_matrix((data.reshape(-1), idx.reshape(-1), indptr),
+                         shape=(n, n_nodes))
+
 
 class SquareGrid(Grid):
     """Uniform tensor grid on [1, 2] x [1, 2]."""
@@ -316,6 +372,14 @@ class SquareGrid(Grid):
             return rgi(pts)
 
         return _interp
+
+    def sample_matrix(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        ny = self.shape[1]
+        i, tx = _locate(pts[:, 0], self.xs, self.hx)
+        j, ty = _locate(pts[:, 1], self.ys, self.hy)
+        idx, data = _bilinear_entries(i * ny, ny, tx, j, j + 1, ty)
+        return _four_point_csr(idx, data, self.n_nodes)
 
 
 class DiskGrid(Grid):
@@ -440,6 +504,40 @@ class DiskGrid(Grid):
             return rgi(np.column_stack([r, t]))
 
         return _interp
+
+    def sample_matrix(self, points):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n_t = self.shape[1]
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+        # n_t angular cells; the last one closes the seam at 2 pi onto column 0
+        j, s = _locate(t, np.append(self.ts, 2.0 * math.pi), self.dt)
+        j1 = np.where(j == n_t - 1, 0, j + 1).astype(np.int32)
+        k, a = _locate(r, self.rs, self.dr)
+        idx, data = _bilinear_entries(k * n_t, n_t, a, j, j1, s)
+        in_origin = r < self.rs[0]
+        origin = np.flatnonzero(in_origin)
+        if origin.size == 0:
+            return _four_point_csr(idx, data, self.n_nodes)
+        # In the origin cell the inner corner is the augmented origin node of
+        # ``interpolator``, the ring-0 average: its weight 1 - a0 spreads as
+        # (1 - a0) / n_t over all of ring 0, so those rows get n_t entries:
+        # the first four take the row's own slots, the rest are inserted.
+        a0 = r[origin] / self.rs[0]
+        s0 = s[origin]
+        ring0 = np.repeat(((1.0 - a0) / n_t)[:, None], n_t, axis=1)
+        rows = np.arange(origin.size)
+        ring0[rows, j[origin]] += a0 * (1.0 - s0)
+        ring0[rows, j1[origin]] += a0 * s0
+        idx[origin] = np.arange(4)
+        data[origin] = ring0[:, :4]
+        at = np.repeat(4 * origin + 4, n_t - 4)
+        indices = np.insert(idx.reshape(-1), at,
+                            np.tile(np.arange(4, n_t, dtype=np.int32), origin.size))
+        data = np.insert(data.reshape(-1), at, ring0[:, 4:].reshape(-1))
+        indptr = 4 * np.arange(r.size + 1, dtype=np.int32)
+        indptr[1:] += (n_t - 4) * np.cumsum(in_origin, dtype=np.int32)
+        return sp.csr_matrix((data, indices, indptr), shape=(r.size, self.n_nodes))
 
 
 def build_grid(spec: DomainSpec | None = None, *, kind=None, resolution=None) -> Grid:

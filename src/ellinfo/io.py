@@ -87,18 +87,6 @@ def write_table_csv(path, columns, rows, meta: dict | None = None) -> Path:
     return path
 
 
-def write_field_csv(path, field, value_name: str = "value",
-                    meta: dict | None = None) -> Path:
-    """Plot-ready nodal table of a scalar field: x, y, value."""
-    grid = field.grid
-    rows = zip(grid.x, grid.y, field.values)
-    base_meta = {"domain": grid.spec.kind.value,
-                 "resolution": list(grid.spec.resolution)}
-    if meta:
-        base_meta.update(meta)
-    return write_table_csv(path, ("x", "y", value_name), rows, meta=base_meta)
-
-
 def write_curves_csv(path, curves, meta: dict | None = None) -> Path:
     """Polyline table for traced integral curves: curve_id, t, x, y."""
     rows = []

@@ -177,9 +177,9 @@ class ScoreContext:
         if self._B_hat is None:
             m = self.grid.n_interior
             if m > DENSE_OPERATOR_MAX_DIM:
-                raise ValueError(
-                    f"dense linearization disabled for interior dimension {m} > "
-                    f"{DENSE_OPERATOR_MAX_DIM}; use the matrix-free path"
+                raise RuntimeError(
+                    f"dense linearization refused: interior dimension {m} exceeds "
+                    f"DENSE_OPERATOR_MAX_DIM = {DENSE_OPERATOR_MAX_DIM}"
                 )
             w = self.grid.weights_interior
             T_dense = self.T.toarray()

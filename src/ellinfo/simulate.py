@@ -1,13 +1,16 @@
 """Monte Carlo experiments for the regression model Y = u_theta(X) + noise.
 
 Design points are drawn from the normalized measure on the domain (uniform
-area; the disk uses polar inversion), responses add standard normal noise to
-the interpolated solution, and every experiment is driven by spawned child
-seeds so reports are bitwise reproducible.  The three studies check the
-mean-zero/variance structure of the linearized score, the likelihood-ratio
-expansion against its predicted Gaussian limit, and the growth of the
-normalized risk of a spectral-cutoff plug-in estimator of a linear
-functional of the conductivity.
+area; the disk uses polar inversion), and every experiment is driven by
+spawned child seeds so reports are bitwise reproducible.  Each draw builds
+the sparse observation operator P(X) of its design once
+(``Grid.sample_matrix``), and every nodal field the experiment needs at the
+design points is a column of one product ``P(X) @ F``: the responses are
+``P(X) @ u + eps`` and the plug-in design matrix is ``P(X) @ images``.  The
+three studies check the mean-zero/variance structure of the linearized
+score, the likelihood-ratio expansion against its predicted Gaussian limit,
+and the growth of the normalized risk of a spectral-cutoff plug-in
+estimator of a linear functional of the conductivity.
 """
 
 from __future__ import annotations
@@ -59,20 +62,24 @@ class SampleSet:
             yield self[i]
 
 
-def _u_interpolator(ctx: ScoreContext):
-    interp = getattr(ctx, "_u_interp_cache", None)
-    if interp is None:
-        interp = ctx.grid.interpolator(ctx.u.values)
-        ctx._u_interp_cache = interp
-    return interp
+def _draw(grid, rng, n: int, fields: np.ndarray, noiseless: bool = False):
+    """One draw: design points X, the nodal ``fields`` at X, and the noise.
 
-
-def _draw_design(grid, rng, n: int) -> np.ndarray:
+    The fields (one column each) are evaluated by one product P(X) @ fields;
+    P(X) itself is not kept, so only the evaluated columns outlive the call.
+    The design is drawn before the noise, so a seed fixes both.
+    """
+    if n < 1:
+        raise ValueError("need at least one observation")
     if grid.spec.kind is DomainKind.SQUARE:
-        return 1.0 + rng.random((n, 2))
-    r = np.sqrt(rng.random(n))
-    t = 2.0 * math.pi * rng.random(n)
-    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+        x = 1.0 + rng.random((n, 2))
+    else:
+        r = np.sqrt(rng.random(n))
+        t = 2.0 * math.pi * rng.random(n)
+        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    at_x = grid.sample_matrix(x) @ fields
+    eps = np.zeros(n) if noiseless else rng.standard_normal(n)
+    return x, at_x, eps
 
 
 def sample_data(ctx: ScoreContext, n: int, seed: int = 0,
@@ -83,20 +90,16 @@ def sample_data(ctx: ScoreContext, n: int, seed: int = 0,
     solution at X and adds standard normal noise (suppressed in the
     noiseless sanity mode, where epsilon is recorded as zero).
     """
-    if n < 1:
-        raise ValueError("need at least one observation")
-    rng = np.random.default_rng(seed)
-    x = _draw_design(ctx.grid, rng, n)
-    eps = np.zeros(n) if noiseless else rng.standard_normal(n)
-    y = np.asarray(_u_interpolator(ctx)(x)) + eps
-    return SampleSet(X=x, Y=y, epsilon=eps, seed=seed)
+    x, u_x, eps = _draw(ctx.grid, np.random.default_rng(seed), n, ctx.u.values,
+                        noiseless)
+    return SampleSet(X=x, Y=u_x + eps, epsilon=eps, seed=seed)
 
 
 def _score_values(ctx: ScoreContext, image: ScalarField,
                   samples: SampleSet) -> np.ndarray:
-    interp = image.grid.interpolator(image.values)
-    resid = samples.Y - np.asarray(_u_interpolator(ctx)(samples.X))
-    return resid * np.asarray(interp(samples.X))
+    P = ctx.grid.sample_matrix(samples.X)
+    u_x, image_x = (P @ np.column_stack([ctx.u.values, image.values])).T
+    return (samples.Y - u_x) * image_x
 
 
 def score_eval(ctx: ScoreContext, h: ScalarField, sample):
@@ -135,12 +138,12 @@ def info_identity_mc(ctx: ScoreContext, h1: ScalarField, h2: ScalarField,
     four standard errors is recorded, except for low-power runs (small n)
     which carry the flag instead of a verdict.
     """
-    samples = sample_data(ctx, n, seed)
     img1 = ctx.apply_linearization(h1)
     img2 = ctx.apply_linearization(h2)
-    s1 = _score_values(ctx, img1, samples)
-    s2 = _score_values(ctx, img2, samples)
-    products = s1 * s2
+    _, images_x, eps = _draw(ctx.grid, np.random.default_rng(seed), n,
+                             np.column_stack([img1.values, img2.values]))
+    i1_x, i2_x = images_x.T
+    products = (eps * i1_x) * (eps * i2_x)
     reference = inner_l2(img1, img2)
     mean = float(products.mean())
     se = float(products.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
@@ -176,21 +179,16 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     theta2 = Conductivity.from_perturbation(
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + scaled.values),
         eta=None)
-    u2 = ctx.forward_map(theta2)
-    interp_u = _u_interpolator(ctx)
-    interp_u2 = grid.interpolator(u2.values)
+    fields = np.column_stack([ctx.u.values, ctx.forward_map(theta2).values])
     image = ctx.apply_linearization(h)
     norm_sq = inner_l2(image, image)
     llrs = np.empty(replicates)
     children = np.random.SeedSequence(seed).spawn(replicates)
     for r, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        x = _draw_design(grid, rng, n)
-        eps = rng.standard_normal(n)
-        y = np.asarray(interp_u(x)) + eps
-        r0 = y - np.asarray(interp_u(x))
-        r1 = y - np.asarray(interp_u2(x))
-        llrs[r] = 0.5 * float(np.sum(r0 * r0 - r1 * r1))
+        _, at_x, eps = _draw(grid, np.random.default_rng(child), n, fields)
+        u_x, u2_x = at_x.T
+        r1 = (u_x + eps) - u2_x
+        llrs[r] = 0.5 * float(np.sum(eps * eps - r1 * r1))
     mean = float(llrs.mean())
     var = float(llrs.var(ddof=1)) if replicates > 1 else 0.0
     se = (math.sqrt(var / replicates) if replicates > 1 else math.inf)
@@ -264,18 +262,16 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     series, _ = range_series(decomp, psi)
     coeffs = decomp.coefficients(psi)[keep]
     grid = ctx.grid
-    mode_interps = []
-    for k in keep:
-        image = grid.interior_field(decomp.ctx._apply_B(decomp.modes[:, k]))
-        mode_interps.append(grid.interpolator(image.values))
-    interp_u = _u_interpolator(ctx)
+    # Column 0 is the regression bias u_truth - u; columns 1..k_max are the
+    # images of the kept modes, so one product gives residual and design.
+    fields = np.zeros((grid.n_nodes, 1 + keep.size))
+    for c, k in enumerate(keep, start=1):
+        fields[grid.interior_ids, c] = decomp.ctx._apply_B(decomp.modes[:, k])
     if theta_truth is not None:
-        u_truth = ctx.forward_map(theta_truth)
-        interp_truth = grid.interpolator(u_truth.values)
+        fields[:, 0] = ctx.forward_map(theta_truth).values - ctx.u.values
         truth_offset = inner_l2(
             psi, ScalarField(grid, theta_truth.field.values - ctx.theta.field.values))
     else:
-        interp_truth = interp_u
         truth_offset = 0.0
     flags = ("low_replicates",) if replicates < LOW_REPLICATES else ()
     root = np.random.SeedSequence(seed)
@@ -283,15 +279,11 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     for j, (n, k) in enumerate(zip(n_list, k_values)):
         children = root.spawn(replicates)
         errors = np.empty(replicates)
+        fields_k = np.ascontiguousarray(fields[:, :k + 1])
         for r, child in enumerate(children):
-            rng = np.random.default_rng(child)
-            x = _draw_design(grid, rng, n)
-            eps = np.zeros(n) if noiseless else rng.standard_normal(n)
-            y = np.asarray(interp_truth(x)) + eps
-            resid = y - np.asarray(interp_u(x))
-            design = np.column_stack([
-                np.asarray(mode_interps[i](x)) for i in range(k)])
-            beta, *_ = np.linalg.lstsq(design, resid, rcond=None)
+            _, at_x, eps = _draw(grid, np.random.default_rng(child), n, fields_k,
+                                 noiseless)
+            beta, *_ = np.linalg.lstsq(at_x[:, 1:], at_x[:, 0] + eps, rcond=None)
             errors[r] = float(beta @ coeffs[:k]) - truth_offset
         n_mse[j] = n * float(np.mean(errors ** 2))
     ratio = float(n_mse[-1] / n_mse[0]) if n_mse[0] > 0 else math.inf

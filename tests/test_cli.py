@@ -3,9 +3,12 @@ two headline reproduction experiments."""
 
 import json
 
+import numpy as np
 import pytest
 
+from ellinfo import cli
 from ellinfo.cli import main
+from ellinfo.grids import MIN_RESOLUTION
 
 
 def run(args, tmp_path, name):
@@ -67,6 +70,44 @@ class TestConfigErrors:
                      "--resolution", "17", "--seed", "-3"], tmp_path, "a")
         assert rc == 2
         capsys.readouterr()
+
+    def test_resolution_below_grid_minimum(self, tmp_path, capsys):
+        """The CLI's own floor is the grid's, so its message is the one seen."""
+        rc, out = run(["solve", "--fixture", "square_ex1",
+                       "--resolution", "6"], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert f">= {MIN_RESOLUTION}" in record["message"]
+        assert not (out / "solve").exists()
+
+
+class TestRuntimeErrors:
+    """Numerical and capacity failures exit with status 1, never as config
+    errors."""
+
+    def test_linalg_error_is_not_a_config_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def singular(cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setitem(cli._RUNNERS, "solve", singular)
+        rc, out = run(["solve", "--fixture", "square_ex1",
+                       "--resolution", "17"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "LinAlgError", "message": "Singular matrix"}
+        assert not (out / "solve").exists()
+
+    def test_dense_size_refusal(self, tmp_path, capsys):
+        rc, out = run(["fisher", "--fixture", "square_ex1",
+                       "--resolution", "17,33,129"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "16129" in record["message"]
+        assert "DENSE_OPERATOR_MAX_DIM" in record["message"]
+        assert not (out / "fisher").exists()
 
 
 class TestDeterminism:

@@ -188,33 +188,58 @@ class TestFieldPlumbing:
         assert np.all(f.values[g.boundary_ids] == 0.0)
 
 
+def evaluations(g, values, points):
+    """The interpolant at the points, by the interpolator and by P @ values."""
+    return (g.interpolator(values)(points), g.sample_matrix(points) @ values)
+
+
+def special_points(g):
+    """Corners, edges, nodes and points past the edge of the square; on the
+    disk the origin, the origin cell, the 0 / 2 pi seam, the boundary ring
+    and points past it."""
+    if g.spec.kind is DomainKind.SQUARE:
+        return np.array([[1.0, 1.0], [1.0, 2.0], [2.0, 1.0], [2.0, 2.0],
+                         [1.5, 1.0], [2.0, 1.37], [1.0, 1.61], [1.23, 2.0],
+                         [g.x[40], g.y[40]], [0.97, 1.4], [2.06, 2.02]])
+    ring0 = g.rs[0]
+    seam = [0.0, 1e-17, -1e-17, 1e-12, -1e-12, math.pi, 2.0 * math.pi - 1e-15]
+    return np.array(
+        [[0.0, 0.0], [0.3 * ring0, 0.1 * ring0], [-0.5 * ring0, -0.5 * ring0],
+         [ring0, 0.0], [0.0, -ring0]]
+        + [[0.7 * math.cos(t), 0.7 * math.sin(t)] for t in seam]
+        + [[math.cos(t), math.sin(t)] for t in np.linspace(0.0, 2.0 * math.pi, 13)]
+        + [[1.05, 0.2], [-0.3, -1.02]])
+
+
 class TestInterpolation:
-    """Bilinear interpolators on both grids, scalar and stacked."""
+    """Bilinear interpolators and the sparse observation operator on both
+    grids, scalar and stacked."""
 
     def test_square_exact_on_bilinear(self):
         g = square(17)
-        interp = g.interpolator(2.0 + g.x - 3.0 * g.y + 0.5 * g.x * g.y)
+        vals = 2.0 + g.x - 3.0 * g.y + 0.5 * g.x * g.y
         pts = np.array([[1.23, 1.77], [1.5, 1.5], [1.91, 1.08]])
         expected = 2.0 + pts[:, 0] - 3.0 * pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1]
-        np.testing.assert_allclose(interp(pts), expected, rtol=1e-13)
+        for got in evaluations(g, vals, pts):
+            np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     def test_disk_origin_uses_ring_average(self):
         """Evaluation at the origin returns the innermost ring mean, so radial
         fields extend continuously across the missing center node."""
         g = disk(12)
         vals = g.r**2
-        interp = g.interpolator(vals)
         ring_mean = g.reshape(vals)[0].mean()
-        assert interp(np.array([[0.0, 0.0]]))[0] == pytest.approx(ring_mean)
+        for got in evaluations(g, vals, np.array([[0.0, 0.0]])):
+            assert got[0] == pytest.approx(ring_mean)
 
     def test_disk_angular_wrap(self):
         """Interpolation is continuous across the 0 / 2 pi seam."""
         g = disk(16)
-        interp = g.interpolator(np.cos(g.t))
         eps = 1e-9
-        below = interp(np.array([[0.7 * math.cos(-eps), 0.7 * math.sin(-eps)]]))[0]
-        above = interp(np.array([[0.7 * math.cos(eps), 0.7 * math.sin(eps)]]))[0]
-        assert below == pytest.approx(above, abs=1e-7)
+        pts = np.array([[0.7 * math.cos(-eps), 0.7 * math.sin(-eps)],
+                        [0.7 * math.cos(eps), 0.7 * math.sin(eps)]])
+        for below, above in evaluations(g, np.cos(g.t), pts):
+            assert below == pytest.approx(above, abs=1e-7)
 
     def test_stacked_components_interpolate_together(self):
         """An (n_nodes, k) stack interpolates like k separate scalar calls."""
@@ -225,6 +250,42 @@ class TestInterpolation:
             pts = np.array([[g.x[5], g.y[5]], [g.x[40], g.y[40]]])
             sep = np.column_stack([g.interpolator(a)(pts), g.interpolator(b)(pts)])
             np.testing.assert_allclose(stacked(pts), sep, rtol=1e-12)
+
+    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    def test_sample_matrix_matches_interpolator(self, g):
+        """P(X) @ F reproduces the interpolator column by column, at random
+        points and at every special point, including the extrapolation past
+        the square's edges."""
+        rng = np.random.default_rng(5)
+        if g.spec.kind is DomainKind.SQUARE:
+            pts = 1.0 + rng.random((5000, 2))
+        else:
+            r, t = np.sqrt(rng.random(5000)), 2.0 * math.pi * rng.random(5000)
+            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        pts = np.vstack([pts, special_points(g)])
+        F = rng.standard_normal((g.n_nodes, 3))
+        ref, got = evaluations(g, F, pts)
+        assert got.shape == (len(pts), 3)
+        assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    def test_sample_matrix_rows(self, g):
+        """Every row sums to one; rows hold four entries except in the
+        disk's origin cell, whose rows spread over all of ring 0."""
+        rng = np.random.default_rng(6)
+        pts = np.vstack([special_points(g), rng.uniform(-1.0, 2.0, (500, 2))])
+        P = g.sample_matrix(pts)
+        assert P.shape == (len(pts), g.n_nodes)
+        assert P.indices.dtype == np.int32 and P.indptr.dtype == np.int32
+        np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0, atol=1e-14)
+        counts = np.diff(P.indptr)
+        if g.spec.kind is DomainKind.DISK:
+            origin = np.hypot(pts[:, 0], pts[:, 1]) < g.rs[0]
+            assert origin.sum() >= 3
+            assert np.all(counts[origin] == g.shape[1])
+            assert np.all(P[np.flatnonzero(origin)].indices < g.shape[1])
+            counts = counts[~origin]
+        assert np.all(counts == 4)
 
 
 class TestBumpAndRandomFields:

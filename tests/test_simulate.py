@@ -8,9 +8,11 @@ import pytest
 
 from ellinfo.elliptic import Conductivity
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
-from ellinfo.grids import ScalarField, norm_l2, random_smooth_field
+from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
+                           random_smooth_field)
 from ellinfo.simulate import (info_identity_mc, lan_mc, plugin_risk_study,
                               sample_data, score_eval)
+from ellinfo.spectral import eigendecompose
 
 
 def direction(grid, seed, scale=1.0):
@@ -179,3 +181,120 @@ class TestRiskStudy:
             replicates=200, seed=2,
             estimator_config={"cutoff": lambda n: math.ceil(3 * n ** (1 / 3))})
         assert table.ratio_last_first >= 2.0
+
+
+# -- reference: the same experiments, evaluated pointwise by the interpolator --
+
+
+def reference_draw(grid, rng, n, noiseless=False):
+    """The design, then the noise, drawn as the library draws them."""
+    if grid.spec.kind is DomainKind.SQUARE:
+        x = 1.0 + rng.random((n, 2))
+    else:
+        r = np.sqrt(rng.random(n))
+        t = 2.0 * math.pi * rng.random(n)
+        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    eps = np.zeros(n) if noiseless else rng.standard_normal(n)
+    return x, eps
+
+
+def reference_lan(ctx, h, n, replicates, seed):
+    grid = ctx.grid
+    theta2 = Conductivity.from_perturbation(
+        grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
+        eta=None)
+    u = grid.interpolator(ctx.u.values)
+    u2 = grid.interpolator(ctx.forward_map(theta2).values)
+    llrs = []
+    for child in np.random.SeedSequence(seed).spawn(replicates):
+        x, eps = reference_draw(grid, np.random.default_rng(child), n)
+        y = u(x) + eps
+        r0, r1 = y - u(x), y - u2(x)
+        llrs.append(0.5 * np.sum(r0 * r0 - r1 * r1))
+    return np.array(llrs)
+
+
+def reference_identity(ctx, h1, h2, n, seed):
+    grid = ctx.grid
+    x, eps = reference_draw(grid, np.random.default_rng(seed), n)
+    u_x = grid.interpolator(ctx.u.values)(x)
+    resid = (u_x + eps) - u_x
+    scores = [resid * grid.interpolator(ctx.apply_linearization(h).values)(x)
+              for h in (h1, h2)]
+    return scores[0] * scores[1]
+
+
+def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
+                   theta_truth=None):
+    grid = ctx.grid
+    decomp = eigendecompose(ctx, n_modes=None, mode="dense")
+    keep = np.flatnonzero(~decomp.kernel_mask)[:k]
+    coeffs = decomp.coefficients(psi)[keep]
+    modes = [grid.interpolator(grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values)
+             for i in keep]
+    u = grid.interpolator(ctx.u.values)
+    truth, offset = u, 0.0
+    if theta_truth is not None:
+        truth = grid.interpolator(ctx.forward_map(theta_truth).values)
+        offset = inner_l2(psi, ScalarField(
+            grid, theta_truth.field.values - ctx.theta.field.values))
+    root = np.random.SeedSequence(seed)
+    n_mse = []
+    for n in n_list:
+        errors = []
+        for child in root.spawn(replicates):
+            x, eps = reference_draw(grid, np.random.default_rng(child), n, noiseless)
+            resid = (truth(x) + eps) - u(x)
+            design = np.column_stack([mode(x) for mode in modes])
+            beta, *_ = np.linalg.lstsq(design, resid, rcond=None)
+            errors.append(float(beta @ coeffs) - offset)
+        n_mse.append(n * np.mean(np.square(errors)))
+    return np.array(n_mse)
+
+
+def assert_relative_match(got, ref, rel=1e-10):
+    """Agreement to ``rel`` of the largest reference magnitude."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestMatchesInterpolatorPath:
+    """Seeded statistics from the sparse observation operator P(X) agree with
+    pointwise interpolation of every field at the same seed."""
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
+    def test_lan_statistics(self, ctx_cache, name, res):
+        ctx = ctx_cache(name, res)
+        h = direction(ctx.grid, 31, scale=2.0)
+        rep = lan_mc(ctx, h, 2000, 40, seed=9)
+        assert_relative_match(rep.statistics, reference_lan(ctx, h, 2000, 40, 9))
+
+    def test_info_identity_statistics(self, ctx_cache):
+        ctx = ctx_cache("square_ex1", 17)
+        h1, h2 = direction(ctx.grid, 31), direction(ctx.grid, 32)
+        rep = info_identity_mc(ctx, h1, h2, 5000, seed=6)
+        ref = reference_identity(ctx, h1, h2, 5000, 6)
+        assert_relative_match(rep.statistics, ref)
+        assert rep.empirical_mean == pytest.approx(ref.mean(), rel=1e-10)
+
+    @pytest.mark.parametrize("noiseless", [False, True])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_risk_study(self, ctx_cache, noiseless, shifted):
+        ctx = ctx_cache("square_ex1", 17)
+        grid = ctx.grid
+        truth = None
+        if shifted:
+            pert = random_smooth_field(grid, np.random.default_rng(9))
+            truth = Conductivity.from_perturbation(
+                grid, ScalarField(grid, 0.1 * pert.values), eta=None)
+        psi = psi_fixture(ctx, "bump")
+        table = plugin_risk_study(
+            ctx, psi, (300, 900), replicates=6, seed=4,
+            estimator_config={"cutoff": lambda n: 8, "noiseless": noiseless,
+                              "theta_truth": truth})
+        ref = reference_risk(ctx, psi, (300, 900), 6, 4, 8,
+                             noiseless=noiseless, theta_truth=truth)
+        assert_relative_match(table.n_mse, ref)
+        if noiseless and not shifted:
+            np.testing.assert_array_equal(table.n_mse, 0.0)
