@@ -336,6 +336,7 @@ def _verdict_payload(v) -> dict:
         "integral_tol": v.integral_tol, "threshold": v.threshold,
         "zero_ray_witness": v.zero_ray_witness, "offset": v.offset,
         "n_curves": int(len(v.seeds)), "n_unclassified": v.n_unclassified,
+        "ode_steps": v.ode_steps,
     }
 
 

@@ -20,7 +20,9 @@ Point evaluation is bilinear on both grids (in (r, theta) on the disk).
 ``Grid.sample_matrix(points)`` is the sparse observation operator P: it
 locates the points once, and ``P @ F`` evaluates every column of a nodal
 stack F there.  ``Grid.interpolator`` returns the same interpolant as a
-callable; the curve tracer uses it for its one point per Runge-Kutta stage.
+callable on batches of points, and ``Grid.point_evaluator`` as a scalar
+callable on one point, a few microseconds per call (the curve tracer's
+Runge-Kutta stages).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -225,8 +228,62 @@ class Grid:
     def second_derivatives(self, values):
         raise NotImplementedError
 
-    def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def _tensor_values(self, values: np.ndarray):
+        """The grid's two tensor axes and the values on them, of shape
+        ``(len(axis0), len(axis1)) + values.shape[1:]``."""
         raise NotImplementedError
+
+    def _axis_points(self, pts: np.ndarray) -> np.ndarray:
+        """Coordinates of an (n, 2) array of points on the tensor axes."""
+        return pts
+
+    @staticmethod
+    def _point_coords(x: float, y: float) -> tuple[float, float]:
+        """Coordinates of one point on the tensor axes."""
+        return x, y
+
+    def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
+        extrapolated linearly past the edges, as a callable on (n, 2) points."""
+        axes, v = self._tensor_values(values)
+        rgi = RegularGridInterpolator(axes, v, method="linear",
+                                      bounds_error=False, fill_value=None)
+
+        def _interp(points: np.ndarray) -> np.ndarray:
+            return rgi(self._axis_points(np.atleast_2d(np.asarray(points, dtype=float))))
+
+        return _interp
+
+    def point_evaluator(self, values: np.ndarray) -> Callable[[float, float], list]:
+        """One-point form of :meth:`interpolator` for an (n_nodes, k) stack.
+
+        ``f(x, y)`` returns the k values at one point (one for plain nodal
+        values) as a list of Python floats and does no numpy work, so pass
+        Python floats.  Cells are
+        located as ``RegularGridInterpolator`` locates them, clipped to the
+        edge cells so that points past an edge extrapolate linearly, and the
+        corners are summed in its order: on the square the values are
+        bit-identical to the interpolator's.
+        """
+        axes, v = self._tensor_values(values)
+        v = v.reshape(v.shape[:2] + (-1,))
+        ax0, ax1 = axes[0].tolist(), axes[1].tolist()
+        last0, last1 = len(ax0) - 2, len(ax1) - 2
+        # cells[i][j][c]: component c at the corners (i, j), (i, j+1),
+        # (i+1, j) and (i+1, j+1) of cell (i, j)
+        cells = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=-1).tolist()
+        coords = self._point_coords
+
+        def evaluate(x: float, y: float) -> list:
+            c0, c1 = coords(x, y)
+            i = min(max(bisect_right(ax0, c0) - 1, 0), last0)
+            j = min(max(bisect_right(ax1, c1) - 1, 0), last1)
+            a = (c0 - ax0[i]) / (ax0[i + 1] - ax0[i])
+            b = (c1 - ax1[j]) / (ax1[j + 1] - ax1[j])
+            w00, w01, w10, w11 = (1.0 - a) * (1.0 - b), (1.0 - a) * b, a * (1.0 - b), a * b
+            return [w00 * p + w01 * q + w10 * r + w11 * s for p, q, r, s in cells[i][j]]
+
+        return evaluate
 
     def sample_matrix(self, points: np.ndarray) -> sp.csr_matrix:
         """Sparse observation operator P of shape (n_points, n_nodes).
@@ -357,21 +414,9 @@ class SquareGrid(Grid):
         ) / (4.0 * self.hx * self.hy)
         return fxx.reshape(-1), fxy.reshape(-1), fyy.reshape(-1)
 
-    def interpolator(self, values):
+    def _tensor_values(self, values):
         vals = np.asarray(values, dtype=float)
-        rgi = RegularGridInterpolator(
-            (self.xs, self.ys),
-            vals.reshape(self.shape + vals.shape[1:]),
-            method="linear",
-            bounds_error=False,
-            fill_value=None,
-        )
-
-        def _interp(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            return rgi(pts)
-
-        return _interp
+        return (self.xs, self.ys), vals.reshape(self.shape + vals.shape[1:])
 
     def sample_matrix(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -479,7 +524,7 @@ class DiskGrid(Grid):
         fxy = 0.5 * (np.asarray(gxy1) + np.asarray(gyx))
         return gxx, fxy, gyy
 
-    def interpolator(self, values):
+    def _tensor_values(self, values):
         vals = np.asarray(values, dtype=float)
         v = vals.reshape(self.shape + vals.shape[1:])
         # augment with the origin (ring average) and a periodic wrap column
@@ -487,23 +532,17 @@ class DiskGrid(Grid):
         v_aug[1:, :-1] = v
         v_aug[1:, -1] = v[:, 0]
         v_aug[0, :] = v[0].mean(axis=0)
-        r_aug = np.concatenate([[0.0], self.rs])
-        t_aug = np.concatenate([self.ts, [2.0 * math.pi]])
-        rgi = RegularGridInterpolator(
-            (r_aug, t_aug),
-            v_aug,
-            method="linear",
-            bounds_error=False,
-            fill_value=None,
-        )
+        axes = (np.concatenate([[0.0], self.rs]), np.append(self.ts, 2.0 * math.pi))
+        return axes, v_aug
 
-        def _interp(points: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(points, dtype=float))
-            r = np.hypot(pts[:, 0], pts[:, 1])
-            t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-            return rgi(np.column_stack([r, t]))
+    def _axis_points(self, pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
+        return np.column_stack([r, t])
 
-        return _interp
+    @staticmethod
+    def _point_coords(x, y):
+        return math.hypot(x, y), math.atan2(y, x) % (2.0 * math.pi)
 
     def sample_matrix(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))

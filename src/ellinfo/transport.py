@@ -8,6 +8,11 @@ obstructions, solves the transport problem by characteristics on the
 non-trapping square configuration, and builds near-kernel elements from
 first integrals of the flow.
 
+All traces share one ODE right-hand side and terminal events (boundary exit,
+critical point) from ``_flow_events``; each Runge-Kutta stage evaluates
+grad u_theta, and any integrand carried along, through ``Grid.point_evaluator``.
+Line and ray integrals evaluate their samples in one ``Grid.interpolator`` call.
+
 On the disk configuration at theta = 1 the gradient field is radial with a
 critical point at the origin, so curves are straight rays and the range
 condition only forces ray integrals to share a common (unknown) constant;
@@ -57,11 +62,10 @@ def _point_boundary_distance(grid: Grid, x: float, y: float) -> float:
 def _flow_cache(ctx: ScoreContext) -> dict:
     cache = getattr(ctx, "_transport_cache", None)
     if cache is None:
-        grid = ctx.grid
         max_grad = float(ctx.grad_u.magnitude().max())
         cache = {
-            "flow": grid.interpolator(np.column_stack([ctx.grad_u.vx,
-                                                       ctx.grad_u.vy])),
+            "flow": ctx.grid.point_evaluator(np.column_stack([ctx.grad_u.vx,
+                                                              ctx.grad_u.vy])),
             "max_grad": max_grad,
             "crit_tol": CRIT_TOL_FACTOR * max_grad,
         }
@@ -75,7 +79,8 @@ class IntegralCurve:
 
     ``times`` are signed curve parameters (negative when traced backward);
     ``points`` are the matching positions.  ``travel_time`` is the length of
-    the parameter interval until termination.
+    the parameter interval until termination; ``n_steps`` counts the
+    accepted Runge-Kutta steps.
     """
 
     seed: tuple
@@ -84,27 +89,39 @@ class IntegralCurve:
     points: np.ndarray
     termination: str
     travel_time: float
+    n_steps: int
 
     def __post_init__(self):
         if self.termination not in CURVE_TERMINATIONS:
             raise ValueError(f"termination must be one of {CURVE_TERMINATIONS}")
 
 
-def _trace_events(ctx: ScoreContext, sign: float):
+def _flow_events(ctx: ScoreContext, sign: float, integrand=None):
+    """Right-hand side and terminal events of the flow ODE z' = sign grad u.
+
+    With nodal ``integrand`` values the state gains a third component, the
+    integral of the integrand against increasing curve parameter (the ODE
+    parameter in both directions), evaluated jointly with the flow: each
+    Runge-Kutta stage costs one point evaluation.
+    """
     cache = _flow_cache(ctx)
-    flow = cache["flow"]
     crit_tol = cache["crit_tol"]
     grid = ctx.grid
+    flow = cache["flow"] if integrand is None else grid.point_evaluator(
+        np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy,
+                         np.asarray(integrand, dtype=float)]))
 
     def rhs(_s, z):
-        g = flow(np.asarray(z[:2]).reshape(1, 2))[0]
-        return sign * g
+        g = flow(*z[:2].tolist())
+        g[0] *= sign
+        g[1] *= sign
+        return g
 
     def hit_boundary(_s, z):
         return _point_boundary_distance(grid, z[0], z[1])
 
     def hit_critical(_s, z):
-        g = flow(np.asarray(z[:2]).reshape(1, 2))[0]
+        g = flow(*z[:2].tolist())
         return math.hypot(g[0], g[1]) - crit_tol
 
     hit_boundary.terminal = True
@@ -130,7 +147,7 @@ def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
     if _point_boundary_distance(ctx.grid, x0[0], x0[1]) <= 0.0:
         raise ValueError("seed point must lie strictly inside the domain")
     sign = 1.0 if direction == "forward" else -1.0
-    rhs, hit_boundary, hit_critical = _trace_events(ctx, sign)
+    rhs, hit_boundary, hit_critical = _flow_events(ctx, sign)
     sol = solve_ivp(rhs, (0.0, t_max), x0, method="RK45", rtol=ODE_TOL,
                     atol=1e-12, events=[hit_boundary, hit_critical],
                     dense_output=True)
@@ -147,7 +164,7 @@ def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
     pts = sol.sol(ss).T if s_end > 0 else x0.reshape(1, 2)
     return IntegralCurve(seed=tuple(x0), direction=direction, times=sign * ss,
                          points=pts, termination=termination,
-                         travel_time=abs(s_end))
+                         travel_time=abs(s_end), n_steps=sol.t.size - 1)
 
 
 def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
@@ -207,6 +224,8 @@ class RangeVerdict:
     On the square configuration every crossing curve must integrate to
     (approximately) zero; on the disk all ray integrals must share a common
     constant, and any single vanishing ray forces that constant to zero.
+    ``ode_steps`` sums the accepted Runge-Kutta steps of the traced curves
+    (0 on the disk, whose rays are integrated without tracing).
     """
 
     psi: ScalarField
@@ -219,6 +238,7 @@ class RangeVerdict:
     zero_ray_witness: bool = False
     offset: float | None = None
     n_unclassified: int = 0
+    ode_steps: int = 0
     curves: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -291,10 +311,11 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField,
             seeds = np.vstack([seeds, extra])
     integrals = np.empty(len(seeds))
     curves = []
-    unclassified = 0
+    unclassified = ode_steps = 0
     for i, seed in enumerate(seeds):
         back = trace_curve(ctx, seed, "backward", strict=False)
         fwd = trace_curve(ctx, seed, "forward", strict=False)
+        ode_steps += back.n_steps + fwd.n_steps
         if back.termination != "boundary_exit" or fwd.termination != "boundary_exit":
             unclassified += 1
             integrals[i] = math.nan
@@ -311,7 +332,8 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField,
     return RangeVerdict(psi=psi, seeds=seeds, integrals=integrals,
                         max_abs_integral=max_abs, integral_tol=integral_tol,
                         threshold=threshold, verdict=verdict,
-                        n_unclassified=unclassified, curves=curves)
+                        n_unclassified=unclassified, ode_steps=ode_steps,
+                        curves=curves)
 
 
 def _sweep_from_nodes(ctx: ScoreContext, nodes: np.ndarray,
@@ -320,44 +342,20 @@ def _sweep_from_nodes(ctx: ScoreContext, nodes: np.ndarray,
     """Integrate the flow ODE augmented with d(acc)/dt = integrand from each
     node until boundary exit; returns accumulated integrals and exit points.
 
-    ``integrand_values`` are nodal values, interpolated jointly with the flow
-    so each Runge-Kutta stage costs one interpolator call.  ``sign`` selects
-    forward (+1) or backward (-1) traces; the accumulator always represents
-    the integral with respect to increasing curve parameter over the
-    traversed segment.
+    ``integrand_values`` are nodal values, evaluated jointly with the flow
+    (see :func:`_flow_events`).  ``sign`` selects forward (+1) or backward
+    (-1) traces; the accumulator always represents the integral with respect
+    to increasing curve parameter over the traversed segment.
     """
-    cache = _flow_cache(ctx)
-    crit_tol = cache["crit_tol"]
-    grid = ctx.grid
-    augmented = grid.interpolator(np.column_stack([
-        ctx.grad_u.vx, ctx.grad_u.vy, np.asarray(integrand_values, dtype=float)]))
-
-    def rhs(_s, z):
-        g = augmented(np.asarray(z[:2]).reshape(1, 2))[0]
-        # the accumulator integrates against increasing curve parameter, which
-        # coincides with the sweep parameter in both trace directions
-        return [sign * g[0], sign * g[1], g[2]]
-
-    def hit_boundary(_s, z):
-        return _point_boundary_distance(grid, z[0], z[1])
-
-    def hit_critical(_s, z):
-        g = augmented(np.asarray(z[:2]).reshape(1, 2))[0]
-        return math.hypot(g[0], g[1]) - crit_tol
-
-    hit_boundary.terminal = True
-    hit_boundary.direction = -1.0
-    hit_critical.terminal = True
-    hit_critical.direction = -1.0
-
+    rhs, hit_boundary, hit_critical = _flow_events(ctx, sign, integrand_values)
     acc = np.empty(len(nodes))
     exits = np.empty((len(nodes), 2))
     for i, (x0, y0) in enumerate(nodes):
         z0 = np.array([x0, y0, 0.0])
         if nudge:
-            g = augmented(np.array([[x0, y0]]))[0]
+            g = rhs(0.0, z0)
             step = 1e-9 / max(np.linalg.norm(g[:2]), 1e-12)
-            z0 = np.array([x0 + step * g[0] * sign, y0 + step * g[1] * sign, 0.0])
+            z0 = np.array([x0 + step * g[0], y0 + step * g[1], 0.0])
         sol = solve_ivp(rhs, (0.0, TIME_LIMIT), z0, method="RK45",
                         rtol=ODE_TOL, atol=1e-12,
                         events=[hit_boundary, hit_critical])

@@ -222,6 +222,11 @@ class TestReproductions:
         assert summary["disk_quadrant_bump"]["verdict"] == "incompatible"
         assert summary["disk_quadrant_bump"]["zero_ray_witness"]
         assert summary["disk_in_range"]["verdict"] == "compatible_within_tol"
+        # square verdicts trace curves; disk verdicts integrate rays untraced
+        assert summary["square_bump"]["ode_steps"] > 0
+        assert summary["square_in_range"]["ode_steps"] > 0
+        assert summary["disk_quadrant_bump"]["ode_steps"] == 0
+        assert summary["disk_in_range"]["ode_steps"] == 0
         assert (out / "reproduce-thm38" / "curves.csv").exists()
         assert (out / "reproduce-thm38" / "disk_rays.csv").exists()
         capsys.readouterr()

@@ -189,8 +189,12 @@ class TestFieldPlumbing:
 
 
 def evaluations(g, values, points):
-    """The interpolant at the points, by the interpolator and by P @ values."""
-    return (g.interpolator(values)(points), g.sample_matrix(points) @ values)
+    """The interpolant at the points, by the interpolator, by P @ values and
+    by the point evaluator one point at a time."""
+    f = g.point_evaluator(values)
+    one_by_one = np.array([f(x, y) for x, y in np.asarray(points, dtype=float).tolist()])
+    return (g.interpolator(values)(points), g.sample_matrix(points) @ values,
+            one_by_one.reshape((len(points),) + np.shape(values)[1:]))
 
 
 def special_points(g):
@@ -212,8 +216,8 @@ def special_points(g):
 
 
 class TestInterpolation:
-    """Bilinear interpolators and the sparse observation operator on both
-    grids, scalar and stacked."""
+    """Bilinear interpolators, the sparse observation operator and the
+    one-point evaluator on both grids, scalar and stacked."""
 
     def test_square_exact_on_bilinear(self):
         g = square(17)
@@ -264,9 +268,29 @@ class TestInterpolation:
             pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
         pts = np.vstack([pts, special_points(g)])
         F = rng.standard_normal((g.n_nodes, 3))
-        ref, got = evaluations(g, F, pts)
+        ref, got, _ = evaluations(g, F, pts)
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    def test_point_evaluator_matches_interpolator(self, g):
+        """The one-point evaluator reproduces the interpolator at random
+        points, also past the square's edges and at r > 1, at every node, at
+        the origin and on the seam; on the square bit for bit."""
+        rng = np.random.default_rng(7)
+        if g.spec.kind is DomainKind.SQUARE:
+            pts = 0.9 + 1.2 * rng.random((4000, 2))
+        else:
+            r, t = 1.1 * np.sqrt(rng.random(4000)), 2.0 * math.pi * rng.random(4000)
+            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        pts = np.vstack([pts, g.nodes, special_points(g),
+                         [[0.0, 0.0], [0.3, -0.0], [0.3, -1e-17]]])
+        F = rng.standard_normal((g.n_nodes, 2))
+        ref, _, got = evaluations(g, F, pts)
+        assert got.shape == (len(pts), 2)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if g.spec.kind is DomainKind.SQUARE:
+            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_sample_matrix_rows(self, g):

@@ -55,6 +55,25 @@ class TestCurveTracing:
         assert line_integral(ctx.grid.field(0.0), curve) == 0.0
 
 
+class TestDiskCurveTracing:
+    """Integral curves of the radial disk flow, traced through the origin
+    cell and across the 0 / 2 pi seam of the grid."""
+
+    @pytest.mark.parametrize("seed", [(0.3, -1e-3), (0.3, 0.2)])
+    def test_forward_exits_along_ray_backward_reaches_origin(self, ctx_cache, seed):
+        ctx = ctx_cache("disk_ex2", 28)
+        ray = np.asarray(seed) / math.hypot(*seed)
+        fwd = trace_curve(ctx, seed, "forward")
+        assert fwd.termination == "boundary_exit"
+        end = fwd.points[-1]
+        assert abs(math.hypot(*end) - 1.0) <= 1e-12
+        assert end @ ray > 0.0 and abs(end[0] * ray[1] - end[1] * ray[0]) <= 1e-4
+        back = trace_curve(ctx, seed, "backward")
+        assert back.termination == "critical_point"
+        assert math.hypot(*back.points[-1]) <= 1e-4
+        assert fwd.n_steps > 0 and back.n_steps > 0
+
+
 class TestCrossingConsistency:
     """The boundary-to-boundary crossing accumulator agrees with explicit
     quadrature along the traced curve (fundamental theorem of calculus for
