@@ -41,7 +41,8 @@ from ellinfo.grids import (MIN_RESOLUTION, DomainKind, ScalarField, build_grid,
                            inner_l2, norm_l2, random_smooth_field)
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
-from ellinfo.spectral import degeneracy_profile, eigendecompose, fisher_refinement
+from ellinfo.spectral import (KERNEL_SWEEP_MAX_DIM, degeneracy_profile, eigendecompose,
+                              fisher_refinement)
 from ellinfo.transport import IntegralCurve, range_verdict, trace_curve
 
 SUBCOMMANDS = ("solve", "verify-operators", "spectrum", "fisher", "transport",
@@ -321,6 +322,7 @@ def _run_fisher(cfg: ExperimentConfig):
         "i_inverse": [float(v) for v in sweep.values],
         "growth": sweep.growth, "variation": sweep.variation,
         "lower_bounds": list(sweep.lower_bounds),
+        "rel_errors": [r.rel_error for r in sweep.reports],
         "verdict": sweep.verdict,
     }
     tables = {"refinement.csv": (
@@ -386,8 +388,8 @@ def _run_thm37(cfg: ExperimentConfig):
     """Divergent inverse Fisher for a non-negative bump, plus the degeneracy
     ladder certifying i = 0 through vanishing quotients."""
     sweep = fisher_refinement("square_ex1", "bump", cfg.resolutions)
-    exact = [r for r, lb in zip(sweep.resolutions, sweep.lower_bounds) if not lb]
-    ladder_res = exact[-1] if exact else sweep.resolutions[0]
+    ladder_res = max((r for r, d in zip(sweep.resolutions, sweep.interior_dims)
+                      if d <= KERNEL_SWEEP_MAX_DIM), default=sweep.resolutions[0])
     ctx = build_context("square_ex1", ladder_res)
     psi = psi_fixture(ctx, "bump")
     decomp = eigendecompose(ctx, subspace="collar_supported")
@@ -411,6 +413,7 @@ def _run_thm37(cfg: ExperimentConfig):
             "i_inverse": [float(v) for v in sweep.values],
             "growth": sweep.growth,
             "lower_bounds": list(sweep.lower_bounds),
+            "rel_errors": [r.rel_error for r in sweep.reports],
             "verdict": sweep.verdict,
         },
         "ladder": {

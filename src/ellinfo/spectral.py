@@ -3,11 +3,12 @@
 The linearization I acts on interior perturbations; the information operator
 I*I is symmetric and positive semidefinite for the weighted discrete inner
 product.  This module eigendecomposes it, evaluates the inverse Fisher
-quadratic form psi^T (I*I)^{-1} psi either by a direct solve or by spectral
-truncation, and builds the degeneracy sequences h_N whose normalized
-quotients certify vanishing information.  Divergence verdicts are never
-issued from a single grid: `fisher_refinement` sweeps a family of meshes and
-classifies the growth of the inverse quadratic form.
+quadratic form psi^T (I*I)^{-1} psi either by a sparse solve of the discrete
+transport equation T^T y = W psi or by spectral truncation, and builds the
+degeneracy sequences h_N whose normalized quotients certify vanishing
+information.  Divergence verdicts are never issued from a single grid:
+`fisher_refinement` sweeps a family of meshes and classifies the growth of
+the inverse quadratic form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
@@ -298,6 +298,8 @@ class FisherReport:
     ``lower_bound`` marks values produced by the singular-grid fallback,
     which certifies only that the true quadratic form is at least this
     large (kernel terms are evaluated at an eigenvalue floor).
+    ``rel_error`` is the relative change of a direct-solve value under one
+    step of iterative refinement; it is None for spectral values.
     """
 
     psi: ScalarField
@@ -309,17 +311,18 @@ class FisherReport:
     verdict: str = "undetermined"
     resolution: tuple | None = None
     lower_bound: bool = False
+    rel_error: float | None = None
 
     def __post_init__(self):
         if self.verdict not in FISHER_VERDICTS:
             raise ValueError(f"verdict must be one of {FISHER_VERDICTS}")
 
 
-def _hat_lu(ctx: ScoreContext):
-    cached = getattr(ctx, "_hat_lu_cache", None)
+def _transport_lu(ctx: ScoreContext):
+    cached = getattr(ctx, "_transport_lu_cache", None)
     if cached is None:
-        cached = sla.lu_factor(ctx.dense_linearization_hat())
-        ctx._hat_lu_cache = cached
+        cached = spla.splu(ctx.T.T.tocsc())
+        ctx._transport_lu_cache = cached
     return cached
 
 
@@ -329,36 +332,36 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField,
                        verdict: str = "undetermined") -> FisherReport:
     """Evaluate the inverse Fisher quadratic form psi -> psi^T (I*I)^{-1} psi.
 
-    ``direct_solve`` solves with the transposed symmetrized linearization
-    (one triangular pair per functional, no squared conditioning);
-    ``spectral_truncation`` sums the series M_K over the computed non-kernel
-    modes of ``decomp``.  The verdict field is a pass-through slot filled by
-    refinement sweeps; a single grid never certifies divergence.
+    ``direct_solve`` solves the discrete transport equation T^T y = W psi
+    with one cached sparse LU of T^T and one refinement step; as
+    I = -K^{-1} W T, the form is ||W^{-1/2} K W^{-1} y||^2.  A residual or a
+    refinement change (``rel_error``) above 1e-6 raises, which also catches
+    a singular T on a consistent system.  ``spectral_truncation`` sums the
+    series M_K over the computed non-kernel modes of ``decomp``.  The verdict
+    field is a pass-through slot filled by refinement sweeps; a single grid
+    never certifies divergence.
     """
     grid = ctx.grid
     psi_int = grid.restrict(psi)
     if not np.any(psi_int):
         raise ValueError("psi vanishes identically: Fisher functional undefined")
-    m_series = None
-    kernel_norm = None
+    m_series = kernel_norm = rel_error = None
     if decomp is not None:
-        m_series, p0 = range_series(decomp, psi)
-        kernel_norm = p0
+        m_series, kernel_norm = range_series(decomp, psi)
     if method == "direct_solve":
-        s = np.sqrt(grid.weights_interior)
-        psi_hat = s * psi_int
-        x = sla.lu_solve(_hat_lu(ctx), psi_hat, trans=1)
-        if not np.all(np.isfinite(x)):
-            raise np.linalg.LinAlgError(
-                "information matrix numerically singular; use spectral_truncation "
-                "with kernel handling")
-        bhat = ctx.dense_linearization_hat()
-        residual = np.linalg.norm(bhat.T @ x - psi_hat)
-        if residual > 1e-6 * np.linalg.norm(psi_hat):
-            raise np.linalg.LinAlgError(
-                "information matrix numerically singular; use spectral_truncation "
-                "with kernel handling")
+        w = grid.weights_interior
+        rhs = w * psi_int
+        y0 = _transport_lu(ctx).solve(rhs)
+        y = y0 + _transport_lu(ctx).solve(rhs - ctx.T.T @ y0)
+        x0, x = (ctx.op.K @ (v / w) / np.sqrt(w) for v in (y0, y))
         i_inverse = float(x @ x)
+        rel_error = abs(i_inverse - float(x0 @ x0)) / i_inverse
+        residual = float(np.linalg.norm(ctx.T.T @ y - rhs) / np.linalg.norm(rhs))
+        if not (residual <= 1e-6 and rel_error <= 1e-6):
+            raise np.linalg.LinAlgError(
+                f"source operator T numerically singular (residual {residual:.1e}, "
+                f"refinement change {rel_error:.1e}); use spectral_truncation "
+                "with kernel handling")
     elif method == "spectral_truncation":
         if decomp is None:
             decomp = eigendecompose(ctx)
@@ -373,7 +376,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField,
     return FisherReport(psi=psi, method=method, i_inverse_full=i_inverse,
                         i_value=i_value, m_series=m_series,
                         kernel_component_norm=kernel_norm, verdict=verdict,
-                        resolution=grid.spec.resolution)
+                        resolution=grid.spec.resolution, rel_error=rel_error)
 
 
 @dataclass
@@ -429,13 +432,12 @@ def fisher_refinement(fixture: str, psi_kind: str,
     ``out_of_range_divergent``, total variation within ``stable_variation``
     marks ``in_range``, and anything else stays ``undetermined``.
 
-    Grids where the information matrix is singular to working precision fall
+    Grids where the source operator T is singular to working precision fall
     back to a certified lower bound (flagged in ``lower_bounds``).  A lower
     bound can still certify growth -- provided the coarsest value is exact --
     but never stability, so ``in_range`` requires exact values throughout.
     """
     from ellinfo.fixtures import build_context, psi_fixture
-    from ellinfo.score import DENSE_OPERATOR_MAX_DIM
 
     if len(resolutions) < 3:
         raise ValueError("refinement sweeps need at least three grids")
@@ -454,16 +456,11 @@ def fisher_refinement(fixture: str, psi_kind: str,
             report = fisher_information(ctx, psi, "direct_solve", decomp=decomp)
         except np.linalg.LinAlgError:
             if decomp is None:
-                if ctx.grid.n_interior > DENSE_OPERATOR_MAX_DIM:
-                    raise
                 decomp = eigendecompose(ctx)
             report = _singular_grid_bound(ctx, psi, decomp)
         values.append(report.i_inverse_full)
         dims.append(ctx.grid.n_interior)
-        if decomp is not None:
-            fractions.append(decomp.kernel_mass_fraction(psi))
-        else:
-            fractions.append(None)
+        fractions.append(None if decomp is None else decomp.kernel_mass_fraction(psi))
         reports.append(report)
     values = np.asarray(values)
     bounds = tuple(report.lower_bound for report in reports)

@@ -159,7 +159,7 @@ def test_criterion_05_fisher_degeneracy(ctx_cache, decomp_cache):
     ok = (ladder_growth >= 3.0
           and sweep.growth >= 2.0
           and sweep.verdict == "out_of_range_divergent"
-          and sweep.lower_bounds == (False, False, True)
+          and sweep.lower_bounds == (False, False, False)
           and max_product <= 17.6
           and runtime < 300.0)
     detail = (f"ladder M_max/M_half {ladder_growth:.3f}, refinement growth "

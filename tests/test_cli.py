@@ -100,14 +100,28 @@ class TestRuntimeErrors:
         assert not (out / "solve").exists()
 
     def test_dense_size_refusal(self, tmp_path, capsys):
-        rc, out = run(["fisher", "--fixture", "square_ex1",
-                       "--resolution", "17,33,129"], tmp_path, "a")
+        rc, out = run(["spectrum", "--fixture", "square_ex1",
+                       "--resolution", "129"], tmp_path, "a")
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
         assert "16129" in record["message"]
         assert "DENSE_OPERATOR_MAX_DIM" in record["message"]
-        assert not (out / "fisher").exists()
+        assert not (out / "spectrum").exists()
+
+
+class TestFisherCommand:
+    """The refinement sweep runs on the sparse transport solve alone."""
+
+    def test_sweep_beyond_the_dense_budget(self, tmp_path, capsys):
+        rc, out = run(["fisher", "--fixture", "square_ex1",
+                       "--resolution", "33,65,129"], tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "fisher")
+        assert summary["lower_bounds"] == [False, False, False]
+        assert summary["verdict"] == "out_of_range_divergent"
+        assert all(e <= 1e-6 for e in summary["rel_errors"])
+        capsys.readouterr()
 
 
 class TestDeterminism:
@@ -209,6 +223,19 @@ class TestReproductions:
         assert summary["ladder"]["max_quotient_times_m"] <= 17.6
         assert (out / "reproduce-thm37" / "ladder.csv").exists()
         assert (out / "reproduce-thm37" / "refinement.csv").exists()
+        capsys.readouterr()
+
+    def test_thm37_defaults_keep_the_ladder_within_the_spectrum_budget(
+            self, tmp_path, capsys):
+        """Every default grid is exact, and the ladder stays on the finest
+        grid whose full spectrum the sweep computes (33, not 65)."""
+        rc, out = run(["reproduce-thm37"], tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "reproduce-thm37")
+        assert summary["refinement"]["lower_bounds"] == [False, False, False]
+        assert all(e <= 1e-6 for e in summary["refinement"]["rel_errors"])
+        assert summary["ladder"]["resolution"] == 33
+        assert summary["ladder"]["growth_top_half"] >= 3.0
         capsys.readouterr()
 
     def test_thm38_pipeline(self, tmp_path, capsys):

@@ -3,13 +3,15 @@ series, degeneracy profiles, Fisher functionals, refinement sweeps."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from ellinfo.fixtures import build_context, psi_fixture
+from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import norm_l2, random_smooth_field
-from ellinfo.spectral import (SpectralDecomposition, degeneracy_profile,
-                              degeneracy_sequence, eigendecompose,
-                              fisher_information, fisher_refinement,
-                              kernel_component, range_series, sqrt_apply)
+from ellinfo.spectral import (SpectralDecomposition, _transport_lu,
+                              degeneracy_profile, degeneracy_sequence,
+                              eigendecompose, fisher_information,
+                              fisher_refinement, kernel_component, range_series,
+                              sqrt_apply)
 
 
 class TestDecomposition:
@@ -149,12 +151,51 @@ class TestFisherInformation:
         np.testing.assert_allclose(direct.i_value,
                                    1.0 / direct.i_inverse_full)
 
+    @pytest.mark.parametrize("name, res", [("square_ex1", 15), ("square_ex1", 33),
+                                           ("disk_ex2", 20)])
+    @pytest.mark.parametrize("kind", ["bump", "in_range"])
+    def test_direct_solve_matches_dense_reference(self, ctx_cache, name, res, kind):
+        """The sparse transport solve reproduces the dense algorithm it
+        replaced: an LU of the symmetrized linearization B_hat, solved
+        transposed against sqrt(w) psi."""
+        ctx = ctx_cache(name, res)
+        psi = psi_fixture(ctx, kind)
+        w = ctx.grid.weights_interior
+        x = sla.lu_solve(sla.lu_factor(ctx.dense_linearization_hat()),
+                         np.sqrt(w) * ctx.grid.restrict(psi), trans=1)
+        report = fisher_information(ctx, psi, "direct_solve")
+        np.testing.assert_allclose(report.i_inverse_full, float(x @ x), rtol=1e-8)
+        assert 0.0 <= report.rel_error <= 1e-6
+
+    def test_direct_solve_builds_no_dense_matrix(self):
+        ctx = build_context("square_ex1", 17)
+        fisher_information(ctx, psi_fixture(ctx, "bump"), "direct_solve")
+        assert ctx._B_hat is None
+
+    def test_transport_solution_is_the_potential(self, ctx_cache):
+        """For psi = I*(L phi) the solution of T^T y = W psi is y = -W phi:
+        the transport equation grad u . grad y = psi is solved by phi."""
+        ctx = ctx_cache("square_ex1", 33)
+        fx = in_range_fixture(ctx)
+        w = ctx.grid.weights_interior
+        y = _transport_lu(ctx).solve(w * ctx.grid.restrict(fx.psi))
+        np.testing.assert_allclose(-y / w, ctx.grid.restrict(fx.potential),
+                                   rtol=0.0, atol=1e-8 * np.max(np.abs(fx.potential.values)))
+
     def test_singular_grid_raises_for_direct_solve(self, ctx_cache):
         """The harmonic base makes the information matrix singular to
         working precision, which the residual check must catch."""
         ctx = ctx_cache("saddle", 17)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             fisher_information(ctx, psi_fixture(ctx, "bump"), "direct_solve")
+
+    def test_singular_grid_raises_for_consistent_system(self, ctx_cache):
+        """Constants lie in the kernel of the saddle's T.  The in-range
+        system is consistent, so its residual is at rounding level; only the
+        refinement change exposes the noise in the value."""
+        ctx = ctx_cache("saddle", 17)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            fisher_information(ctx, psi_fixture(ctx, "in_range"), "direct_solve")
 
     def test_zero_functional_rejected(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 15)
@@ -181,6 +222,19 @@ class TestRefinementSweeps:
         sweep = fisher_refinement("square_ex1", "in_range", (17, 21, 25))
         assert sweep.verdict == "in_range"
         assert sweep.variation <= 0.20
+
+    def test_singular_grids_report_spectral_bounds(self, ctx_cache, decomp_cache):
+        """On the saddle every grid falls back to the spectral bound, whose
+        kernel terms are negligible for the in-range functional; a sweep of
+        bounds never certifies stability."""
+        sweep = fisher_refinement("saddle", "in_range", (17, 25, 33))
+        assert sweep.lower_bounds == (True, True, True)
+        assert sweep.verdict == "undetermined"
+        for res, value in zip(sweep.resolutions, sweep.values):
+            ctx = ctx_cache("saddle", res)
+            series, _ = range_series(decomp_cache("saddle", res),
+                                     psi_fixture(ctx, "in_range"))
+            np.testing.assert_allclose(value, series[-1], rtol=1e-6)
 
     def test_sweep_needs_three_grids(self):
         with pytest.raises(ValueError, match="three"):
