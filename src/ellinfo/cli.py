@@ -305,6 +305,12 @@ def _run_spectrum(cfg: ExperimentConfig):
     return summary, tables, {}
 
 
+def _convergence_payload(sweep) -> dict:
+    return {"observed_order": sweep.order,
+            "richardson_limit": sweep.richardson_limit,
+            "verdict": sweep.verdict, "verdict_reason": sweep.verdict_reason}
+
+
 def _run_fisher(cfg: ExperimentConfig):
     sweep = fisher_refinement(cfg.fixture, cfg.psi, cfg.resolutions,
                               theta_bump=cfg.theta_bump,
@@ -323,7 +329,7 @@ def _run_fisher(cfg: ExperimentConfig):
         "growth": sweep.growth, "variation": sweep.variation,
         "lower_bounds": list(sweep.lower_bounds),
         "rel_errors": [r.rel_error for r in sweep.reports],
-        "verdict": sweep.verdict,
+        **_convergence_payload(sweep),
     }
     tables = {"refinement.csv": (
         ("resolution", "interior_dim", "i_inverse", "lower_bound",
@@ -414,7 +420,7 @@ def _run_thm37(cfg: ExperimentConfig):
             "growth": sweep.growth,
             "lower_bounds": list(sweep.lower_bounds),
             "rel_errors": [r.rel_error for r in sweep.reports],
-            "verdict": sweep.verdict,
+            **_convergence_payload(sweep),
         },
         "ladder": {
             "resolution": ladder_res,
@@ -435,6 +441,12 @@ def _run_thm37(cfg: ExperimentConfig):
                           "subspace": "collar_supported"}),
     }
     return summary, tables, {}
+
+
+def _integral_rows(verdicts) -> list:
+    """(psi kind, curve, seed x, seed y, integral) rows of (kind, verdict) pairs."""
+    return [(kind, i, v.seeds[i, 0], v.seeds[i, 1], v.integrals[i])
+            for kind, v in verdicts for i in range(len(v.seeds))]
 
 
 def _run_thm38(cfg: ExperimentConfig):
@@ -458,16 +470,8 @@ def _run_thm38(cfg: ExperimentConfig):
         "disk_quadrant_bump": _verdict_payload(v_dk_quad),
         "disk_in_range": _verdict_payload(v_dk_in),
     }
-    sq_rows = []
-    for kind, v in (("bump", v_sq_bump), ("in_range", v_sq_in)):
-        sq_rows.extend(
-            (kind, i, v.seeds[i, 0], v.seeds[i, 1], v.integrals[i])
-            for i in range(len(v.seeds)))
-    dk_rows = []
-    for kind, v in (("quadrant_bump", v_dk_quad), ("in_range", v_dk_in)):
-        dk_rows.extend(
-            (kind, i, v.seeds[i, 0], v.seeds[i, 1], v.integrals[i])
-            for i in range(len(v.seeds)))
+    sq_rows = _integral_rows((("bump", v_sq_bump), ("in_range", v_sq_in)))
+    dk_rows = _integral_rows((("quadrant_bump", v_dk_quad), ("in_range", v_dk_in)))
     tables = {
         "square_integrals.csv": (
             ("psi", "curve", "seed_x", "seed_y", "integral"), sq_rows,

@@ -19,10 +19,9 @@ singularity at the origin because the innermost face sits at r = 0.
 Point evaluation is bilinear on both grids (in (r, theta) on the disk).
 ``Grid.sample_matrix(points)`` is the sparse observation operator P: it
 locates the points once, and ``P @ F`` evaluates every column of a nodal
-stack F there.  ``Grid.interpolator`` returns the same interpolant as a
-callable on batches of points, and ``Grid.point_evaluator`` as a scalar
-callable on one point, a few microseconds per call (the curve tracer's
-Runge-Kutta stages).
+stack F there; ``Grid.interpolator`` wraps it as a callable on batches of
+points.  ``Grid.point_evaluator`` is the one-point form, a few microseconds
+per call (the curve tracer's Runge-Kutta stages).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
 
 MIN_RESOLUTION = 8
 
@@ -233,10 +231,6 @@ class Grid:
         ``(len(axis0), len(axis1)) + values.shape[1:]``."""
         raise NotImplementedError
 
-    def _axis_points(self, pts: np.ndarray) -> np.ndarray:
-        """Coordinates of an (n, 2) array of points on the tensor axes."""
-        return pts
-
     @staticmethod
     def _point_coords(x: float, y: float) -> tuple[float, float]:
         """Coordinates of one point on the tensor axes."""
@@ -244,26 +238,19 @@ class Grid:
 
     def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
-        extrapolated linearly past the edges, as a callable on (n, 2) points."""
-        axes, v = self._tensor_values(values)
-        rgi = RegularGridInterpolator(axes, v, method="linear",
-                                      bounds_error=False, fill_value=None)
-
-        def _interp(points: np.ndarray) -> np.ndarray:
-            return rgi(self._axis_points(np.atleast_2d(np.asarray(points, dtype=float))))
-
-        return _interp
+        extrapolated linearly past the edges, as a callable on (n, 2) points:
+        ``sample_matrix(points) @ values``."""
+        return lambda points: self.sample_matrix(points) @ values
 
     def point_evaluator(self, values: np.ndarray) -> Callable[[float, float], list]:
         """One-point form of :meth:`interpolator` for an (n_nodes, k) stack.
 
         ``f(x, y)`` returns the k values at one point (one for plain nodal
         values) as a list of Python floats and does no numpy work, so pass
-        Python floats.  Cells are
-        located as ``RegularGridInterpolator`` locates them, clipped to the
-        edge cells so that points past an edge extrapolate linearly, and the
-        corners are summed in its order: on the square the values are
-        bit-identical to the interpolator's.
+        Python floats.  Cells are located by bisection, clipped to the edge
+        cells so that points past an edge extrapolate linearly, and the
+        corners are summed in ``RegularGridInterpolator``'s order: on the
+        square the values are bit-identical to its values.
         """
         axes, v = self._tensor_values(values)
         v = v.reshape(v.shape[:2] + (-1,))
@@ -289,9 +276,9 @@ class Grid:
         """Sparse observation operator P of shape (n_points, n_nodes).
 
         Row i holds the bilinear weights of point i, so ``P @ values``
-        evaluates the same interpolant as :meth:`interpolator` (including its
-        linear extrapolation past the edges), and ``P @ F`` evaluates every
-        column of an (n_nodes, k) stack at once.  Every row sums to one.
+        evaluates the bilinear interpolant (extrapolated linearly past the
+        edges), and ``P @ F`` evaluates every column of an (n_nodes, k)
+        stack at once.  Every row sums to one.
         """
         raise NotImplementedError
 
@@ -535,11 +522,6 @@ class DiskGrid(Grid):
         axes = (np.concatenate([[0.0], self.rs]), np.append(self.ts, 2.0 * math.pi))
         return axes, v_aug
 
-    def _axis_points(self, pts):
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        return np.column_stack([r, t])
-
     @staticmethod
     def _point_coords(x, y):
         return math.hypot(x, y), math.atan2(y, x) % (2.0 * math.pi)
@@ -559,7 +541,7 @@ class DiskGrid(Grid):
         if origin.size == 0:
             return _four_point_csr(idx, data, self.n_nodes)
         # In the origin cell the inner corner is the augmented origin node of
-        # ``interpolator``, the ring-0 average: its weight 1 - a0 spreads as
+        # ``_tensor_values``, the ring-0 average: its weight 1 - a0 spreads as
         # (1 - a0) / n_t over all of ring 0, so those rows get n_t entries:
         # the first four take the row's own slots, the rest are inserted.
         a0 = r[origin] / self.rs[0]

@@ -96,7 +96,7 @@ def write_curves_csv(path, curves, meta: dict | None = None) -> Path:
     return write_table_csv(path, ("curve_id", "t", "x", "y"), rows, meta=meta)
 
 
-def build_manifest(config: dict, seeds, extra: dict | None = None) -> dict:
+def build_manifest(config: dict, seeds) -> dict:
     """Provenance record: config hash, seeds, versions, and the only
     timestamp any artifact carries."""
     from ellinfo import __version__
@@ -113,10 +113,8 @@ def build_manifest(config: dict, seeds, extra: dict | None = None) -> dict:
         "platform": platform.platform(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    if extra:
-        manifest.update(_jsonable(extra))
     return manifest
 
 
-def write_manifest(path, config: dict, seeds, extra: dict | None = None) -> Path:
-    return write_json(path, build_manifest(config, seeds, extra))
+def write_manifest(path, config: dict, seeds) -> Path:
+    return write_json(path, build_manifest(config, seeds))

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ellinfo.elliptic import Conductivity, DivergenceFormOperator, check_identifiability
 from ellinfo.grids import (
@@ -48,6 +49,9 @@ from ellinfo.grids import (
 )
 
 DENSE_OPERATOR_MAX_DIM = 4100
+
+#: Bound on the relative residual and refinement change of a transport solve.
+TRANSPORT_SOLVE_RTOL = 1e-6
 
 
 def _collar_violation(grid: Grid, values: np.ndarray) -> bool:
@@ -72,6 +76,7 @@ class ScoreContext:
         gx, gy = self.grid.gradient(self.u.values)
         self.grad_u = VectorField(self.grid, gx, gy)
         self.T = self._assemble_source_operator()
+        self._transport_lu = None
         self._B_hat: np.ndarray | None = None
 
     # -- assembly ----------------------------------------------------------
@@ -109,10 +114,19 @@ class ScoreContext:
         ).tocsr()
         return T
 
-    # -- raw interior-vector maps (hot paths) ------------------------------
+    def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """T^T y = rhs: y0 from the context's one sparse LU of T^T, y after one
+        refinement step, and the relative residual of y.  Callers certify by
+        the residual and the change from y0 to y, which alone exposes a
+        singular T on a consistent system."""
+        if self._transport_lu is None:
+            self._transport_lu = spla.splu(self.T.T.tocsc())
+        y0 = self._transport_lu.solve(rhs)
+        y = y0 + self._transport_lu.solve(rhs - self.T.T @ y0)
+        residual = float(np.linalg.norm(self.T.T @ y - rhs) / np.linalg.norm(rhs))
+        return y0, y, residual
 
-    def _apply_T(self, h_int: np.ndarray) -> np.ndarray:
-        return self.T @ h_int
+    # -- raw interior-vector maps (hot paths) ------------------------------
 
     def _apply_B(self, h_int: np.ndarray) -> np.ndarray:
         """I h on interior vectors: -V[T h]."""
@@ -131,7 +145,7 @@ class ScoreContext:
 
     def perturbation_source(self, h: ScalarField) -> ScalarField:
         """T(h) = div(h grad u_theta) as an interior nodal field."""
-        return self.grid.interior_field(self._apply_T(self.grid.restrict(h)))
+        return self.grid.interior_field(self.T @ self.grid.restrict(h))
 
     def apply_linearization(self, h: ScalarField) -> ScalarField:
         """I h = -V[div(h grad u_theta)].

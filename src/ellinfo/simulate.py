@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ellinfo.elliptic import Conductivity
 from ellinfo.grids import DomainKind, ScalarField, inner_l2
@@ -198,6 +197,9 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     if norm_sq == 0.0:
         flags = ("degenerate_direction",)
     else:
+        # imported here: a slow import, and the package's only use of it
+        from scipy import stats
+
         ks = stats.kstest(llrs, "norm", args=(-0.5 * norm_sq, math.sqrt(norm_sq)))
         extras["ks_statistic"] = float(ks.statistic)
         extras["ks_pvalue"] = float(ks.pvalue)

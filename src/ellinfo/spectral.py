@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
-from ellinfo.score import ScoreContext
+from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
 
 #: Eigenvalues below this multiple of the top eigenvalue count as kernel.
 KERNEL_TOL_FACTOR = 1e-8
@@ -29,11 +29,11 @@ KERNEL_TOL_FACTOR = 1e-8
 EIG_RESIDUAL_RTOL = 1e-8
 
 #: Refinement-sweep classification thresholds: total growth of the inverse
-#: quadratic form marking divergence, total relative variation marking
-#: stability, and the kernel mass fraction marking obstruction.
+#: quadratic form marking divergence, the kernel mass fraction marking
+#: obstruction, and the observed convergence order marking in-range.
 DIVERGENCE_GROWTH = 2.0
-STABLE_VARIATION = 0.2
 KERNEL_FRACTION_THRESHOLD = 0.5
+MIN_CONVERGENCE_ORDER = 1.0
 
 #: Largest interior dimension for which the refinement sweep computes a full
 #: eigendecomposition per grid (for kernel diagnostics).
@@ -92,9 +92,6 @@ class SpectralDecomposition:
     def n_kernel(self) -> int:
         return int(np.count_nonzero(self.kernel_mask))
 
-    def eigenfield(self, k: int) -> ScalarField:
-        return self.grid.interior_field(self.modes[:, k])
-
     def coefficients(self, psi: ScalarField) -> np.ndarray:
         """Weighted inner products <e_k, psi> against every computed mode."""
         w = self.grid.weights_interior
@@ -116,8 +113,7 @@ class SpectralDecomposition:
 
 
 def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
-                   mode: str = "dense", subspace: str = "interior",
-                   kernel_tol_factor: float = KERNEL_TOL_FACTOR) -> SpectralDecomposition:
+                   mode: str = "dense", subspace: str = "interior") -> SpectralDecomposition:
     """Eigendecompose the information operator.
 
     Dense mode forms the symmetrized matrix and solves the full symmetric
@@ -183,7 +179,7 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     else:
         raise ValueError(f"unknown mode {mode!r}; choose 'dense' or 'iterative'")
     modes = vecs / s[:, None]
-    kernel_tol = kernel_tol_factor * float(vals[0]) if len(vals) else 0.0
+    kernel_tol = KERNEL_TOL_FACTOR * float(vals[0]) if len(vals) else 0.0
     return SpectralDecomposition(ctx=ctx, eigenvalues=np.ascontiguousarray(vals),
                                  modes=np.ascontiguousarray(modes),
                                  kernel_tol=kernel_tol, mode=mode,
@@ -198,8 +194,8 @@ def sqrt_apply(decomp: SpectralDecomposition, h: ScalarField) -> ScalarField:
     return decomp.grid.interior_field(vals)
 
 
-def range_series(decomp: SpectralDecomposition, psi: ScalarField,
-                 n_max: int | None = None) -> tuple[np.ndarray, float]:
+def range_series(decomp: SpectralDecomposition,
+                 psi: ScalarField) -> tuple[np.ndarray, float]:
     """Partial sums M_N = sum_{k<=N} lambda_k^{-1} <e_k, psi>^2 over the
     non-kernel modes, plus the norm of the kernel component of psi.
 
@@ -210,8 +206,6 @@ def range_series(decomp: SpectralDecomposition, psi: ScalarField,
     keep = ~decomp.kernel_mask
     c = decomp.coefficients(psi)
     terms = c[keep] ** 2 / decomp.eigenvalues[keep]
-    if n_max is not None:
-        terms = terms[:n_max]
     p0_norm = math.sqrt(max(float(np.sum(c[decomp.kernel_mask] ** 2)), 0.0))
     return np.cumsum(terms), p0_norm
 
@@ -223,16 +217,10 @@ def kernel_component(decomp: SpectralDecomposition,
     return proj, norm_l2(proj)
 
 
-def degeneracy_sequence(decomp: SpectralDecomposition, psi: ScalarField,
-                        n: int, masked: bool = True) -> tuple[ScalarField, float]:
-    """Degeneracy direction h_N and its normalized quotient.
-
-    h_N is the truncated inverse image sum_{k<=N} lambda_k^{-1} <e_k,psi> e_k,
-    with the boundary collar zeroed out when ``masked`` (so h_N is admissible
-    as a conductivity perturbation).  The quotient ||I h_N||^2 / <psi, h_N>^2
-    is the inverse of the Fisher lower-bound candidate generated by h_N; for
-    the unmasked sequence it equals 1/M_N exactly by spectral algebra.
-    """
+def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, n: int,
+                      masked: bool) -> tuple[ScalarField, float, float, float]:
+    """h_N, its pairing <psi, h_N>, its squared image norm ||I h_N||^2 and
+    their quotient (see :func:`degeneracy_sequence`)."""
     keep = np.flatnonzero(~decomp.kernel_mask)
     if n < 1 or n > len(keep):
         raise ValueError(f"order {n} outside 1..{len(keep)}")
@@ -247,6 +235,20 @@ def degeneracy_sequence(decomp: SpectralDecomposition, psi: ScalarField,
         decomp.ctx._apply_B(decomp.grid.restrict(h)))
     info_norm_sq = norm_l2(image) ** 2
     quotient = info_norm_sq / pairing ** 2 if pairing != 0.0 else math.inf
+    return h, pairing, info_norm_sq, quotient
+
+
+def degeneracy_sequence(decomp: SpectralDecomposition, psi: ScalarField,
+                        n: int, masked: bool = True) -> tuple[ScalarField, float]:
+    """Degeneracy direction h_N and its normalized quotient.
+
+    h_N is the truncated inverse image sum_{k<=N} lambda_k^{-1} <e_k,psi> e_k,
+    with the boundary collar zeroed out when ``masked`` (so h_N is admissible
+    as a conductivity perturbation).  The quotient ||I h_N||^2 / <psi, h_N>^2
+    is the inverse of the Fisher lower-bound candidate generated by h_N; for
+    the unmasked sequence it equals 1/M_N exactly by spectral algebra.
+    """
+    h, _, _, quotient = _degeneracy_terms(decomp, psi, n, masked)
     return h, quotient
 
 
@@ -277,12 +279,8 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
     info_norm_sq = np.empty(len(orders))
     quotient = np.empty(len(orders))
     for i, n in enumerate(orders):
-        h, q = degeneracy_sequence(decomp, psi, int(n), masked=masked)
-        pairing[i] = inner_l2(psi, h)
-        image = decomp.ctx.grid.interior_field(
-            decomp.ctx._apply_B(decomp.grid.restrict(h)))
-        info_norm_sq[i] = norm_l2(image) ** 2
-        quotient[i] = q
+        _, pairing[i], info_norm_sq[i], quotient[i] = _degeneracy_terms(
+            decomp, psi, int(n), masked)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = np.abs(pairing - m_n) / np.where(m_n > 0, m_n, 1.0)
@@ -318,28 +316,19 @@ class FisherReport:
             raise ValueError(f"verdict must be one of {FISHER_VERDICTS}")
 
 
-def _transport_lu(ctx: ScoreContext):
-    cached = getattr(ctx, "_transport_lu_cache", None)
-    if cached is None:
-        cached = spla.splu(ctx.T.T.tocsc())
-        ctx._transport_lu_cache = cached
-    return cached
-
-
 def fisher_information(ctx: ScoreContext, psi: ScalarField,
                        method: str = "direct_solve",
-                       decomp: SpectralDecomposition | None = None,
-                       verdict: str = "undetermined") -> FisherReport:
+                       decomp: SpectralDecomposition | None = None) -> FisherReport:
     """Evaluate the inverse Fisher quadratic form psi -> psi^T (I*I)^{-1} psi.
 
     ``direct_solve`` solves the discrete transport equation T^T y = W psi
-    with one cached sparse LU of T^T and one refinement step; as
-    I = -K^{-1} W T, the form is ||W^{-1/2} K W^{-1} y||^2.  A residual or a
-    refinement change (``rel_error``) above 1e-6 raises, which also catches
-    a singular T on a consistent system.  ``spectral_truncation`` sums the
-    series M_K over the computed non-kernel modes of ``decomp``.  The verdict
-    field is a pass-through slot filled by refinement sweeps; a single grid
-    never certifies divergence.
+    through ``ScoreContext.solve_transport_equation``; as I = -K^{-1} W T,
+    the form is ||W^{-1/2} K W^{-1} y||^2.  A residual or a refinement change
+    of the value (``rel_error``) above ``TRANSPORT_SOLVE_RTOL`` raises, which
+    also catches a singular T on a consistent system.  ``spectral_truncation``
+    sums the series M_K over the computed non-kernel modes of ``decomp``.
+    The report's verdict is filled by refinement sweeps; a single grid never
+    certifies divergence.
     """
     grid = ctx.grid
     psi_int = grid.restrict(psi)
@@ -350,14 +339,11 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField,
         m_series, kernel_norm = range_series(decomp, psi)
     if method == "direct_solve":
         w = grid.weights_interior
-        rhs = w * psi_int
-        y0 = _transport_lu(ctx).solve(rhs)
-        y = y0 + _transport_lu(ctx).solve(rhs - ctx.T.T @ y0)
+        y0, y, residual = ctx.solve_transport_equation(w * psi_int)
         x0, x = (ctx.op.K @ (v / w) / np.sqrt(w) for v in (y0, y))
         i_inverse = float(x @ x)
         rel_error = abs(i_inverse - float(x0 @ x0)) / i_inverse
-        residual = float(np.linalg.norm(ctx.T.T @ y - rhs) / np.linalg.norm(rhs))
-        if not (residual <= 1e-6 and rel_error <= 1e-6):
+        if not (residual <= TRANSPORT_SOLVE_RTOL and rel_error <= TRANSPORT_SOLVE_RTOL):
             raise np.linalg.LinAlgError(
                 f"source operator T numerically singular (residual {residual:.1e}, "
                 f"refinement change {rel_error:.1e}); use spectral_truncation "
@@ -375,7 +361,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField,
     i_value = 1.0 / i_inverse if i_inverse > 0 else math.inf
     return FisherReport(psi=psi, method=method, i_inverse_full=i_inverse,
                         i_value=i_value, m_series=m_series,
-                        kernel_component_norm=kernel_norm, verdict=verdict,
+                        kernel_component_norm=kernel_norm,
                         resolution=grid.spec.resolution, rel_error=rel_error)
 
 
@@ -392,8 +378,29 @@ class RefinementSweep:
     variation: float                # max/min - 1
     kernel_fractions: list
     verdict: str
+    verdict_reason: str             # the rule that decided the verdict
+    order: float | None             # observed order p of the three finest values
+    richardson_limit: float | None  # extrapolated value, when p > 0
     lower_bounds: tuple = ()        # grids where the value is only a bound
     reports: list = field(default_factory=list)
+
+
+def _observed_order(h, values) -> tuple[float | None, float | None]:
+    """Order p and limit of v(h) = v_inf + C h^p through the three finest
+    (h, value) pairs; (None, None) unless both differences share one sign.
+    The mesh ratios need not be equal: p solves (h2^p - h3^p) / (h1^p - h2^p)
+    = (v3 - v2) / (v2 - v1), whose left side falls as p grows, by bisection."""
+    (h1, h2, h3), (v1, v2, v3) = h[-3:], values[-3:]
+    if v2 == v1 or (v3 - v2) / (v2 - v1) <= 0.0:
+        return None, None
+    log_a, log_b = math.log(h1 / h2), math.log(h2 / h3)
+    lo, hi = -30.0, 30.0
+    for _ in range(100):
+        p = 0.5 * (lo + hi)
+        ratio = (log_b / log_a if p == 0.0
+                 else -math.expm1(-p * log_b) / math.expm1(p * log_a))
+        lo, hi = (p, hi) if ratio > (v3 - v2) / (v2 - v1) else (lo, p)
+    return p, (float(v3 + (v3 - v2) / math.expm1(p * log_b)) if p > 0.0 else None)
 
 
 def _singular_grid_bound(ctx: ScoreContext, psi: ScalarField,
@@ -420,30 +427,33 @@ def _singular_grid_bound(ctx: ScoreContext, psi: ScalarField,
 
 def fisher_refinement(fixture: str, psi_kind: str,
                       resolutions=(17, 25, 33), theta_bump=None,
-                      psi_params: dict | None = None,
-                      kernel_fraction_threshold: float = KERNEL_FRACTION_THRESHOLD,
-                      divergence_growth: float = DIVERGENCE_GROWTH,
-                      stable_variation: float = STABLE_VARIATION) -> RefinementSweep:
+                      psi_params: dict | None = None) -> RefinementSweep:
     """Classify a functional by sweeping the inverse Fisher form over grids.
 
     Any fixed grid reports a finite inverse form, so divergence is read off
-    the refinement trend: dominant kernel mass marks ``kernel_obstructed``,
-    total growth beyond ``divergence_growth`` marks
-    ``out_of_range_divergent``, total variation within ``stable_variation``
-    marks ``in_range``, and anything else stays ``undetermined``.
+    the refinement trend and stability needs a convergence certificate:
+    dominant kernel mass marks ``kernel_obstructed``, growth on every pair
+    (``DIVERGENCE_GROWTH`` in total) ``out_of_range_divergent``, and
+    differences of one sign between the three finest grids that shrink at
+    an observed order p >= 1 ``in_range``; anything else, such as the
+    non-monotone plateau of a near-singular T (square bump at 225, 233,
+    241), is ``undetermined``.  ``verdict_reason`` names the deciding rule.
 
     Grids where the source operator T is singular to working precision fall
     back to a certified lower bound (flagged in ``lower_bounds``).  A lower
     bound can still certify growth -- provided the coarsest value is exact --
-    but never stability, so ``in_range`` requires exact values throughout.
+    but never convergence.
     """
     from ellinfo.fixtures import build_context, psi_fixture
 
     if len(resolutions) < 3:
         raise ValueError("refinement sweeps need at least three grids")
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ValueError("refinement sweeps need strictly increasing resolutions")
     psi_params = psi_params or {}
     values = []
     dims = []
+    h_mesh = []
     fractions = []
     reports = []
     for n in resolutions:
@@ -460,25 +470,30 @@ def fisher_refinement(fixture: str, psi_kind: str,
             report = _singular_grid_bound(ctx, psi, decomp)
         values.append(report.i_inverse_full)
         dims.append(ctx.grid.n_interior)
+        h_mesh.append(ctx.grid.h_mesh)
         fractions.append(None if decomp is None else decomp.kernel_mass_fraction(psi))
         reports.append(report)
     values = np.asarray(values)
     bounds = tuple(report.lower_bound for report in reports)
     growth = float(values[-1] / values[0])
     variation = float(values.max() / values.min() - 1.0)
+    order, limit = _observed_order(h_mesh, values)
     known_fractions = [fr for fr in fractions if fr is not None]
-    if known_fractions and max(known_fractions) > kernel_fraction_threshold:
-        verdict = "kernel_obstructed"
-    elif growth >= divergence_growth and not bounds[0]:
-        verdict = "out_of_range_divergent"
-    elif variation <= stable_variation and not any(bounds):
-        verdict = "in_range"
+    if known_fractions and max(known_fractions) > KERNEL_FRACTION_THRESHOLD:
+        verdict, reason = "kernel_obstructed", "kernel_mass"
+    elif (growth >= DIVERGENCE_GROWTH and not bounds[0]
+          and np.all(np.diff(values) > 0.0)):
+        verdict, reason = "out_of_range_divergent", "growth_on_every_pair"
     else:
-        verdict = "undetermined"
+        reason = ("lower_bound" if any(bounds) else "non_monotone" if order is None
+                  else "order_below_1" if order < MIN_CONVERGENCE_ORDER else "converged")
+        verdict = "in_range" if reason == "converged" else "undetermined"
     for report in reports:
         report.verdict = verdict
     return RefinementSweep(fixture=fixture, psi_kind=psi_kind,
                            resolutions=tuple(resolutions), interior_dims=tuple(dims),
                            values=values, growth=growth, variation=variation,
                            kernel_fractions=fractions, verdict=verdict,
-                           lower_bounds=bounds, reports=reports)
+                           verdict_reason=reason, order=order,
+                           richardson_limit=limit, lower_bounds=bounds,
+                           reports=reports)

@@ -4,9 +4,9 @@ If psi lies in the range of the adjoint linearization, the first-order PDE
 grad u_theta . grad y = psi with zero trace has a solution, and psi must
 integrate to zero along every integral curve of grad u_theta crossing the
 domain.  This module traces those curves, evaluates the line-integral
-obstructions, solves the transport problem by characteristics on the
-non-trapping square configuration, and builds near-kernel elements from
-first integrals of the flow.
+obstructions, solves the transport problem on the non-trapping square
+configuration (as the inverse Fisher form does, by T^T y = W psi; curves give
+the outflow mismatch), and builds kernel elements from first integrals.
 
 All traces share one ODE right-hand side and terminal events (boundary exit,
 critical point) from ``_flow_events``; each Runge-Kutta stage evaluates
@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import simpson, solve_ivp
 
 from ellinfo.grids import DomainKind, Grid, ScalarField
-from ellinfo.score import ScoreContext
+from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
 
 #: Relative tolerance of the adaptive curve integrator.
 ODE_TOL = 1e-8
@@ -46,7 +46,9 @@ VERDICT_MARGIN = 10.0
 #: Time horizon treated as a step limit (crossing times here are O(1)).
 TIME_LIMIT = 50.0
 
+#: Quadrature samples per traced curve and per disk ray; number of disk rays.
 N_CURVE_SAMPLES = 1001
+N_RAY_SAMPLES = 2001
 N_DISK_RAYS = 64
 
 CURVE_TERMINATIONS = ("boundary_exit", "critical_point", "step_limit")
@@ -132,14 +134,13 @@ def _flow_events(ctx: ScoreContext, sign: float, integrand=None):
 
 
 def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
-                t_max: float = TIME_LIMIT, n_samples: int = N_CURVE_SAMPLES,
                 strict: bool = True) -> IntegralCurve:
     """Trace the integral curve of grad u_theta through an interior point.
 
     Adaptive Runge-Kutta with terminal events for boundary exit and critical
     points; the returned curve is resampled uniformly in the curve parameter
-    for quadrature.  ``strict`` raises if the time horizon is exhausted
-    before either event fires.
+    for quadrature.  ``strict`` raises if the time horizon ``TIME_LIMIT`` is
+    exhausted before either event fires.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -148,7 +149,7 @@ def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
         raise ValueError("seed point must lie strictly inside the domain")
     sign = 1.0 if direction == "forward" else -1.0
     rhs, hit_boundary, hit_critical = _flow_events(ctx, sign)
-    sol = solve_ivp(rhs, (0.0, t_max), x0, method="RK45", rtol=ODE_TOL,
+    sol = solve_ivp(rhs, (0.0, TIME_LIMIT), x0, method="RK45", rtol=ODE_TOL,
                     atol=1e-12, events=[hit_boundary, hit_critical],
                     dense_output=True)
     if sol.t_events[0].size:
@@ -158,9 +159,9 @@ def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
     else:
         if strict:
             raise RuntimeError(
-                f"curve from {tuple(x0)} not classified within time {t_max}")
+                f"curve from {tuple(x0)} not classified within time {TIME_LIMIT}")
         termination, s_end = "step_limit", float(sol.t[-1])
-    ss = np.linspace(0.0, s_end, n_samples) if s_end > 0 else np.array([0.0])
+    ss = np.linspace(0.0, s_end, N_CURVE_SAMPLES) if s_end > 0 else np.array([0.0])
     pts = sol.sol(ss).T if s_end > 0 else x0.reshape(1, 2)
     return IntegralCurve(seed=tuple(x0), direction=direction, times=sign * ss,
                          points=pts, termination=termination,
@@ -171,8 +172,7 @@ def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
     """Integral of psi along the curve, oriented by increasing parameter."""
     if len(curve.times) < 3:
         return 0.0
-    interp = psi.grid.interpolator(psi.values)
-    vals = interp(curve.points)
+    vals = psi.grid.interpolator(psi.values)(curve.points)
     ts = curve.times
     if ts[0] > ts[-1]:
         ts, vals = ts[::-1], vals[::-1]
@@ -190,14 +190,15 @@ def _support_min_radius(psi: ScalarField, rtol: float = 1e-9) -> float:
     return max(inner - grid.h_mesh, 0.0)
 
 
-def ray_integral_disk(psi: ScalarField, z, support_min_radius: float | None = None,
-                      n_samples: int = 2001) -> float:
+def ray_integral_disk(psi: ScalarField, z,
+                      support_min_radius: float | None = None) -> float:
     """Integral of psi along the ray t -> z e^t, t <= 0, through |z| = 1.
 
     The parametrization follows the radial flow of the disk configuration,
     so equality of these integrals across boundary points is the transport
     compatibility condition there.  psi must be supported away from the
-    origin; the quadrature truncates at e^t = half the support radius.
+    origin; the quadrature truncates at e^t = half the support radius,
+    which ``support_min_radius`` passes in when the caller already has it.
     """
     z = np.asarray(z, dtype=float).reshape(2)
     if abs(math.hypot(z[0], z[1]) - 1.0) > 1e-8:
@@ -211,10 +212,9 @@ def ray_integral_disk(psi: ScalarField, z, support_min_radius: float | None = No
     if support_min_radius <= 0.0:
         raise ValueError("psi support touches the origin; ray integral diverges")
     t_min = math.log(support_min_radius / 2.0)
-    ts = np.linspace(t_min, 0.0, n_samples)
+    ts = np.linspace(t_min, 0.0, N_RAY_SAMPLES)
     pts = np.exp(ts)[:, None] * z[None, :]
-    interp = psi.grid.interpolator(psi.values)
-    return float(simpson(interp(pts), x=ts))
+    return float(simpson(psi.grid.interpolator(psi.values)(pts), x=ts))
 
 
 @dataclass
@@ -253,30 +253,16 @@ def _square_seed_lattice(grid: Grid, n_per_axis: int = 13) -> np.ndarray:
     return np.column_stack([xx.reshape(-1), yy.reshape(-1)])
 
 
-def _support_seeds(psi: ScalarField, limit: int = 40) -> np.ndarray:
-    grid = psi.grid
-    mags = np.abs(psi.values)
-    strong = np.flatnonzero(mags > 0.5 * mags.max())
-    inside = strong[~grid.boundary_mask[strong] & ~grid.collar_mask[strong]]
-    if len(inside) > limit:
-        inside = inside[np.linspace(0, len(inside) - 1, limit).astype(int)]
-    return np.column_stack([grid.x[inside], grid.y[inside]])
-
-
-def range_verdict(ctx: ScoreContext, psi: ScalarField,
-                  seed_strategy: str = "grid",
-                  support_min_radius: float | None = None) -> RangeVerdict:
+def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     """Classify psi by curve integrals of the base flow.
 
-    Square-type domains: seeds fill the interior (plus support-targeted
-    seeds for ``seed_strategy='support'``); each seed generates a full
-    crossing curve (backward plus forward trace) whose integral must vanish
-    up to ``VERDICT_MARGIN`` times the noise floor.  Disk: integrals along
-    ``N_DISK_RAYS`` boundary rays must agree; a vanishing ray alongside
-    non-vanishing ones yields an incompatible verdict with the witness flag.
+    Square-type domains: seeds fill the interior on a lattice; each seed
+    generates a full crossing curve (backward plus forward trace) whose
+    integral must vanish up to ``VERDICT_MARGIN`` times the noise floor.
+    Disk: integrals along ``N_DISK_RAYS`` boundary rays must agree; a
+    vanishing ray alongside non-vanishing ones yields an incompatible
+    verdict with the witness flag.
     """
-    if seed_strategy not in ("grid", "support"):
-        raise ValueError("seed_strategy must be 'grid' or 'support'")
     grid = ctx.grid
     peak = float(np.abs(psi.values).max())
     integral_tol = INTEGRAL_TOL_FACTOR * peak if peak > 0 else INTEGRAL_TOL_FACTOR
@@ -285,10 +271,9 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField,
     if grid.spec.kind is DomainKind.DISK:
         angles = np.linspace(0.0, 2.0 * math.pi, N_DISK_RAYS, endpoint=False)
         seeds = np.column_stack([np.cos(angles), np.sin(angles)])
-        integrals = np.array([
-            ray_integral_disk(psi, z, support_min_radius=support_min_radius)
-            for z in seeds
-        ])
+        radius = _support_min_radius(psi)
+        integrals = np.array([ray_integral_disk(psi, z, support_min_radius=radius)
+                              for z in seeds])
         offset = float(np.median(integrals))
         spread = float(np.max(np.abs(integrals - offset)))
         max_abs = float(np.max(np.abs(integrals)))
@@ -305,10 +290,6 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField,
                             zero_ray_witness=witness, offset=offset)
 
     seeds = _square_seed_lattice(grid)
-    if seed_strategy == "support" and peak > 0:
-        extra = _support_seeds(psi)
-        if len(extra):
-            seeds = np.vstack([seeds, extra])
     integrals = np.empty(len(seeds))
     curves = []
     unclassified = ode_steps = 0
@@ -376,40 +357,53 @@ def _square_only(ctx: ScoreContext, what: str) -> None:
         raise ValueError(f"{what} requires the non-trapping square configuration")
 
 
-def _inflow_boundary_nodes(ctx: ScoreContext) -> np.ndarray:
-    """Boundary nodes (corners excluded) where the flow enters the square."""
+def _edge_fluxes(ctx: ScoreContext) -> np.ndarray:
+    """Outward flux grad u . n at each boundary node through each edge of the
+    square (x = 1, x = 2, y = 1, y = 2), NaN off the edge: shape (4, n)."""
     grid = ctx.grid
     ids = grid.boundary_ids
-    x, y = grid.x[ids], grid.y[ids]
-    tol = 1e-12
-    on_x = (np.abs(x - 1.0) < tol) | (np.abs(x - 2.0) < tol)
-    on_y = (np.abs(y - 1.0) < tol) | (np.abs(y - 2.0) < tol)
-    nx = np.where(np.abs(x - 1.0) < tol, -1.0, np.where(np.abs(x - 2.0) < tol, 1.0, 0.0))
-    ny = np.where(np.abs(y - 1.0) < tol, -1.0, np.where(np.abs(y - 2.0) < tol, 1.0, 0.0))
-    flux = ctx.grad_u.vx[ids] * nx + ctx.grad_u.vy[ids] * ny
-    keep = (flux < 0) & ~(on_x & on_y)
-    return ids[keep]
+    pairs = ((grid.x[ids], ctx.grad_u.vx[ids]), (grid.y[ids], ctx.grad_u.vy[ids]))
+    return np.array([np.where(np.abs(c - edge) < 1e-12, sign * g, np.nan)
+                     for c, g in pairs for edge, sign in ((1.0, -1.0), (2.0, 1.0))])
+
+
+def _inflow_boundary_nodes(ctx: ScoreContext) -> np.ndarray:
+    """Boundary nodes (corners excluded) where the flow enters the square."""
+    fluxes = _edge_fluxes(ctx)
+    one_edge = np.count_nonzero(~np.isnan(fluxes), axis=0) == 1
+    return ctx.grid.boundary_ids[one_edge & (np.nanmax(fluxes, axis=0) < 0)]
 
 
 def solve_transport(ctx: ScoreContext, psi: ScalarField) -> tuple[ScalarField, float]:
-    """Solve grad u_theta . grad y = psi by characteristics (square only).
+    """Solve grad u_theta . grad y = psi with zero trace (square only).
 
-    y is integrated along backward traces from each interior node to the
-    inflow boundary (where y = 0).  The outflow mismatch is the largest
-    curve integral of psi over full inflow-to-outflow crossings: it is the
-    amount by which y fails the zero outflow trace, and vanishes exactly
-    when psi is transport-compatible.
+    y = -(T^T)^{-1}(W psi) / w from ``ScoreContext.solve_transport_equation``,
+    as in the inverse Fisher form; a residual or a refinement change of y
+    above ``TRANSPORT_SOLVE_RTOL`` raises ``LinAlgError``, so a singular T
+    (the saddle) raises as in ``fisher_information``.  The outflow mismatch,
+    the largest integral of psi over crossings traced from the inflow nodes,
+    vanishes exactly when psi is transport-compatible.  For an incompatible
+    psi, y is the discrete zero-trace solution, large and meaningless (max|y|
+    about 1.7e3 for the square bump at 25^2): only the mismatch counts.
     """
     _square_only(ctx, "solve_transport")
     grid = ctx.grid
-    nodes = np.column_stack([grid.x[grid.interior_ids], grid.y[grid.interior_ids]])
-    acc, _ = _sweep_from_nodes(ctx, nodes, psi.values, sign=-1.0)
-    y = grid.interior_field(acc)
+    w = grid.weights_interior
+    rhs = w * grid.restrict(psi)
+    y = np.zeros(grid.n_interior)
+    if np.any(rhs):
+        y0, y, residual = ctx.solve_transport_equation(rhs)
+        change = float(np.linalg.norm(y - y0) / np.linalg.norm(y))
+        if not (residual <= TRANSPORT_SOLVE_RTOL and change <= TRANSPORT_SOLVE_RTOL):
+            raise np.linalg.LinAlgError(
+                f"source operator T numerically singular (residual {residual:.1e}, "
+                f"refinement change {change:.1e}); no unique transport solution")
+        y = -y / w
     inflow = _inflow_boundary_nodes(ctx)
     in_nodes = np.column_stack([grid.x[inflow], grid.y[inflow]])
     crossings, _ = _sweep_from_nodes(ctx, in_nodes, psi.values, sign=1.0, nudge=True)
     mismatch = float(np.max(np.abs(crossings))) if len(crossings) else 0.0
-    return y, mismatch
+    return grid.interior_field(y), mismatch
 
 
 def kernel_element(ctx: ScoreContext, first_integral,
@@ -450,17 +444,7 @@ def kernel_element(ctx: ScoreContext, first_integral,
     # nudge so the exit event does not fire at the start.
     bids = grid.boundary_ids
     bx, by = grid.x[bids], grid.y[bids]
-    gux, guy = ctx.grad_u.vx[bids], ctx.grad_u.vy[bids]
-    tol = 1e-12
-    min_flux = np.full(len(bids), np.inf)
-    for mask, flux in (
-        (np.abs(bx - 1.0) < tol, -gux),
-        (np.abs(bx - 2.0) < tol, gux),
-        (np.abs(by - 1.0) < tol, -guy),
-        (np.abs(by - 2.0) < tol, guy),
-    ):
-        min_flux[mask] = np.minimum(min_flux[mask], flux[mask])
-    outflow = min_flux > 0
+    outflow = np.nanmin(_edge_fluxes(ctx), axis=0) > 0
     r_bound = np.zeros(len(bids))
     if outflow.any():
         r_out, _ = _sweep_from_nodes(

@@ -2,10 +2,15 @@
 two headline reproduction experiments."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ellinfo
 from ellinfo import cli
 from ellinfo.cli import main
 from ellinfo.grids import MIN_RESOLUTION
@@ -19,6 +24,23 @@ def run(args, tmp_path, name):
 
 def load_summary(out, subcommand):
     return json.loads((out / subcommand / "summary.json").read_text())
+
+
+class TestImportCost:
+    """Startup: importing the CLI loads no scipy module that only one
+    experiment (scipy.stats, for the LAN Monte Carlo) or only the tests
+    (scipy.interpolate, the interpolation oracle) need."""
+
+    def test_cli_import_skips_slow_scipy_modules(self):
+        src = str(Path(ellinfo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        probe = ("import sys, ellinfo.cli; "
+                 "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+                 "if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", probe], env=env,
+                                capture_output=True, text=True, timeout=120, check=True)
+        assert result.stdout.strip() == "[]"
 
 
 class TestSolveCommand:
@@ -121,6 +143,26 @@ class TestFisherCommand:
         assert summary["lower_bounds"] == [False, False, False]
         assert summary["verdict"] == "out_of_range_divergent"
         assert all(e <= 1e-6 for e in summary["rel_errors"])
+        assert summary["verdict_reason"] == "growth_on_every_pair"
+        capsys.readouterr()
+
+    def test_plateau_of_a_near_singular_operator_is_not_in_range(
+            self, tmp_path, capsys):
+        """From 225^2 on the square bump's values fall back and wander
+        (7.78e21, 7.30e21, 7.54e21): every grid is certified and the
+        variation is only 0.065, but the differences change sign, so the
+        sweep certifies no convergence.  The paper proves this functional
+        out of range."""
+        rc, out = run(["fisher", "--fixture", "square_ex1",
+                       "--resolution", "225,233,241"], tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "fisher")
+        assert summary["lower_bounds"] == [False, False, False]
+        assert summary["variation"] <= 0.2
+        assert summary["verdict"] == "undetermined"
+        assert summary["verdict_reason"] == "non_monotone"
+        assert summary["observed_order"] is None
+        assert summary["richardson_limit"] is None
         capsys.readouterr()
 
 
@@ -218,6 +260,7 @@ class TestReproductions:
         assert rc == 0
         summary = load_summary(out, "reproduce-thm37")
         assert summary["refinement"]["verdict"] == "out_of_range_divergent"
+        assert summary["refinement"]["verdict_reason"] == "growth_on_every_pair"
         assert summary["refinement"]["growth"] >= 2.0
         assert summary["ladder"]["growth_top_half"] >= 3.0
         assert summary["ladder"]["max_quotient_times_m"] <= 17.6

@@ -13,6 +13,7 @@ from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
 from ellinfo.simulate import (info_identity_mc, lan_mc, plugin_risk_study,
                               sample_data, score_eval)
 from ellinfo.spectral import eigendecompose
+from test_grids import rgi_interpolator
 
 
 def direction(grid, seed, scale=1.0):
@@ -39,7 +40,7 @@ class TestSampleData:
         ctx = ctx_cache("square_ex1", 17)
         s = sample_data(ctx, 100, seed=0, noiseless=True)
         np.testing.assert_array_equal(s.epsilon, 0.0)
-        interp = ctx.grid.interpolator(ctx.u.values)
+        interp = rgi_interpolator(ctx.grid, ctx.u.values)
         np.testing.assert_allclose(s.Y, np.asarray(interp(s.X)), atol=1e-14)
 
     def test_container_protocol(self, ctx_cache):
@@ -183,7 +184,7 @@ class TestRiskStudy:
         assert table.ratio_last_first >= 2.0
 
 
-# -- reference: the same experiments, evaluated pointwise by the interpolator --
+# -- reference: the same experiments, evaluated pointwise by the interpolation oracle --
 
 
 def reference_draw(grid, rng, n, noiseless=False):
@@ -203,8 +204,8 @@ def reference_lan(ctx, h, n, replicates, seed):
     theta2 = Conductivity.from_perturbation(
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
         eta=None)
-    u = grid.interpolator(ctx.u.values)
-    u2 = grid.interpolator(ctx.forward_map(theta2).values)
+    u = rgi_interpolator(grid, ctx.u.values)
+    u2 = rgi_interpolator(grid, ctx.forward_map(theta2).values)
     llrs = []
     for child in np.random.SeedSequence(seed).spawn(replicates):
         x, eps = reference_draw(grid, np.random.default_rng(child), n)
@@ -217,9 +218,9 @@ def reference_lan(ctx, h, n, replicates, seed):
 def reference_identity(ctx, h1, h2, n, seed):
     grid = ctx.grid
     x, eps = reference_draw(grid, np.random.default_rng(seed), n)
-    u_x = grid.interpolator(ctx.u.values)(x)
+    u_x = rgi_interpolator(grid, ctx.u.values)(x)
     resid = (u_x + eps) - u_x
-    scores = [resid * grid.interpolator(ctx.apply_linearization(h).values)(x)
+    scores = [resid * rgi_interpolator(grid, ctx.apply_linearization(h).values)(x)
               for h in (h1, h2)]
     return scores[0] * scores[1]
 
@@ -230,12 +231,12 @@ def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
     decomp = eigendecompose(ctx, n_modes=None, mode="dense")
     keep = np.flatnonzero(~decomp.kernel_mask)[:k]
     coeffs = decomp.coefficients(psi)[keep]
-    modes = [grid.interpolator(grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values)
-             for i in keep]
-    u = grid.interpolator(ctx.u.values)
+    modes = [rgi_interpolator(
+        grid, grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values) for i in keep]
+    u = rgi_interpolator(grid, ctx.u.values)
     truth, offset = u, 0.0
     if theta_truth is not None:
-        truth = grid.interpolator(ctx.forward_map(theta_truth).values)
+        truth = rgi_interpolator(grid, ctx.forward_map(theta_truth).values)
         offset = inner_l2(psi, ScalarField(
             grid, theta_truth.field.values - ctx.theta.field.values))
     root = np.random.SeedSequence(seed)

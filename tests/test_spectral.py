@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import norm_l2, random_smooth_field
-from ellinfo.spectral import (SpectralDecomposition, _transport_lu,
+from ellinfo.spectral import (SpectralDecomposition, _observed_order,
                               degeneracy_profile, degeneracy_sequence,
                               eigendecompose, fisher_information,
                               fisher_refinement, kernel_component, range_series,
@@ -178,7 +178,7 @@ class TestFisherInformation:
         ctx = ctx_cache("square_ex1", 33)
         fx = in_range_fixture(ctx)
         w = ctx.grid.weights_interior
-        y = _transport_lu(ctx).solve(w * ctx.grid.restrict(fx.psi))
+        _, y, _ = ctx.solve_transport_equation(w * ctx.grid.restrict(fx.psi))
         np.testing.assert_allclose(-y / w, ctx.grid.restrict(fx.potential),
                                    rtol=0.0, atol=1e-8 * np.max(np.abs(fx.potential.values)))
 
@@ -217,11 +217,34 @@ class TestRefinementSweeps:
         assert sweep.growth >= 2.0
         assert sweep.lower_bounds == (False, False, False)
         assert np.all(np.diff(sweep.values) > 0.0)
+        assert sweep.verdict_reason == "growth_on_every_pair"
+        assert sweep.order < 0.0 and sweep.richardson_limit is None
 
     def test_in_range_functional_is_stable(self):
+        """The differences 19.9 and 11.3 shrink at an observed order near 1.8,
+        and the Richardson limit lies beyond the finest value."""
         sweep = fisher_refinement("square_ex1", "in_range", (17, 21, 25))
         assert sweep.verdict == "in_range"
+        assert sweep.verdict_reason == "converged"
         assert sweep.variation <= 0.20
+        assert 1.5 <= sweep.order <= 2.1
+        assert sweep.values[-1] < sweep.richardson_limit < 1.1 * sweep.values[-1]
+
+    @pytest.mark.parametrize("p", [-3.0, 0.5, 1.0, 2.0, 4.0])
+    def test_observed_order_on_uneven_grids(self, p):
+        """v = 3 + 2 h^p on the square's 17, 25, 33 spacings (h does not
+        halve) gives back p and, for p > 0, the limit 3."""
+        h = [1.0 / 16, 1.0 / 24, 1.0 / 32]
+        order, limit = _observed_order(h, [3.0 + 2.0 * x ** p for x in h])
+        assert order == pytest.approx(p, abs=1e-9)
+        if p > 0:
+            assert limit == pytest.approx(3.0, rel=1e-9)
+        else:
+            assert limit is None
+
+    def test_observed_order_needs_one_sign(self):
+        assert _observed_order([0.3, 0.2, 0.1], [1.0, 2.0, 1.5]) == (None, None)
+        assert _observed_order([0.3, 0.2, 0.1], [1.0, 1.0, 1.5]) == (None, None)
 
     def test_singular_grids_report_spectral_bounds(self, ctx_cache, decomp_cache):
         """On the saddle every grid falls back to the spectral bound, whose
@@ -230,6 +253,7 @@ class TestRefinementSweeps:
         sweep = fisher_refinement("saddle", "in_range", (17, 25, 33))
         assert sweep.lower_bounds == (True, True, True)
         assert sweep.verdict == "undetermined"
+        assert sweep.verdict_reason == "lower_bound"
         for res, value in zip(sweep.resolutions, sweep.values):
             ctx = ctx_cache("saddle", res)
             series, _ = range_series(decomp_cache("saddle", res),
@@ -239,3 +263,7 @@ class TestRefinementSweeps:
     def test_sweep_needs_three_grids(self):
         with pytest.raises(ValueError, match="three"):
             fisher_refinement("square_ex1", "bump", (17, 25))
+
+    def test_sweep_needs_increasing_resolutions(self):
+        with pytest.raises(ValueError, match="increasing"):
+            fisher_refinement("square_ex1", "bump", (17, 25, 25))

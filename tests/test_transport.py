@@ -1,13 +1,15 @@
 """Flow-line machinery: curve tracing, curve integrals, range verdicts,
-characteristic transport solves, and first-integral kernel elements."""
+transport solves, and first-integral kernel elements."""
 
 import math
 
 import numpy as np
 import pytest
 
+from ellinfo import score, transport
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import ScalarField, make_bump, norm_l2
+from ellinfo.spectral import fisher_information
 from ellinfo.transport import (RANGE_VERDICTS, kernel_element, line_integral,
                                range_verdict, ray_integral_disk,
                                solve_transport, trace_curve,
@@ -162,7 +164,10 @@ class TestRangeVerdicts:
 
 
 class TestTransportSolve:
-    """Characteristic solves of grad u . grad y = psi on the square."""
+    """Solves of grad u . grad y = psi on the square: the field from the
+    sparse discrete equation T^T y = W psi, shared with the inverse Fisher
+    form, and the outflow mismatch from characteristics traced from the
+    inflow boundary."""
 
     def test_zero_source_gives_zero_solution(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 25)
@@ -178,6 +183,70 @@ class TestTransportSolve:
         y, mismatch = solve_transport(ctx, psi)
         assert mismatch <= 1e-3 * np.max(np.abs(psi.values))
         assert norm_l2(y) > 0.0
+
+    def test_field_is_the_potential(self, ctx_cache):
+        """For psi = I*(L phi) the discrete solution is phi itself."""
+        ctx = ctx_cache("square_ex1", 33)
+        fx = in_range_fixture(ctx)
+        y, _ = solve_transport(ctx, fx.psi)
+        np.testing.assert_allclose(y.values, fx.potential.values, rtol=0.0,
+                                   atol=1e-8 * np.max(np.abs(fx.potential.values)))
+
+    def test_field_agrees_with_characteristics_at_second_order(self, ctx_cache):
+        """The characteristic field, traced back from every interior node to
+        the inflow boundary, is the reference: the two discretisations part
+        by 12.7 % of max|phi| at 17^2 and 5.9 % at 25^2, a ratio near
+        (16/24)^2 = 0.44."""
+        gaps = []
+        for res in (17, 25):
+            ctx = ctx_cache("square_ex1", res)
+            grid = ctx.grid
+            fx = in_range_fixture(ctx)
+            nodes = np.column_stack([grid.x[grid.interior_ids], grid.y[grid.interior_ids]])
+            acc, _ = _sweep_from_nodes(ctx, nodes, fx.psi.values, sign=-1.0)
+            y, _ = solve_transport(ctx, fx.psi)
+            gaps.append(np.max(np.abs(grid.restrict(y) - acc))
+                        / np.max(np.abs(fx.potential.values)))
+        assert gaps[0] <= 0.2
+        assert gaps[1] / gaps[0] <= 0.55
+
+    @pytest.mark.parametrize("res, n_inflow", [(17, 30), (25, 46)])
+    def test_only_inflow_nodes_are_traced(self, ctx_cache, monkeypatch, res, n_inflow):
+        ctx = ctx_cache("square_ex1", res)
+        calls = []
+
+        def counting_solve_ivp(*args, **kwargs):
+            calls.append(args[2])
+            return solve_ivp(*args, **kwargs)
+
+        solve_ivp = transport.solve_ivp
+        monkeypatch.setattr(transport, "solve_ivp", counting_solve_ivp)
+        solve_transport(ctx, psi_fixture(ctx, "bump"))
+        assert len(calls) == len(_inflow_boundary_nodes(ctx)) == n_inflow
+
+    @pytest.mark.parametrize("kind", ["bump", "in_range"])
+    def test_singular_base_raises(self, ctx_cache, kind):
+        """The saddle's T is singular: the refinement step moves the field
+        by order one, so there is no solution to report."""
+        ctx = ctx_cache("saddle", 17)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_transport(ctx, psi_fixture(ctx, kind))
+
+    def test_one_factorisation_serves_fisher_and_transport(self, monkeypatch):
+        ctx = build_context("square_ex1", 17)
+        factorisations = []
+
+        def counting_splu(matrix):
+            factorisations.append(matrix.shape)
+            return splu(matrix)
+
+        splu = score.spla.splu
+        monkeypatch.setattr(score.spla, "splu", counting_splu)
+        psi = in_range_fixture(ctx).psi
+        fisher_information(ctx, psi, "direct_solve")
+        solve_transport(ctx, psi)
+        solve_transport(ctx, psi_fixture(ctx, "bump"))
+        assert factorisations == [(ctx.grid.n_interior, ctx.grid.n_interior)]
 
     def test_square_only_guard(self, ctx_cache):
         ctx = ctx_cache("disk_ex2", 33)
