@@ -163,7 +163,6 @@ class InRangeFixture:
     psi: ScalarField
     potential: ScalarField   # phi: the transport solution matching psi
     source: ScalarField      # w = L(phi): psi = I*(w) exactly at the discrete level
-    support_min_radius: float | None
 
 
 def in_range_fixture(ctx: ScoreContext, center=None, radius=None) -> InRangeFixture:
@@ -180,13 +179,7 @@ def in_range_fixture(ctx: ScoreContext, center=None, radius=None) -> InRangeFixt
     radius = r0 if radius is None else radius
     phi = _window_bump(grid, center, radius)
     w = ctx.op.apply_operator(phi)
-    psi = ctx.apply_adjoint_exact(w)
-    if grid.spec.kind is DomainKind.DISK:
-        support_min = max(float(np.hypot(*center)) - radius, 0.0)
-    else:
-        support_min = None
-    return InRangeFixture(psi=psi, potential=phi, source=w,
-                          support_min_radius=support_min)
+    return InRangeFixture(psi=ctx.apply_adjoint_exact(w), potential=phi, source=w)
 
 
 def in_range_psi(ctx: ScoreContext, center=None, radius=None) -> ScalarField:

@@ -20,8 +20,8 @@ Point evaluation is bilinear on both grids (in (r, theta) on the disk).
 ``Grid.sample_matrix(points)`` is the sparse observation operator P: it
 locates the points once, and ``P @ F`` evaluates every column of a nodal
 stack F there; ``Grid.interpolator`` wraps it as a callable on batches of
-points.  ``Grid.point_evaluator`` is the one-point form, a few microseconds
-per call (the curve tracer's Runge-Kutta stages).
+points.  The curve tracer evaluates grad u_theta at all lanes of a batch
+with one ``P @ [vx, vy]`` per Runge-Kutta stage.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -198,7 +197,9 @@ class Grid:
 
     # -- geometry helpers, provided by subclasses --------------------------
 
-    def boundary_distance(self) -> np.ndarray:
+    def boundary_distance(self, points: np.ndarray | None = None) -> np.ndarray:
+        """Distance to the boundary of each node, or of (n, 2) points (negative
+        outside the domain)."""
         raise NotImplementedError
 
     @property
@@ -226,51 +227,11 @@ class Grid:
     def second_derivatives(self, values):
         raise NotImplementedError
 
-    def _tensor_values(self, values: np.ndarray):
-        """The grid's two tensor axes and the values on them, of shape
-        ``(len(axis0), len(axis1)) + values.shape[1:]``."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _point_coords(x: float, y: float) -> tuple[float, float]:
-        """Coordinates of one point on the tensor axes."""
-        return x, y
-
     def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
         extrapolated linearly past the edges, as a callable on (n, 2) points:
         ``sample_matrix(points) @ values``."""
         return lambda points: self.sample_matrix(points) @ values
-
-    def point_evaluator(self, values: np.ndarray) -> Callable[[float, float], list]:
-        """One-point form of :meth:`interpolator` for an (n_nodes, k) stack.
-
-        ``f(x, y)`` returns the k values at one point (one for plain nodal
-        values) as a list of Python floats and does no numpy work, so pass
-        Python floats.  Cells are located by bisection, clipped to the edge
-        cells so that points past an edge extrapolate linearly, and the
-        corners are summed in ``RegularGridInterpolator``'s order: on the
-        square the values are bit-identical to its values.
-        """
-        axes, v = self._tensor_values(values)
-        v = v.reshape(v.shape[:2] + (-1,))
-        ax0, ax1 = axes[0].tolist(), axes[1].tolist()
-        last0, last1 = len(ax0) - 2, len(ax1) - 2
-        # cells[i][j][c]: component c at the corners (i, j), (i, j+1),
-        # (i+1, j) and (i+1, j+1) of cell (i, j)
-        cells = np.stack([v[:-1, :-1], v[:-1, 1:], v[1:, :-1], v[1:, 1:]], axis=-1).tolist()
-        coords = self._point_coords
-
-        def evaluate(x: float, y: float) -> list:
-            c0, c1 = coords(x, y)
-            i = min(max(bisect_right(ax0, c0) - 1, 0), last0)
-            j = min(max(bisect_right(ax1, c1) - 1, 0), last1)
-            a = (c0 - ax0[i]) / (ax0[i + 1] - ax0[i])
-            b = (c1 - ax1[j]) / (ax1[j + 1] - ax1[j])
-            w00, w01, w10, w11 = (1.0 - a) * (1.0 - b), (1.0 - a) * b, a * (1.0 - b), a * b
-            return [w00 * p + w01 * q + w10 * r + w11 * s for p, q, r, s in cells[i][j]]
-
-        return evaluate
 
     def sample_matrix(self, points: np.ndarray) -> sp.csr_matrix:
         """Sparse observation operator P of shape (n_points, n_nodes).
@@ -356,8 +317,9 @@ class SquareGrid(Grid):
     def h_mesh(self) -> float:
         return max(self.hx, self.hy)
 
-    def boundary_distance(self) -> np.ndarray:
-        return np.minimum.reduce([self.x - 1.0, 2.0 - self.x, self.y - 1.0, 2.0 - self.y])
+    def boundary_distance(self, points=None):
+        x, y = (self.x, self.y) if points is None else points.T
+        return np.minimum.reduce([x - 1.0, 2.0 - x, y - 1.0, 2.0 - y])
 
     @staticmethod
     def _diff(v: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -400,10 +362,6 @@ class SquareGrid(Grid):
             v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
         ) / (4.0 * self.hx * self.hy)
         return fxx.reshape(-1), fxy.reshape(-1), fyy.reshape(-1)
-
-    def _tensor_values(self, values):
-        vals = np.asarray(values, dtype=float)
-        return (self.xs, self.ys), vals.reshape(self.shape + vals.shape[1:])
 
     def sample_matrix(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -453,8 +411,8 @@ class DiskGrid(Grid):
     def h_mesh(self) -> float:
         return max(self.dr, self.dt)
 
-    def boundary_distance(self) -> np.ndarray:
-        return 1.0 - self.r
+    def boundary_distance(self, points=None):
+        return 1.0 - (self.r if points is None else np.hypot(points[:, 0], points[:, 1]))
 
     def _polar_derivs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dvr = np.empty_like(v)
@@ -511,21 +469,6 @@ class DiskGrid(Grid):
         fxy = 0.5 * (np.asarray(gxy1) + np.asarray(gyx))
         return gxx, fxy, gyy
 
-    def _tensor_values(self, values):
-        vals = np.asarray(values, dtype=float)
-        v = vals.reshape(self.shape + vals.shape[1:])
-        # augment with the origin (ring average) and a periodic wrap column
-        v_aug = np.empty((self.shape[0] + 1, self.shape[1] + 1) + vals.shape[1:])
-        v_aug[1:, :-1] = v
-        v_aug[1:, -1] = v[:, 0]
-        v_aug[0, :] = v[0].mean(axis=0)
-        axes = (np.concatenate([[0.0], self.rs]), np.append(self.ts, 2.0 * math.pi))
-        return axes, v_aug
-
-    @staticmethod
-    def _point_coords(x, y):
-        return math.hypot(x, y), math.atan2(y, x) % (2.0 * math.pi)
-
     def sample_matrix(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n_t = self.shape[1]
@@ -540,10 +483,10 @@ class DiskGrid(Grid):
         origin = np.flatnonzero(in_origin)
         if origin.size == 0:
             return _four_point_csr(idx, data, self.n_nodes)
-        # In the origin cell the inner corner is the augmented origin node of
-        # ``_tensor_values``, the ring-0 average: its weight 1 - a0 spreads as
-        # (1 - a0) / n_t over all of ring 0, so those rows get n_t entries:
-        # the first four take the row's own slots, the rest are inserted.
+        # In the origin cell the inner corner is the origin, valued at the
+        # ring-0 average: its weight 1 - a0 spreads as (1 - a0) / n_t over all
+        # of ring 0, so those rows get n_t entries: the first four take the
+        # row's own slots, the rest are inserted.
         a0 = r[origin] / self.rs[0]
         s0 = s[origin]
         ring0 = np.repeat(((1.0 - a0) / n_t)[:, None], n_t, axis=1)

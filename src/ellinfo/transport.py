@@ -8,10 +8,12 @@ obstructions, solves the transport problem on the non-trapping square
 configuration (as the inverse Fisher form does, by T^T y = W psi; curves give
 the outflow mismatch), and builds kernel elements from first integrals.
 
-All traces share one ODE right-hand side and terminal events (boundary exit,
-critical point) from ``_flow_events``; each Runge-Kutta stage evaluates
-grad u_theta, and any integrand carried along, through ``Grid.point_evaluator``.
-Line and ray integrals evaluate their samples in one ``Grid.interpolator`` call.
+The curves of one call step together through one tracer, ``_trace``: scipy's
+RK45 (Dormand-Prince 5(4)) with each lane's own step size, every stage one
+``Grid.sample_matrix`` product at all live lanes.  Integrands stay out of the
+ODE: integrals sample each lane's dense output (or each disk ray) uniformly,
+evaluate a chunk of lanes in one ``Grid.interpolator`` call and apply
+Simpson's rule.  ``range_verdict`` certifies its integrals by step halving.
 
 On the disk configuration at theta = 1 the gradient field is radial with a
 critical point at the origin, so curves are straight rays and the range
@@ -26,12 +28,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from ellinfo.grids import DomainKind, Grid, ScalarField
 from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
 
-#: Relative tolerance of the adaptive curve integrator.
+#: Relative tolerance of the adaptive curve integrator (absolute: 1e-12).
 ODE_TOL = 1e-8
 
 #: A point counts as critical when |grad u| drops below this times max|grad u|.
@@ -51,28 +52,50 @@ N_CURVE_SAMPLES = 1001
 N_RAY_SAMPLES = 2001
 N_DISK_RAYS = 64
 
+#: Samples per interpolator call (whole lanes, curves or rays): bounds a batch's memory.
+_CHUNK_SAMPLES = 1 << 16
+
 CURVE_TERMINATIONS = ("boundary_exit", "critical_point", "step_limit")
 RANGE_VERDICTS = ("incompatible", "compatible_within_tol", "constant_offset_detected")
 
+# Dormand & Prince (1980) as in scipy's RK45: stages, 5th-order weights, error
+# weights and the 4th-order dense output.
+_DP_A = [np.array(a) for a in (
+    [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])]
+_DP_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
 
-def _point_boundary_distance(grid: Grid, x: float, y: float) -> float:
-    if grid.spec.kind is DomainKind.SQUARE:
-        return min(x - 1.0, 2.0 - x, y - 1.0, 2.0 - y)
-    return 1.0 - math.hypot(x, y)
+
+def _rms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v)) / 2 ** 0.5
 
 
-def _flow_cache(ctx: ScoreContext) -> dict:
-    cache = getattr(ctx, "_transport_cache", None)
-    if cache is None:
-        max_grad = float(ctx.grad_u.magnitude().max())
-        cache = {
-            "flow": ctx.grid.point_evaluator(np.column_stack([ctx.grad_u.vx,
-                                                              ctx.grad_u.vy])),
-            "max_grad": max_grad,
-            "crit_tol": CRIT_TOL_FACTOR * max_grad,
-        }
-        ctx._transport_cache = cache
-    return cache
+def _simpson(values: np.ndarray, ds) -> np.ndarray:
+    """Composite Simpson rule on an odd number of samples spaced ds (last axis)."""
+    return ds / 3.0 * (values[..., 0] + values[..., -1] + 4.0 * values[..., 1:-1:2].sum(-1)
+                       + 2.0 * values[..., 2:-1:2].sum(-1))
+
+
+def _dense(y0, h, Q, x):
+    """Dense output y0 + h (x Q_0 + x^2 Q_1 + x^3 Q_2 + x^4 Q_3) at step fractions x."""
+    x = x[..., None]
+    acc = Q[..., 3, :] * x
+    for j in (2, 1, 0):
+        acc += Q[..., j, :]
+        acc *= x
+    acc *= h[..., None]
+    acc += y0
+    return acc
 
 
 @dataclass
@@ -98,74 +121,200 @@ class IntegralCurve:
             raise ValueError(f"termination must be one of {CURVE_TERMINATIONS}")
 
 
-def _flow_events(ctx: ScoreContext, sign: float, integrand=None):
-    """Right-hand side and terminal events of the flow ODE z' = sign grad u.
+@dataclass
+class _Lanes:
+    """A traced batch: lane i runs z' = signs[i] grad u from starts[i] to
+    parameter s_end[i] and point ends[i]; ``termination`` indexes
+    ``CURVE_TERMINATIONS``.  Rows ``first[i]:first[i + 1]`` of t0, h, y0, Q
+    are lane i's accepted steps: start parameter, size, start point and
+    dense-output coefficients (``_dense``)."""
 
-    With nodal ``integrand`` values the state gains a third component, the
-    integral of the integrand against increasing curve parameter (the ODE
-    parameter in both directions), evaluated jointly with the flow: each
-    Runge-Kutta stage costs one point evaluation.
+    starts: np.ndarray
+    signs: np.ndarray
+    termination: np.ndarray
+    s_end: np.ndarray
+    ends: np.ndarray
+    n_steps: np.ndarray
+    first: np.ndarray
+    t0: np.ndarray
+    h: np.ndarray
+    y0: np.ndarray
+    Q: np.ndarray
+
+    def points(self, lanes) -> np.ndarray:
+        """Dense output at N_CURVE_SAMPLES uniform parameters in [0, s_end]
+        of each listed lane: shape (len(lanes), N_CURVE_SAMPLES, 2)."""
+        ss = np.linspace(0.0, self.s_end[lanes], N_CURVE_SAMPLES, axis=-1)
+        seg = np.empty(ss.shape, dtype=np.intp)
+        for row, i in enumerate(lanes):
+            lo, hi = self.first[i], self.first[i + 1]
+            # as scipy's OdeSolution: at a knot, the step that ends there
+            pos = np.searchsorted(self.t0[lo:hi], ss[row], side="left")
+            seg[row] = lo + np.clip(pos - 1, 0, hi - lo - 1)
+        return _dense(self.y0[seg], self.h[seg], self.Q[seg], (ss - self.t0[seg]) / self.h[seg])
+
+    def curve(self, i: int, points: np.ndarray | None = None) -> IntegralCurve:
+        s_end, sign = float(self.s_end[i]), float(self.signs[i])
+        if s_end > 0.0:
+            times = sign * np.linspace(0.0, s_end, N_CURVE_SAMPLES)
+            points = self.points([i])[0] if points is None else points
+        else:
+            times, points = np.array([0.0]), self.starts[i].reshape(1, 2)
+        return IntegralCurve(seed=tuple(self.starts[i]),
+                             direction="forward" if sign > 0 else "backward",
+                             times=times, points=points,
+                             termination=CURVE_TERMINATIONS[self.termination[i]],
+                             travel_time=abs(s_end), n_steps=int(self.n_steps[i]))
+
+    def halved(self, lanes) -> tuple[np.ndarray, np.ndarray]:
+        """Step schedule of the listed lanes with every step split in two."""
+        sizes = np.concatenate([self.h[self.first[i]:self.first[i + 1]] for i in lanes])
+        return (np.concatenate([[0], np.cumsum(2 * np.diff(self.first)[lanes])]),
+                np.repeat(0.5 * sizes, 2))
+
+
+def _trace(ctx: ScoreContext, starts: np.ndarray, signs: np.ndarray,
+           schedule=None) -> _Lanes:
+    """Trace z' = sign grad u_theta from every start, all lanes stepping together.
+
+    scipy's RK45 per lane: Dormand-Prince 5(4), its initial step, RMS error
+    norm and step controller, rtol ``ODE_TOL`` and atol 1e-12.  A lane stops
+    in the step where it leaves the domain or |grad u| falls to crit_tol,
+    the earlier crossing located on that step's dense output by bisection,
+    or at ``TIME_LIMIT`` or a vanishing step (``step_limit``).  ``schedule``
+    = (first, sizes) replaces the controller by the steps
+    ``sizes[first[i]:first[i + 1]]`` of lane i, all accepted and the last
+    taken once more if needed: the step-halving certificate.
     """
-    cache = _flow_cache(ctx)
-    crit_tol = cache["crit_tol"]
     grid = ctx.grid
-    flow = cache["flow"] if integrand is None else grid.point_evaluator(
-        np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy,
-                         np.asarray(integrand, dtype=float)]))
+    grad = np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy])
+    crit_tol = CRIT_TOL_FACTOR * float(ctx.grad_u.magnitude().max())
 
-    def rhs(_s, z):
-        g = flow(*z[:2].tolist())
-        g[0] *= sign
-        g[1] *= sign
-        return g
+    def margins(points, f):  # a lane stops where either falls to zero
+        return np.column_stack([grid.boundary_distance(points),
+                                np.hypot(f[:, 0], f[:, 1]) - crit_tol])
 
-    def hit_boundary(_s, z):
-        return _point_boundary_distance(grid, z[0], z[1])
+    n = len(starts)
+    lane, y, sgn = np.arange(n), np.array(starts, dtype=float), np.asarray(signs, dtype=float)
+    t, rejected = np.zeros(n), np.zeros(n, dtype=bool)
+    term, s_end, ends, n_steps = np.full(n, 2), np.zeros(n), y.copy(), np.zeros(n, dtype=int)
+    hits = np.zeros((n, 2), dtype=bool)
+    steps = [(np.empty(0, dtype=int), np.empty(0), np.empty(0), np.empty((0, 2)),
+              np.empty((0, 4, 2)))]
 
-    def hit_critical(_s, z):
-        g = flow(*z[:2].tolist())
-        return math.hypot(g[0], g[1]) - crit_tol
+    def flow(points):
+        return sgn[:, None] * (grid.sample_matrix(points) @ grad)
 
-    hit_boundary.terminal = True
-    hit_boundary.direction = -1.0
-    hit_critical.terminal = True
-    hit_critical.direction = -1.0
-    return rhs, hit_boundary, hit_critical
+    g = margins(y, f := flow(y))
+    if schedule is None:  # scipy's select_initial_step
+        scale = 1e-12 + np.abs(y) * ODE_TOL
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h0 = np.minimum(np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1),
+                            TIME_LIMIT)
+            d2 = _rms((flow(y + h0[:, None] * f) - f) / scale) / h0
+            h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, 1e-3 * h0),
+                          (0.01 / np.maximum(d1, d2)) ** 0.2)
+        h_abs = np.minimum(np.minimum(100.0 * h0, h1), TIME_LIMIT)
+    while lane.size:
+        if schedule is None:
+            min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+            h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
+            stuck = ~(h_abs >= min_step)
+        else:
+            first, sizes = schedule
+            k = first[lane] + n_steps[lane]
+            h_abs, stuck = sizes[np.minimum(k, first[lane + 1] - 1)], k > first[lane + 1]
+        t_new = np.minimum(t + h_abs, TIME_LIMIT)
+        h = t_new - t
+        K = np.empty((7,) + y.shape)
+        K[0] = f
+        for s, a in enumerate(_DP_A, start=1):
+            K[s] = flow(y + np.tensordot(a, K[:s], 1) * h[:, None])
+        y_new = y + h[:, None] * np.tensordot(_DP_B, K[:6], 1)
+        K[6] = flow(y_new)
+        accept = ~stuck
+        if schedule is None:
+            scale = 1e-12 + np.maximum(np.abs(y), np.abs(y_new)) * ODE_TOL
+            err = _rms(np.tensordot(_DP_E, K, 1) * h[:, None] / scale)
+            accept &= err < 1.0
+            with np.errstate(divide="ignore"):
+                grow = 0.9 * err ** -0.2
+            h_abs = h * np.where(accept, np.minimum(np.where(rejected, 1.0, 10.0), grow),
+                                 np.maximum(0.2, grow))
+            rejected = ~accept
+        a = np.flatnonzero(accept)
+        steps.append((lane[a], t[a], h[a], y[a], np.einsum("sld,sk->lkd", K[:, a], _DP_P)))
+        n_steps[lane[a]] += 1
+        g_new = margins(y_new[a], K[6, a])
+        hits[lane[a]] = (g[a] >= 0.0) & (g_new <= 0.0)
+        y[a], f[a], t[a], g[a] = y_new[a], K[6, a], t_new[a], g_new
+        done = stuck | (t >= TIME_LIMIT)
+        done[a] |= hits[lane[a]].any(axis=1)
+        s_end[lane[done]], ends[lane[done]] = t[done], y[done]
+        lane, y, f, g, t, rejected, sgn, h_abs = (
+            v[~done] for v in (lane, y, f, g, t, rejected, sgn, h_abs))
+    ids, t0, hs, y0, Q = (np.concatenate(p) for p in zip(*steps))
+    order = np.argsort(ids, kind="stable")
+    first = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=n))])
+    out = _Lanes(np.array(starts, dtype=float), np.asarray(signs, dtype=float), term, s_end,
+                 ends, n_steps, first, t0[order], hs[order], y0[order], Q[order])
+    # locate the crossings in the last step of each lane that had one
+    last, x = first[1:] - 1, np.full((n, 2), np.inf)
+    for c, event in enumerate((grid.boundary_distance,
+                               lambda p: margins(p, grid.sample_matrix(p) @ grad)[:, 1])):
+        i = np.flatnonzero(hits[:, c])
+        lo, hi, s = np.zeros(i.size), np.ones(i.size), last[i]
+        for _ in range(53 if i.size else 0):
+            mid = 0.5 * (lo + hi)
+            above = event(_dense(out.y0[s], out.h[s], out.Q[s], mid)) > 0.0
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        x[i, c] = hi
+    i = np.flatnonzero(hits.any(axis=1))
+    x_end, s = x[i].min(axis=1), last[i]
+    term[i] = x[i].argmin(axis=1)
+    s_end[i] = out.t0[s] + x_end * out.h[s]
+    ends[i] = _dense(out.y0[s], out.h[s], out.Q[s], x_end)
+    return out
+
+
+def _lane_integrals(grid: Grid, values: np.ndarray, lanes: _Lanes, ids, points=None):
+    """Integrals of nodal ``values`` along the listed lanes, with respect to
+    the ODE parameter: Simpson's rule on the N_CURVE_SAMPLES samples of
+    ``_Lanes.points`` and on every other sample.  A chunk of lanes is one
+    interpolator call; ``points`` (a list) collects the samples."""
+    interp, step = grid.interpolator(values), _CHUNK_SAMPLES // N_CURVE_SAMPLES
+    full, coarse = np.empty(len(ids)), np.empty(len(ids))
+    for sl in (slice(lo, lo + step) for lo in range(0, len(ids), step)):
+        pts = lanes.points(ids[sl])
+        if points is not None:
+            points.extend(pts)
+        vals = interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        ds = lanes.s_end[ids[sl]] / (N_CURVE_SAMPLES - 1)
+        full[sl], coarse[sl] = _simpson(vals, ds), _simpson(vals[:, ::2], 2.0 * ds)
+    return full, coarse
 
 
 def trace_curve(ctx: ScoreContext, x0, direction: str = "forward",
                 strict: bool = True) -> IntegralCurve:
     """Trace the integral curve of grad u_theta through an interior point.
 
-    Adaptive Runge-Kutta with terminal events for boundary exit and critical
-    points; the returned curve is resampled uniformly in the curve parameter
-    for quadrature.  ``strict`` raises if the time horizon ``TIME_LIMIT`` is
-    exhausted before either event fires.
+    A one-lane ``_trace``: adaptive Dormand-Prince steps until boundary exit
+    or a critical point; the returned curve is the dense output resampled
+    uniformly in the curve parameter for quadrature.  ``strict`` raises if
+    the time horizon ``TIME_LIMIT`` is exhausted before either event.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
-    x0 = np.asarray(x0, dtype=float).reshape(2)
-    if _point_boundary_distance(ctx.grid, x0[0], x0[1]) <= 0.0:
+    x0 = np.asarray(x0, dtype=float).reshape(1, 2)
+    if ctx.grid.boundary_distance(x0)[0] <= 0.0:
         raise ValueError("seed point must lie strictly inside the domain")
     sign = 1.0 if direction == "forward" else -1.0
-    rhs, hit_boundary, hit_critical = _flow_events(ctx, sign)
-    sol = solve_ivp(rhs, (0.0, TIME_LIMIT), x0, method="RK45", rtol=ODE_TOL,
-                    atol=1e-12, events=[hit_boundary, hit_critical],
-                    dense_output=True)
-    if sol.t_events[0].size:
-        termination, s_end = "boundary_exit", float(sol.t_events[0][0])
-    elif sol.t_events[1].size:
-        termination, s_end = "critical_point", float(sol.t_events[1][0])
-    else:
-        if strict:
-            raise RuntimeError(
-                f"curve from {tuple(x0)} not classified within time {TIME_LIMIT}")
-        termination, s_end = "step_limit", float(sol.t[-1])
-    ss = np.linspace(0.0, s_end, N_CURVE_SAMPLES) if s_end > 0 else np.array([0.0])
-    pts = sol.sol(ss).T if s_end > 0 else x0.reshape(1, 2)
-    return IntegralCurve(seed=tuple(x0), direction=direction, times=sign * ss,
-                         points=pts, termination=termination,
-                         travel_time=abs(s_end), n_steps=sol.t.size - 1)
+    curve = _trace(ctx, x0, np.array([sign])).curve(0)
+    if strict and curve.termination == "step_limit":
+        raise RuntimeError(
+            f"curve from {curve.seed} not classified within time {TIME_LIMIT}")
+    return curve
 
 
 def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
@@ -173,48 +322,46 @@ def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
     if len(curve.times) < 3:
         return 0.0
     vals = psi.grid.interpolator(psi.values)(curve.points)
-    ts = curve.times
-    if ts[0] > ts[-1]:
-        ts, vals = ts[::-1], vals[::-1]
-    return float(simpson(vals, x=ts))
+    return float(_simpson(vals, curve.travel_time / (len(curve.times) - 1)))
 
 
-def _support_min_radius(psi: ScalarField, rtol: float = 1e-9) -> float:
-    grid = psi.grid
+def _support_min_radius(psi: ScalarField) -> float:
     mags = np.abs(psi.values)
-    peak = mags.max()
-    if peak == 0.0:
+    if mags.max() == 0.0:
         return math.inf
-    rr = np.hypot(grid.x, grid.y)
-    inner = float(rr[mags > rtol * peak].min())
-    return max(inner - grid.h_mesh, 0.0)
+    inner = float(np.hypot(psi.grid.x, psi.grid.y)[mags > 1e-9 * mags.max()].min())
+    return max(inner - psi.grid.h_mesh, 0.0)
 
 
-def ray_integral_disk(psi: ScalarField, z,
-                      support_min_radius: float | None = None) -> float:
+def ray_integral_disk(psi: ScalarField, z):
     """Integral of psi along the ray t -> z e^t, t <= 0, through |z| = 1.
 
     The parametrization follows the radial flow of the disk configuration,
     so equality of these integrals across boundary points is the transport
     compatibility condition there.  psi must be supported away from the
-    origin; the quadrature truncates at e^t = half the support radius,
-    which ``support_min_radius`` passes in when the caller already has it.
+    origin; the quadrature truncates at e^t = half the support radius.  A
+    (k, 2) array of boundary points gives the k integrals, a chunk of rays
+    per interpolator call.
     """
-    z = np.asarray(z, dtype=float).reshape(2)
-    if abs(math.hypot(z[0], z[1]) - 1.0) > 1e-8:
+    z = np.asarray(z, dtype=float)
+    zs = z.reshape(-1, 2)
+    if np.any(np.abs(np.hypot(zs[:, 0], zs[:, 1]) - 1.0) > 1e-8):
         raise ValueError("ray integrals are anchored at boundary points |z| = 1")
     if psi.grid.spec.kind is not DomainKind.DISK:
         raise ValueError("ray integrals are defined on the disk configuration")
-    if support_min_radius is None:
-        support_min_radius = _support_min_radius(psi)
+    support_min_radius = _support_min_radius(psi)
     if support_min_radius == math.inf:
-        return 0.0
-    if support_min_radius <= 0.0:
+        integrals = np.zeros(len(zs))
+    elif support_min_radius <= 0.0:
         raise ValueError("psi support touches the origin; ray integral diverges")
-    t_min = math.log(support_min_radius / 2.0)
-    ts = np.linspace(t_min, 0.0, N_RAY_SAMPLES)
-    pts = np.exp(ts)[:, None] * z[None, :]
-    return float(simpson(psi.grid.interpolator(psi.values)(pts), x=ts))
+    else:
+        t_min = math.log(support_min_radius / 2.0)
+        pts = np.exp(np.linspace(t_min, 0.0, N_RAY_SAMPLES))[None, :, None] * zs[:, None, :]
+        interp, step = psi.grid.interpolator(psi.values), _CHUNK_SAMPLES // N_RAY_SAMPLES
+        vals = np.concatenate([interp(pts[lo:lo + step].reshape(-1, 2))
+                               for lo in range(0, len(zs), step)])
+        integrals = _simpson(vals.reshape(len(zs), -1), -t_min / (N_RAY_SAMPLES - 1))
+    return float(integrals[0]) if z.ndim == 1 else integrals
 
 
 @dataclass
@@ -225,7 +372,9 @@ class RangeVerdict:
     (approximately) zero; on the disk all ray integrals must share a common
     constant, and any single vanishing ray forces that constant to zero.
     ``ode_steps`` sums the accepted Runge-Kutta steps of the traced curves
-    (0 on the disk, whose rays are integrated without tracing).
+    (0 on the disk, whose rays are integrated without tracing);
+    ``trace_error`` is the step-halving certificate of the square's
+    integrals (None on the disk).
     """
 
     psi: ScalarField
@@ -239,6 +388,7 @@ class RangeVerdict:
     offset: float | None = None
     n_unclassified: int = 0
     ode_steps: int = 0
+    trace_error: float | None = None
     curves: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -257,11 +407,14 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     """Classify psi by curve integrals of the base flow.
 
     Square-type domains: seeds fill the interior on a lattice; each seed
-    generates a full crossing curve (backward plus forward trace) whose
-    integral must vanish up to ``VERDICT_MARGIN`` times the noise floor.
-    Disk: integrals along ``N_DISK_RAYS`` boundary rays must agree; a
-    vanishing ray alongside non-vanishing ones yields an incompatible
-    verdict with the witness flag.
+    generates a full crossing curve (backward plus forward trace, all in one
+    ``_trace`` batch) whose integral must vanish up to ``VERDICT_MARGIN``
+    times the noise floor.  The integrals are certified by step halving: the
+    largest change under re-tracing with every step split in two, or under
+    Simpson's rule on every other sample, is ``trace_error``, and a value
+    above ``integral_tol`` raises ``RuntimeError``.  Disk: integrals along
+    ``N_DISK_RAYS`` boundary rays must agree; a vanishing ray alongside
+    non-vanishing ones yields an incompatible verdict with the witness flag.
     """
     grid = ctx.grid
     peak = float(np.abs(psi.values).max())
@@ -271,9 +424,7 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     if grid.spec.kind is DomainKind.DISK:
         angles = np.linspace(0.0, 2.0 * math.pi, N_DISK_RAYS, endpoint=False)
         seeds = np.column_stack([np.cos(angles), np.sin(angles)])
-        radius = _support_min_radius(psi)
-        integrals = np.array([ray_integral_disk(psi, z, support_min_radius=radius)
-                              for z in seeds])
+        integrals = ray_integral_disk(psi, seeds)
         offset = float(np.median(integrals))
         spread = float(np.max(np.abs(integrals - offset)))
         max_abs = float(np.max(np.abs(integrals)))
@@ -290,66 +441,59 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
                             zero_ray_witness=witness, offset=offset)
 
     seeds = _square_seed_lattice(grid)
-    integrals = np.empty(len(seeds))
-    curves = []
-    unclassified = ode_steps = 0
-    for i, seed in enumerate(seeds):
-        back = trace_curve(ctx, seed, "backward", strict=False)
-        fwd = trace_curve(ctx, seed, "forward", strict=False)
-        ode_steps += back.n_steps + fwd.n_steps
-        if back.termination != "boundary_exit" or fwd.termination != "boundary_exit":
-            unclassified += 1
-            integrals[i] = math.nan
-            continue
-        integrals[i] = line_integral(psi, back) + line_integral(psi, fwd)
-        curves.append((back, fwd))
-    if unclassified > 0.05 * len(seeds):
+    n = len(seeds)
+    lanes = _trace(ctx, np.vstack([seeds, seeds]), np.repeat([-1.0, 1.0], n))
+    exited = lanes.termination == 0
+    classified = np.flatnonzero(exited[:n] & exited[n:])
+    unclassified = n - classified.size
+    if unclassified > 0.05 * n:
         raise RuntimeError(
-            f"{unclassified}/{len(seeds)} curves not classified; "
+            f"{unclassified}/{n} curves not classified; "
             "flow may be trapping or near-critical")
-    finite = integrals[np.isfinite(integrals)]
-    max_abs = float(np.max(np.abs(finite)))
+    ids = np.concatenate([classified, n + classified])
+    points = []
+    full, coarse = _lane_integrals(grid, psi.values, lanes, ids, points)
+    halved = _trace(ctx, lanes.starts[ids], lanes.signs[ids], schedule=lanes.halved(ids))
+    fine, _ = _lane_integrals(grid, psi.values, halved, np.arange(ids.size))
+    fine[halved.termination != 0] = math.inf
+    m = classified.size
+    crossing = full[:m] + full[m:]
+    trace_error = float(max(np.max(np.abs(fine[:m] + fine[m:] - crossing)),
+                            np.max(np.abs(coarse[:m] + coarse[m:] - crossing))))
+    if not trace_error <= integral_tol:
+        raise RuntimeError(
+            f"curve integrals not certified: step-halving change {trace_error:.2e} "
+            f"exceeds integral_tol {integral_tol:.2e}")
+    integrals = np.full(n, math.nan)
+    integrals[classified] = crossing
+    max_abs = float(np.max(np.abs(crossing)))
     verdict = "compatible_within_tol" if max_abs <= threshold else "incompatible"
-    return RangeVerdict(psi=psi, seeds=seeds, integrals=integrals,
-                        max_abs_integral=max_abs, integral_tol=integral_tol,
-                        threshold=threshold, verdict=verdict,
-                        n_unclassified=unclassified, ode_steps=ode_steps,
-                        curves=curves)
+    return RangeVerdict(psi=psi, seeds=seeds, integrals=integrals, max_abs_integral=max_abs,
+                        integral_tol=integral_tol, threshold=threshold, verdict=verdict,
+                        n_unclassified=unclassified, ode_steps=int(lanes.n_steps.sum()),
+                        trace_error=trace_error,
+                        curves=[(lanes.curve(i, points[j]), lanes.curve(n + i, points[m + j]))
+                                for j, i in enumerate(classified)])
 
 
 def _sweep_from_nodes(ctx: ScoreContext, nodes: np.ndarray,
-                      integrand_values: np.ndarray,
-                      sign: float, nudge: bool = False):
-    """Integrate the flow ODE augmented with d(acc)/dt = integrand from each
-    node until boundary exit; returns accumulated integrals and exit points.
-
-    ``integrand_values`` are nodal values, evaluated jointly with the flow
-    (see :func:`_flow_events`).  ``sign`` selects forward (+1) or backward
-    (-1) traces; the accumulator always represents the integral with respect
-    to increasing curve parameter over the traversed segment.
-    """
-    rhs, hit_boundary, hit_critical = _flow_events(ctx, sign, integrand_values)
-    acc = np.empty(len(nodes))
-    exits = np.empty((len(nodes), 2))
-    for i, (x0, y0) in enumerate(nodes):
-        z0 = np.array([x0, y0, 0.0])
-        if nudge:
-            g = rhs(0.0, z0)
-            step = 1e-9 / max(np.linalg.norm(g[:2]), 1e-12)
-            z0 = np.array([x0 + step * g[0], y0 + step * g[1], 0.0])
-        sol = solve_ivp(rhs, (0.0, TIME_LIMIT), z0, method="RK45",
-                        rtol=ODE_TOL, atol=1e-12,
-                        events=[hit_boundary, hit_critical])
-        if sol.t_events[1].size:
-            raise RuntimeError(
-                "critical point encountered; transport solve needs the "
-                "non-trapping configuration")
-        if not sol.t_events[0].size:
-            raise RuntimeError(
-                f"curve from ({x0}, {y0}) did not reach the boundary")
-        acc[i] = sol.y_events[0][0][2]
-        exits[i] = sol.y_events[0][0][:2]
-    return acc, exits
+                      integrand_values: np.ndarray, sign: float):
+    """Trace the flow from every node in one ``_trace`` batch until boundary
+    exit; returns the integrals of the nodal integrand along the traces (with
+    respect to increasing curve parameter, forward or backward) and the exit
+    points.  A trace from a boundary node into the domain leaves its node
+    without an exit event, which needs the boundary distance to fall."""
+    lanes = _trace(ctx, nodes, np.full(len(nodes), float(sign)))
+    if np.any(lanes.termination == 1):
+        raise RuntimeError(
+            "critical point encountered; transport solve needs the "
+            "non-trapping configuration")
+    stopped = np.flatnonzero(lanes.termination != 0)
+    if stopped.size:
+        x0, y0 = nodes[stopped[0]]
+        raise RuntimeError(f"curve from ({x0}, {y0}) did not reach the boundary")
+    acc, _ = _lane_integrals(ctx.grid, integrand_values, lanes, np.arange(len(nodes)))
+    return acc, lanes.ends
 
 
 def _square_only(ctx: ScoreContext, what: str) -> None:
@@ -400,8 +544,8 @@ def solve_transport(ctx: ScoreContext, psi: ScalarField) -> tuple[ScalarField, f
                 f"refinement change {change:.1e}); no unique transport solution")
         y = -y / w
     inflow = _inflow_boundary_nodes(ctx)
-    in_nodes = np.column_stack([grid.x[inflow], grid.y[inflow]])
-    crossings, _ = _sweep_from_nodes(ctx, in_nodes, psi.values, sign=1.0, nudge=True)
+    crossings, _ = _sweep_from_nodes(ctx, np.column_stack([grid.x[inflow], grid.y[inflow]]),
+                                     psi.values, sign=1.0)
     mismatch = float(np.max(np.abs(crossings))) if len(crossings) else 0.0
     return grid.interior_field(y), mismatch
 
@@ -419,16 +563,18 @@ def kernel_element(ctx: ScoreContext, first_integral,
     """
     _square_only(ctx, "kernel_element")
     grid = ctx.grid
-    lap = grid.reshape(grid.laplacian_values(ctx.u.values)).copy()
-    lap[0, :] = lap[1, :]
-    lap[-1, :] = lap[-2, :]
-    lap[:, 0] = lap[:, 1]
-    lap[:, -1] = lap[:, -2]
-    lap = lap.reshape(-1)
-    nodes = np.column_stack([grid.x[grid.interior_ids], grid.y[grid.interior_ids]])
-    r_vals, entries = _sweep_from_nodes(ctx, nodes, lap, sign=-1.0)
-    f_nodes = np.asarray(first_integral(nodes[:, 0], nodes[:, 1]), dtype=float)
-    f_entry = np.asarray(first_integral(entries[:, 0], entries[:, 1]), dtype=float)
+    lap = grid.reshape(grid.laplacian_values(ctx.u.values))
+    lap = np.pad(lap[1:-1, 1:-1], 1, mode="edge").reshape(-1)  # edge rows copy their neighbours
+    # interior and strictly outflow boundary nodes; every other boundary
+    # node is the entry point of its curve and carries r = 0
+    outflow = grid.boundary_ids[np.nanmin(_edge_fluxes(ctx), axis=0) > 0]
+    ids = np.concatenate([grid.interior_ids, outflow])
+    n_in = grid.n_interior
+    r_vals, entries = _sweep_from_nodes(ctx, np.column_stack([grid.x[ids], grid.y[ids]]),
+                                        lap, sign=-1.0)
+    f_all = np.asarray(first_integral(grid.x, grid.y), dtype=float)
+    f_nodes = f_all[grid.interior_ids]
+    f_entry = np.asarray(first_integral(entries[:n_in, 0], entries[:n_in, 1]), dtype=float)
     scale = float(np.abs(f_nodes).max())
     if scale == 0.0:
         raise ValueError("first integral vanishes identically")
@@ -437,20 +583,6 @@ def kernel_element(ctx: ScoreContext, first_integral,
         raise ValueError(
             f"first integral drifts by {drift:.3e} along curves; "
             "not constant on the flow")
-    vals = np.empty(grid.n_nodes)
-    vals[grid.interior_ids] = np.exp(-r_vals) * f_nodes
-    # Boundary nodes: entry points of their curves carry r = 0; strictly
-    # outflow nodes carry the full crossing integral, traced with an inward
-    # nudge so the exit event does not fire at the start.
-    bids = grid.boundary_ids
-    bx, by = grid.x[bids], grid.y[bids]
-    outflow = np.nanmin(_edge_fluxes(ctx), axis=0) > 0
-    r_bound = np.zeros(len(bids))
-    if outflow.any():
-        r_out, _ = _sweep_from_nodes(
-            ctx, np.column_stack([bx[outflow], by[outflow]]), lap,
-            sign=-1.0, nudge=True)
-        r_bound[outflow] = r_out
-    f_bound = np.asarray(first_integral(bx, by), dtype=float)
-    vals[bids] = np.exp(-r_bound) * f_bound
-    return ScalarField(grid, vals)
+    r = np.zeros(grid.n_nodes)
+    r[ids] = r_vals
+    return ScalarField(grid, np.exp(-r) * f_all)

