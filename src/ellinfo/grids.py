@@ -244,19 +244,20 @@ class Grid:
         raise NotImplementedError
 
 
-def _locate(coord: np.ndarray, nodes: np.ndarray, h: float):
+def _locate(coord: np.ndarray, nodes: np.ndarray, widths: np.ndarray, h: float):
     """Cell index and offset in cells on an axis of uniformly spaced nodes.
 
+    Cell c spans ``nodes[c]`` plus ``widths[c]`` (``np.diff`` of the axis),
+    both gathered by ``take``, several times faster than fancy indexing.
     The cell is found arithmetically and clipped to the first and last
     cells, so the offset leaves [0, 1] for points past an edge and the
     weights extrapolate linearly.  The offset is measured from the stored
     node coordinates, as ``RegularGridInterpolator`` measures it.
     """
     s = (coord - nodes[0]) / h
-    cell = np.clip(np.floor(s, out=s), 0, nodes.size - 2, out=s).astype(np.int32)
-    lo = nodes[cell]
-    offset = np.subtract(coord, lo, out=s)
-    offset /= nodes[cell + 1] - lo
+    cell = np.clip(np.floor(s, out=s), 0, widths.size - 1, out=s).astype(np.int32)
+    offset = np.subtract(coord, nodes.take(cell), out=s)
+    offset /= widths.take(cell)
     return cell, offset
 
 
@@ -297,6 +298,7 @@ class SquareGrid(Grid):
         self.ys = np.linspace(1.0, 2.0, ny)
         self.hx = 1.0 / (nx - 1)
         self.hy = 1.0 / (ny - 1)
+        self._x_widths, self._y_widths = np.diff(self.xs), np.diff(self.ys)
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
         self.x = X.reshape(-1)
         self.y = Y.reshape(-1)
@@ -366,8 +368,8 @@ class SquareGrid(Grid):
     def sample_matrix(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         ny = self.shape[1]
-        i, tx = _locate(pts[:, 0], self.xs, self.hx)
-        j, ty = _locate(pts[:, 1], self.ys, self.hy)
+        i, tx = _locate(pts[:, 0], self.xs, self._x_widths, self.hx)
+        j, ty = _locate(pts[:, 1], self.ys, self._y_widths, self.hy)
         idx, data = _bilinear_entries(i * ny, ny, tx, j, j + 1, ty)
         return _four_point_csr(idx, data, self.n_nodes)
 
@@ -389,6 +391,9 @@ class DiskGrid(Grid):
         self.dt = 2.0 * math.pi / n_t
         self.rs = (np.arange(n_r) + 0.5) * self.dr
         self.ts = np.arange(n_t) * self.dt
+        # n_t angular cells; the last one closes the seam at 2 pi onto column 0
+        self._r_widths = np.diff(self.rs)
+        self._t_widths = np.diff(np.append(self.ts, 2.0 * math.pi))
         R, T = np.meshgrid(self.rs, self.ts, indexing="ij")
         self.r = R.reshape(-1)
         self.t = T.reshape(-1)
@@ -474,10 +479,9 @@ class DiskGrid(Grid):
         n_t = self.shape[1]
         r = np.hypot(pts[:, 0], pts[:, 1])
         t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        # n_t angular cells; the last one closes the seam at 2 pi onto column 0
-        j, s = _locate(t, np.append(self.ts, 2.0 * math.pi), self.dt)
+        j, s = _locate(t, self.ts, self._t_widths, self.dt)
         j1 = np.where(j == n_t - 1, 0, j + 1).astype(np.int32)
-        k, a = _locate(r, self.rs, self.dr)
+        k, a = _locate(r, self.rs, self._r_widths, self.dr)
         idx, data = _bilinear_entries(k * n_t, n_t, a, j, j1, s)
         in_origin = r < self.rs[0]
         origin = np.flatnonzero(in_origin)

@@ -5,12 +5,14 @@ area; the disk uses polar inversion), and every experiment is driven by
 spawned child seeds so reports are bitwise reproducible.  Each draw builds
 the sparse observation operator P(X) of its design once
 (``Grid.sample_matrix``), and every nodal field the experiment needs at the
-design points is a column of one product ``P(X) @ F``: the responses are
-``P(X) @ u + eps`` and the plug-in design matrix is ``P(X) @ images``.  The
-three studies check the mean-zero/variance structure of the linearized
-score, the likelihood-ratio expansion against its predicted Gaussian limit,
-and the growth of the normalized risk of a spectral-cutoff plug-in
-estimator of a linear functional of the conductivity.
+design points is a column of one product ``P(X) @ F``.  The likelihood
+ratio evaluates one column, d = u_theta - u_{theta + h/sqrt(n)}; the plug-in
+fit adds the noise to column 0 (the bias) of Z = P(X) @ [bias, images], so
+that Z^T Z holds its normal equations, which Cholesky solves.  The three
+studies check the mean-zero/variance structure of the linearized score,
+the likelihood-ratio expansion against its predicted Gaussian limit, and
+the growth of the normalized risk of a spectral-cutoff plug-in estimator
+of a linear functional of the conductivity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ellinfo.elliptic import Conductivity
 from ellinfo.grids import DomainKind, ScalarField, inner_l2
@@ -94,22 +97,13 @@ def sample_data(ctx: ScoreContext, n: int, seed: int = 0,
     return SampleSet(X=x, Y=u_x + eps, epsilon=eps, seed=seed)
 
 
-def _score_values(ctx: ScoreContext, image: ScalarField,
-                  samples: SampleSet) -> np.ndarray:
-    P = ctx.grid.sample_matrix(samples.X)
-    u_x, image_x = (P @ np.column_stack([ctx.u.values, image.values])).T
-    return (samples.Y - u_x) * image_x
-
-
 def score_eval(ctx: ScoreContext, h: ScalarField, sample):
     """Linearized score (Y - u_theta(X)) * (I h)(X) for one sample or a set."""
-    image = ctx.apply_linearization(h)
-    if isinstance(sample, Sample):
-        samples = SampleSet(X=np.asarray(sample.X, dtype=float).reshape(1, 2),
-                            Y=np.array([sample.Y]),
-                            epsilon=np.array([sample.epsilon]), seed=-1)
-        return float(_score_values(ctx, image, samples)[0])
-    return _score_values(ctx, image, sample)
+    P = ctx.grid.sample_matrix(np.reshape(np.asarray(sample.X, dtype=float), (-1, 2)))
+    u_x, image_x = (P @ np.column_stack([ctx.u.values,
+                                         ctx.apply_linearization(h).values])).T
+    scores = (np.asarray(sample.Y) - u_x) * image_x
+    return float(scores[0]) if isinstance(sample, Sample) else scores
 
 
 @dataclass
@@ -167,27 +161,24 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
 
     Each replicate draws n observations under the base conductivity and
     evaluates the exact Gaussian log-likelihood ratio against theta +
-    h/sqrt(n) (one extra solve, shared across replicates).  References are
+    h/sqrt(n) (one extra solve, shared across replicates) as -eps.d(X) -
+    ||d(X)||^2/2, which cancels no O(1) terms (nodal d is exact).  References are
     the predicted Gaussian limit: mean -||I h||^2/2, variance ||I h||^2;
     a Kolmogorov-Smirnov distance against that Gaussian is attached.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
     grid = ctx.grid
-    scaled = ScalarField(grid, h.values / math.sqrt(n))
     theta2 = Conductivity.from_perturbation(
-        grid, ScalarField(grid, ctx.theta.field.values - 1.0 + scaled.values),
+        grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
         eta=None)
-    fields = np.column_stack([ctx.u.values, ctx.forward_map(theta2).values])
+    d = ctx.u.values - ctx.forward_map(theta2).values
     image = ctx.apply_linearization(h)
     norm_sq = inner_l2(image, image)
     llrs = np.empty(replicates)
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    for r, child in enumerate(children):
-        _, at_x, eps = _draw(grid, np.random.default_rng(child), n, fields)
-        u_x, u2_x = at_x.T
-        r1 = (u_x + eps) - u2_x
-        llrs[r] = 0.5 * float(np.sum(eps * eps - r1 * r1))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
+        _, d_x, eps = _draw(grid, np.random.default_rng(child), n, d)
+        llrs[r] = -float(d_x @ (eps + 0.5 * d_x))
     mean = float(llrs.mean())
     var = float(llrs.var(ddof=1)) if replicates > 1 else 0.0
     se = (math.sqrt(var / replicates) if replicates > 1 else math.inf)
@@ -242,9 +233,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     """Empirical N*MSE of a spectral-cutoff plug-in for the functional <psi, theta>.
 
     The estimator regresses residuals Y - u_theta(X) on the interpolated
-    images (I e_k)(X) of the top-K information eigenvectors and plugs the
-    fitted coefficients into the functional; K follows the cutoff rule
-    (default ceil(N^{1/3})).  For in-range functionals the normalized risk
+    images (I e_k)(X) of the top-K information eigenvectors by Cholesky and
+    plugs the fitted coefficients into the functional; K <= N follows the
+    cutoff rule (default ceil(N^{1/3})).  For in-range functionals the normalized risk
     tracks the bounded partial sums M_K; for out-of-range bumps it inherits
     their divergence.  ``estimator_config`` keys: ``cutoff`` (callable n ->
     K), ``noiseless`` (sanity mode), ``theta_truth`` (generate data from a
@@ -258,6 +249,8 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     theta_truth = config.get("theta_truth")
     n_list = tuple(int(n) for n in n_list)
     k_values = tuple(min(cutoff(n), ctx.grid.n_interior) for n in n_list)
+    if any(n < k for n, k in zip(n_list, k_values)):
+        raise ValueError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")
     k_max = max(k_values)
     decomp = eigendecompose(ctx, n_modes=None, mode="dense")
     keep = np.flatnonzero(~decomp.kernel_mask)[:k_max]
@@ -279,13 +272,14 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     root = np.random.SeedSequence(seed)
     n_mse = np.empty(len(n_list))
     for j, (n, k) in enumerate(zip(n_list, k_values)):
-        children = root.spawn(replicates)
         errors = np.empty(replicates)
         fields_k = np.ascontiguousarray(fields[:, :k + 1])
-        for r, child in enumerate(children):
-            _, at_x, eps = _draw(grid, np.random.default_rng(child), n, fields_k,
-                                 noiseless)
-            beta, *_ = np.linalg.lstsq(at_x[:, 1:], at_x[:, 0] + eps, rcond=None)
+        for r, child in enumerate(root.spawn(replicates)):
+            _, z, eps = _draw(grid, np.random.default_rng(child), n, fields_k,
+                              noiseless)
+            z[:, 0] += eps
+            gram = z.T @ z
+            beta = cho_solve(cho_factor(gram[1:, 1:]), gram[1:, 0])
             errors[r] = float(beta @ coeffs[:k]) - truth_offset
         n_mse[j] = n * float(np.mean(errors ** 2))
     ratio = float(n_mse[-1] / n_mse[0]) if n_mse[0] > 0 else math.inf

@@ -338,8 +338,9 @@ def ray_integral_disk(psi: ScalarField, z):
 
     The parametrization follows the radial flow of the disk configuration,
     so equality of these integrals across boundary points is the transport
-    compatibility condition there.  psi must be supported away from the
-    origin; the quadrature truncates at e^t = half the support radius.  A
+    compatibility condition there.  psi must vanish within a mesh cell of the
+    origin (else a ``RuntimeError``: a limit of the grid, as for a coarse
+    I*(w)); the quadrature truncates at e^t = half the support radius.  A
     (k, 2) array of boundary points gives the k integrals, a chunk of rays
     per interpolator call.
     """
@@ -353,7 +354,8 @@ def ray_integral_disk(psi: ScalarField, z):
     if support_min_radius == math.inf:
         integrals = np.zeros(len(zs))
     elif support_min_radius <= 0.0:
-        raise ValueError("psi support touches the origin; ray integral diverges")
+        raise RuntimeError(f"psi is nonzero within one mesh cell ({psi.grid.h_mesh:.3g}) of "
+                           "the origin on this grid; the ray integrals cannot be truncated")
     else:
         t_min = math.log(support_min_radius / 2.0)
         pts = np.exp(np.linspace(t_min, 0.0, N_RAY_SAMPLES))[None, :, None] * zs[:, None, :]

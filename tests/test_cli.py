@@ -143,6 +143,18 @@ class TestRuntimeErrors:
         assert "not certified" in record["message"]
         assert not (out / "transport").exists()
 
+    def test_in_range_psi_reaching_the_origin_cell(self, tmp_path, capsys):
+        """At disk 20^2 the in-range psi = I*(w) is nonzero on the innermost
+        ring, so the ray integrals cannot be truncated: a limit of the grid,
+        not a config mistake."""
+        rc, out = run(["transport", "--fixture", "disk_ex2", "--psi", "in_range",
+                       "--resolution", "20"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "origin on this grid" in record["message"]
+        assert not (out / "transport").exists()
+
 
 class TestFisherCommand:
     """The refinement sweep runs on the sparse transport solve alone."""

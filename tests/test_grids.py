@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
+from ellinfo import grids
 from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, ScalarField,
                            build_grid, inner_l2, laplacian, make_bump,
                            norm_l2, random_smooth_field, sobolev_norm)
@@ -238,6 +239,18 @@ def special_points(g):
         + [[1.05, 0.2], [-0.3, -1.02]])
 
 
+def two_gather_locate(coord, nodes, h):
+    """Reference point location that gathers both end points of each cell by
+    fancy indexing; ``nodes`` ends at the last cell's far end (2 pi on the
+    disk's periodic axis)."""
+    s = (coord - nodes[0]) / h
+    cell = np.clip(np.floor(s, out=s), 0, nodes.size - 2, out=s).astype(np.int32)
+    lo = nodes[cell]
+    offset = np.subtract(coord, lo, out=s)
+    offset /= nodes[cell + 1] - lo
+    return cell, offset
+
+
 class TestInterpolation:
     """Bilinear interpolators and the sparse observation operator on both
     grids, scalar and stacked."""
@@ -295,6 +308,26 @@ class TestInterpolation:
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
         np.testing.assert_array_equal(g.interpolator(F)(pts), got)
+
+    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    def test_sample_matrix_bit_identical_to_two_gather_location(self, g, monkeypatch):
+        """Cell widths precomputed per grid and gathered with ``take`` give
+        the same P(X), bit for bit, as gathering both cell ends per call."""
+        rng = np.random.default_rng(7)
+        pts = np.vstack([special_points(g), rng.uniform(-1.2, 2.2, (3000, 2))])
+        if g.spec.kind is DomainKind.SQUARE:
+            pts = np.vstack([pts, 1.0 + rng.random((3000, 2))])
+        P = g.sample_matrix(pts)
+
+        def reference(coord, nodes, widths, h):
+            if widths.size == nodes.size:  # periodic axis: a seam cell to 2 pi
+                nodes = np.append(nodes, 2.0 * math.pi)
+            return two_gather_locate(coord, nodes, h)
+
+        monkeypatch.setattr(grids, "_locate", reference)
+        ref = g.sample_matrix(pts)
+        for attr in ("indices", "data", "indptr"):
+            np.testing.assert_array_equal(getattr(P, attr), getattr(ref, attr))
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_sample_matrix_rows(self, g):

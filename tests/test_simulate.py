@@ -1,11 +1,13 @@
 """Monte Carlo studies: sampling, scores, likelihood-ratio asymptotics, and
 plug-in risk across sample sizes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from ellinfo import spectral
 from ellinfo.elliptic import Conductivity
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
@@ -183,6 +185,29 @@ class TestRiskStudy:
             estimator_config={"cutoff": lambda n: math.ceil(3 * n ** (1 / 3))})
         assert table.ratio_last_first >= 2.0
 
+    def test_sample_size_below_cutoff_rejected(self, ctx_cache):
+        """N < K leaves the plug-in regression underdetermined; the study
+        refuses it before any draw."""
+        ctx = ctx_cache("square_ex1", 17)
+        with pytest.raises(ValueError, match="below their cutoffs"):
+            plugin_risk_study(ctx, in_range_fixture(ctx).psi, (400, 10),
+                              replicates=2, estimator_config={"cutoff": lambda n: 12})
+
+    def test_singular_gram_matrix_raises(self, ctx_cache, monkeypatch):
+        """Vanishing mode images make the Gram matrix singular: the Cholesky
+        factorisation fails loudly instead of returning a fit."""
+        ctx = ctx_cache("square_ex1", 17)
+        decompose = spectral.eigendecompose
+
+        def zero_modes(*args, **kwargs):
+            decomp = decompose(*args, **kwargs)
+            return dataclasses.replace(decomp, modes=np.zeros_like(decomp.modes))
+
+        monkeypatch.setattr(spectral, "eigendecompose", zero_modes)
+        with pytest.raises(np.linalg.LinAlgError):
+            plugin_risk_study(ctx, in_range_fixture(ctx).psi, (200,), replicates=2,
+                              estimator_config={"cutoff": lambda n: 4})
+
 
 # -- reference: the same experiments, evaluated pointwise by the interpolation oracle --
 
@@ -199,13 +224,19 @@ def reference_draw(grid, rng, n, noiseless=False):
     return x, eps
 
 
-def reference_lan(ctx, h, n, replicates, seed):
+def perturbed_solution(ctx, h, n):
+    """Nodal u at theta + h / sqrt(n)."""
     grid = ctx.grid
     theta2 = Conductivity.from_perturbation(
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
         eta=None)
+    return ctx.forward_map(theta2).values
+
+
+def reference_lan(ctx, h, n, replicates, seed):
+    grid = ctx.grid
     u = rgi_interpolator(grid, ctx.u.values)
-    u2 = rgi_interpolator(grid, ctx.forward_map(theta2).values)
+    u2 = rgi_interpolator(grid, perturbed_solution(ctx, h, n))
     llrs = []
     for child in np.random.SeedSequence(seed).spawn(replicates):
         x, eps = reference_draw(grid, np.random.default_rng(child), n)
@@ -270,6 +301,24 @@ class TestMatchesInterpolatorPath:
         h = direction(ctx.grid, 31, scale=2.0)
         rep = lan_mc(ctx, h, 2000, 40, seed=9)
         assert_relative_match(rep.statistics, reference_lan(ctx, h, 2000, 40, 9))
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 28)])
+    def test_lan_statistics_match_extended_precision(self, ctx_cache, name, res):
+        """At the default bump and n the ratios are about 1e-3 while the
+        squared residuals are O(1): each statistic matches a long-double
+        evaluation of sum(eps^2 - (eps + d(X))^2) / 2 on the same draw, with
+        d = u_theta - u_{theta + h/sqrt(n)}, to 1e-12 of its own size."""
+        ctx = ctx_cache(name, res)
+        h, n, seed = psi_fixture(ctx, "bump"), 10_000, 0
+        rep = lan_mc(ctx, h, n, 10, seed=seed)
+        d = rgi_interpolator(ctx.grid, ctx.u.values - perturbed_solution(ctx, h, n))
+        exact = []
+        for child in np.random.SeedSequence(seed).spawn(10):
+            x, eps = reference_draw(ctx.grid, np.random.default_rng(child), n)
+            eps, d_x = eps.astype(np.longdouble), d(x).astype(np.longdouble)
+            exact.append(0.5 * np.sum(eps * eps - (eps + d_x) ** 2))
+        exact = np.array(exact)
+        assert np.all(np.abs(rep.statistics - exact) <= 1e-12 * np.abs(exact))
 
     def test_info_identity_statistics(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 17)

@@ -274,7 +274,7 @@ class TestDiskRays:
         ctx = ctx_cache("disk_ex2", 33)
         r = np.hypot(ctx.grid.x, ctx.grid.y)
         psi = ScalarField(ctx.grid, np.exp(-8.0 * r**2))
-        with pytest.raises(ValueError, match="origin"):
+        with pytest.raises(RuntimeError, match="origin"):
             ray_integral_disk(psi, (1.0, 0.0))
 
 
