@@ -13,10 +13,10 @@ reproduce-thm37   degeneracy showcase: divergent inverse Fisher + quotient ladde
 reproduce-thm38   transport showcase: crossing/ray obstructions on both domains
 
 All experiment logic lives in the library; this module only parses
-configuration, composes library calls, and serializes results.  Reruns with
-identical configuration are byte-identical except for the manifest
-timestamp.  Exit codes: 0 success, 2 configuration error, 1 runtime failure
-(both failure modes emit a JSON error record on stderr before exiting).
+configuration, composes library calls, and serializes results.  Identical
+reruns differ only in the manifest's timestamp and stage times.  Exit codes:
+0 success, 2 configuration error, 1 runtime failure (both failure modes emit
+a JSON error record on stderr before exiting).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -73,22 +73,6 @@ class ExperimentConfig:
     replicates: int = 2000
     n_modes: int | None = None
     out: Path = Path("ellinfo-out")
-
-    def as_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "fixture": self.fixture,
-            "resolutions": list(self.resolutions) if self.resolutions else None,
-            "psi": self.psi,
-            "psi_params": self.psi_params,
-            "theta_bump": list(self.theta_bump) if self.theta_bump else None,
-            "eta": self.eta,
-            "seed": self.seed,
-            "samples": self.samples,
-            "replicates": self.replicates,
-            "n_modes": self.n_modes,
-            "out": str(self.out),
-        }
 
 
 def _parse_resolutions(text: str) -> tuple:
@@ -160,11 +144,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 cfg.theta_bump = (center, float(sec["bump_radius"]),
                                   float(sec["bump_amplitude"]))
         if parser.has_section("simulate"):
-            sec = parser["simulate"]
-            if "samples" in sec:
-                cfg.samples = int(sec["samples"])
-            if "replicates" in sec:
-                cfg.replicates = int(sec["replicates"])
+            for name in ("samples", "replicates"):
+                if name in parser["simulate"]:
+                    setattr(cfg, name, int(parser["simulate"][name]))
         if parser.has_section("output") and "dir" in parser["output"]:
             cfg.out = Path(parser["output"]["dir"])
     if args.fixture:
@@ -173,14 +155,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         cfg.resolutions = _parse_resolutions(args.resolution)
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "psi", None):
-        cfg.psi = args.psi
-    if getattr(args, "samples", None):
-        cfg.samples = args.samples
-    if getattr(args, "replicates", None):
-        cfg.replicates = args.replicates
-    if getattr(args, "n_modes", None):
-        cfg.n_modes = args.n_modes
+    for name in ("psi", "samples", "replicates", "n_modes"):  # per-subcommand flags
+        if getattr(args, name, None):
+            setattr(cfg, name, getattr(args, name))
     if args.out:
         cfg.out = Path(args.out)
     _validate(cfg)
@@ -222,29 +199,34 @@ def _validate(cfg: ExperimentConfig) -> None:
 
 
 # --------------------------------------------------------------------------
-# subcommand implementations: each returns (summary, tables, curve_tables)
-# where tables maps filename -> (columns, rows, meta).
+# subcommand implementations: each returns (summary, tables, curve_tables,
+# stages): filename -> (names, columns, meta) with one sequence per column,
+# filename -> (curves, meta), and stage name -> wall seconds (manifest only).
 
 
 def _run_solve(cfg: ExperimentConfig):
     tables = {}
     per_res = {}
+    stages = {}
     for res in cfg.resolutions:
         grid = build_grid(fixture_domain(cfg.fixture, res))
         f, g = fixture_data(cfg.fixture, grid)
         theta = Conductivity.constant(grid)
         t0 = time.perf_counter()
-        u = DivergenceFormOperator(theta).solve(f, g)
-        runtime = time.perf_counter() - t0
+        op = DivergenceFormOperator(theta)
+        u = op.solve(f, g)
+        solver = op.last_stats
+        stages[f"solve_{res}"] = time.perf_counter() - t0
+        del op  # free the factorisation before the next grid is assembled
         err = float(np.max(np.abs(u.values - exact_solution(cfg.fixture, grid).values)))
-        per_res[str(res)] = {"max_error": err, "runtime_s": runtime,
-                             "n_nodes": grid.n_nodes}
+        per_res[str(res)] = {"max_error": err, "n_nodes": grid.n_nodes,
+                             "solver": solver}
         tables[f"solution_{res}.csv"] = (
-            ("x", "y", "u"), list(zip(grid.x, grid.y, u.values)),
+            ("x", "y", "u"), (grid.x, grid.y, u.values),
             {"fixture": cfg.fixture, "resolution": res})
     summary = {"fixture": cfg.fixture, "resolutions": list(cfg.resolutions),
                "theta": "constant 1", "results": per_res}
-    return summary, tables, {}
+    return summary, tables, {}, stages
 
 
 def _run_verify_operators(cfg: ExperimentConfig):
@@ -281,9 +263,9 @@ def _run_verify_operators(cfg: ExperimentConfig):
                       "n_trials": stab.n_trials},
     }
     tables = {"adjoint_defects.csv": (
-        ("pair", "defect"), list(enumerate(defects)),
+        ("pair", "defect"), (np.arange(defects.size), defects),
         {"fixture": cfg.fixture, "resolution": res, "seed": cfg.seed})}
-    return summary, tables, {}
+    return summary, tables, {}, {}
 
 
 def _run_spectrum(cfg: ExperimentConfig):
@@ -300,42 +282,42 @@ def _run_spectrum(cfg: ExperimentConfig):
     }
     tables = {"eigenvalues.csv": (
         ("k", "eigenvalue", "in_kernel"),
-        [(k, lam[k], bool(decomp.kernel_mask[k])) for k in range(lam.size)],
+        (np.arange(lam.size), lam, decomp.kernel_mask),
         {"fixture": cfg.fixture, "resolution": res})}
-    return summary, tables, {}
+    return summary, tables, {}, {}
 
 
-def _convergence_payload(sweep) -> dict:
-    return {"observed_order": sweep.order,
+def _sweep_payload(sweep) -> dict:
+    return {"resolutions": list(sweep.resolutions),
+            "i_inverse": [float(v) for v in sweep.values],
+            "growth": sweep.growth, "lower_bounds": list(sweep.lower_bounds),
+            "rel_errors": [r.rel_error for r in sweep.reports],
+            "observed_order": sweep.order,
             "richardson_limit": sweep.richardson_limit,
             "verdict": sweep.verdict, "verdict_reason": sweep.verdict_reason}
+
+
+def _sweep_table(sweep, meta: dict, kernel_fractions: bool) -> tuple:
+    """refinement.csv of a sweep, with or without its kernel fractions."""
+    names = ["resolution", "interior_dim", "i_inverse", "lower_bound", "method"]
+    columns = [sweep.resolutions, sweep.interior_dims, sweep.values,
+               np.asarray(sweep.lower_bounds, dtype=bool),
+               [r.method for r in sweep.reports]]
+    if kernel_fractions:
+        names.insert(4, "kernel_fraction")
+        columns.insert(4, [np.nan if f is None else f for f in sweep.kernel_fractions])
+    return names, columns, meta
 
 
 def _run_fisher(cfg: ExperimentConfig):
     sweep = fisher_refinement(cfg.fixture, cfg.psi, cfg.resolutions,
                               theta_bump=cfg.theta_bump,
                               psi_params=cfg.psi_params)
-    rows = []
-    for i, res in enumerate(sweep.resolutions):
-        frac = sweep.kernel_fractions[i]
-        rows.append((res, sweep.interior_dims[i], sweep.values[i],
-                     bool(sweep.lower_bounds[i]),
-                     float("nan") if frac is None else frac,
-                     sweep.reports[i].method))
-    summary = {
-        "fixture": cfg.fixture, "psi": cfg.psi,
-        "resolutions": list(sweep.resolutions),
-        "i_inverse": [float(v) for v in sweep.values],
-        "growth": sweep.growth, "variation": sweep.variation,
-        "lower_bounds": list(sweep.lower_bounds),
-        "rel_errors": [r.rel_error for r in sweep.reports],
-        **_convergence_payload(sweep),
-    }
-    tables = {"refinement.csv": (
-        ("resolution", "interior_dim", "i_inverse", "lower_bound",
-         "kernel_fraction", "method"), rows,
-        {"fixture": cfg.fixture, "psi": cfg.psi})}
-    return summary, tables, {}
+    summary = {"fixture": cfg.fixture, "psi": cfg.psi,
+               "variation": sweep.variation, **_sweep_payload(sweep)}
+    tables = {"refinement.csv": _sweep_table(
+        sweep, {"fixture": cfg.fixture, "psi": cfg.psi}, kernel_fractions=True)}
+    return summary, tables, {}, {}
 
 
 def _verdict_payload(v) -> dict:
@@ -348,23 +330,26 @@ def _verdict_payload(v) -> dict:
     }
 
 
+def _curve_tables(verdict, fixture: str, psi: str) -> dict:
+    """curves.csv: both halves of the first six traced crossing curves."""
+    if not verdict.curves:
+        return {}
+    export = [c for pair in verdict.curves[:6] for c in pair]
+    return {"curves.csv": (export, {"fixture": fixture, "psi": psi})}
+
+
 def _run_transport(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
     psi = psi_fixture(ctx, cfg.psi, **cfg.psi_params)
     verdict = range_verdict(ctx, psi)
-    rows = [(i, verdict.seeds[i, 0], verdict.seeds[i, 1], verdict.integrals[i])
-            for i in range(len(verdict.seeds))]
+    columns = _integral_columns(((cfg.psi, verdict),))[1:]
     summary = {"fixture": cfg.fixture, "resolution": res, "psi": cfg.psi,
                **_verdict_payload(verdict)}
     tables = {"curve_integrals.csv": (
-        ("curve", "seed_x", "seed_y", "integral"), rows,
+        ("curve", "seed_x", "seed_y", "integral"), columns,
         {"fixture": cfg.fixture, "resolution": res, "psi": cfg.psi})}
-    curves = {}
-    if verdict.curves:
-        export = [c for pair in verdict.curves[:6] for c in pair]
-        curves["curves.csv"] = (export, {"fixture": cfg.fixture, "psi": cfg.psi})
-    return summary, tables, curves
+    return summary, tables, _curve_tables(verdict, cfg.fixture, cfg.psi), {}
 
 
 def _run_simulate(cfg: ExperimentConfig):
@@ -383,11 +368,12 @@ def _run_simulate(cfg: ExperimentConfig):
         "flags": list(report.flags),
         **{k: v for k, v in report.extras.items()},
     }
-    rows = [(r, "llr", report.statistics[r]) for r in range(cfg.replicates)]
     tables = {"replicates.csv": (
-        ("replicate", "statistic", "value"), rows,
+        ("replicate", "statistic", "value"),
+        (np.arange(cfg.replicates), np.full(cfg.replicates, "llr"),
+         report.statistics[:cfg.replicates]),
         {"fixture": cfg.fixture, "resolution": res, "seed": cfg.seed})}
-    return summary, tables, {}
+    return summary, tables, {}, {}
 
 
 def _run_thm37(cfg: ExperimentConfig):
@@ -404,24 +390,9 @@ def _run_thm37(cfg: ExperimentConfig):
     half_idx = int(np.argmin(np.abs(prof.orders - prof.orders[-1] / 2)))
     eligible = m >= 2.0
     max_product = float(prof.product[eligible].max()) if eligible.any() else float("nan")
-    refinement_rows = [
-        (res, sweep.interior_dims[i], sweep.values[i], bool(sweep.lower_bounds[i]),
-         sweep.reports[i].method)
-        for i, res in enumerate(sweep.resolutions)]
-    ladder_rows = [
-        (int(prof.orders[i]), m[i], prof.quotient[i], prof.product[i],
-         prof.mask_correction[i])
-        for i in range(len(prof.orders))]
     summary = {
         "experiment": "degenerate Fisher information for a non-negative bump",
-        "refinement": {
-            "resolutions": list(sweep.resolutions),
-            "i_inverse": [float(v) for v in sweep.values],
-            "growth": sweep.growth,
-            "lower_bounds": list(sweep.lower_bounds),
-            "rel_errors": [r.rel_error for r in sweep.reports],
-            **_convergence_payload(sweep),
-        },
+        "refinement": _sweep_payload(sweep),
         "ladder": {
             "resolution": ladder_res,
             "subspace": "collar_supported",
@@ -432,21 +403,25 @@ def _run_thm37(cfg: ExperimentConfig):
         },
     }
     tables = {
-        "refinement.csv": (
-            ("resolution", "interior_dim", "i_inverse", "lower_bound", "method"),
-            refinement_rows, {"fixture": "square_ex1", "psi": "bump"}),
+        "refinement.csv": _sweep_table(
+            sweep, {"fixture": "square_ex1", "psi": "bump"}, kernel_fractions=False),
         "ladder.csv": (
             ("order", "m_partial", "quotient", "product", "mask_correction"),
-            ladder_rows, {"fixture": "square_ex1", "resolution": ladder_res,
-                          "subspace": "collar_supported"}),
+            (prof.orders.astype(np.int64), m, prof.quotient, prof.product,
+             prof.mask_correction),
+            {"fixture": "square_ex1", "resolution": ladder_res,
+             "subspace": "collar_supported"}),
     }
-    return summary, tables, {}
+    return summary, tables, {}, {}
 
 
-def _integral_rows(verdicts) -> list:
-    """(psi kind, curve, seed x, seed y, integral) rows of (kind, verdict) pairs."""
-    return [(kind, i, v.seeds[i, 0], v.seeds[i, 1], v.integrals[i])
-            for kind, v in verdicts for i in range(len(v.seeds))]
+def _integral_columns(verdicts) -> tuple:
+    """(psi kind, curve, seed x, seed y, integral) columns of (kind, verdict) pairs."""
+    seeds = np.concatenate([v.seeds for _, v in verdicts])
+    sizes = [len(v.seeds) for _, v in verdicts]
+    return (np.repeat([kind for kind, _ in verdicts], sizes),
+            np.concatenate([np.arange(n) for n in sizes]), seeds[:, 0], seeds[:, 1],
+            np.concatenate([v.integrals for _, v in verdicts]))
 
 
 def _run_thm38(cfg: ExperimentConfig):
@@ -470,21 +445,17 @@ def _run_thm38(cfg: ExperimentConfig):
         "disk_quadrant_bump": _verdict_payload(v_dk_quad),
         "disk_in_range": _verdict_payload(v_dk_in),
     }
-    sq_rows = _integral_rows((("bump", v_sq_bump), ("in_range", v_sq_in)))
-    dk_rows = _integral_rows((("quadrant_bump", v_dk_quad), ("in_range", v_dk_in)))
+    sq_columns = _integral_columns((("bump", v_sq_bump), ("in_range", v_sq_in)))
+    dk_columns = _integral_columns((("quadrant_bump", v_dk_quad), ("in_range", v_dk_in)))
     tables = {
         "square_integrals.csv": (
-            ("psi", "curve", "seed_x", "seed_y", "integral"), sq_rows,
+            ("psi", "curve", "seed_x", "seed_y", "integral"), sq_columns,
             {"fixture": "square_ex1", "resolution": square_res}),
         "disk_rays.csv": (
-            ("psi", "ray", "z_x", "z_y", "integral"), dk_rows,
+            ("psi", "ray", "z_x", "z_y", "integral"), dk_columns,
             {"fixture": "disk_ex2", "resolution": disk_res}),
     }
-    curves = {}
-    if v_sq_bump.curves:
-        export = [c for pair in v_sq_bump.curves[:6] for c in pair]
-        curves["curves.csv"] = (export, {"fixture": "square_ex1", "psi": "bump"})
-    return summary, tables, curves
+    return summary, tables, _curve_tables(v_sq_bump, "square_ex1", "bump"), {}
 
 
 _RUNNERS = {
@@ -499,15 +470,18 @@ _RUNNERS = {
 }
 
 
-def _emit(cfg: ExperimentConfig, summary: dict, tables: dict, curves: dict) -> Path:
+def _emit(cfg: ExperimentConfig, summary: dict, tables: dict, curves: dict,
+          stages: dict) -> Path:
     out_dir = cfg.out / cfg.subcommand
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (columns, rows, meta) in sorted(tables.items()):
-        eio.write_table_csv(out_dir / name, columns, rows, meta=meta)
+    t0 = time.perf_counter()
+    for name, (names, columns, meta) in sorted(tables.items()):
+        eio.write_table_csv(out_dir / name, names, columns, meta=meta)
     for name, (curve_list, meta) in sorted(curves.items()):
         eio.write_curves_csv(out_dir / name, curve_list, meta=meta)
     eio.write_json(out_dir / "summary.json", summary)
-    eio.write_manifest(out_dir / "manifest.json", cfg.as_dict(), cfg.seed)
+    stages["write"] = time.perf_counter() - t0
+    eio.write_manifest(out_dir / "manifest.json", asdict(cfg), cfg.seed, stages)
     return out_dir
 
 
@@ -550,8 +524,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
     try:
-        summary, tables, curves = _RUNNERS[cfg.subcommand](cfg)
-        out_dir = _emit(cfg, summary, tables, curves)
+        t0 = time.perf_counter()
+        summary, tables, curves, stages = _RUNNERS[cfg.subcommand](cfg)
+        stages["run"] = time.perf_counter() - t0
+        out_dir = _emit(cfg, summary, tables, curves, stages)
     except ConfigError as exc:
         return _fail(2, "config", str(exc))
     except np.linalg.LinAlgError as exc:

@@ -10,7 +10,8 @@ and is self-adjoint for the weighted inner product by construction.
 
 Systems up to 200^2 unknowns are solved by sparse LU; beyond that a
 Jacobi-preconditioned conjugate gradient takes over (relative tolerance
-1e-10).  All grids used in the shipped experiments stay in the direct regime.
+1e-10), as in ``solve --resolution 257`` (255^2 unknowns) and on the disk at
+192.  ``last_stats`` holds the mode, iterations and residual of the last solve.
 """
 
 from __future__ import annotations

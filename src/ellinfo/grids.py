@@ -161,6 +161,8 @@ class Grid:
         self.interior_index = np.full(self.n_nodes, -1, dtype=int)
         self.interior_index[self.interior_ids] = np.arange(self.n_interior)
         self.weights_interior = self.quad_weights[self.interior_ids]
+        # kmax -> (SX, SY, einsum path) of random_smooth_field
+        self._sine_tables: dict[int, tuple] = {}
         for arr in (self.x, self.y, self.quad_weights, self.boundary_mask):
             arr.setflags(write=False)
 
@@ -612,23 +614,25 @@ def random_smooth_field(
 
     Coefficients are standard Gaussians damped by (k^2 + l^2)^(-decay/2), so
     realizations are smooth at the grid scale; with ``apply_collar`` the field
-    is zeroed on the boundary collar to mimic compact support.
+    is zeroed on the boundary collar to mimic compact support.  The sine
+    tables and the contraction path are built once per grid and ``kmax``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if grid.spec.kind is DomainKind.SQUARE:
-        X = grid.x - 1.0
-        Y = grid.y - 1.0
-    else:
-        X = (grid.x + 1.0) / 2.0
-        Y = (grid.y + 1.0) / 2.0
     ks = np.arange(1, kmax + 1)
     coef = rng.standard_normal((kmax, kmax))
     damp = (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-decay / 2.0)
     coef = coef * damp
-    SX = np.sin(np.pi * ks[:, None] * X[None, :])
-    SY = np.sin(np.pi * ks[:, None] * Y[None, :])
-    vals = np.einsum("kl,kn,ln->n", coef, SX, SY, optimize=True)
+    if kmax not in grid._sine_tables:
+        if grid.spec.kind is DomainKind.SQUARE:
+            X, Y = grid.x - 1.0, grid.y - 1.0
+        else:
+            X, Y = (grid.x + 1.0) / 2.0, (grid.y + 1.0) / 2.0
+        SX, SY = (np.sin(np.pi * ks[:, None] * Z[None, :]) for Z in (X, Y))
+        path, _ = np.einsum_path("kl,kn,ln->n", coef, SX, SY, optimize=True)
+        grid._sine_tables[kmax] = (SX, SY, path)
+    SX, SY, path = grid._sine_tables[kmax]
+    vals = np.einsum("kl,kn,ln->n", coef, SX, SY, optimize=path)
     if apply_collar:
         vals = vals.copy()
         vals[grid.collar_mask] = 0.0

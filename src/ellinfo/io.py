@@ -1,9 +1,10 @@
 """Deterministic artifact serialization: CSV tables, canonical JSON, manifests.
 
 Every writer here is byte-deterministic for a fixed input: floats are
-rendered with a fixed shortest-roundtrip format, JSON keys are sorted, and
-row order is whatever the caller constructed.  The one deliberately
-non-reproducible datum -- the creation timestamp -- lives only in the run
+rendered with ``%.17g``, which round-trips but is not the shortest form (0.1
+prints as ``0.10000000000000001``), JSON keys are sorted, and row order is
+whatever the caller constructed.  The deliberately non-reproducible data --
+the creation timestamp and the stage wall times -- live only in the run
 manifest, so identical reruns produce identical data artifacts.
 """
 
@@ -14,12 +15,17 @@ import json
 import platform
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-FLOAT_FORMAT = ".17g"
+#: Rows formatted per write: no table is ever held whole as Python objects.
+_BLOCK_ROWS = 4096
+
+#: printf spec by numpy dtype kind; bool columns are turned into text first.
+_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def _jsonable(obj):
@@ -59,49 +65,62 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode("utf-8")).hexdigest()
 
 
-def format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), FLOAT_FORMAT)
-    return str(v)
+def _typed_column(values) -> tuple[str, np.ndarray]:
+    """A column's printf spec and its cells as one array.  Object columns
+    raise, and so do sequences of mixed scalar kinds, which numpy would
+    quietly promote (``[True, 2]`` to integers, ``[1, "a"]`` to text)."""
+    arr = np.asarray(values)
+    if not isinstance(values, np.ndarray):
+        kinds = {np.dtype(t).kind for t in set(map(type, values))}
+        if kinds - {arr.dtype.kind}:
+            raise TypeError(f"column mixes scalar kinds {sorted(kinds)}")
+    if arr.dtype.kind == "b":
+        arr = np.where(arr, "true", "false")
+    if arr.dtype.kind not in _FORMATS:
+        raise TypeError(f"cannot write a column of dtype {arr.dtype}")
+    return _FORMATS[arr.dtype.kind], arr
 
 
-def write_table_csv(path, columns, rows, meta: dict | None = None) -> Path:
+def write_table_csv(path, names, columns, meta: dict | None = None) -> Path:
     """CSV with an optional single ``# {json}`` metadata header line.
 
-    ``rows`` is an iterable of sequences matching ``columns``; cells are
-    rendered with the shared deterministic float format.
+    ``columns`` holds one sequence per name, each formatted by its dtype:
+    float ``%.17g``, integer ``%d``, bool ``true``/``false``, str ``%s``.
     """
     path = Path(path)
-    lines = []
-    if meta is not None:
-        lines.append("# " + json.dumps(_jsonable(meta), sort_keys=True,
-                                       separators=(",", ":")))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    specs, arrays = zip(*map(_typed_column, columns))
+    n_rows = len(arrays[0])
+    if len(names) != len(arrays) or any(len(a) != n_rows for a in arrays):
+        raise ValueError(f"{len(names)} names for columns of lengths "
+                         f"{[len(a) for a in arrays]}")
+    row_format = ",".join(specs) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        if meta is not None:
+            fh.write("# " + json.dumps(_jsonable(meta), sort_keys=True,
+                                       separators=(",", ":")) + "\n")
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, n_rows, _BLOCK_ROWS):
+            rows = zip(*(a[lo:lo + _BLOCK_ROWS].tolist() for a in arrays))
+            fh.write(row_format * min(_BLOCK_ROWS, n_rows - lo)
+                     % tuple(chain.from_iterable(rows)))
     return path
 
 
 def write_curves_csv(path, curves, meta: dict | None = None) -> Path:
     """Polyline table for traced integral curves: curve_id, t, x, y."""
-    rows = []
-    for cid, curve in enumerate(curves):
-        for t, (x, y) in zip(curve.times, curve.points):
-            rows.append((cid, t, x, y))
-    return write_table_csv(path, ("curve_id", "t", "x", "y"), rows, meta=meta)
+    times = [np.asarray(c.times) for c in curves]
+    points = np.concatenate([np.empty((0, 2))] + [np.asarray(c.points) for c in curves])
+    columns = (np.repeat(np.arange(len(times)), [t.size for t in times]),
+               np.concatenate([np.empty(0)] + times), points[:, 0], points[:, 1])
+    return write_table_csv(path, ("curve_id", "t", "x", "y"), columns, meta=meta)
 
 
-def build_manifest(config: dict, seeds) -> dict:
-    """Provenance record: config hash, seeds, versions, and the only
-    timestamp any artifact carries."""
+def build_manifest(config: dict, seeds, stages: dict) -> dict:
+    """Provenance record: config hash, seeds, versions, the wall times of the
+    run's stages (seconds), and the only timestamp any artifact carries."""
     from ellinfo import __version__
 
-    manifest = {
+    return {
         "config_sha256": config_hash(config),
         "seeds": _jsonable(seeds),
         "versions": {
@@ -112,9 +131,9 @@ def build_manifest(config: dict, seeds) -> dict:
         },
         "platform": platform.platform(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "stages": stages,
     }
-    return manifest
 
 
-def write_manifest(path, config: dict, seeds) -> Path:
-    return write_json(path, build_manifest(config, seeds))
+def write_manifest(path, config: dict, seeds, stages: dict) -> Path:
+    return write_json(path, build_manifest(config, seeds, stages))

@@ -193,6 +193,23 @@ class TestFisherCommand:
 class TestDeterminism:
     """Identical configurations produce byte-identical data artifacts."""
 
+    def test_solve_rerun_is_byte_identical(self, tmp_path, capsys):
+        args = ["solve", "--fixture", "square_ex1", "--resolution", "17"]
+        rc1, out1 = run(list(args), tmp_path, "a")
+        rc2, out2 = run(list(args), tmp_path, "b")
+        assert rc1 == rc2 == 0
+        for name in ("summary.json", "solution_17.csv"):
+            b1 = (out1 / "solve" / name).read_bytes()
+            b2 = (out2 / "solve" / name).read_bytes()
+            assert b1 == b2
+        solver = load_summary(out1, "solve")["results"]["17"]["solver"]
+        assert solver["mode"] == "direct" and solver["iterations"] == 0
+        assert solver["residual"] <= 1e-12
+        # wall times live in the manifest only
+        stages = json.loads((out1 / "solve" / "manifest.json").read_text())["stages"]
+        assert set(stages) == {"run", "solve_17", "write"}
+        capsys.readouterr()
+
     def test_fisher_rerun_is_byte_identical(self, tmp_path, capsys):
         args = ["fisher", "--fixture", "square_ex1", "--resolution", "17,21,25"]
         rc1, out1 = run(list(args), tmp_path, "a")

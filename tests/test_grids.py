@@ -349,6 +349,25 @@ class TestInterpolation:
         assert np.all(counts == 4)
 
 
+def fresh_smooth_field(g, seed, kmax, apply_collar, decay=3.0):
+    """The double-sine series of random_smooth_field with its tables built
+    anew on every call."""
+    rng = np.random.default_rng(seed)
+    if g.spec.kind is DomainKind.SQUARE:
+        X, Y = g.x - 1.0, g.y - 1.0
+    else:
+        X, Y = (g.x + 1.0) / 2.0, (g.y + 1.0) / 2.0
+    ks = np.arange(1, kmax + 1)
+    coef = rng.standard_normal((kmax, kmax))
+    coef = coef * (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-decay / 2.0)
+    SX = np.sin(np.pi * ks[:, None] * X[None, :])
+    SY = np.sin(np.pi * ks[:, None] * Y[None, :])
+    vals = np.einsum("kl,kn,ln->n", coef, SX, SY, optimize=True)
+    if apply_collar:
+        vals[g.collar_mask] = 0.0
+    return vals
+
+
 class TestBumpAndRandomFields:
     """Compactly supported test fields."""
 
@@ -377,6 +396,22 @@ class TestBumpAndRandomFields:
         assert np.all(f1.values[g.collar_mask] == 0.0)
         free = random_smooth_field(g, 7, apply_collar=False)
         assert np.any(free.values[g.collar_mask] != 0.0)
+
+    @pytest.mark.parametrize("make", [lambda: square(21), lambda: disk(12)],
+                             ids=["square", "disk"])
+    def test_sine_table_reuse_is_bit_identical(self, make):
+        """Fields drawn with the grid's cached sine tables equal a fresh
+        evaluation of the series, for both kmax values and collar settings."""
+        g = make()
+        draws = [(1, 8, True), (2, 4, False), (3, 8, False), (4, 4, True),
+                 (5, 8, True), (6, 4, False)]
+        for seed, kmax, collar in draws:
+            field = random_smooth_field(g, seed, kmax=kmax, apply_collar=collar)
+            np.testing.assert_array_equal(
+                field.values, fresh_smooth_field(g, seed, kmax, collar))
+        tables = g._sine_tables[8]
+        random_smooth_field(g, 7)
+        assert g._sine_tables[8] is tables and sorted(g._sine_tables) == [4, 8]
 
     def test_sobolev_norm_orders_nest(self):
         g = square(17)
