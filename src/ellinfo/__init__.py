@@ -29,9 +29,7 @@ from ellinfo.grids import (
 from ellinfo.elliptic import (
     Conductivity,
     DivergenceFormOperator,
-    apply_inverse,
     check_identifiability,
-    solve_dirichlet,
 )
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_pair, stability_report
 from ellinfo.spectral import (
@@ -43,7 +41,6 @@ from ellinfo.spectral import (
     eigendecompose,
     fisher_information,
     fisher_refinement,
-    kernel_component,
     range_series,
     sqrt_apply,
 )
@@ -89,8 +86,6 @@ __all__ = [
     "random_smooth_field",
     "Conductivity",
     "DivergenceFormOperator",
-    "solve_dirichlet",
-    "apply_inverse",
     "check_identifiability",
     "ScoreContext",
     "stability_report",
@@ -100,7 +95,6 @@ __all__ = [
     "eigendecompose",
     "sqrt_apply",
     "range_series",
-    "kernel_component",
     "degeneracy_sequence",
     "degeneracy_profile",
     "fisher_information",

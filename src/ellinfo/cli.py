@@ -96,6 +96,14 @@ def _parse_pair(text: str, label: str) -> tuple:
         raise ConfigError(f"bad {label} {text!r}: {exc}") from None
 
 
+def _parse_number(section, key: str, kind=float):
+    """``kind(section[key])``, with a malformed value as a ConfigError."""
+    try:
+        return kind(section[key])
+    except ValueError:
+        raise ConfigError(f"bad {key} {section[key]!r} in the config file") from None
+
+
 def _load_config_file(path: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     try:
@@ -119,21 +127,20 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if "resolution" in exp:
             cfg.resolutions = _parse_resolutions(exp["resolution"])
         if "seed" in exp:
-            cfg.seed = int(exp["seed"])
+            cfg.seed = _parse_number(exp, "seed", int)
         if "psi" in exp:
             cfg.psi = exp["psi"].strip()
         if parser.has_section("psi"):
             sec = parser["psi"]
             if "center" in sec:
                 cfg.psi_params["center"] = _parse_pair(sec["center"], "psi center")
-            if "radius" in sec:
-                cfg.psi_params["radius"] = float(sec["radius"])
-            if "amplitude" in sec:
-                cfg.psi_params["amplitude"] = float(sec["amplitude"])
+            for name in ("radius", "amplitude"):
+                if name in sec:
+                    cfg.psi_params[name] = _parse_number(sec, name)
         if parser.has_section("theta"):
             sec = parser["theta"]
             if "eta" in sec:
-                cfg.eta = None if sec["eta"].strip() == "none" else float(sec["eta"])
+                cfg.eta = None if sec["eta"].strip() == "none" else _parse_number(sec, "eta")
             keys = ("bump_center", "bump_radius", "bump_amplitude")
             present = [k for k in keys if k in sec]
             if present:
@@ -141,12 +148,12 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                     raise ConfigError(
                         "theta bump needs bump_center, bump_radius and bump_amplitude")
                 center = _parse_pair(sec["bump_center"], "theta bump center")
-                cfg.theta_bump = (center, float(sec["bump_radius"]),
-                                  float(sec["bump_amplitude"]))
+                cfg.theta_bump = (center, _parse_number(sec, "bump_radius"),
+                                  _parse_number(sec, "bump_amplitude"))
         if parser.has_section("simulate"):
             for name in ("samples", "replicates"):
                 if name in parser["simulate"]:
-                    setattr(cfg, name, int(parser["simulate"][name]))
+                    setattr(cfg, name, _parse_number(parser["simulate"], name, int))
         if parser.has_section("output") and "dir" in parser["output"]:
             cfg.out = Path(parser["output"]["dir"])
     if args.fixture:
@@ -156,7 +163,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.seed is not None:
         cfg.seed = args.seed
     for name in ("psi", "samples", "replicates", "n_modes"):  # per-subcommand flags
-        if getattr(args, name, None):
+        if getattr(args, name, None) is not None:
             setattr(cfg, name, getattr(args, name))
     if args.out:
         cfg.out = Path(args.out)
@@ -178,6 +185,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if cfg.samples < 1 or cfg.replicates < 1:
         raise ConfigError("samples and replicates must be positive")
+    if cfg.n_modes is not None and cfg.n_modes < 1:
+        raise ConfigError("n-modes must be positive")
     if cfg.subcommand in ("fisher", "transport") and cfg.psi is None:
         cfg.psi = "bump"
     if cfg.resolutions is None:

@@ -4,9 +4,11 @@ The PDE is div(theta * grad u) = f in the domain with u = g on the boundary.
 Assembly is finite-volume flux form with the conductivity averaged onto cell
 faces, which yields a symmetric positive definite system after weighting each
 nodal equation by its quadrature weight (on the square this is the classic
-5-point stencil).  The zero-boundary inverse ("apply_inverse") is the discrete
-counterpart of the solution operator for the Dirichlet problem with source w,
-and is self-adjoint for the weighted inner product by construction.
+5-point stencil).  ``DivergenceFormOperator`` assembles and factorises it
+once; its ``solve`` handles Dirichlet data and its zero-boundary inverse
+``apply_inverse`` is the discrete counterpart of the solution operator for
+the Dirichlet problem with source w, self-adjoint for the weighted inner
+product by construction.
 
 Systems up to 200^2 unknowns are solved by sparse LU; beyond that a
 Jacobi-preconditioned conjugate gradient takes over (relative tolerance
@@ -191,15 +193,10 @@ class DivergenceFormOperator:
     the zero-boundary inverse.
     """
 
-    def __init__(self, theta: Conductivity, grid: Grid | None = None,
-                 mode: str = "auto", tol: float = SOLVER_TOL):
-        if grid is None:
-            grid = theta.grid
-        if theta.grid is not grid:
-            raise ValueError("conductivity lives on a different grid")
+    def __init__(self, theta: Conductivity, mode: str = "auto", tol: float = SOLVER_TOL):
         if mode not in ("auto", "direct", "cg"):
             raise ValueError(f"unknown solver mode {mode!r}")
-        self.grid = grid
+        self.grid = grid = theta.grid
         self.theta = theta
         self.tol = tol
         self.faces = face_set(grid)
@@ -299,21 +296,6 @@ class DivergenceFormOperator:
         """Same as apply_inverse but on raw interior vectors (hot path)."""
         rhs = -self.grid.weights_interior * w_int
         return self._solve_spd(rhs)
-
-
-def assemble(theta: Conductivity, grid: Grid | None = None, mode: str = "auto",
-             tol: float = SOLVER_TOL) -> DivergenceFormOperator:
-    return DivergenceFormOperator(theta, grid, mode=mode, tol=tol)
-
-
-def solve_dirichlet(theta: Conductivity, f, g=None, mode: str = "auto",
-                    tol: float = SOLVER_TOL) -> ScalarField:
-    return DivergenceFormOperator(theta, mode=mode, tol=tol).solve(f, g)
-
-
-def apply_inverse(theta: Conductivity, w, mode: str = "auto",
-                  tol: float = SOLVER_TOL) -> ScalarField:
-    return DivergenceFormOperator(theta, mode=mode, tol=tol).apply_inverse(w)
 
 
 @dataclass

@@ -65,13 +65,12 @@ def _collar_violation(grid: Grid, values: np.ndarray) -> bool:
 class ScoreContext:
     """Base point for the linearized theory: theta, u_theta, and operators."""
 
-    def __init__(self, theta: Conductivity, f, g=None,
-                 op: DivergenceFormOperator | None = None):
+    def __init__(self, theta: Conductivity, f, g=None):
         self.grid = theta.grid
         self.theta = theta
         self.f = f if isinstance(f, ScalarField) else self.grid.field(f)
         self.g = g if (g is None or isinstance(g, ScalarField)) else self.grid.field(g)
-        self.op = op if op is not None else DivergenceFormOperator(theta)
+        self.op = DivergenceFormOperator(theta)
         self.u = self.op.solve(self.f, self.g)
         gx, gy = self.grid.gradient(self.u.values)
         self.grad_u = VectorField(self.grid, gx, gy)

@@ -3,12 +3,13 @@
 The linearization I acts on interior perturbations; the information operator
 I*I is symmetric and positive semidefinite for the weighted discrete inner
 product.  This module eigendecomposes it, evaluates the inverse Fisher
-quadratic form psi^T (I*I)^{-1} psi either by a sparse solve of the discrete
-transport equation T^T y = W psi or by spectral truncation, and builds the
-degeneracy sequences h_N whose normalized quotients certify vanishing
-information.  Divergence verdicts are never issued from a single grid:
-`fisher_refinement` sweeps a family of meshes and classifies the growth of
-the inverse quadratic form.
+quadratic form psi^T (I*I)^{-1} psi by a certified sparse solve of the
+discrete transport equation T^T y = W psi, and builds the degeneracy
+sequences h_N whose normalized quotients certify vanishing information.
+Divergence verdicts are never issued from a single grid: `fisher_refinement`
+sweeps a family of meshes and classifies the growth of the inverse quadratic
+form, falling back to a spectral lower bound on grids where T is singular to
+working precision.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ KERNEL_SWEEP_MAX_DIM = 1500
 #: eigensolvers are backward stable, so true eigenvalues cannot exceed the
 #: computed ones by more than a small multiple of eps * lambda_1.
 EIG_FLOOR_FACTOR = 10.0 * float(np.finfo(float).eps)
-
-FISHER_VERDICTS = ("in_range", "out_of_range_divergent", "kernel_obstructed",
-                   "undetermined")
 
 
 @dataclass
@@ -128,6 +126,8 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     """
     if subspace not in ("interior", "collar_supported"):
         raise ValueError("subspace must be 'interior' or 'collar_supported'")
+    if n_modes is not None and n_modes < 1:
+        raise ValueError(f"n_modes must be positive, got {n_modes}")
     grid = ctx.grid
     m = grid.n_interior
     w = grid.weights_interior
@@ -210,13 +210,6 @@ def range_series(decomp: SpectralDecomposition,
     return np.cumsum(terms), p0_norm
 
 
-def kernel_component(decomp: SpectralDecomposition,
-                     psi: ScalarField) -> tuple[ScalarField, float]:
-    """Projection of psi onto the numerical kernel and its norm."""
-    proj = decomp.kernel_project(psi)
-    return proj, norm_l2(proj)
-
-
 def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, n: int,
                       masked: bool) -> tuple[ScalarField, float, float, float]:
     """h_N, its pairing <psi, h_N>, its squared image norm ||I h_N||^2 and
@@ -293,76 +286,48 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
 class FisherReport:
     """Inverse Fisher quadratic form for one functional on one grid.
 
-    ``lower_bound`` marks values produced by the singular-grid fallback,
-    which certifies only that the true quadratic form is at least this
-    large (kernel terms are evaluated at an eigenvalue floor).
-    ``rel_error`` is the relative change of a direct-solve value under one
-    step of iterative refinement; it is None for spectral values.
+    ``method`` is ``direct_solve`` for the certified sparse solve and
+    ``spectral_truncation`` for the singular-grid fallback of
+    :func:`fisher_refinement`, whose values are flagged ``lower_bound``: the
+    true quadratic form is at least this large (kernel terms are evaluated
+    at an eigenvalue floor).  ``rel_error`` is the relative change of a
+    direct-solve value under one step of iterative refinement; it is None
+    for lower bounds.
     """
 
-    psi: ScalarField
     method: str
     i_inverse_full: float
     i_value: float
-    m_series: np.ndarray | None = None
-    kernel_component_norm: float | None = None
-    verdict: str = "undetermined"
-    resolution: tuple | None = None
     lower_bound: bool = False
     rel_error: float | None = None
 
-    def __post_init__(self):
-        if self.verdict not in FISHER_VERDICTS:
-            raise ValueError(f"verdict must be one of {FISHER_VERDICTS}")
 
-
-def fisher_information(ctx: ScoreContext, psi: ScalarField,
-                       method: str = "direct_solve",
-                       decomp: SpectralDecomposition | None = None) -> FisherReport:
+def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     """Evaluate the inverse Fisher quadratic form psi -> psi^T (I*I)^{-1} psi.
 
-    ``direct_solve`` solves the discrete transport equation T^T y = W psi
-    through ``ScoreContext.solve_transport_equation``; as I = -K^{-1} W T,
-    the form is ||W^{-1/2} K W^{-1} y||^2.  A residual or a refinement change
-    of the value (``rel_error``) above ``TRANSPORT_SOLVE_RTOL`` raises, which
-    also catches a singular T on a consistent system.  ``spectral_truncation``
-    sums the series M_K over the computed non-kernel modes of ``decomp``.
-    The report's verdict is filled by refinement sweeps; a single grid never
-    certifies divergence.
+    Solves the discrete transport equation T^T y = W psi through
+    ``ScoreContext.solve_transport_equation``; as I = -K^{-1} W T, the form
+    is ||W^{-1/2} K W^{-1} y||^2.  A residual or a refinement change of the
+    value (``rel_error``) above ``TRANSPORT_SOLVE_RTOL`` raises, which also
+    catches a singular T on a consistent system.  A single grid never
+    certifies divergence; that is the job of :func:`fisher_refinement`.
     """
     grid = ctx.grid
     psi_int = grid.restrict(psi)
     if not np.any(psi_int):
         raise ValueError("psi vanishes identically: Fisher functional undefined")
-    m_series = kernel_norm = rel_error = None
-    if decomp is not None:
-        m_series, kernel_norm = range_series(decomp, psi)
-    if method == "direct_solve":
-        w = grid.weights_interior
-        y0, y, residual = ctx.solve_transport_equation(w * psi_int)
-        x0, x = (ctx.op.K @ (v / w) / np.sqrt(w) for v in (y0, y))
-        i_inverse = float(x @ x)
-        rel_error = abs(i_inverse - float(x0 @ x0)) / i_inverse
-        if not (residual <= TRANSPORT_SOLVE_RTOL and rel_error <= TRANSPORT_SOLVE_RTOL):
-            raise np.linalg.LinAlgError(
-                f"source operator T numerically singular (residual {residual:.1e}, "
-                f"refinement change {rel_error:.1e}); use spectral_truncation "
-                "with kernel handling")
-    elif method == "spectral_truncation":
-        if decomp is None:
-            decomp = eigendecompose(ctx)
-            m_series, kernel_norm = range_series(decomp, psi)
-        if m_series is None or len(m_series) == 0:
-            raise ValueError("decomposition contains no usable modes")
-        i_inverse = float(m_series[-1])
-    else:
-        raise ValueError(
-            f"unknown method {method!r}; choose 'direct_solve' or 'spectral_truncation'")
+    w = grid.weights_interior
+    y0, y, residual = ctx.solve_transport_equation(w * psi_int)
+    x0, x = (ctx.op.K @ (v / w) / np.sqrt(w) for v in (y0, y))
+    i_inverse = float(x @ x)
+    rel_error = abs(i_inverse - float(x0 @ x0)) / i_inverse
+    if not (residual <= TRANSPORT_SOLVE_RTOL and rel_error <= TRANSPORT_SOLVE_RTOL):
+        raise np.linalg.LinAlgError(
+            f"source operator T numerically singular (residual {residual:.1e}, "
+            f"refinement change {rel_error:.1e})")
     i_value = 1.0 / i_inverse if i_inverse > 0 else math.inf
-    return FisherReport(psi=psi, method=method, i_inverse_full=i_inverse,
-                        i_value=i_value, m_series=m_series,
-                        kernel_component_norm=kernel_norm,
-                        resolution=grid.spec.resolution, rel_error=rel_error)
+    return FisherReport(method="direct_solve", i_inverse_full=i_inverse,
+                        i_value=i_value, rel_error=rel_error)
 
 
 @dataclass
@@ -403,7 +368,7 @@ def _observed_order(h, values) -> tuple[float | None, float | None]:
     return p, (float(v3 + (v3 - v2) / math.expm1(p * log_b)) if p > 0.0 else None)
 
 
-def _singular_grid_bound(ctx: ScoreContext, psi: ScalarField,
+def _singular_grid_bound(psi: ScalarField,
                          decomp: SpectralDecomposition) -> FisherReport:
     """Certified lower bound for the inverse quadratic form on a grid where
     the information matrix is singular to working precision.
@@ -412,17 +377,15 @@ def _singular_grid_bound(ctx: ScoreContext, psi: ScalarField,
     terms are bounded from below by flooring their eigenvalues at
     ``EIG_FLOOR_FACTOR * lambda_1`` (backward-stability bound).
     """
-    m_series, p0 = range_series(decomp, psi)
+    m_series, _ = range_series(decomp, psi)
     lam = decomp.eigenvalues
     floor = EIG_FLOOR_FACTOR * float(lam[0])
     mask = decomp.kernel_mask
     c = decomp.coefficients(psi)
     kernel_part = float(np.sum(c[mask] ** 2 / np.maximum(lam[mask], floor)))
     value = float(m_series[-1]) + kernel_part
-    return FisherReport(psi=psi, method="spectral_truncation",
-                        i_inverse_full=value, i_value=1.0 / value,
-                        m_series=m_series, kernel_component_norm=p0,
-                        resolution=ctx.grid.spec.resolution, lower_bound=True)
+    return FisherReport(method="spectral_truncation", i_inverse_full=value,
+                        i_value=1.0 / value, lower_bound=True)
 
 
 def fisher_refinement(fixture: str, psi_kind: str,
@@ -463,11 +426,11 @@ def fisher_refinement(fixture: str, psi_kind: str,
         if ctx.grid.n_interior <= KERNEL_SWEEP_MAX_DIM:
             decomp = eigendecompose(ctx)
         try:
-            report = fisher_information(ctx, psi, "direct_solve", decomp=decomp)
+            report = fisher_information(ctx, psi)
         except np.linalg.LinAlgError:
             if decomp is None:
                 decomp = eigendecompose(ctx)
-            report = _singular_grid_bound(ctx, psi, decomp)
+            report = _singular_grid_bound(psi, decomp)
         values.append(report.i_inverse_full)
         dims.append(ctx.grid.n_interior)
         h_mesh.append(ctx.grid.h_mesh)
@@ -488,8 +451,6 @@ def fisher_refinement(fixture: str, psi_kind: str,
         reason = ("lower_bound" if any(bounds) else "non_monotone" if order is None
                   else "order_below_1" if order < MIN_CONVERGENCE_ORDER else "converged")
         verdict = "in_range" if reason == "converged" else "undetermined"
-    for report in reports:
-        report.verdict = verdict
     return RefinementSweep(fixture=fixture, psi_kind=psi_kind,
                            resolutions=tuple(resolutions), interior_dims=tuple(dims),
                            values=values, growth=growth, variation=variation,

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ellinfo.elliptic import Conductivity, check_identifiability, solve_dirichlet
+from ellinfo.elliptic import Conductivity, DivergenceFormOperator, check_identifiability
 from ellinfo.fixtures import (exact_solution, fixture_data, fixture_domain,
                               psi_fixture)
 from ellinfo.grids import ScalarField, build_grid, inner_l2, norm_l2, random_smooth_field
@@ -69,7 +69,7 @@ def test_criterion_01_exact_solution_recovery():
         grid = build_grid(fixture_domain(name, 65))
         f, g = fixture_data(name, grid)
         t0 = time.perf_counter()
-        u = solve_dirichlet(Conductivity.constant(grid), f, g)
+        u = DivergenceFormOperator(Conductivity.constant(grid)).solve(f, g)
         runtime = time.perf_counter() - t0
         err = float(np.max(np.abs(u.values - exact_solution(name, grid).values)))
         ok = ok and err <= 1e-10 and runtime < 1.0
@@ -182,7 +182,7 @@ def test_criterion_06_in_range_contrast(ctx_cache, decomp_cache):
         values = []
         for res in grids:
             ctx = ctx_cache(name, res)
-            rep = fisher_information(ctx, psi_fixture(ctx, "in_range"), "direct_solve")
+            rep = fisher_information(ctx, psi_fixture(ctx, "in_range"))
             values.append(rep.i_inverse_full)
         variations[name] = max(values) / min(values) - 1.0
     ok = (all(p <= 1.05 for p in plateaus.values())

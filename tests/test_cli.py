@@ -26,6 +26,12 @@ def load_summary(out, subcommand):
     return json.loads((out / subcommand / "summary.json").read_text())
 
 
+def test_package_exports_resolve_once():
+    """Every exported name exists on the package, and none is listed twice."""
+    assert [name for name in ellinfo.__all__ if not hasattr(ellinfo, name)] == []
+    assert len(set(ellinfo.__all__)) == len(ellinfo.__all__)
+
+
 class TestImportCost:
     """Startup: importing the CLI loads no scipy module that only one
     experiment (scipy.stats, for the LAN Monte Carlo) or only the tests
@@ -102,6 +108,39 @@ class TestConfigErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "config"
         assert f">= {MIN_RESOLUTION}" in record["message"]
+        assert not (out / "solve").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--resolution", "17", "--samples", "0"],
+        ["simulate", "--resolution", "17", "--replicates", "0"],
+        ["spectrum", "--resolution", "12", "--n-modes", "-3"],
+        ["spectrum", "--resolution", "12", "--n-modes", "0"],
+    ], ids=["samples-0", "replicates-0", "n-modes-negative", "n-modes-0"])
+    def test_non_positive_counts_rejected(self, tmp_path, capsys, args):
+        """A count flag of zero is a value, not an absent flag."""
+        rc, out = run(args, tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert "positive" in record["message"]
+        assert not (out / args[0]).exists()
+
+    @pytest.mark.parametrize("text", [
+        "[experiment]\nseed = abc\n",
+        "[psi]\nradius = wide\n",
+        "[psi]\namplitude = 1e\n",
+        "[theta]\neta = small\n",
+        "[theta]\nbump_center = 1.5, 1.5\nbump_radius = r\nbump_amplitude = 0.1\n",
+        "[simulate]\nsamples = 1.5\n",
+    ], ids=["seed", "psi-radius", "psi-amplitude", "eta", "bump-radius", "samples"])
+    def test_malformed_config_number(self, tmp_path, capsys, text):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        rc, out = run(["solve", "--config", str(cfg)], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert "config file" in record["message"]
         assert not (out / "solve").exists()
 
 
@@ -211,14 +250,24 @@ class TestDeterminism:
         capsys.readouterr()
 
     def test_fisher_rerun_is_byte_identical(self, tmp_path, capsys):
-        args = ["fisher", "--fixture", "square_ex1", "--resolution", "17,21,25"]
-        rc1, out1 = run(list(args), tmp_path, "a")
-        rc2, out2 = run(list(args), tmp_path, "b")
-        assert rc1 == rc2 == 0
-        for name in ("summary.json", "refinement.csv"):
-            b1 = (out1 / "fisher" / name).read_bytes()
-            b2 = (out2 / "fisher" / name).read_bytes()
-            assert b1 == b2
+        """Also the report contract: the square solves directly on every
+        grid, while the saddle's singular grids all fall back to spectral
+        lower bounds."""
+        for fixture, args, method, lower_bound in (
+                ("square", ["--fixture", "square_ex1", "--resolution", "17,21,25"],
+                 "direct_solve", "false"),
+                ("saddle", ["--fixture", "saddle"], "spectral_truncation", "true")):
+            rc1, out1 = run(["fisher"] + args, tmp_path, fixture + "_a")
+            rc2, out2 = run(["fisher"] + args, tmp_path, fixture + "_b")
+            assert rc1 == rc2 == 0
+            for name in ("summary.json", "refinement.csv"):
+                b1 = (out1 / "fisher" / name).read_bytes()
+                b2 = (out2 / "fisher" / name).read_bytes()
+                assert b1 == b2
+            lines = (out1 / "fisher" / "refinement.csv").read_text().splitlines()
+            rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+            assert len(rows) == 3
+            assert {(r["method"], r["lower_bound"]) for r in rows} == {(method, lower_bound)}
         capsys.readouterr()
 
 

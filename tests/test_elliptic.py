@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from ellinfo.elliptic import (ELLIPTICITY_FLOOR, Conductivity,
-                              DivergenceFormOperator, assemble,
-                              check_identifiability, solve_dirichlet)
+                              DivergenceFormOperator, check_identifiability)
 from ellinfo.fixtures import FIXTURE_NAMES, exact_solution, fixture_data, fixture_domain
 from ellinfo.grids import (DomainKind, DomainSpec, ScalarField, build_grid,
                            inner_l2, norm_l2, random_smooth_field)
@@ -33,14 +32,14 @@ class TestExactSolutions:
     def test_unit_conductivity_recovers_closed_form(self, name):
         grid = fixture_grid(name, 33)
         f, g = fixture_data(name, grid)
-        u = solve_dirichlet(Conductivity.constant(grid), f, g)
+        u = DivergenceFormOperator(Conductivity.constant(grid)).solve(f, g)
         expected = exact_solution(name, grid)
         assert norm_l2(ScalarField(grid, u.values - expected.values)) <= 1e-10
 
     def test_boundary_values_are_imposed_exactly(self):
         grid = fixture_grid("square_ex1", 17)
         f, g = fixture_data("square_ex1", grid)
-        u = solve_dirichlet(Conductivity.constant(grid), f, g)
+        u = DivergenceFormOperator(Conductivity.constant(grid)).solve(f, g)
         np.testing.assert_array_equal(
             u.values[grid.boundary_ids], g.values[grid.boundary_ids])
 
@@ -53,7 +52,7 @@ class TestManufacturedConvergence:
         grid = square(n)
         exact = np.sin(math.pi * (grid.x - 1.0)) * np.sin(math.pi * (grid.y - 1.0))
         f = ScalarField(grid, -2.0 * math.pi**2 * exact)
-        u = solve_dirichlet(Conductivity.constant(grid), f)
+        u = DivergenceFormOperator(Conductivity.constant(grid)).solve(f)
         return norm_l2(ScalarField(grid, u.values - exact))
 
     def test_error_quarters_under_mesh_halving(self):
@@ -73,7 +72,7 @@ class TestOperatorAlgebra:
         g = ScalarField(grid, grid.x + 0.5 * grid.y)
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng, apply_collar=True), 0.1), eta=None)
-        op = assemble(theta)
+        op = DivergenceFormOperator(theta)
         resid = op.apply_operator(op.solve(f, g))
         np.testing.assert_allclose(
             resid.values[grid.interior_ids], f.values[grid.interior_ids],
@@ -84,7 +83,7 @@ class TestOperatorAlgebra:
         rng = np.random.default_rng(3)
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng), 0.2), eta=None)
-        op = assemble(theta)
+        op = DivergenceFormOperator(theta)
         w1 = random_smooth_field(grid, rng, apply_collar=False)
         w2 = random_smooth_field(grid, rng, apply_collar=False)
         lhs = inner_l2(op.apply_inverse(w1), w2)
@@ -95,7 +94,7 @@ class TestOperatorAlgebra:
         """The operator is negative definite, so <w, V w> < 0 for w != 0."""
         grid = square(15)
         w = random_smooth_field(grid, np.random.default_rng(4), apply_collar=False)
-        op = assemble(Conductivity.constant(grid))
+        op = DivergenceFormOperator(Conductivity.constant(grid))
         assert inner_l2(w, op.apply_inverse(w)) < 0.0
 
     def test_cg_mode_matches_direct(self):
@@ -104,8 +103,8 @@ class TestOperatorAlgebra:
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng), 0.15), eta=None)
         f = random_smooth_field(grid, rng, apply_collar=False)
-        u_direct = assemble(theta, mode="direct").apply_inverse(f)
-        op_cg = assemble(theta, mode="cg", tol=1e-12)
+        u_direct = DivergenceFormOperator(theta, mode="direct").apply_inverse(f)
+        op_cg = DivergenceFormOperator(theta, mode="cg", tol=1e-12)
         u_cg = op_cg.apply_inverse(f)
         assert op_cg.last_stats["mode"] == "cg"
         assert op_cg.last_stats["iterations"] > 0
@@ -114,7 +113,7 @@ class TestOperatorAlgebra:
     def test_unknown_mode_rejected(self):
         grid = square(15)
         with pytest.raises(ValueError, match="mode"):
-            assemble(Conductivity.constant(grid), mode="qmr")
+            DivergenceFormOperator(Conductivity.constant(grid), mode="qmr")
 
 
 class TestDiscreteSineOracle:
@@ -128,7 +127,7 @@ class TestDiscreteSineOracle:
         mode = np.sin(j * math.pi * (grid.x - 1.0)) * np.sin(k * math.pi * (grid.y - 1.0))
         lam = (4.0 / h**2) * (math.sin(j * math.pi * h / 2.0) ** 2
                               + math.sin(k * math.pi * h / 2.0) ** 2)
-        op = assemble(Conductivity.constant(grid))
+        op = DivergenceFormOperator(Conductivity.constant(grid))
         u = op.apply_inverse(ScalarField(grid, mode))
         np.testing.assert_allclose(u.values, -mode / lam, atol=1e-12)
 

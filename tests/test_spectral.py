@@ -10,7 +10,7 @@ from ellinfo.grids import norm_l2, random_smooth_field
 from ellinfo.spectral import (SpectralDecomposition, _observed_order,
                               degeneracy_profile, degeneracy_sequence,
                               eigendecompose, fisher_information,
-                              fisher_refinement, kernel_component, range_series,
+                              fisher_refinement, range_series,
                               sqrt_apply)
 
 
@@ -68,6 +68,9 @@ class TestDecomposition:
             eigendecompose(ctx, n_modes=10**6, mode="iterative")
         with pytest.raises(ValueError, match="mode"):
             eigendecompose(ctx, mode="qr")
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="n_modes must be positive"):
+                eigendecompose(ctx, n_modes=k)
 
 
 class TestSqrtAndSeries:
@@ -104,8 +107,8 @@ class TestSqrtAndSeries:
         assert d.n_kernel > 0
         frac = d.kernel_mass_fraction(ctx.grid.field(1.0))
         assert frac > 0.8
-        proj, pnorm = kernel_component(d, ctx.grid.field(1.0))
-        np.testing.assert_allclose(pnorm, norm_l2(proj))
+        _, p0 = range_series(d, ctx.grid.field(1.0))
+        np.testing.assert_allclose(p0, norm_l2(d.kernel_project(ctx.grid.field(1.0))))
 
 
 class TestDegeneracyProfiles:
@@ -144,10 +147,9 @@ class TestFisherInformation:
         ctx = ctx_cache("square_ex1", 15)
         d = decomp_cache("square_ex1", 15)
         psi = psi_fixture(ctx, "in_range")
-        direct = fisher_information(ctx, psi, "direct_solve")
-        spectral = fisher_information(ctx, psi, "spectral_truncation", decomp=d)
+        direct = fisher_information(ctx, psi)
         np.testing.assert_allclose(direct.i_inverse_full,
-                                   spectral.i_inverse_full, rtol=1e-5)
+                                   range_series(d, psi)[0][-1], rtol=1e-5)
         np.testing.assert_allclose(direct.i_value,
                                    1.0 / direct.i_inverse_full)
 
@@ -163,13 +165,13 @@ class TestFisherInformation:
         w = ctx.grid.weights_interior
         x = sla.lu_solve(sla.lu_factor(ctx.dense_linearization_hat()),
                          np.sqrt(w) * ctx.grid.restrict(psi), trans=1)
-        report = fisher_information(ctx, psi, "direct_solve")
+        report = fisher_information(ctx, psi)
         np.testing.assert_allclose(report.i_inverse_full, float(x @ x), rtol=1e-8)
         assert 0.0 <= report.rel_error <= 1e-6
 
     def test_direct_solve_builds_no_dense_matrix(self):
         ctx = build_context("square_ex1", 17)
-        fisher_information(ctx, psi_fixture(ctx, "bump"), "direct_solve")
+        fisher_information(ctx, psi_fixture(ctx, "bump"))
         assert ctx._B_hat is None
 
     def test_transport_solution_is_the_potential(self, ctx_cache):
@@ -187,7 +189,7 @@ class TestFisherInformation:
         working precision, which the residual check must catch."""
         ctx = ctx_cache("saddle", 17)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            fisher_information(ctx, psi_fixture(ctx, "bump"), "direct_solve")
+            fisher_information(ctx, psi_fixture(ctx, "bump"))
 
     def test_singular_grid_raises_for_consistent_system(self, ctx_cache):
         """Constants lie in the kernel of the saddle's T.  The in-range
@@ -195,17 +197,12 @@ class TestFisherInformation:
         refinement change exposes the noise in the value."""
         ctx = ctx_cache("saddle", 17)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            fisher_information(ctx, psi_fixture(ctx, "in_range"), "direct_solve")
+            fisher_information(ctx, psi_fixture(ctx, "in_range"))
 
     def test_zero_functional_rejected(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 15)
         with pytest.raises(ValueError, match="vanishes"):
             fisher_information(ctx, ctx.grid.field(0.0))
-
-    def test_unknown_method_rejected(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 15)
-        with pytest.raises(ValueError, match="method"):
-            fisher_information(ctx, psi_fixture(ctx, "bump"), "cholesky")
 
 
 class TestRefinementSweeps:

@@ -385,7 +385,7 @@ class TestTransportSolve:
         splu = score.spla.splu
         monkeypatch.setattr(score.spla, "splu", counting_splu)
         psi = in_range_fixture(ctx).psi
-        fisher_information(ctx, psi, "direct_solve")
+        fisher_information(ctx, psi)
         solve_transport(ctx, psi)
         solve_transport(ctx, psi_fixture(ctx, "bump"))
         assert factorisations == [(ctx.grid.n_interior, ctx.grid.n_interior)]
