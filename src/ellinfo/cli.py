@@ -156,9 +156,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                     setattr(cfg, name, _parse_number(parser["simulate"], name, int))
         if parser.has_section("output") and "dir" in parser["output"]:
             cfg.out = Path(parser["output"]["dir"])
-    if args.fixture:
+    if args.fixture is not None:
         cfg.fixture = args.fixture
-    if args.resolution:
+    if args.resolution is not None:
         cfg.resolutions = _parse_resolutions(args.resolution)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -185,6 +185,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if cfg.samples < 1 or cfg.replicates < 1:
         raise ConfigError("samples and replicates must be positive")
+    if cfg.subcommand == "simulate" and cfg.replicates < 2:
+        raise ConfigError("simulate needs at least two replicates for a "
+                          "standard error")
     if cfg.n_modes is not None and cfg.n_modes < 1:
         raise ConfigError("n-modes must be positive")
     if cfg.subcommand in ("fisher", "transport") and cfg.psi is None:
@@ -271,6 +274,10 @@ def _run_verify_operators(cfg: ExperimentConfig):
                       "min_ratio_H2": stab.min_ratio_H2,
                       "n_trials": stab.n_trials},
     }
+    if not stab.applicable:
+        summary["stability"]["reason"] = (
+            f"identifiability gate failed (c0_hat = {stab.c0_hat:.3e}), "
+            "so no stability ratio was sampled")
     tables = {"adjoint_defects.csv": (
         ("pair", "defect"), (np.arange(defects.size), defects),
         {"fixture": cfg.fixture, "resolution": res, "seed": cfg.seed})}
@@ -323,7 +330,9 @@ def _run_fisher(cfg: ExperimentConfig):
                               theta_bump=cfg.theta_bump,
                               psi_params=cfg.psi_params)
     summary = {"fixture": cfg.fixture, "psi": cfg.psi,
-               "variation": sweep.variation, **_sweep_payload(sweep)}
+               "variation": sweep.variation, **_sweep_payload(sweep),
+               "kernel_modes": sweep.kernel_counts,
+               "kernel_residual": sweep.kernel_residuals}
     tables = {"refinement.csv": _sweep_table(
         sweep, {"fixture": cfg.fixture, "psi": cfg.psi}, kernel_fractions=True)}
     return summary, tables, {}, {}
@@ -398,7 +407,7 @@ def _run_thm37(cfg: ExperimentConfig):
     m = prof.fisher_partial
     half_idx = int(np.argmin(np.abs(prof.orders - prof.orders[-1] / 2)))
     eligible = m >= 2.0
-    max_product = float(prof.product[eligible].max()) if eligible.any() else float("nan")
+    max_product = float(prof.product[eligible].max()) if eligible.any() else None
     summary = {
         "experiment": "degenerate Fisher information for a non-negative bump",
         "refinement": _sweep_payload(sweep),
@@ -411,6 +420,8 @@ def _run_thm37(cfg: ExperimentConfig):
             "max_quotient_times_m": max_product,
         },
     }
+    if max_product is None:
+        summary["ladder"]["max_quotient_times_m_reason"] = "no order with M_N >= 2"
     tables = {
         "refinement.csv": _sweep_table(
             sweep, {"fixture": "square_ex1", "psi": "bump"}, kernel_fractions=False),

@@ -29,7 +29,9 @@ _FORMATS = {"f": "%.17g", "i": "%d", "u": "%d", "U": "%s"}
 
 
 def _jsonable(obj):
-    """Recursively convert numpy containers and scalars to JSON-safe types."""
+    """Recursively convert numpy containers and scalars to JSON-safe types;
+    a non-finite float becomes None (JSON null), since strict JSON has no
+    NaN or Infinity."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -41,7 +43,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if obj is None or isinstance(obj, str):
         return obj
     if isinstance(obj, Path):
@@ -50,8 +52,8 @@ def _jsonable(obj):
 
 
 def canonical_json(obj) -> str:
-    """Sorted-key, indented JSON with a trailing newline."""
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    """Sorted-key, indented, strict JSON with a trailing newline."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> Path:
@@ -96,7 +98,7 @@ def write_table_csv(path, names, columns, meta: dict | None = None) -> Path:
     row_format = ",".join(specs) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         if meta is not None:
-            fh.write("# " + json.dumps(_jsonable(meta), sort_keys=True,
+            fh.write("# " + json.dumps(_jsonable(meta), sort_keys=True, allow_nan=False,
                                        separators=(",", ":")) + "\n")
         fh.write(",".join(names) + "\n")
         for lo in range(0, n_rows, _BLOCK_ROWS):

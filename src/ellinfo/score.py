@@ -113,15 +113,21 @@ class ScoreContext:
         ).tocsr()
         return T
 
-    def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """T^T y = rhs: y0 from the context's one sparse LU of T^T, y after one
-        refinement step, and the relative residual of y.  Callers certify by
-        the residual and the change from y0 to y, which alone exposes a
-        singular T on a consistent system."""
+    def transport_lu(self) -> spla.SuperLU:
+        """The context's one sparse LU of T^T, factored on first use;
+        ``solve(b, trans="T")`` applies T^{-1}."""
         if self._transport_lu is None:
             self._transport_lu = spla.splu(self.T.T.tocsc())
-        y0 = self._transport_lu.solve(rhs)
-        y = y0 + self._transport_lu.solve(rhs - self.T.T @ y0)
+        return self._transport_lu
+
+    def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """T^T y = rhs: y0 from :meth:`transport_lu`, y after one refinement
+        step, and the relative residual of y.  Callers certify by the
+        residual and the change from y0 to y, which alone exposes a singular
+        T on a consistent system."""
+        lu = self.transport_lu()
+        y0 = lu.solve(rhs)
+        y = y0 + lu.solve(rhs - self.T.T @ y0)
         residual = float(np.linalg.norm(self.T.T @ y - rhs) / np.linalg.norm(rhs))
         return y0, y, residual
 

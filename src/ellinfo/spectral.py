@@ -10,6 +10,12 @@ Divergence verdicts are never issued from a single grid: `fisher_refinement`
 sweeps a family of meshes and classifies the growth of the inverse quadratic
 form, falling back to a spectral lower bound on grids where T is singular to
 working precision.
+
+Dense decompositions serve only where a full spectrum is wanted (the
+`spectrum` command, degeneracy ladders, the risk study) and on singular
+grids.  A sweep's kernel diagnostics on certified grids come from
+`kernel_decomposition`: Lanczos on the inverse information operator through
+the sparse LU of T^T that the Fisher solve already factored and certified.
 """
 
 from __future__ import annotations
@@ -36,9 +42,14 @@ DIVERGENCE_GROWTH = 2.0
 KERNEL_FRACTION_THRESHOLD = 0.5
 MIN_CONVERGENCE_ORDER = 1.0
 
-#: Largest interior dimension for which the refinement sweep computes a full
-#: eigendecomposition per grid (for kernel diagnostics).
+#: Largest interior dimension for which the refinement sweep computes kernel
+#: diagnostics.  It bounds the cost of widening the sparse kernel search,
+#: which grows with the kernel: 0.5 s at disk 28 (82 kernel modes) and 3.1 s
+#: at disk 40 (220 modes) on a 2-core x86 VM with one BLAS thread.
 KERNEL_SWEEP_MAX_DIM = 1500
+
+#: Pair count of the first sparse kernel search; it doubles until complete.
+KERNEL_SEARCH_MODES = 16
 
 #: Floor applied to computed eigenvalues, as a multiple of lambda_1, when a
 #: singular direct solve is replaced by a certified lower bound: symmetric
@@ -130,8 +141,7 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
         raise ValueError(f"n_modes must be positive, got {n_modes}")
     grid = ctx.grid
     m = grid.n_interior
-    w = grid.weights_interior
-    s = np.sqrt(w)
+    s = np.sqrt(grid.weights_interior)
     if subspace == "collar_supported" and mode != "dense":
         raise ValueError("the collar-restricted decomposition is dense-only")
     if mode == "dense":
@@ -156,25 +166,10 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
             raise ValueError("iterative mode needs an explicit mode count")
         if n_modes >= m:
             raise ValueError("iterative mode requires n_modes < interior dimension")
-
-        def matvec(x_hat: np.ndarray) -> np.ndarray:
-            return s * ctx._apply_info(x_hat / s)
-
-        op = spla.LinearOperator((m, m), matvec=matvec, dtype=float)
-        try:
-            vals, vecs = spla.eigsh(op, k=n_modes, which="LM")
-        except spla.ArpackNoConvergence as exc:
-            raise RuntimeError("Lanczos iteration did not converge") from exc
+        vals, vecs = _lanczos(lambda x_hat: s * ctx._apply_info(x_hat / s), m,
+                              n_modes, "LM")
         vals, vecs = vals[::-1], vecs[:, ::-1]
-        residuals = np.array([
-            np.linalg.norm(matvec(vecs[:, k]) - vals[k] * vecs[:, k])
-            for k in range(len(vals))
-        ])
-        if np.any(residuals > EIG_RESIDUAL_RTOL * max(vals[0], 1e-300)):
-            raise RuntimeError(
-                f"eigenpair residuals up to {residuals.max():.3e} exceed the "
-                f"tolerance {EIG_RESIDUAL_RTOL:.1e} * lambda_1"
-            )
+        residuals = _certified_residuals(ctx, vals, vecs, float(vals[0]))
         complete = False
     else:
         raise ValueError(f"unknown mode {mode!r}; choose 'dense' or 'iterative'")
@@ -185,6 +180,81 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
                                  kernel_tol=kernel_tol, mode=mode,
                                  complete=complete, subspace=subspace,
                                  residuals=residuals)
+
+
+def _lanczos(matvec, m: int, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs of a symmetric operator on R^m by implicitly restarted
+    Lanczos.  The start vector is fixed, so repeated calls agree bit for bit
+    (ARPACK's default start is random), and generic: a symmetric start such
+    as a constant would hide the eigenvectors that are odd under the square
+    fixtures' x <-> y symmetry."""
+    op = spla.LinearOperator((m, m), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    try:
+        return spla.eigsh(op, k=k, which=which, v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise RuntimeError("Lanczos iteration did not converge") from exc
+
+
+def _certified_residuals(ctx: ScoreContext, vals: np.ndarray, vecs: np.ndarray,
+                         lam_max: float) -> np.ndarray:
+    """Residuals ||G v - lambda v|| of eigenpairs of the symmetrized
+    information matrix G = B_hat^T B_hat, applied matrix-free; raises unless
+    every one is at most ``EIG_RESIDUAL_RTOL * lambda_1``."""
+    s = np.sqrt(ctx.grid.weights_interior)
+    residuals = np.array([
+        np.linalg.norm(s * ctx._apply_info(v / s) - lam * v)
+        for lam, v in zip(vals, vecs.T)
+    ])
+    if not np.all(residuals <= EIG_RESIDUAL_RTOL * max(lam_max, 1e-300)):
+        raise RuntimeError(
+            f"eigenpair residuals up to {residuals.max():.3e} exceed the "
+            f"tolerance {EIG_RESIDUAL_RTOL:.1e} * lambda_1 = {lam_max:.3e}")
+    return residuals
+
+
+def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
+    """The bottom of the information spectrum: every kernel pair, plus at
+    least one pair above the kernel tolerance, largest eigenvalue first.
+
+    Lanczos runs on the inverse (B_hat^T B_hat)^{-1} = S T^{-1} W^{-1} K
+    W^{-1} K W^{-1} T^{-T} S, with S = W^{1/2}, through the context's sparse
+    LU of T^T, so no dense matrix is formed.  lambda_1 comes from an
+    iterative top pair and sets ``kernel_tol``.  The pair count starts at
+    ``KERNEL_SEARCH_MODES`` and doubles until a returned pair lies above
+    ``kernel_tol``, which shows that the kernel set is complete.  Every pair
+    is certified against the forward operator, ||G v - lambda v|| <=
+    ``EIG_RESIDUAL_RTOL * lambda_1``, and a failed certificate raises
+    RuntimeError.  The LU is trustworthy only where T is certified
+    nonsingular, as after a successful :func:`fisher_information`.
+    """
+    grid = ctx.grid
+    m = grid.n_interior
+    w = grid.weights_interior
+    s = np.sqrt(w)
+    lam_max = float(eigendecompose(ctx, 1, "iterative").eigenvalues[0])
+    kernel_tol = KERNEL_TOL_FACTOR * lam_max
+    lu, K = ctx.transport_lu(), ctx.op.K
+
+    def inverse_matvec(x_hat: np.ndarray) -> np.ndarray:
+        z = K @ (lu.solve(s * x_hat) / w)
+        return s * lu.solve(K @ (z / w) / w, trans="T")
+
+    k = KERNEL_SEARCH_MODES
+    while True:
+        k = min(k, m - 1)
+        mu, vecs = _lanczos(inverse_matvec, m, k, "LA")
+        vals = 1.0 / mu
+        if vals[0] > kernel_tol:
+            break
+        if k == m - 1:
+            raise RuntimeError(f"kernel search found {k} kernel pairs and no end")
+        k *= 2
+    residuals = _certified_residuals(ctx, vals, vecs, lam_max)
+    return SpectralDecomposition(ctx=ctx, eigenvalues=vals,
+                                 modes=np.ascontiguousarray(vecs / s[:, None]),
+                                 kernel_tol=kernel_tol, mode="inverse",
+                                 complete=False, residuals=residuals)
 
 
 def sqrt_apply(decomp: SpectralDecomposition, h: ScalarField) -> ScalarField:
@@ -342,6 +412,8 @@ class RefinementSweep:
     growth: float                   # coarsest-to-finest ratio
     variation: float                # max/min - 1
     kernel_fractions: list
+    kernel_counts: list             # kernel pairs found on each grid
+    kernel_residuals: list          # largest sparse-search residual / lambda_1
     verdict: str
     verdict_reason: str             # the rule that decided the verdict
     order: float | None             # observed order p of the three finest values
@@ -406,6 +478,11 @@ def fisher_refinement(fixture: str, psi_kind: str,
     back to a certified lower bound (flagged in ``lower_bounds``).  A lower
     bound can still certify growth -- provided the coarsest value is exact --
     but never convergence.
+
+    Kernel diagnostics run on grids of at most ``KERNEL_SWEEP_MAX_DIM``
+    interior unknowns.  Where the Fisher solve certified T, they come from
+    :func:`kernel_decomposition` through the same LU; on a singular grid,
+    from the dense decomposition that also gives the lower bound.
     """
     from ellinfo.fixtures import build_context, psi_fixture
 
@@ -418,23 +495,27 @@ def fisher_refinement(fixture: str, psi_kind: str,
     dims = []
     h_mesh = []
     fractions = []
+    counts = []
+    residuals = []
     reports = []
     for n in resolutions:
         ctx = build_context(fixture, n, theta_bump=theta_bump)
         psi = psi_fixture(ctx, psi_kind, **psi_params)
-        decomp = None
-        if ctx.grid.n_interior <= KERNEL_SWEEP_MAX_DIM:
-            decomp = eigendecompose(ctx)
         try:
             report = fisher_information(ctx, psi)
         except np.linalg.LinAlgError:
-            if decomp is None:
-                decomp = eigendecompose(ctx)
+            decomp = eigendecompose(ctx)
             report = _singular_grid_bound(psi, decomp)
+        else:
+            decomp = (kernel_decomposition(ctx)
+                      if ctx.grid.n_interior <= KERNEL_SWEEP_MAX_DIM else None)
         values.append(report.i_inverse_full)
         dims.append(ctx.grid.n_interior)
         h_mesh.append(ctx.grid.h_mesh)
         fractions.append(None if decomp is None else decomp.kernel_mass_fraction(psi))
+        counts.append(None if decomp is None else decomp.n_kernel)
+        residuals.append(None if decomp is None or decomp.residuals is None else
+                         float(decomp.residuals.max()) * KERNEL_TOL_FACTOR / decomp.kernel_tol)
         reports.append(report)
     values = np.asarray(values)
     bounds = tuple(report.lower_bound for report in reports)
@@ -454,7 +535,8 @@ def fisher_refinement(fixture: str, psi_kind: str,
     return RefinementSweep(fixture=fixture, psi_kind=psi_kind,
                            resolutions=tuple(resolutions), interior_dims=tuple(dims),
                            values=values, growth=growth, variation=variation,
-                           kernel_fractions=fractions, verdict=verdict,
+                           kernel_fractions=fractions, kernel_counts=counts,
+                           kernel_residuals=residuals, verdict=verdict,
                            verdict_reason=reason, order=order,
                            richardson_limit=limit, lower_bounds=bounds,
                            reports=reports)

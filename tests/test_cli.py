@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ellinfo
-from ellinfo import cli, transport
+from ellinfo import cli, spectral, transport
 from ellinfo.cli import main
 from ellinfo.grids import MIN_RESOLUTION
 
@@ -125,6 +125,27 @@ class TestConfigErrors:
         assert "positive" in record["message"]
         assert not (out / args[0]).exists()
 
+    @pytest.mark.parametrize("flag", ["--fixture", "--resolution"])
+    def test_empty_flag_value_rejected(self, tmp_path, capsys, flag):
+        """An empty value is a value: it must not fall back to the default."""
+        args = ["solve", "--fixture", "square_ex1", "--resolution", "17"]
+        args[args.index(flag) + 1] = ""
+        rc, out = run(args, tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert not (out / "solve").exists()
+
+    def test_single_simulate_replicate_rejected(self, tmp_path, capsys):
+        """One replicate has no standard error, so no verdict to report."""
+        rc, out = run(["simulate", "--resolution", "17", "--replicates", "1",
+                       "--samples", "100"], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert "two replicates" in record["message"]
+        assert not (out / "simulate").exists()
+
     @pytest.mark.parametrize("text", [
         "[experiment]\nseed = abc\n",
         "[psi]\nradius = wide\n",
@@ -181,6 +202,24 @@ class TestRuntimeErrors:
         assert record["error"] == "RuntimeError"
         assert "not certified" in record["message"]
         assert not (out / "transport").exists()
+
+    def test_kernel_certificate_failure(self, tmp_path, capsys, monkeypatch):
+        """A sparse kernel pair that fails its residual certificate fails
+        the sweep; it does not fall back to the dense decomposition."""
+        eigsh = spectral.spla.eigsh
+
+        def corrupted(op, k, which, v0):
+            vals, vecs = eigsh(op, k=k, which=which, v0=v0)
+            return vals, (np.roll(vecs, 1, axis=0) if which == "LA" else vecs)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", corrupted)
+        rc, out = run(["fisher", "--fixture", "square_ex1",
+                       "--resolution", "17,21,25"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "residuals" in record["message"]
+        assert not (out / "fisher").exists()
 
     def test_in_range_psi_reaching_the_origin_cell(self, tmp_path, capsys):
         """At disk 20^2 the in-range psi = I*(w) is nonzero on the innermost
@@ -252,11 +291,14 @@ class TestDeterminism:
     def test_fisher_rerun_is_byte_identical(self, tmp_path, capsys):
         """Also the report contract: the square solves directly on every
         grid, while the saddle's singular grids all fall back to spectral
-        lower bounds."""
-        for fixture, args, method, lower_bound in (
+        lower bounds.  The summary records each grid's kernel count, and on
+        certified grids the residual of the sparse kernel search relative
+        to lambda_1 (none for the saddle's dense decompositions)."""
+        for fixture, args, method, lower_bound, kernel_modes in (
                 ("square", ["--fixture", "square_ex1", "--resolution", "17,21,25"],
-                 "direct_solve", "false"),
-                ("saddle", ["--fixture", "saddle"], "spectral_truncation", "true")):
+                 "direct_solve", "false", [5, 6, 8]),
+                ("saddle", ["--fixture", "saddle"], "spectral_truncation", "true",
+                 [15, 23, 31])):
             rc1, out1 = run(["fisher"] + args, tmp_path, fixture + "_a")
             rc2, out2 = run(["fisher"] + args, tmp_path, fixture + "_b")
             assert rc1 == rc2 == 0
@@ -268,6 +310,11 @@ class TestDeterminism:
             rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
             assert len(rows) == 3
             assert {(r["method"], r["lower_bound"]) for r in rows} == {(method, lower_bound)}
+            summary = load_summary(out1, "fisher")
+            assert summary["kernel_modes"] == kernel_modes
+            assert all(r is None if fixture == "saddle" else
+                       0.0 < r <= spectral.EIG_RESIDUAL_RTOL
+                       for r in summary["kernel_residual"])
         capsys.readouterr()
 
 
@@ -340,6 +387,23 @@ class TestAuxiliaryCommands:
         assert summary["stability"]["applicable"]
         capsys.readouterr()
 
+    def test_failed_stability_gate_is_null_with_a_reason(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """Without a sample the stability minima are undefined: strict JSON
+        nulls, explained next to them."""
+        real = cli.stability_report
+        monkeypatch.setattr(cli, "stability_report",
+                            lambda ctx, **kw: real(ctx, c0_min=np.inf, **kw))
+        rc, out = run(["verify-operators", "--fixture", "square_ex1",
+                       "--resolution", "17"], tmp_path, "a")
+        assert rc == 0
+        text = (out / "verify-operators" / "summary.json").read_text()
+        stability = json.loads(text, parse_constant=pytest.fail)["stability"]
+        assert not stability["applicable"]
+        assert stability["min_ratio_T"] is None and stability["min_ratio_H2"] is None
+        assert "identifiability gate failed" in stability["reason"]
+        capsys.readouterr()
+
 
 class TestReproductions:
     """The two pinned experiment pipelines."""
@@ -356,6 +420,28 @@ class TestReproductions:
         assert summary["ladder"]["max_quotient_times_m"] <= 17.6
         assert (out / "reproduce-thm37" / "ladder.csv").exists()
         assert (out / "reproduce-thm37" / "refinement.csv").exists()
+        assert "max_quotient_times_m_reason" not in summary["ladder"]
+        capsys.readouterr()
+
+    def test_thm37_ladder_without_an_eligible_order(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """With no order where M_N >= 2 the maximum is undefined: a strict
+        JSON null with its reason, not NaN."""
+        real = cli.degeneracy_profile
+
+        def flat(decomp, psi):
+            prof = real(decomp, psi)
+            prof.fisher_partial = np.ones_like(prof.fisher_partial)
+            return prof
+
+        monkeypatch.setattr(cli, "degeneracy_profile", flat)
+        rc, out = run(["reproduce-thm37", "--resolution", "17,21,25"],
+                      tmp_path, "a")
+        assert rc == 0
+        text = (out / "reproduce-thm37" / "summary.json").read_text()
+        ladder = json.loads(text, parse_constant=pytest.fail)["ladder"]
+        assert ladder["max_quotient_times_m"] is None
+        assert ladder["max_quotient_times_m_reason"] == "no order with M_N >= 2"
         capsys.readouterr()
 
     def test_thm37_defaults_keep_the_ladder_within_the_spectrum_budget(

@@ -97,3 +97,19 @@ class TestTableCsv:
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="lengths"):
             written(tmp_path, ("a", "b"), (np.arange(3), np.arange(4.0)))
+
+
+class TestCanonicalJson:
+    """Summaries are strict JSON: sorted keys, no NaN or Infinity tokens."""
+
+    def test_non_finite_floats_become_null(self):
+        obj = {"b": [np.inf, 1.5], "a": float("nan"), "c": np.float64(-np.inf),
+               "d": np.array([0.25, np.nan])}
+        text = eio.canonical_json(obj)
+        assert json.loads(text, parse_constant=pytest.fail) == {
+            "a": None, "b": [None, 1.5], "c": None, "d": [0.25, None]}
+        assert text.index('"a"') < text.index('"b"')
+
+    def test_table_metadata_is_strict(self, tmp_path):
+        got = written(tmp_path, ("v",), ([1.0],), {"limit": float("inf")})
+        assert got.splitlines()[0] == b'# {"limit":null}'

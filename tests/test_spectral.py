@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from ellinfo import spectral
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import norm_l2, random_smooth_field
-from ellinfo.spectral import (SpectralDecomposition, _observed_order,
+from ellinfo.score import ScoreContext
+from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES,
+                              SpectralDecomposition, _observed_order,
                               degeneracy_profile, degeneracy_sequence,
                               eigendecompose, fisher_information,
-                              fisher_refinement, range_series,
-                              sqrt_apply)
+                              fisher_refinement, kernel_decomposition,
+                              range_series, sqrt_apply)
 
 
 class TestDecomposition:
@@ -36,6 +39,15 @@ class TestDecomposition:
         assert dense.complete
         assert not lanczos.complete
         assert lanczos.residuals is not None
+
+    def test_iterative_calls_agree_bit_for_bit(self, ctx_cache):
+        """Lanczos starts from a fixed vector, so repeated calls in one
+        process return identical pairs."""
+        ctx = ctx_cache("square_ex1", 15)
+        a, b = (eigendecompose(ctx, n_modes=6, mode="iterative") for _ in range(2))
+        np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+        np.testing.assert_array_equal(a.modes, b.modes)
+        np.testing.assert_array_equal(a.residuals, b.residuals)
 
     def test_modes_are_weighted_orthonormal(self, decomp_cache):
         d = decomp_cache("square_ex1", 15)
@@ -71,6 +83,38 @@ class TestDecomposition:
         for k in (0, -3):
             with pytest.raises(ValueError, match="n_modes must be positive"):
                 eigendecompose(ctx, n_modes=k)
+
+
+class TestKernelDecomposition:
+    """Bottom eigenpairs by Lanczos on the inverse, through the T^T LU."""
+
+    @pytest.mark.parametrize("name, res, kind", [
+        *[("square_ex1", n, k) for n in (17, 25, 33) for k in ("bump", "in_range")],
+        ("disk_ex2", 20, "in_range"), ("disk_ex2", 20, "quadrant_bump")])
+    def test_matches_the_dense_kernel(self, ctx_cache, decomp_cache, name, res, kind):
+        ctx = ctx_cache(name, res)
+        psi = psi_fixture(ctx, kind)
+        dense = decomp_cache(name, res)
+        sparse = kernel_decomposition(ctx)
+        assert sparse.n_kernel == dense.n_kernel
+        assert abs(sparse.kernel_mass_fraction(psi)
+                   - dense.kernel_mass_fraction(psi)) <= 1e-10
+        assert sparse.kernel_tol == pytest.approx(dense.kernel_tol, rel=1e-12)
+
+    def test_pairs_are_certified_and_reach_past_the_kernel(self, ctx_cache):
+        """The disk at 20 has 31 kernel pairs, so the search must widen
+        beyond its first pair count."""
+        ctx = ctx_cache("disk_ex2", 20)
+        d = kernel_decomposition(ctx)
+        lam_1 = d.kernel_tol / spectral.KERNEL_TOL_FACTOR
+        assert d.mode == "inverse" and not d.complete
+        assert d.n_kernel == 31 and d.n_modes > KERNEL_SEARCH_MODES
+        assert d.eigenvalues[0] > d.kernel_tol
+        assert np.all(np.diff(d.eigenvalues) <= 0.0)
+        assert np.all(d.residuals <= EIG_RESIDUAL_RTOL * lam_1)
+        w = d.grid.weights_interior
+        gram = (d.modes * w[:, None]).T @ d.modes
+        np.testing.assert_allclose(gram, np.eye(d.n_modes), atol=1e-10)
 
 
 class TestSqrtAndSeries:
@@ -208,8 +252,16 @@ class TestFisherInformation:
 class TestRefinementSweeps:
     """Grid-refinement classification of functionals."""
 
-    def test_bump_functional_is_divergent(self):
+    def test_bump_functional_is_divergent(self, monkeypatch):
+        """Every grid is certified, so the kernel diagnostics come from the
+        sparse search and no dense B_hat is built."""
+        def refuse(self):
+            raise AssertionError("dense linearization built on a certified grid")
+
+        monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
         sweep = fisher_refinement("square_ex1", "bump", (17, 21, 25))
+        assert sweep.kernel_counts == [5, 6, 8]
+        assert all(0.0 < r <= EIG_RESIDUAL_RTOL for r in sweep.kernel_residuals)
         assert sweep.verdict == "out_of_range_divergent"
         assert sweep.growth >= 2.0
         assert sweep.lower_bounds == (False, False, False)
@@ -243,11 +295,20 @@ class TestRefinementSweeps:
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 2.0, 1.5]) == (None, None)
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 1.0, 1.5]) == (None, None)
 
-    def test_singular_grids_report_spectral_bounds(self, ctx_cache, decomp_cache):
+    def test_singular_grids_report_spectral_bounds(self, ctx_cache, decomp_cache,
+                                                    monkeypatch):
         """On the saddle every grid falls back to the spectral bound, whose
         kernel terms are negligible for the in-range functional; a sweep of
-        bounds never certifies stability."""
+        bounds never certifies stability.  T is singular, so the kernel
+        diagnostics come from the same dense decomposition, not the sparse
+        search through its LU."""
+        def refuse(ctx):
+            raise AssertionError("sparse kernel search on a singular grid")
+
+        monkeypatch.setattr(spectral, "kernel_decomposition", refuse)
         sweep = fisher_refinement("saddle", "in_range", (17, 25, 33))
+        assert sweep.kernel_counts == [15, 23, 31]
+        assert sweep.kernel_residuals == [None, None, None]
         assert sweep.lower_bounds == (True, True, True)
         assert sweep.verdict == "undetermined"
         assert sweep.verdict_reason == "lower_bound"
