@@ -10,16 +10,17 @@ once; its ``solve`` handles Dirichlet data and its zero-boundary inverse
 the Dirichlet problem with source w, self-adjoint for the weighted inner
 product by construction.
 
-Systems up to 200^2 unknowns are solved by sparse LU; beyond that a
-Jacobi-preconditioned conjugate gradient takes over (relative tolerance
-1e-10), as in ``solve --resolution 257`` (255^2 unknowns) and on the disk at
-192.  ``last_stats`` holds the mode, iterations and residual of the last solve.
+Systems up to 200^2 unknowns are solved by sparse LU; beyond that (``solve
+--resolution 257`` and the disk at 192) conjugate gradient takes over at
+relative tolerance 1e-10, preconditioned by the exact fast-Poisson inverse of
+the theta = 1 operator: 1-2 steps at theta = 1, 4-8 with the fixtures' bumps.
+``last_stats`` holds the mode, iterations and residual of the last solve.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -241,23 +242,53 @@ class DivergenceFormOperator:
 
     # -- linear algebra ----------------------------------------------------
 
+    @cached_property
+    def _theta1_inverse(self) -> spla.LinearOperator:
+        """Exact inverse of the theta = 1 operator: the CG preconditioner.
+
+        In the interior ordering, rows along x or r and columns along y or t,
+        that operator is K0 = T1 (x) I + diag(c) (x) A2; its factors come from
+        the faces of the first interior column and row.  With A2 = V Lam V^T
+        and C^-1/2 T1 C^-1/2 = U Mu U^T, K0^-1 F = L [(L^T F V) / (mu + lam)] V^T
+        with L = C^-1/2 U (Concus & Golub 1973).
+        """
+        grid, fs = self.grid, self.faces
+        n2 = grid.shape[1]
+        origin = np.array(divmod(int(grid.interior_ids[0]), n2))[:, None]
+        sel = np.flatnonzero((fs.center // n2 == origin[0]) | (fs.center % n2 == origin[1]))
+        pos, nb_pos = (np.array(np.divmod(ids[sel], n2)) - origin for ids in (fs.center, fs.nb))
+        coef = fs.geom[sel] * grid.quad_weights[fs.center[sel]]
+        inner = ~fs.nb_is_boundary[sel]
+        along1 = nb_pos[0] != pos[0]
+        m1, m2 = pos.max(axis=1) + 1
+
+        def stencil(faces, axis, m):
+            i, j = pos[axis], nb_pos[axis]
+            D = np.zeros((m, m))
+            np.add.at(D, (i[faces], i[faces]), coef[faces])
+            np.add.at(D, (i[faces & inner], j[faces & inner]), -coef[faces & inner])
+            return D
+
+        col, row = pos[1] == 0, pos[0] == 0
+        c = np.bincount(pos[0][col & ~along1], coef[col & ~along1], minlength=m1) / 2.0
+        lam, V = np.linalg.eigh(stencil(row & ~along1, 1, m2) / c[0])
+        s = 1.0 / np.sqrt(c)
+        mu, U = np.linalg.eigh(s[:, None] * stencil(col & along1, 0, m1) * s)
+        L, denom = s[:, None] * U, mu[:, None] + lam
+        return spla.LinearOperator(self.K.shape, dtype=float, matvec=lambda r: (
+            L @ ((L.T @ r.reshape(m1, m2) @ V) / denom) @ V.T).reshape(r.shape))
+
     def _solve_spd(self, rhs: np.ndarray) -> np.ndarray:
         if self.mode == "direct":
             out = self._lu.solve(rhs)
             self.last_stats = {"mode": "direct", "iterations": 0}
         else:
-            d = self.K.diagonal()
-            M = sp.diags(1.0 / d)
-            count = {"n": 0}
-
-            def _cb(_):
-                count["n"] += 1
-
-            out, info = spla.cg(self.K, rhs, rtol=self.tol, atol=0.0, M=M,
-                                maxiter=10 * rhs.size, callback=_cb)
+            steps = []
+            out, info = spla.cg(self.K, rhs, rtol=self.tol, atol=0.0, M=self._theta1_inverse,
+                                maxiter=10 * rhs.size, callback=lambda _: steps.append(1))
             if info != 0:
                 raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-            self.last_stats = {"mode": "cg", "iterations": count["n"]}
+            self.last_stats = {"mode": "cg", "iterations": len(steps)}
         if rhs.ndim == 1:
             res = self.K @ out - rhs
             denom = max(float(np.linalg.norm(rhs)), 1e-300)

@@ -161,7 +161,7 @@ class Grid:
         self.interior_index = np.full(self.n_nodes, -1, dtype=int)
         self.interior_index[self.interior_ids] = np.arange(self.n_interior)
         self.weights_interior = self.quad_weights[self.interior_ids]
-        # kmax -> (SX, SY, einsum path) of random_smooth_field
+        # kmax -> (SX, SY) sine tables of random_smooth_field
         self._sine_tables: dict[int, tuple] = {}
         for arr in (self.x, self.y, self.quad_weights, self.boundary_mask):
             arr.setflags(write=False)
@@ -615,7 +615,7 @@ def random_smooth_field(
     Coefficients are standard Gaussians damped by (k^2 + l^2)^(-decay/2), so
     realizations are smooth at the grid scale; with ``apply_collar`` the field
     is zeroed on the boundary collar to mimic compact support.  The sine
-    tables and the contraction path are built once per grid and ``kmax``.
+    tables are built once per grid and ``kmax``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -628,12 +628,10 @@ def random_smooth_field(
             X, Y = grid.x - 1.0, grid.y - 1.0
         else:
             X, Y = (grid.x + 1.0) / 2.0, (grid.y + 1.0) / 2.0
-        SX, SY = (np.sin(np.pi * ks[:, None] * Z[None, :]) for Z in (X, Y))
-        path, _ = np.einsum_path("kl,kn,ln->n", coef, SX, SY, optimize=True)
-        grid._sine_tables[kmax] = (SX, SY, path)
-    SX, SY, path = grid._sine_tables[kmax]
-    vals = np.einsum("kl,kn,ln->n", coef, SX, SY, optimize=path)
+        grid._sine_tables[kmax] = tuple(np.sin(np.pi * ks[:, None] * Z[None, :])
+                                        for Z in (X, Y))
+    SX, SY = grid._sine_tables[kmax]
+    vals = ((coef.T @ SX) * SY).sum(axis=0)
     if apply_collar:
-        vals = vals.copy()
         vals[grid.collar_mask] = 0.0
     return ScalarField(grid, vals)

@@ -470,14 +470,15 @@ def fisher_refinement(fixture: str, psi_kind: str,
     dominant kernel mass marks ``kernel_obstructed``, growth on every pair
     (``DIVERGENCE_GROWTH`` in total) ``out_of_range_divergent``, and
     differences of one sign between the three finest grids that shrink at
-    an observed order p >= 1 ``in_range``; anything else, such as the
-    non-monotone plateau of a near-singular T (square bump at 225, 233,
-    241), is ``undetermined``.  ``verdict_reason`` names the deciding rule.
+    an observed order p >= 1 ``in_range``; anything else, such as values
+    that change direction between grids, is ``undetermined``.
+    ``verdict_reason`` names the deciding rule.
 
     Grids where the source operator T is singular to working precision fall
-    back to a certified lower bound (flagged in ``lower_bounds``).  A lower
-    bound can still certify growth -- provided the coarsest value is exact --
-    but never convergence.
+    back to a certified lower bound (flagged in ``lower_bounds``); it is
+    dense, so past ``DENSE_OPERATOR_MAX_DIM`` such a grid raises instead, as
+    the square bump does from 193.  A lower bound can still certify growth
+    -- provided the coarsest value is exact -- but never convergence.
 
     Kernel diagnostics run on grids of at most ``KERNEL_SWEEP_MAX_DIM``
     interior unknowns.  Where the Fisher solve certified T, they come from

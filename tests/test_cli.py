@@ -63,6 +63,19 @@ class TestSolveCommand:
         assert summary["results"]["17"]["max_error"] <= 1e-10
         assert "wrote" in capsys.readouterr().out
 
+    def test_largest_grid_solves_by_preconditioned_cg(self, tmp_path, capsys):
+        """255^2 unknowns exceed the LU budget; CG preconditioned by the
+        theta = 1 inverse converges at once to the exact discrete solution."""
+        rc, out = run(["solve", "--fixture", "square_ex1",
+                       "--resolution", "257"], tmp_path, "a")
+        assert rc == 0
+        result = load_summary(out, "solve")["results"]["257"]
+        assert result["solver"]["mode"] == "cg"
+        assert result["solver"]["iterations"] <= 2
+        assert result["solver"]["residual"] <= 1e-10
+        assert result["max_error"] <= 1e-10
+        capsys.readouterr()
+
     def test_manifest_records_config_hash(self, tmp_path):
         rc, out = run(["solve", "--fixture", "saddle",
                        "--resolution", "17"], tmp_path, "a")
@@ -248,24 +261,21 @@ class TestFisherCommand:
         assert summary["verdict_reason"] == "growth_on_every_pair"
         capsys.readouterr()
 
-    def test_plateau_of_a_near_singular_operator_is_not_in_range(
+    def test_near_singular_operator_past_the_dense_budget_exits_1(
             self, tmp_path, capsys):
-        """From 225^2 on the square bump's values fall back and wander
-        (7.78e21, 7.30e21, 7.54e21): every grid is certified and the
-        variation is only 0.065, but the differences change sign, so the
-        sweep certifies no convergence.  The paper proves this functional
-        out of range."""
+        """At 225^2 the square bump's source operator T is singular to
+        working precision, so the Fisher solve fails its certificate.  The
+        singular-grid fallback needs the dense linearization, which is
+        refused at 49,729 interior unknowns: a capacity failure, exit 1,
+        and no number is reported."""
         rc, out = run(["fisher", "--fixture", "square_ex1",
                        "--resolution", "225,233,241"], tmp_path, "a")
-        assert rc == 0
-        summary = load_summary(out, "fisher")
-        assert summary["lower_bounds"] == [False, False, False]
-        assert summary["variation"] <= 0.2
-        assert summary["verdict"] == "undetermined"
-        assert summary["verdict_reason"] == "non_monotone"
-        assert summary["observed_order"] is None
-        assert summary["richardson_limit"] is None
-        capsys.readouterr()
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert record["message"].startswith(
+            "dense linearization refused: interior dimension 49729")
+        assert not (out / "fisher").exists()
 
 
 class TestDeterminism:

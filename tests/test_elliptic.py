@@ -110,6 +110,33 @@ class TestOperatorAlgebra:
         assert op_cg.last_stats["iterations"] > 0
         np.testing.assert_allclose(u_cg.values, u_direct.values, atol=1e-8)
 
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_cg_at_unit_conductivity_is_a_direct_solve(self, name):
+        """The preconditioner is the exact inverse of the theta = 1 operator,
+        so CG stops after one or two steps with the LU answer."""
+        grid = fixture_grid(name, 25)
+        f, g = fixture_data(name, grid)
+        theta = Conductivity.constant(grid)
+        u_direct = DivergenceFormOperator(theta, mode="direct").solve(f, g)
+        op_cg = DivergenceFormOperator(theta, mode="cg")
+        u_cg = op_cg.solve(f, g)
+        assert op_cg.last_stats["mode"] == "cg"
+        assert 1 <= op_cg.last_stats["iterations"] <= 2
+        np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-12)
+
+    def test_cg_with_a_bump_on_the_periodic_disk(self):
+        """A non-separable theta (three times the fixture's bump) on the disk:
+        the theta = 1 inverse with its periodic angular factor still leaves
+        only a few CG steps."""
+        grid = fixture_grid("disk_ex2", 40)
+        f, g = fixture_data("disk_ex2", grid)
+        theta = Conductivity.with_bump(grid, (0.3, 0.25), 0.3, 0.45)
+        u_direct = DivergenceFormOperator(theta, mode="direct").solve(f, g)
+        op_cg = DivergenceFormOperator(theta, mode="cg", tol=1e-12)
+        u_cg = op_cg.solve(f, g)
+        assert 3 <= op_cg.last_stats["iterations"] <= 15
+        np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-10)
+
     def test_unknown_mode_rejected(self):
         grid = square(15)
         with pytest.raises(ValueError, match="mode"):
