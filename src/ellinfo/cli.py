@@ -208,6 +208,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.subcommand == "reproduce-thm38" and len(cfg.resolutions) != 2:
         raise ConfigError(
             "reproduce-thm38 takes two resolutions: square grid, disk grid")
+    single_grid = ("verify-operators", "spectrum", "transport", "simulate")
+    if cfg.subcommand in single_grid and len(cfg.resolutions) != 1:
+        raise ConfigError(f"{cfg.subcommand} takes one resolution, got "
+                          f"{','.join(map(str, cfg.resolutions))}")
 
 
 # --------------------------------------------------------------------------

@@ -16,12 +16,15 @@ edges; the compact Laplacian uses the standard 5-point stencil on the square
 and a flux form in polar coordinates on the disk, which kills the coordinate
 singularity at the origin because the innermost face sits at r = 0.
 
-Point evaluation is bilinear on both grids (in (r, theta) on the disk).
-``Grid.sample_matrix(points)`` is the sparse observation operator P: it
-locates the points once, and ``P @ F`` evaluates every column of a nodal
-stack F there; ``Grid.interpolator`` wraps it as a callable on batches of
-points.  The curve tracer evaluates grad u_theta at all lanes of a batch
-with one ``P @ [vx, vy]`` per Runge-Kutta stage.
+Point evaluation is bilinear on both grids, in grid coordinates: (x, y) on
+the square, (r, theta) on the disk, whose tensor axes gain a ring at r = 0
+holding the ring-0 mean and a seam column at theta = 2 pi.
+``Grid.interpolator(F)`` prepares the per-cell coefficients of a nodal
+stack F once and returns a plain function of (n, 2) grid coordinates; a call
+locates the cells arithmetically and evaluates every column with one sparse
+product.  ``Grid.grid_coords`` converts Cartesian points for callers that
+hold them (the curve tracer, curve integrals, the score); the Monte Carlo
+draws its design in grid coordinates and skips the round trip.
 """
 
 from __future__ import annotations
@@ -229,64 +232,60 @@ class Grid:
     def second_derivatives(self, values):
         raise NotImplementedError
 
-    def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
-        extrapolated linearly past the edges, as a callable on (n, 2) points:
-        ``sample_matrix(points) @ values``."""
-        return lambda points: self.sample_matrix(points) @ values
-
-    def sample_matrix(self, points: np.ndarray) -> sp.csr_matrix:
-        """Sparse observation operator P of shape (n_points, n_nodes).
-
-        Row i holds the bilinear weights of point i, so ``P @ values``
-        evaluates the bilinear interpolant (extrapolated linearly past the
-        edges), and ``P @ F`` evaluates every column of an (n_nodes, k)
-        stack at once.  Every row sums to one.
-        """
+    def grid_coords(self, points: np.ndarray) -> np.ndarray:
+        """Grid coordinates of (n, 2) Cartesian points, as ``interpolator``
+        takes them: (x, y) on the square, (r, theta) on the disk."""
         raise NotImplementedError
 
+    def _tensor_axes(self, values: np.ndarray):
+        """The two interpolation axes, each as (nodes, origin, h): cell k
+        spans nodes[k] to nodes[k + 1] and holds the coordinates c with
+        floor((c - origin) / h) = k; and the nodal values on the axes, shape
+        (len(axis0), len(axis1)) + values.shape[1:]."""
+        raise NotImplementedError
 
-def _locate(coord: np.ndarray, nodes: np.ndarray, widths: np.ndarray, h: float):
-    """Cell index and offset in cells on an axis of uniformly spaced nodes.
+    def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
+        extrapolated linearly past the edges, as a callable on (n, 2) grid
+        coordinates (``grid_coords`` converts Cartesian points).
 
-    Cell c spans ``nodes[c]`` plus ``widths[c]`` (``np.diff`` of the axis),
-    both gathered by ``take``, several times faster than fancy indexing.
-    The cell is found arithmetically and clipped to the first and last
-    cells, so the offset leaves [0, 1] for points past an edge and the
-    weights extrapolate linearly.  The offset is measured from the stored
-    node coordinates, as ``RegularGridInterpolator`` measures it.
-    """
-    s = (coord - nodes[0]) / h
-    cell = np.clip(np.floor(s, out=s), 0, widths.size - 1, out=s).astype(np.int32)
-    offset = np.subtract(coord, nodes.take(cell), out=s)
-    offset /= widths.take(cell)
-    return cell, offset
+        The build stores per cell the coefficients (a, b, c, d) of
+        f = a + b s + c t + d s t in the cell's offsets s, t in [0, 1]; a
+        call locates each point's cell arithmetically, clipped to the edge
+        cells, and evaluates every column with one sparse product whose row
+        i is [1, s_i, t_i, s_i t_i] against the four table rows of its cell.
+        """
+        vals = np.asarray(values, dtype=float)
+        axes, v = self._tensor_axes(vals)
+        v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
+        table = np.stack([v00, v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)], axis=2)
+        table = table.reshape((-1,) + vals.shape[1:])
+        cells = [(nodes, np.diff(nodes), origin, h) for nodes, origin, h in axes]
+        m1 = cells[1][1].size
 
+        def interpolate(coords: np.ndarray) -> np.ndarray:
+            coords = np.atleast_2d(np.asarray(coords, dtype=float))
+            n = coords.shape[0]
+            rows = np.empty((n, 4))
+            rows[:, 0] = 1.0
+            k = []
+            for ax, (nodes, widths, origin, h) in enumerate(cells):
+                c = coords[:, ax]
+                # truncating the clipped position is flooring it, then clipping
+                x = np.subtract(c, origin)
+                x /= h
+                k.append(np.clip(x, 0, widths.size - 1, out=x).astype(np.intp))
+                s = np.subtract(c, nodes.take(k[-1]), out=rows[:, 1 + ax])
+                s /= widths.take(k[-1])
+            np.multiply(rows[:, 1], rows[:, 2], out=rows[:, 3])
+            col = np.multiply(k[0] * m1 + k[1], 4, dtype=np.int32)
+            P = sp.csr_matrix((rows.reshape(-1),
+                               np.stack([col, col + 1, col + 2, col + 3], axis=1).reshape(-1),
+                               np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
+                              shape=(n, table.shape[0]))
+            return P @ table
 
-def _bilinear_entries(row, row_step, a, col_lo, col_hi, b):
-    """Node ids and weights of each point's four cell corners, shape (n, 4).
-
-    The cell spans the flat row offsets ``row`` and ``row + row_step`` along
-    axis 0, weighted 1 - a and a, and the axis-1 indices ``col_lo`` and
-    ``col_hi``, weighted 1 - b and b.  Both arrays are filled in place, one
-    column at a time, which keeps the memory of the build close to that of
-    the matrix.
-    """
-    idx = np.empty((a.size, 4), dtype=np.int32)
-    data = np.empty((a.size, 4))
-    for c, (row_c, wa) in enumerate(((row, 1.0 - a), (row + row_step, a))):
-        for d, (col, wb) in enumerate(((col_lo, 1.0 - b), (col_hi, b))):
-            np.add(row_c, col, out=idx[:, 2 * c + d])
-            np.multiply(wa, wb, out=data[:, 2 * c + d])
-    return idx, data
-
-
-def _four_point_csr(idx: np.ndarray, data: np.ndarray, n_nodes: int) -> sp.csr_matrix:
-    """CSR matrix whose row i holds the four entries idx[i], data[i]."""
-    n = idx.shape[0]
-    indptr = np.arange(0, 4 * n + 1, 4, dtype=np.int32)
-    return sp.csr_matrix((data.reshape(-1), idx.reshape(-1), indptr),
-                         shape=(n, n_nodes))
+        return interpolate
 
 
 class SquareGrid(Grid):
@@ -300,7 +299,6 @@ class SquareGrid(Grid):
         self.ys = np.linspace(1.0, 2.0, ny)
         self.hx = 1.0 / (nx - 1)
         self.hy = 1.0 / (ny - 1)
-        self._x_widths, self._y_widths = np.diff(self.xs), np.diff(self.ys)
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
         self.x = X.reshape(-1)
         self.y = Y.reshape(-1)
@@ -367,13 +365,12 @@ class SquareGrid(Grid):
         ) / (4.0 * self.hx * self.hy)
         return fxx.reshape(-1), fxy.reshape(-1), fyy.reshape(-1)
 
-    def sample_matrix(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ny = self.shape[1]
-        i, tx = _locate(pts[:, 0], self.xs, self._x_widths, self.hx)
-        j, ty = _locate(pts[:, 1], self.ys, self._y_widths, self.hy)
-        idx, data = _bilinear_entries(i * ny, ny, tx, j, j + 1, ty)
-        return _four_point_csr(idx, data, self.n_nodes)
+    def grid_coords(self, points):
+        return np.asarray(points, dtype=float)
+
+    def _tensor_axes(self, values):
+        axes = ((self.xs, 1.0, self.hx), (self.ys, 1.0, self.hy))
+        return axes, values.reshape(self.shape + values.shape[1:])
 
 
 class DiskGrid(Grid):
@@ -393,9 +390,6 @@ class DiskGrid(Grid):
         self.dt = 2.0 * math.pi / n_t
         self.rs = (np.arange(n_r) + 0.5) * self.dr
         self.ts = np.arange(n_t) * self.dt
-        # n_t angular cells; the last one closes the seam at 2 pi onto column 0
-        self._r_widths = np.diff(self.rs)
-        self._t_widths = np.diff(np.append(self.ts, 2.0 * math.pi))
         R, T = np.meshgrid(self.rs, self.ts, indexing="ij")
         self.r = R.reshape(-1)
         self.t = T.reshape(-1)
@@ -476,38 +470,22 @@ class DiskGrid(Grid):
         fxy = 0.5 * (np.asarray(gxy1) + np.asarray(gyx))
         return gxx, fxy, gyy
 
-    def sample_matrix(self, points):
+    def grid_coords(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n_t = self.shape[1]
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        t = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-        j, s = _locate(t, self.ts, self._t_widths, self.dt)
-        j1 = np.where(j == n_t - 1, 0, j + 1).astype(np.int32)
-        k, a = _locate(r, self.rs, self._r_widths, self.dr)
-        idx, data = _bilinear_entries(k * n_t, n_t, a, j, j1, s)
-        in_origin = r < self.rs[0]
-        origin = np.flatnonzero(in_origin)
-        if origin.size == 0:
-            return _four_point_csr(idx, data, self.n_nodes)
-        # In the origin cell the inner corner is the origin, valued at the
-        # ring-0 average: its weight 1 - a0 spreads as (1 - a0) / n_t over all
-        # of ring 0, so those rows get n_t entries: the first four take the
-        # row's own slots, the rest are inserted.
-        a0 = r[origin] / self.rs[0]
-        s0 = s[origin]
-        ring0 = np.repeat(((1.0 - a0) / n_t)[:, None], n_t, axis=1)
-        rows = np.arange(origin.size)
-        ring0[rows, j[origin]] += a0 * (1.0 - s0)
-        ring0[rows, j1[origin]] += a0 * s0
-        idx[origin] = np.arange(4)
-        data[origin] = ring0[:, :4]
-        at = np.repeat(4 * origin + 4, n_t - 4)
-        indices = np.insert(idx.reshape(-1), at,
-                            np.tile(np.arange(4, n_t, dtype=np.int32), origin.size))
-        data = np.insert(data.reshape(-1), at, ring0[:, 4:].reshape(-1))
-        indptr = 4 * np.arange(r.size + 1, dtype=np.int32)
-        indptr[1:] += (n_t - 4) * np.cumsum(in_origin, dtype=np.int32)
-        return sp.csr_matrix((data, indices, indptr), shape=(r.size, self.n_nodes))
+        return np.column_stack([np.hypot(pts[:, 0], pts[:, 1]),
+                                np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)])
+
+    def _tensor_axes(self, values):
+        # a ring at r = 0 holding the ring-0 mean, so the origin cell is an
+        # ordinary cell, and a seam column at theta = 2 pi repeating column 0;
+        # the mean sums in node order, so a stacked column matches its scalar
+        # interpolant bit for bit
+        v = values.reshape(self.shape + values.shape[1:])
+        mean = v[0].cumsum(axis=0)[-1] / self.shape[1]
+        v = np.concatenate([np.broadcast_to(mean, v[:1].shape), v])
+        v = np.concatenate([v, v[:, :1]], axis=1)
+        return ((np.concatenate([[0.0], self.rs]), -self.dr / 2.0, self.dr),
+                (np.append(self.ts, 2.0 * math.pi), 0.0, self.dt)), v
 
 
 def build_grid(spec: DomainSpec | None = None, *, kind=None, resolution=None) -> Grid:

@@ -2,17 +2,18 @@
 
 Design points are drawn from the normalized measure on the domain (uniform
 area; the disk uses polar inversion), and every experiment is driven by
-spawned child seeds so reports are bitwise reproducible.  Each draw builds
-the sparse observation operator P(X) of its design once
-(``Grid.sample_matrix``), and every nodal field the experiment needs at the
-design points is a column of one product ``P(X) @ F``.  The likelihood
-ratio evaluates one column, d = u_theta - u_{theta + h/sqrt(n)}; the plug-in
-fit adds the noise to column 0 (the bias) of Z = P(X) @ [bias, images], so
-that Z^T Z holds its normal equations, which Cholesky solves.  The three
-studies check the mean-zero/variance structure of the linearized score,
-the likelihood-ratio expansion against its predicted Gaussian limit, and
-the growth of the normalized risk of a spectral-cutoff plug-in estimator
-of a linear functional of the conductivity.
+spawned child seeds so reports are bitwise reproducible.  The design is
+drawn in grid coordinates ((r, theta) on the disk), and every nodal field a
+study needs at the design points is a column of one prepared
+``Grid.interpolator`` closure, built once per study outside the replicate
+loop; ``sample_data`` alone converts its design to Cartesian X.  The
+likelihood ratio evaluates one column, d = u_theta - u_{theta + h/sqrt(n)};
+the plug-in fit adds the noise to column 0 (the bias) of the evaluated
+Z = [bias, images], so that Z^T Z holds its normal equations, which Cholesky
+solves.  The three studies check the mean-zero/variance structure of the
+linearized score, the likelihood-ratio expansion against its predicted
+Gaussian limit, and the growth of the normalized risk of a spectral-cutoff
+plug-in estimator of a linear functional of the conductivity.
 """
 
 from __future__ import annotations
@@ -64,44 +65,51 @@ class SampleSet:
             yield self[i]
 
 
-def _draw(grid, rng, n: int, fields: np.ndarray, noiseless: bool = False):
-    """One draw: design points X, the nodal ``fields`` at X, and the noise.
+def _draw(grid, rng, n: int, interp, noiseless: bool = False):
+    """One draw: the design in grid coordinates, ``interp`` at it, and the noise.
 
-    The fields (one column each) are evaluated by one product P(X) @ fields;
-    P(X) itself is not kept, so only the evaluated columns outlive the call.
-    The design is drawn before the noise, so a seed fixes both.
+    The design is uniform for the normalized measure: 1 + U on the square,
+    (sqrt(U1), 2 pi U2) in (r, theta) on the disk, drawn before the noise, so
+    a seed fixes both.  ``interp`` is a ``Grid.interpolator`` closure
+    prepared once per study; it evaluates every field it holds at the design
+    without a Cartesian round trip.
     """
     if n < 1:
         raise ValueError("need at least one observation")
     if grid.spec.kind is DomainKind.SQUARE:
-        x = 1.0 + rng.random((n, 2))
+        coords = rng.random((n, 2))
+        coords += 1.0
     else:
         r = np.sqrt(rng.random(n))
-        t = 2.0 * math.pi * rng.random(n)
-        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    at_x = grid.sample_matrix(x) @ fields
+        coords = np.column_stack([r, 2.0 * math.pi * rng.random(n)])
+    at_x = interp(coords)
     eps = np.zeros(n) if noiseless else rng.standard_normal(n)
-    return x, at_x, eps
+    return coords, at_x, eps
 
 
 def sample_data(ctx: ScoreContext, n: int, seed: int = 0,
                 noiseless: bool = False) -> SampleSet:
     """Draw n observations of the regression experiment.
 
-    X is uniform for the normalized area measure; Y interpolates the base
-    solution at X and adds standard normal noise (suppressed in the
-    noiseless sanity mode, where epsilon is recorded as zero).
+    X is uniform for the normalized area measure, in Cartesian coordinates;
+    Y interpolates the base solution at X and adds standard normal noise
+    (suppressed in the noiseless mode, where epsilon is recorded as zero).
     """
-    x, u_x, eps = _draw(ctx.grid, np.random.default_rng(seed), n, ctx.u.values,
-                        noiseless)
+    grid = ctx.grid
+    x, u_x, eps = _draw(grid, np.random.default_rng(seed), n,
+                        grid.interpolator(ctx.u.values), noiseless)
+    if grid.spec.kind is DomainKind.DISK:
+        r, t = x.T
+        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
     return SampleSet(X=x, Y=u_x + eps, epsilon=eps, seed=seed)
 
 
 def score_eval(ctx: ScoreContext, h: ScalarField, sample):
     """Linearized score (Y - u_theta(X)) * (I h)(X) for one sample or a set."""
-    P = ctx.grid.sample_matrix(np.reshape(np.asarray(sample.X, dtype=float), (-1, 2)))
-    u_x, image_x = (P @ np.column_stack([ctx.u.values,
-                                         ctx.apply_linearization(h).values])).T
+    grid = ctx.grid
+    interp = grid.interpolator(np.column_stack([ctx.u.values,
+                                                ctx.apply_linearization(h).values]))
+    u_x, image_x = interp(grid.grid_coords(np.reshape(sample.X, (-1, 2)))).T
     scores = (np.asarray(sample.Y) - u_x) * image_x
     return float(scores[0]) if isinstance(sample, Sample) else scores
 
@@ -134,7 +142,8 @@ def info_identity_mc(ctx: ScoreContext, h1: ScalarField, h2: ScalarField,
     img1 = ctx.apply_linearization(h1)
     img2 = ctx.apply_linearization(h2)
     _, images_x, eps = _draw(ctx.grid, np.random.default_rng(seed), n,
-                             np.column_stack([img1.values, img2.values]))
+                             ctx.grid.interpolator(np.column_stack([img1.values,
+                                                                    img2.values])))
     i1_x, i2_x = images_x.T
     products = (eps * i1_x) * (eps * i2_x)
     reference = inner_l2(img1, img2)
@@ -176,8 +185,9 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     image = ctx.apply_linearization(h)
     norm_sq = inner_l2(image, image)
     llrs = np.empty(replicates)
+    interp = grid.interpolator(d)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
-        _, d_x, eps = _draw(grid, np.random.default_rng(child), n, d)
+        _, d_x, eps = _draw(grid, np.random.default_rng(child), n, interp)
         llrs[r] = -float(d_x @ (eps + 0.5 * d_x))
     mean = float(llrs.mean())
     var = float(llrs.var(ddof=1)) if replicates > 1 else 0.0
@@ -273,10 +283,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     n_mse = np.empty(len(n_list))
     for j, (n, k) in enumerate(zip(n_list, k_values)):
         errors = np.empty(replicates)
-        fields_k = np.ascontiguousarray(fields[:, :k + 1])
+        interp = grid.interpolator(fields[:, :k + 1])
         for r, child in enumerate(root.spawn(replicates)):
-            _, z, eps = _draw(grid, np.random.default_rng(child), n, fields_k,
-                              noiseless)
+            _, z, eps = _draw(grid, np.random.default_rng(child), n, interp, noiseless)
             z[:, 0] += eps
             gram = z.T @ z
             beta = cho_solve(cho_factor(gram[1:, 1:]), gram[1:, 0])

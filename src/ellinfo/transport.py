@@ -10,10 +10,11 @@ the outflow mismatch), and builds kernel elements from first integrals.
 
 The curves of one call step together through one tracer, ``_trace``: scipy's
 RK45 (Dormand-Prince 5(4)) with each lane's own step size, every stage one
-``Grid.sample_matrix`` product at all live lanes.  Integrands stay out of the
-ODE: integrals sample each lane's dense output (or each disk ray) uniformly,
-evaluate a chunk of lanes in one ``Grid.interpolator`` call and apply
-Simpson's rule.  ``range_verdict`` certifies its integrals by step halving.
+call of the prepared ``Grid.interpolator`` of grad u at all live lanes.
+Integrands stay out of the ODE: integrals sample each lane's dense output
+(or each disk ray, directly in grid coordinates (r, theta)) uniformly,
+evaluate a chunk of lanes in one interpolator call and apply Simpson's
+rule.  ``range_verdict`` certifies its integrals by step halving.
 
 On the disk configuration at theta = 1 the gradient field is radial with a
 critical point at the origin, so curves are straight rays and the range
@@ -187,7 +188,7 @@ def _trace(ctx: ScoreContext, starts: np.ndarray, signs: np.ndarray,
     taken once more if needed: the step-halving certificate.
     """
     grid = ctx.grid
-    grad = np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy])
+    interp = grid.interpolator(np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy]))
     crit_tol = CRIT_TOL_FACTOR * float(ctx.grad_u.magnitude().max())
 
     def margins(points, f):  # a lane stops where either falls to zero
@@ -203,7 +204,7 @@ def _trace(ctx: ScoreContext, starts: np.ndarray, signs: np.ndarray,
               np.empty((0, 4, 2)))]
 
     def flow(points):
-        return sgn[:, None] * (grid.sample_matrix(points) @ grad)
+        return sgn[:, None] * interp(grid.grid_coords(points))
 
     g = margins(y, f := flow(y))
     if schedule is None:  # scipy's select_initial_step
@@ -262,7 +263,7 @@ def _trace(ctx: ScoreContext, starts: np.ndarray, signs: np.ndarray,
     # locate the crossings in the last step of each lane that had one
     last, x = first[1:] - 1, np.full((n, 2), np.inf)
     for c, event in enumerate((grid.boundary_distance,
-                               lambda p: margins(p, grid.sample_matrix(p) @ grad)[:, 1])):
+                               lambda p: margins(p, interp(grid.grid_coords(p)))[:, 1])):
         i = np.flatnonzero(hits[:, c])
         lo, hi, s = np.zeros(i.size), np.ones(i.size), last[i]
         for _ in range(53 if i.size else 0):
@@ -289,7 +290,7 @@ def _lane_integrals(grid: Grid, values: np.ndarray, lanes: _Lanes, ids, points=N
         pts = lanes.points(ids[sl])
         if points is not None:
             points.extend(pts)
-        vals = interp(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        vals = interp(grid.grid_coords(pts.reshape(-1, 2))).reshape(pts.shape[:2])
         ds = lanes.s_end[ids[sl]] / (N_CURVE_SAMPLES - 1)
         full[sl], coarse[sl] = _simpson(vals, ds), _simpson(vals[:, ::2], 2.0 * ds)
     return full, coarse
@@ -321,7 +322,8 @@ def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
     """Integral of psi along the curve, oriented by increasing parameter."""
     if len(curve.times) < 3:
         return 0.0
-    vals = psi.grid.interpolator(psi.values)(curve.points)
+    grid = psi.grid
+    vals = grid.interpolator(psi.values)(grid.grid_coords(curve.points))
     return float(_simpson(vals, curve.travel_time / (len(curve.times) - 1)))
 
 
@@ -358,7 +360,10 @@ def ray_integral_disk(psi: ScalarField, z):
                            "the origin on this grid; the ray integrals cannot be truncated")
     else:
         t_min = math.log(support_min_radius / 2.0)
-        pts = np.exp(np.linspace(t_min, 0.0, N_RAY_SAMPLES))[None, :, None] * zs[:, None, :]
+        # grid coordinates (e^t, angle of z) of the ray samples
+        pts = np.empty((len(zs), N_RAY_SAMPLES, 2))
+        pts[:, :, 0] = np.exp(np.linspace(t_min, 0.0, N_RAY_SAMPLES))
+        pts[:, :, 1] = psi.grid.grid_coords(zs)[:, 1:]
         interp, step = psi.grid.interpolator(psi.values), _CHUNK_SAMPLES // N_RAY_SAMPLES
         vals = np.concatenate([interp(pts[lo:lo + step].reshape(-1, 2))
                                for lo in range(0, len(zs), step)])

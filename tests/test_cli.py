@@ -149,6 +149,18 @@ class TestConfigErrors:
         assert record["error"] == "config"
         assert not (out / "solve").exists()
 
+    @pytest.mark.parametrize("subcommand", ["verify-operators", "spectrum", "transport",
+                                            "simulate"])
+    def test_extra_resolutions_rejected(self, tmp_path, capsys, subcommand):
+        """A single-grid subcommand given two grids must not run the first and
+        silently drop the second."""
+        rc, out = run([subcommand, "--resolution", "17,33"], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert "one resolution" in record["message"] and "17,33" in record["message"]
+        assert not (out / subcommand).exists()
+
     def test_single_simulate_replicate_rejected(self, tmp_path, capsys):
         """One replicate has no standard error, so no verdict to report."""
         rc, out = run(["simulate", "--resolution", "17", "--replicates", "1",

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from ellinfo import grids
 from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, ScalarField,
                            build_grid, inner_l2, laplacian, make_bump,
                            norm_l2, random_smooth_field, sobolev_norm)
@@ -217,8 +216,9 @@ def rgi_interpolator(g, values):
 
 
 def evaluations(g, values, points):
-    """The interpolant at the points, by the oracle and by P @ values."""
-    return rgi_interpolator(g, values)(points), g.sample_matrix(points) @ values
+    """The interpolant at Cartesian points, by the oracle and by the prepared
+    interpolator at their grid coordinates."""
+    return rgi_interpolator(g, values)(points), g.interpolator(values)(g.grid_coords(points))
 
 
 def special_points(g):
@@ -239,21 +239,8 @@ def special_points(g):
         + [[1.05, 0.2], [-0.3, -1.02]])
 
 
-def two_gather_locate(coord, nodes, h):
-    """Reference point location that gathers both end points of each cell by
-    fancy indexing; ``nodes`` ends at the last cell's far end (2 pi on the
-    disk's periodic axis)."""
-    s = (coord - nodes[0]) / h
-    cell = np.clip(np.floor(s, out=s), 0, nodes.size - 2, out=s).astype(np.int32)
-    lo = nodes[cell]
-    offset = np.subtract(coord, lo, out=s)
-    offset /= nodes[cell + 1] - lo
-    return cell, offset
-
-
 class TestInterpolation:
-    """Bilinear interpolators and the sparse observation operator on both
-    grids, scalar and stacked."""
+    """The prepared bilinear interpolator on both grids, scalar and stacked."""
 
     def test_square_exact_on_bilinear(self):
         g = square(17)
@@ -282,20 +269,23 @@ class TestInterpolation:
             assert below == pytest.approx(above, abs=1e-7)
 
     def test_stacked_components_interpolate_together(self):
-        """An (n_nodes, k) stack interpolates like k separate scalar calls."""
+        """An (n_nodes, k) stack interpolates like k separate scalar calls,
+        bit for bit, in the origin cell too."""
         for g in (square(17), disk(12)):
             a = g.x + 2.0 * g.y
             b = g.x * g.y
             stacked = g.interpolator(np.column_stack([a, b]))
-            pts = np.array([[g.x[5], g.y[5]], [g.x[40], g.y[40]]])
-            sep = np.column_stack([g.interpolator(a)(pts), g.interpolator(b)(pts)])
-            np.testing.assert_allclose(stacked(pts), sep, rtol=1e-12)
+            pts = np.vstack([[[g.x[5], g.y[5]], [g.x[40], g.y[40]]], special_points(g)])
+            coords = g.grid_coords(pts)
+            sep = np.column_stack([g.interpolator(a)(coords), g.interpolator(b)(coords)])
+            np.testing.assert_array_equal(stacked(coords), sep)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_sample_matrix_matches_interpolator(self, g):
-        """P(X) @ F reproduces the oracle column by column, at random
-        points and at every special point, including the extrapolation past
-        the square's edges."""
+        """The prepared interpolator at grid coordinates reproduces the
+        oracle at Cartesian points column by column, at random points and at
+        every special point, including the extrapolation past the square's
+        edges."""
         rng = np.random.default_rng(5)
         if g.spec.kind is DomainKind.SQUARE:
             pts = 1.0 + rng.random((5000, 2))
@@ -307,46 +297,30 @@ class TestInterpolation:
         ref, got = evaluations(g, F, pts)
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
-        np.testing.assert_array_equal(g.interpolator(F)(pts), got)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
-    def test_sample_matrix_bit_identical_to_two_gather_location(self, g, monkeypatch):
-        """Cell widths precomputed per grid and gathered with ``take`` give
-        the same P(X), bit for bit, as gathering both cell ends per call."""
-        rng = np.random.default_rng(7)
-        pts = np.vstack([special_points(g), rng.uniform(-1.2, 2.2, (3000, 2))])
-        if g.spec.kind is DomainKind.SQUARE:
-            pts = np.vstack([pts, 1.0 + rng.random((3000, 2))])
-        P = g.sample_matrix(pts)
+    def test_partition_of_unity(self, g):
+        """Constants are reproduced at every special point.  Fields bilinear
+        in the grid coordinates are reproduced wherever the cells are
+        bilinear in them: everywhere on the square, past its edges too; on
+        the disk outside the origin cell, whose inner corners hold the ring-0
+        mean, and short of the seam cell, whose 2 pi column repeats theta = 0."""
+        coords = g.grid_coords(special_points(g))
+        a0, a1 = (g.x, g.y) if g.spec.kind is DomainKind.SQUARE else (g.r, g.t)
 
-        def reference(coord, nodes, widths, h):
-            if widths.size == nodes.size:  # periodic axis: a seam cell to 2 pi
-                nodes = np.append(nodes, 2.0 * math.pi)
-            return two_gather_locate(coord, nodes, h)
+        def bilinear(u, v):
+            return 0.5 + 0.25 * u - 0.125 * v + 0.0625 * u * v
 
-        monkeypatch.setattr(grids, "_locate", reference)
-        ref = g.sample_matrix(pts)
-        for attr in ("indices", "data", "indptr"):
-            np.testing.assert_array_equal(getattr(P, attr), getattr(ref, attr))
-
-    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
-    def test_sample_matrix_rows(self, g):
-        """Every row sums to one; rows hold four entries except in the
-        disk's origin cell, whose rows spread over all of ring 0."""
-        rng = np.random.default_rng(6)
-        pts = np.vstack([special_points(g), rng.uniform(-1.0, 2.0, (500, 2))])
-        P = g.sample_matrix(pts)
-        assert P.shape == (len(pts), g.n_nodes)
-        assert P.indices.dtype == np.int32 and P.indptr.dtype == np.int32
-        np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0, atol=1e-14)
-        counts = np.diff(P.indptr)
+        got = g.interpolator(np.column_stack([np.full(g.n_nodes, 0.7),
+                                              bilinear(a0, a1)]))(coords)
+        assert np.max(np.abs(got[:, 0] - 0.7)) <= 1e-14
+        u, v = coords.T
+        keep = np.ones(len(coords), dtype=bool)
         if g.spec.kind is DomainKind.DISK:
-            origin = np.hypot(pts[:, 0], pts[:, 1]) < g.rs[0]
-            assert origin.sum() >= 3
-            assert np.all(counts[origin] == g.shape[1])
-            assert np.all(P[np.flatnonzero(origin)].indices < g.shape[1])
-            counts = counts[~origin]
-        assert np.all(counts == 4)
+            keep = (u >= g.rs[0]) & (v <= g.ts[-1])
+            assert 0 < keep.sum() < len(keep) - 5
+        expected = bilinear(u[keep], v[keep])
+        assert np.max(np.abs(got[keep, 1] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def fresh_smooth_field(g, seed, kmax, apply_collar, decay=3.0, contract=None):

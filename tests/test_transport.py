@@ -17,6 +17,7 @@ from ellinfo.transport import (CURVE_TERMINATIONS, N_CURVE_SAMPLES, N_RAY_SAMPLE
                                solve_transport, trace_curve,
                                _inflow_boundary_nodes, _support_min_radius,
                                _sweep_from_nodes)
+from test_grids import rgi_interpolator
 
 
 def annular_psi(grid, r0=0.55, width=0.20):
@@ -34,11 +35,11 @@ def solve_ivp_curve(ctx, seed, sign):
     at N_CURVE_SAMPLES uniform parameters.  Returns the termination, the
     end parameter, the samples and the accepted step count."""
     grid = ctx.grid
-    grad = np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy])
+    interp = grid.interpolator(np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy]))
     crit_tol = transport.CRIT_TOL_FACTOR * float(ctx.grad_u.magnitude().max())
 
     def flow(z):
-        return (grid.sample_matrix(z[None]) @ grad)[0]
+        return interp(grid.grid_coords(z[None]))[0]
 
     def boundary(_s, z):
         return grid.boundary_distance(z[None])[0]
@@ -148,7 +149,8 @@ class TestBatchedTracerParity:
                 assert term == "boundary_exit"
                 ss = np.linspace(0.0, s_end, N_CURVE_SAMPLES)
                 for k, psi in enumerate(psis):
-                    ref[k, i] += simpson(ctx.grid.interpolator(psi.values)(pts), x=ss)
+                    ref[k, i] += simpson(
+                        ctx.grid.interpolator(psi.values)(ctx.grid.grid_coords(pts)), x=ss)
         for k, (psi, verdict) in enumerate(zip(psis, verdicts)):
             assert verdict.n_unclassified == 0
             peak = np.max(np.abs(psi.values))
@@ -239,14 +241,15 @@ class TestDiskRays:
     @pytest.mark.parametrize("kind", ["quadrant_bump", "in_range"])
     def test_batched_rays_match_single_rays(self, ctx_cache, kind):
         """All rays in one call and in the disk verdict match one scipy
-        Simpson call per ray."""
+        Simpson call per ray on the oracle interpolant at Cartesian points."""
         ctx = ctx_cache("disk_ex2", 40)
         psi = psi_fixture(ctx, kind)
         verdict = range_verdict(ctx, psi)
         t_min = math.log(_support_min_radius(psi) / 2.0)
         ts = np.linspace(t_min, 0.0, N_RAY_SAMPLES)
-        ref = np.array([simpson(ctx.grid.interpolator(psi.values)(np.exp(ts)[:, None] * z),
-                                x=ts) for z in verdict.seeds])
+        interp = rgi_interpolator(ctx.grid, psi.values)
+        ref = np.array([simpson(interp(np.exp(ts)[:, None] * z), x=ts)
+                        for z in verdict.seeds])
         scale = np.max(np.abs(ref))
         np.testing.assert_array_equal(ray_integral_disk(psi, verdict.seeds), verdict.integrals)
         assert np.max(np.abs(verdict.integrals - ref)) <= 1e-12 * scale
