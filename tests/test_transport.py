@@ -1,23 +1,31 @@
 """Flow-line machinery: curve tracing, curve integrals, range verdicts,
-transport solves, and first-integral kernel elements."""
+transport solves, and first-integral kernel elements.
+
+At theta = 1 the walk's discrete flow is exact: (x, y) on square_ex1,
+(2x, -2y) on the saddle and r on the disk, so the curves are closed form
+and the references integrate the bilinear psi along them independently."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson, solve_ivp
 
 from ellinfo import score, transport
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import ScalarField, make_bump, norm_l2
 from ellinfo.spectral import fisher_information
-from ellinfo.transport import (CURVE_TERMINATIONS, N_CURVE_SAMPLES, N_RAY_SAMPLES,
-                               RANGE_VERDICTS, kernel_element, line_integral,
-                               range_verdict, ray_integral_disk,
+from ellinfo.transport import (RANGE_VERDICTS, kernel_element,
+                               line_integral, range_verdict, ray_integral_disk,
                                solve_transport, trace_curve,
                                _inflow_boundary_nodes, _support_min_radius,
                                _sweep_from_nodes)
 from test_grids import rgi_interpolator
+
+# a closed-form step that divides by zero or overflows must fail, not pass NaN
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+#: Rates (a, b) of the theta = 1 curves (x0 e^{a t}, y0 e^{b t}) on the square.
+THETA1_RATES = {"square_ex1": (1.0, 1.0), "saddle": (2.0, -2.0)}
 
 
 def annular_psi(grid, r0=0.55, width=0.20):
@@ -29,37 +37,37 @@ def annular_psi(grid, r0=0.55, width=0.20):
     return ScalarField(grid, vals)
 
 
-def solve_ivp_curve(ctx, seed, sign):
-    """Oracle: the tracer before batching, one scipy RK45 call per curve with
-    terminal boundary and critical-point events, its dense output sampled
-    at N_CURVE_SAMPLES uniform parameters.  Returns the termination, the
-    end parameter, the samples and the accepted step count."""
-    grid = ctx.grid
-    interp = grid.interpolator(np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy]))
-    crit_tol = transport.CRIT_TOL_FACTOR * float(ctx.grad_u.magnitude().max())
+def piecewise_gauss(f, breaks, n=12):
+    """Reference quadrature: n-point Gauss-Legendre between consecutive
+    breakpoints, where the integrand is smooth."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    t = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    return float(np.sum((f(t.reshape(-1)).reshape(t.shape) @ w) * 0.5 * (hi - lo)[:, 0]))
 
-    def flow(z):
-        return interp(grid.grid_coords(z[None]))[0]
 
-    def boundary(_s, z):
-        return grid.boundary_distance(z[None])[0]
+def closed_form_exits(seed, rates):
+    """Parameters at which (x0 e^{a t}, y0 e^{b t}) leaves [1, 2]^2 backward
+    and forward."""
+    ends = np.log(np.array([[1.0], [2.0]]) / np.asarray(seed)) / np.asarray(rates)
+    return float(np.max(ends.min(axis=0))), float(np.min(ends.max(axis=0)))
 
-    def critical(_s, z):
-        return math.hypot(*flow(z)) - crit_tol
 
-    for event in (boundary, critical):
-        event.terminal, event.direction = True, -1.0
-    sol = solve_ivp(lambda _s, z: sign * flow(z), (0.0, transport.TIME_LIMIT),
-                    np.asarray(seed, dtype=float), method="RK45", rtol=transport.ODE_TOL,
-                    atol=1e-12, events=[boundary, critical], dense_output=True)
-    kind = 0 if sol.t_events[0].size else 1
-    s_end = float(sol.t_events[kind][0])
-    return (CURVE_TERMINATIONS[kind], s_end,
-            sol.sol(np.linspace(0.0, s_end, N_CURVE_SAMPLES)).T, sol.t.size - 1)
+def crossing_reference(ctx, psi, seed, rates):
+    """Integral of psi's bilinear interpolant (scipy's, at Cartesian points)
+    along the closed-form crossing curve through seed, split where it
+    crosses the node lines."""
+    grid, x0, rates = ctx.grid, np.asarray(seed, dtype=float), np.asarray(rates)
+    t_lo, t_hi = closed_form_exits(x0, rates)
+    kinks = np.concatenate([np.log(grid.xs / x0[0]) / rates[0],
+                            np.log(grid.ys / x0[1]) / rates[1]])
+    breaks = np.unique(np.concatenate([[t_lo, t_hi], kinks[(kinks > t_lo) & (kinks < t_hi)]]))
+    interp = rgi_interpolator(grid, psi.values)
+    return piecewise_gauss(lambda t: interp(x0 * np.exp(np.outer(t, rates))), breaks)
 
 
 class TestCurveTracing:
-    """Integral curves of grad u for the square base flow x' = x."""
+    """Integral curves of the square base flow x' = x at theta = 1."""
 
     def test_exit_time_matches_logarithmic_flow(self, ctx_cache):
         """From (1.5, 1.5) the flow reaches x = 2 after exactly ln(4/3)."""
@@ -67,7 +75,7 @@ class TestCurveTracing:
         curve = trace_curve(ctx, (1.5, 1.5), "forward")
         assert curve.termination == "boundary_exit"
         np.testing.assert_allclose(curve.travel_time, math.log(4.0 / 3.0),
-                                   rtol=0.0, atol=1e-4)
+                                   rtol=0.0, atol=1e-12)
 
     def test_backward_trace_reaches_inflow_corner(self, ctx_cache):
         """Backward in time the same point contracts to x = 1 after ln(3/2)."""
@@ -75,7 +83,26 @@ class TestCurveTracing:
         curve = trace_curve(ctx, (1.5, 1.5), "backward")
         assert curve.termination == "boundary_exit"
         np.testing.assert_allclose(curve.travel_time, math.log(3.0 / 2.0),
-                                   rtol=0.0, atol=1e-4)
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 25), ("square_ex1", 33),
+                                           ("saddle", 17)])
+    def test_vertices_lie_on_closed_form_curves(self, ctx_cache, name, res):
+        """Every vertex sits on (x0 e^{a t}, y0 e^{b t}) at its time, each
+        after the seed exactly on a node line or dual face (the lines of the
+        half-spacing grid), and the curves end at the closed-form exits."""
+        ctx = ctx_cache(name, res)
+        rates = np.array(THETA1_RATES[name])
+        lines = np.linspace(1.0, 2.0, 2 * res - 1)
+        for seed in [(1.5, 1.5), (1.2, 1.7), (1.9, 1.1)]:
+            exits = closed_form_exits(seed, rates)
+            for direction, t_exit in (("backward", exits[0]), ("forward", exits[1])):
+                curve = trace_curve(ctx, seed, direction)
+                assert curve.termination == "boundary_exit" and curve.n_steps > 0
+                assert abs(curve.times[-1] - t_exit) <= 1e-12
+                exact = np.asarray(seed) * np.exp(np.outer(curve.times, rates))
+                assert np.max(np.abs(curve.points - exact)) <= 1e-12
+                assert np.isin(curve.points[1:], lines).any(axis=1).all()
 
     def test_seed_validation(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 25)
@@ -91,28 +118,59 @@ class TestCurveTracing:
 
 
 class TestDiskCurveTracing:
-    """Integral curves of the radial disk flow, traced through the origin
-    cell and across the 0 / 2 pi seam of the grid."""
+    """Integral curves of the disk flow, through the origin cell and across
+    the 0 / 2 pi seam of the grid."""
 
-    @pytest.mark.parametrize("seed", [(0.3, -1e-3), (0.3, 0.2)])
+    @pytest.mark.parametrize("seed", [(0.3, -1e-3), (0.3, 0.2), (-0.5, 0.4), (0.1, -0.8)])
     def test_forward_exits_along_ray_backward_reaches_origin(self, ctx_cache, seed):
+        """At theta = 1 the curves are the rays r = |z| e^t: the exit time is
+        ln(1/|z|), and backward the curve ends at the critical origin.  In
+        grid coordinates theta stays put (rounding-level angular velocities
+        count as zero), and each step crosses exactly one line r = const of
+        the half-spacing grid."""
         ctx = ctx_cache("disk_ex2", 28)
-        ray = np.asarray(seed) / math.hypot(*seed)
+        ray, r0 = np.asarray(seed) / math.hypot(*seed), math.hypot(*seed)
+        lines = np.linspace(0.0, ctx.grid.rs[-1], 2 * ctx.grid.shape[0])
         fwd = trace_curve(ctx, seed, "forward")
         assert fwd.termination == "boundary_exit"
-        end = fwd.points[-1]
-        assert abs(math.hypot(*end) - 1.0) <= 1e-12
-        assert end @ ray > 0.0 and abs(end[0] * ray[1] - end[1] * ray[0]) <= 1e-4
+        assert abs(fwd.travel_time - math.log(1.0 / math.hypot(*seed))) <= 1e-12
+        assert abs(math.hypot(*fwd.points[-1]) - 1.0) <= 1e-12
+        assert np.all(fwd.points @ ray > 0.0)
+        assert np.max(np.abs(fwd.points[:, 0] * ray[1] - fwd.points[:, 1] * ray[0])) <= 1e-12
         back = trace_curve(ctx, seed, "backward")
         assert back.termination == "critical_point"
-        assert math.hypot(*back.points[-1]) <= 1e-4
-        assert fwd.n_steps > 0 and back.n_steps > 0
+        assert back.travel_time == math.inf and back.times[-1] == -math.inf
+        assert math.hypot(*back.points[-1]) <= 1e-12
+        assert fwd.n_steps == np.count_nonzero(lines > r0)
+        assert back.n_steps == np.count_nonzero((lines > 0.0) & (lines < r0))
+        for curve in (fwd, back):
+            assert np.ptp(curve.steps[:, 0, 1]) == 0.0
+            assert np.isin(curve.steps[1:, 0, 0], lines).all()
+        with pytest.raises(ValueError, match="critical point"):
+            line_integral(ctx.grid.field(1.0), back)
+
+    def test_curves_cross_the_seam_continuously(self, ctx_cache):
+        """With the theta bump the flow turns, and curves from either side of
+        theta = 0 wrap across the seam: they move by at most one sub-cell
+        diagonal per step and leave at nearly the same time."""
+        ctx = ctx_cache("disk_ex2", 28, theta_bump=True)
+        curves = [trace_curve(ctx, seed, direction) for seed in ((0.5, 1e-4), (0.5, -1e-4))
+                  for direction in ("forward", "backward")]
+        wraps = 0
+        for curve in curves:
+            theta = np.mod(np.arctan2(curve.points[:, 1], curve.points[:, 0]), 2.0 * math.pi)
+            wraps += np.count_nonzero(np.abs(np.diff(theta)) > math.pi)
+            assert np.max(np.linalg.norm(np.diff(curve.points, axis=0), axis=1)) \
+                <= ctx.grid.h_mesh
+        assert wraps >= 2
+        assert curves[0].termination == curves[2].termination == "boundary_exit"
+        assert abs(curves[0].travel_time - curves[2].travel_time) <= 1e-6
+        assert curves[1].termination == curves[3].termination == "critical_point"
 
 
 class TestCrossingConsistency:
-    """The boundary-to-boundary crossing accumulator agrees with explicit
-    quadrature along the traced curve (fundamental theorem of calculus for
-    the augmented flow ODE)."""
+    """The batched crossing integrals agree with ``line_integral`` along the
+    curve that ``trace_curve`` walks from (almost) the same start."""
 
     def test_sweep_matches_line_integral(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 25)
@@ -133,76 +191,31 @@ class TestCrossingConsistency:
                 assert abs(acc[i] - li) / scale <= 1e-4
 
 
-class TestBatchedTracerParity:
-    """The batched Dormand-Prince tracer against one solve_ivp call per curve
-    plus scipy's Simpson rule: same steps, same crossings."""
+class TestClosedFormCrossings:
+    """Verdict integrals against the closed-form theta = 1 curves: the walk
+    is exact for its flow, and Gauss-Legendre on each step is exact to
+    rounding for the bilinear psi."""
 
-    @pytest.mark.parametrize("res", [25, 33])
-    def test_verdict_integrals_match_solve_ivp(self, ctx_cache, res):
-        ctx = ctx_cache("square_ex1", res)
-        psis = [psi_fixture(ctx, kind) for kind in ("bump", "in_range")]
-        verdicts = [range_verdict(ctx, psi) for psi in psis]
-        ref = np.zeros((len(psis), len(verdicts[0].seeds)))
-        for i, seed in enumerate(verdicts[0].seeds):
-            for sign in (-1.0, 1.0):
-                term, s_end, pts, _ = solve_ivp_curve(ctx, seed, sign)
-                assert term == "boundary_exit"
-                ss = np.linspace(0.0, s_end, N_CURVE_SAMPLES)
-                for k, psi in enumerate(psis):
-                    ref[k, i] += simpson(
-                        ctx.grid.interpolator(psi.values)(ctx.grid.grid_coords(pts)), x=ss)
-        for k, (psi, verdict) in enumerate(zip(psis, verdicts)):
-            assert verdict.n_unclassified == 0
-            peak = np.max(np.abs(psi.values))
-            assert np.max(np.abs(verdict.integrals - ref[k])) <= 1e-6 * peak
-            assert 0.0 < verdict.trace_error <= verdict.integral_tol
-
-    @pytest.mark.parametrize("name, res, seeds", [
-        ("square_ex1", 25, [(1.5, 1.5), (1.2, 1.7), (1.9, 1.1)]),
-        ("square_ex1", 33, [(1.5, 1.5), (1.2, 1.7), (1.9, 1.1)]),
-        ("disk_ex2", 28, [(0.3, -1e-3), (0.3, 0.2), (-0.5, 0.4), (0.1, -0.8)])])
-    def test_trace_curve_matches_solve_ivp(self, ctx_cache, name, res, seeds):
-        """Travel times, end points and step counts, forward and backward,
-        also where the disk's backward curves stop at the critical point."""
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("square_ex1", 25),
+                                           ("square_ex1", 33), ("saddle", 17)])
+    def test_verdict_integrals_match_closed_form(self, ctx_cache, name, res):
         ctx = ctx_cache(name, res)
-        for seed in seeds:
-            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
-                curve = trace_curve(ctx, seed, direction)
-                term, s_end, pts, n_steps = solve_ivp_curve(ctx, seed, sign)
-                assert (curve.termination, curve.n_steps) == (term, n_steps)
-                assert abs(curve.travel_time - s_end) <= 1e-10
-                assert np.max(np.abs(curve.points - pts)) <= 1e-12
+        for kind in ("bump", "in_range"):
+            psi = psi_fixture(ctx, kind)
+            verdict = range_verdict(ctx, psi)
+            assert verdict.n_unclassified == 0
+            ref = [crossing_reference(ctx, psi, seed, THETA1_RATES[name])
+                   for seed in verdict.seeds]
+            peak = np.max(np.abs(psi.values))
+            assert np.max(np.abs(verdict.integrals - ref)) <= 1e-10 * peak
+            assert 0.0 < verdict.trace_error <= verdict.integral_tol
 
 
 class TestCrossingResolution:
     """Crossing integrals of the in-range functional from the inflow nodes
-    at 17^2.  Carrying psi in the ODE state let step control skip kinks of
-    the bilinear integrand: the crossing from (1, 1.0625) came out 1.9 %
-    off its mirror image from (1.0625, 1)."""
-
-    @staticmethod
-    def converged_crossing(ctx, psi, start):
-        """Reference: psi carried in the state of one solve_ivp call at
-        rtol 1e-10, with a one-point bilinear evaluator."""
-        grid = ctx.grid
-        cells = np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy, psi.values])
-        cells = cells.reshape(grid.shape + (3,))
-
-        def rhs(_s, z):
-            a, b = (z[0] - 1.0) / grid.hx, (z[1] - 1.0) / grid.hy
-            i = min(max(int(a), 0), grid.shape[0] - 2)
-            j = min(max(int(b), 0), grid.shape[1] - 2)
-            a, b = a - i, b - j
-            return ((1 - a) * ((1 - b) * cells[i, j] + b * cells[i, j + 1])
-                    + a * ((1 - b) * cells[i + 1, j] + b * cells[i + 1, j + 1]))
-
-        def exit_(_s, z):
-            return min(z[0] - 1.0, 2.0 - z[0], z[1] - 1.0, 2.0 - z[1])
-
-        exit_.terminal, exit_.direction = True, -1.0
-        sol = solve_ivp(rhs, (0.0, transport.TIME_LIMIT), np.append(start, 0.0),
-                        method="RK45", rtol=1e-10, atol=1e-13, events=[exit_])
-        return float(sol.y_events[0][0][2])
+    at 17^2.  The bilinear integrand has kinks at every cell edge a
+    crossing passes; the walk's steps end on them, so the crossings from
+    (1, y) and (y, 1) agree to rounding."""
 
     def test_crossings_match_mirror_and_converged_reference(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 17)
@@ -214,17 +227,10 @@ class TestCrossingResolution:
         scale = np.max(np.abs(crossings))
         index = {tuple(p): k for k, p in enumerate(np.round(nodes, 12).tolist())}
         mirror = [index[(y, x)] for x, y in np.round(nodes, 12).tolist()]
-        assert np.max(np.abs(crossings - crossings[mirror])) <= 1e-4 * scale
-        ref = np.array([self.converged_crossing(ctx, psi, z) for z in nodes])
-        error = np.max(np.abs(crossings - ref))
-        # Simpson's rule on N_CURVE_SAMPLES samples of a C0 integrand errs at
-        # O(ds^2) per cell edge crossed; the change under every other sample
-        # bounds that error
-        lanes = transport._trace(ctx, nodes, np.ones(len(nodes)))
-        full, coarse = transport._lane_integrals(grid, psi.values, lanes, np.arange(len(nodes)))
-        np.testing.assert_array_equal(full, crossings)
-        assert error <= 1e-3 * scale
-        assert error <= np.max(np.abs(coarse - full))
+        # symmetric up to rounding in u and psi: 9.5e-14 of the largest crossing
+        assert np.max(np.abs(crossings - crossings[mirror])) <= 1e-12 * scale
+        ref = np.array([crossing_reference(ctx, psi, z, (1.0, 1.0)) for z in nodes])
+        assert np.max(np.abs(crossings - ref)) <= 1e-10 * np.max(np.abs(psi.values))
 
 
 class TestDiskRays:
@@ -240,21 +246,23 @@ class TestDiskRays:
 
     @pytest.mark.parametrize("kind", ["quadrant_bump", "in_range"])
     def test_batched_rays_match_single_rays(self, ctx_cache, kind):
-        """All rays in one call and in the disk verdict match one scipy
-        Simpson call per ray on the oracle interpolant at Cartesian points."""
+        """All rays in one call and in the disk verdict match a 12-point
+        Gauss-Legendre rule per radial cell on the oracle interpolant at
+        Cartesian points."""
         ctx = ctx_cache("disk_ex2", 40)
         psi = psi_fixture(ctx, kind)
         verdict = range_verdict(ctx, psi)
         t_min = math.log(_support_min_radius(psi) / 2.0)
-        ts = np.linspace(t_min, 0.0, N_RAY_SAMPLES)
+        log_r = np.log(ctx.grid.rs)
+        breaks = np.concatenate([[t_min], log_r[log_r > t_min]])
         interp = rgi_interpolator(ctx.grid, psi.values)
-        ref = np.array([simpson(interp(np.exp(ts)[:, None] * z), x=ts)
+        ref = np.array([piecewise_gauss(lambda t: interp(np.exp(t)[:, None] * z), breaks)
                         for z in verdict.seeds])
         scale = np.max(np.abs(ref))
         np.testing.assert_array_equal(ray_integral_disk(psi, verdict.seeds), verdict.integrals)
         assert np.max(np.abs(verdict.integrals - ref)) <= 1e-12 * scale
         assert ray_integral_disk(psi, verdict.seeds[5]) == verdict.integrals[5]
-        assert verdict.trace_error is None
+        assert 0.0 < verdict.trace_error <= verdict.integral_tol
 
     def test_radial_functional_flags_constant_offset(self, ctx_cache):
         """All rays carry the same nonzero integral: solvable only up to a
@@ -297,6 +305,18 @@ class TestRangeVerdicts:
         assert verdict.verdict == "compatible_within_tol"
         assert verdict.max_abs_integral <= verdict.threshold
 
+    @pytest.mark.parametrize("name", ["square_ex1", "saddle"])
+    def test_bumped_conductivity_keeps_verdicts(self, ctx_cache, name):
+        """With the default theta bump the curves are no longer closed form;
+        the verdicts stay as at theta = 1."""
+        ctx = ctx_cache(name, 33, theta_bump=True)
+        bump = range_verdict(ctx, psi_fixture(ctx, "bump"))
+        in_range = range_verdict(ctx, psi_fixture(ctx, "in_range"))
+        assert bump.verdict == "incompatible" and bump.n_unclassified == 0
+        assert in_range.verdict == "compatible_within_tol" and in_range.n_unclassified == 0
+        for verdict in (bump, in_range):
+            assert 0.0 < verdict.trace_error <= verdict.integral_tol
+
     def test_disk_quadrant_bump_is_incompatible_with_witness(self, ctx_cache):
         """A one-quadrant source loads some rays and misses others entirely,
         so an explicit zero-ray witness accompanies the failure."""
@@ -310,7 +330,7 @@ class TestRangeVerdicts:
 class TestTransportSolve:
     """Solves of grad u . grad y = psi on the square: the field from the
     sparse discrete equation T^T y = W psi, shared with the inverse Fisher
-    form, and the outflow mismatch from characteristics traced from the
+    form, and the outflow mismatch from characteristics walked from the
     inflow boundary."""
 
     def test_zero_source_gives_zero_solution(self, ctx_cache):
@@ -337,7 +357,7 @@ class TestTransportSolve:
                                    atol=1e-8 * np.max(np.abs(fx.potential.values)))
 
     def test_field_agrees_with_characteristics_at_second_order(self, ctx_cache):
-        """The characteristic field, traced back from every interior node to
+        """The characteristic field, walked back from every interior node to
         the inflow boundary, is the reference: the two discretisations part
         by 12.7 % of max|phi| at 17^2 and 5.9 % at 25^2, a ratio near
         (16/24)^2 = 0.44."""
@@ -356,16 +376,16 @@ class TestTransportSolve:
 
     @pytest.mark.parametrize("res, n_inflow", [(17, 30), (25, 46)])
     def test_only_inflow_nodes_are_traced(self, ctx_cache, monkeypatch, res, n_inflow):
-        """The mismatch traces one batch, of one lane per inflow node."""
+        """The mismatch walks one batch, of one lane per inflow node."""
         ctx = ctx_cache("square_ex1", res)
         batches = []
 
-        def counting_trace(ctx, starts, signs, schedule=None):
+        def counting_walk(ctx, starts, signs):
             batches.append(len(starts))
-            return trace(ctx, starts, signs, schedule)
+            return walk(ctx, starts, signs)
 
-        trace = transport._trace
-        monkeypatch.setattr(transport, "_trace", counting_trace)
+        walk = transport._walk
+        monkeypatch.setattr(transport, "_walk", counting_walk)
         solve_transport(ctx, psi_fixture(ctx, "bump"))
         assert batches == [len(_inflow_boundary_nodes(ctx))] == [n_inflow]
 
@@ -404,9 +424,10 @@ class TestKernelElements:
 
     def test_hyperbolic_first_integral_damps_source(self, ctx_cache):
         """h = exp(-r) x/y has div(h grad u) smaller than h by an O(h_mesh)
-        factor: a genuine near-kernel direction."""
+        factor: a genuine near-kernel direction.  The walk follows the rays
+        x/y = const exactly, so x/y holds to rounding at the entry points."""
         ctx = ctx_cache("square_ex1", 17)
-        h = kernel_element(ctx, lambda x, y: x / y)
+        h = kernel_element(ctx, lambda x, y: x / y, f_tol=1e-13)
         ratio = norm_l2(ctx.perturbation_source(h)) / norm_l2(h)
         assert ratio <= 10.0 * ctx.grid.h_mesh
 
