@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from ellinfo import score, transport
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import ScalarField, make_bump, norm_l2
 from ellinfo.spectral import fisher_information
-from ellinfo.transport import (RANGE_VERDICTS, kernel_element,
+from ellinfo.transport import (CURVE_TERMINATIONS, RANGE_VERDICTS, kernel_element,
                                line_integral, range_verdict, ray_integral_disk,
                                solve_transport, trace_curve,
                                _inflow_boundary_nodes, _support_min_radius,
@@ -189,6 +190,65 @@ class TestCrossingConsistency:
                 start = pairs[i] + 1e-9 * gu / np.linalg.norm(gu)
                 li = line_integral(psi, trace_curve(ctx, start, "forward"))
                 assert abs(acc[i] - li) / scale <= 1e-4
+
+
+def solve_ivp_curve(ctx, seed, sign):
+    """Oracle: one scipy RK45 call per curve on the bilinear interpolant of
+    the context's grad u, with terminal boundary and critical-point events.
+    Returns the termination, the end parameter and the dense solution."""
+    grid = ctx.grid
+    interp = grid.interpolator(np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy]))
+    crit_tol = transport.CRIT_TOL_FACTOR * float(ctx.grad_u.magnitude().max())
+
+    def flow(z):
+        return interp(grid.grid_coords(z[None]))[0]
+
+    def boundary(_s, z):
+        return grid.boundary_distance(z[None])[0]
+
+    def critical(_s, z):
+        return math.hypot(*flow(z)) - crit_tol
+
+    for event in (boundary, critical):
+        event.terminal, event.direction = True, -1.0
+    sol = solve_ivp(lambda _s, z: sign * flow(z), (0.0, 50.0), np.asarray(seed, dtype=float),
+                    method="RK45", rtol=1e-10, atol=1e-12, events=[boundary, critical],
+                    dense_output=True)
+    kind = 0 if sol.t_events[0].size else 1
+    return CURVE_TERMINATIONS[kind], float(sol.t_events[kind][0]), sol.sol
+
+
+class TestBatchedTracerParity:
+    """The cell walk against an independent ODE solve of the interpolated
+    gradient field.  On the square grad u = (x, y) is bilinear, so the two
+    agree to the solver's tolerance; on the polar grid the interpolant of
+    r (cos t, sin t) is off by at most dt^2 / 8 relative, which bounds the
+    gap there."""
+
+    @pytest.mark.parametrize("name, res, seeds", [
+        ("square_ex1", 25, [(1.5, 1.5), (1.2, 1.7), (1.9, 1.1)]),
+        ("square_ex1", 33, [(1.5, 1.5), (1.2, 1.7), (1.9, 1.1)]),
+        ("disk_ex2", 28, [(0.3, -1e-3), (0.3, 0.2), (-0.5, 0.4), (0.1, -0.8)])])
+    def test_trace_curve_matches_solve_ivp(self, ctx_cache, name, res, seeds):
+        """Terminations, travel times and every finite-time vertex, forward
+        and backward, also where the disk's backward curves end at the
+        critical origin (the walk at t = -inf, the solver at its event)."""
+        ctx = ctx_cache(name, res)
+        tol = ctx.grid.dt**2 / 8.0 if name == "disk_ex2" else 1e-9
+        for seed in seeds:
+            for direction, sign in (("forward", 1.0), ("backward", -1.0)):
+                curve = trace_curve(ctx, seed, direction)
+                term, s_end, dense = solve_ivp_curve(ctx, seed, sign)
+                assert curve.termination == term
+                finite = np.isfinite(curve.times)
+                assert np.all(np.abs(curve.times[finite]) <= s_end + tol)
+                ref = dense(np.minimum(np.abs(curve.times[finite]), s_end)).T
+                assert np.max(np.abs(curve.points[finite] - ref)) <= tol
+                if term == "boundary_exit":
+                    assert abs(curve.travel_time - s_end) <= tol
+                else:
+                    assert curve.travel_time == math.inf
+                    assert math.hypot(*dense(s_end)) <= 1e-5
 
 
 class TestClosedFormCrossings:
