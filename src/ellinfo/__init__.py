@@ -17,8 +17,6 @@ from ellinfo.grids import (
     ScalarField,
     VectorField,
     build_grid,
-    div,
-    grad,
     inner_l2,
     laplacian,
     make_bump,
@@ -78,8 +76,6 @@ __all__ = [
     "build_grid",
     "inner_l2",
     "norm_l2",
-    "grad",
-    "div",
     "laplacian",
     "sobolev_norm",
     "make_bump",

@@ -4,8 +4,10 @@ The PDE is div(theta * grad u) = f in the domain with u = g on the boundary.
 Assembly is finite-volume flux form with the conductivity averaged onto cell
 faces, which yields a symmetric positive definite system after weighting each
 nodal equation by its quadrature weight (on the square this is the classic
-5-point stencil).  ``DivergenceFormOperator`` assembles and factorises it
-once; its ``solve`` handles Dirichlet data and its zero-boundary inverse
+5-point stencil).  The system matrix K is filled by one ``bincount`` on the
+grid's face pattern (``Grid.faces``), which the source operator T shares;
+the coupling C to boundary values has its own small build from the boundary
+faces.  ``DivergenceFormOperator`` assembles and factorises K once; its ``solve`` handles Dirichlet data and its zero-boundary inverse
 ``apply_inverse`` is the discrete counterpart of the solution operator for
 the Dirichlet problem with source w, self-adjoint for the weighted inner
 product by construction.
@@ -26,16 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ellinfo.grids import (
-    DiskGrid,
-    DomainKind,
-    Grid,
-    ScalarField,
-    SquareGrid,
-    laplacian,
-    make_bump,
-    sobolev_norm,
-)
+from ellinfo.grids import Grid, ScalarField, laplacian, make_bump, sobolev_norm
 
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
@@ -102,90 +95,6 @@ class Conductivity:
         return cls.from_perturbation(grid, make_bump(grid, center, radius, amplitude), eta=eta)
 
 
-@dataclass
-class FaceSet:
-    """Flux faces of all interior nodes.
-
-    For each face the discrete operator contributes
-    ``theta_face * geom * (u[nb] - u[center])`` to L(u) at ``center``.
-    ``inward`` is the interior node one step beyond ``center`` away from a
-    boundary neighbor (used for extrapolating coefficient fields there); it is
-    -1 for faces between two non-boundary nodes.
-    """
-
-    center: np.ndarray
-    nb: np.ndarray
-    geom: np.ndarray
-    nb_is_boundary: np.ndarray
-    inward: np.ndarray
-
-
-def _face_set_square(grid: SquareGrid) -> FaceSet:
-    nx, ny = grid.shape
-    ids = np.arange(grid.n_nodes).reshape(nx, ny)
-    centers, nbs, geoms, inward = [], [], [], []
-    steps = [(-1, 0, 1.0 / grid.hx**2), (1, 0, 1.0 / grid.hx**2),
-             (0, -1, 1.0 / grid.hy**2), (0, 1, 1.0 / grid.hy**2)]
-    I, J = np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1), indexing="ij")
-    I = I.reshape(-1)
-    J = J.reshape(-1)
-    for di, dj, geom in steps:
-        centers.append(ids[I, J])
-        nbs.append(ids[I + di, J + dj])
-        geoms.append(np.full(I.size, geom))
-        inward.append(ids[I - di, J - dj])
-    center = np.concatenate(centers)
-    nb = np.concatenate(nbs)
-    geom = np.concatenate(geoms)
-    inw = np.concatenate(inward)
-    on_boundary = grid.boundary_mask[nb]
-    inw = np.where(on_boundary, inw, -1)
-    return FaceSet(center, nb, geom, on_boundary, inw)
-
-
-def _face_set_disk(grid: DiskGrid) -> FaceSet:
-    n_r, n_t = grid.shape
-    ids = np.arange(grid.n_nodes).reshape(n_r, n_t)
-    rs, dr, dt = grid.rs, grid.dr, grid.dt
-    centers, nbs, geoms, inward = [], [], [], []
-    for i in range(n_r - 1):
-        row = ids[i]
-        # radial outward face at r_{i+1/2}
-        g_out = (rs[i] + dr / 2.0) / (rs[i] * dr**2)
-        centers.append(row)
-        nbs.append(ids[i + 1])
-        geoms.append(np.full(n_t, g_out))
-        inward.append(ids[i - 1] if i >= 1 else np.full(n_t, -1))
-        # radial inward face; the face at r = 0 carries no flux and is skipped
-        if i >= 1:
-            g_in = (rs[i] - dr / 2.0) / (rs[i] * dr**2)
-            centers.append(row)
-            nbs.append(ids[i - 1])
-            geoms.append(np.full(n_t, g_in))
-            inward.append(ids[i + 1])
-        # angular faces (periodic)
-        g_ang = 1.0 / (rs[i] ** 2 * dt**2)
-        for shift in (-1, 1):
-            centers.append(row)
-            nbs.append(np.roll(row, -shift))
-            geoms.append(np.full(n_t, g_ang))
-            inward.append(np.roll(row, shift))
-    center = np.concatenate(centers)
-    nb = np.concatenate(nbs)
-    geom = np.concatenate(geoms)
-    inw = np.concatenate(inward)
-    on_boundary = grid.boundary_mask[nb]
-    # only radial faces can touch the boundary ring; extrapolation goes inward
-    inw = np.where(on_boundary, inw, -1)
-    return FaceSet(center, nb, geom, on_boundary, inw)
-
-
-def face_set(grid: Grid) -> FaceSet:
-    if isinstance(grid, SquareGrid):
-        return _face_set_square(grid)
-    return _face_set_disk(grid)
-
-
 class DivergenceFormOperator:
     """Assembled handle for L = div(theta grad .) with Dirichlet boundary.
 
@@ -200,7 +109,6 @@ class DivergenceFormOperator:
         self.grid = grid = theta.grid
         self.theta = theta
         self.tol = tol
-        self.faces = face_set(grid)
         self._assemble()
         if mode == "auto":
             mode = "direct" if grid.n_interior <= DIRECT_SOLVE_MAX_UNKNOWNS else "cg"
@@ -212,32 +120,21 @@ class DivergenceFormOperator:
 
     def _assemble(self):
         grid = self.grid
-        fs = self.faces
+        fs = grid.faces
         th = self.theta.values
         theta_face = 0.5 * (th[fs.center] + th[fs.nb])
-        w_c = grid.quad_weights[fs.center]
-        coef = theta_face * fs.geom * w_c
-
-        c_int = grid.interior_index[fs.center]
-        rows = [c_int]
-        cols = [c_int]
-        data = [coef]  # K[c, c] accumulates +coef per face
-        interior_nb = ~fs.nb_is_boundary
-        rows.append(c_int[interior_nb])
-        cols.append(grid.interior_index[fs.nb[interior_nb]])
-        data.append(-coef[interior_nb])
-        m = grid.n_interior
-        self.K = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m, m),
-        ).tocsr()
+        coef = theta_face * fs.geom * grid.quad_weights[fs.center]
+        # K[c, c] accumulates +coef per face, K[c, nb] takes -coef
+        inner = ~fs.nb_is_boundary
+        self.K = fs.fill(np.concatenate([fs.diag, fs.off[inner]]),
+                         np.concatenate([coef, -coef[inner]]))
 
         # coupling of interior equations to boundary values (for the lift)
         bmask = fs.nb_is_boundary
         b_pos = np.searchsorted(grid.boundary_ids, fs.nb[bmask])
         self.C = sp.coo_matrix(
-            (coef[bmask], (c_int[bmask], b_pos)),
-            shape=(m, grid.boundary_ids.size),
+            (coef[bmask], (grid.interior_index[fs.center[bmask]], b_pos)),
+            shape=(grid.n_interior, grid.boundary_ids.size),
         ).tocsr()
 
     # -- linear algebra ----------------------------------------------------
@@ -252,7 +149,7 @@ class DivergenceFormOperator:
         and C^-1/2 T1 C^-1/2 = U Mu U^T, K0^-1 F = L [(L^T F V) / (mu + lam)] V^T
         with L = C^-1/2 U (Concus & Golub 1973).
         """
-        grid, fs = self.grid, self.faces
+        grid, fs = self.grid, self.grid.faces
         n2 = grid.shape[1]
         origin = np.array(divmod(int(grid.interior_ids[0]), n2))[:, None]
         sel = np.flatnonzero((fs.center // n2 == origin[0]) | (fs.center % n2 == origin[1]))

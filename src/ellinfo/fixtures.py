@@ -27,7 +27,6 @@ Functional fixtures for range/degeneracy studies come in three kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +68,7 @@ def _window_bump(grid: Grid, center, radius: float) -> ScalarField:
     cx, cy = float(center[0]), float(center[1])
     if radius <= 0:
         raise ValueError("window radius must be positive")
-    if grid.spec.kind is DomainKind.SQUARE:
-        clearance = min(cx - 1.0, 2.0 - cx, cy - 1.0, 2.0 - cy) - radius
-    else:
-        clearance = 1.0 - (math.hypot(cx, cy) + radius)
+    clearance = grid.boundary_distance(np.array([[cx, cy]]))[0] - radius
     if clearance + 1e-12 < COLLAR_CELLS * grid.h_mesh:
         raise ValueError(
             f"window support (center {center}, radius {radius}) too close to "

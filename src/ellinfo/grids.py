@@ -12,9 +12,14 @@ Fields store one value per grid node.  The discrete inner product uses
 quadrature weights that sum to one exactly on both domains (trapezoid weights
 on the square, exact annular sector areas on the disk).  First derivatives use
 second-order central differences with one-sided closures at non-periodic
-edges; the compact Laplacian uses the standard 5-point stencil on the square
-and a flux form in polar coordinates on the disk, which kills the coordinate
-singularity at the origin because the innermost face sits at r = 0.
+edges.
+
+``Grid.faces`` is the grid's one face stencil: the flux faces of every
+interior node (the 5-point stencil on the square, a polar flux form on the
+disk whose innermost face sits at r = 0 and carries no flux, which kills the
+coordinate singularity at the origin) and the interior CSR pattern they
+fill.  The elliptic operator K, the source operator T and the compact
+Laplacian are sums over these faces with theta, h or 1 on each face.
 
 Point evaluation is bilinear on both grids, in grid coordinates: (x, y) on
 the square, (r, theta) on the disk, whose tensor axes gain a ring at r = 0
@@ -29,11 +34,11 @@ draws its design in grid coordinates and skips the round trip.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,6 +139,40 @@ class VectorField:
         return np.hypot(self.vx, self.vy)
 
 
+@dataclass(frozen=True)
+class FaceSet:
+    """Flux faces of all interior nodes and the interior CSR pattern they fill.
+
+    Face k contributes ``a_k * geom[k] * (v[nb[k]] - v[center[k]])`` at
+    ``center[k]`` to a divergence-form operator with coefficient a on the
+    face.  ``diag[k]`` is the slot of (center, center) in the pattern
+    (``indptr``, ``indices``, interior numbering, sorted columns) and
+    ``off[k]`` the slot of (center, nb).  When nb is a boundary node,
+    ``off[k]`` is instead the slot of (center, inward), inward being the node
+    one step beyond center away from nb: a coefficient field is extrapolated
+    linearly to the boundary through it, h_b = 2 h_center - h_inward.  That
+    node is an interior neighbour of center, so the pattern is the same with
+    or without extrapolation.  Every array is read-only and matrices filled
+    by :meth:`fill` share ``indptr`` and ``indices``.
+    """
+
+    center: np.ndarray
+    nb: np.ndarray
+    geom: np.ndarray
+    nb_is_boundary: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+
+    def fill(self, slots: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+        """The matrix on the pattern whose entry at each slot sums, in
+        order, the values given for that slot."""
+        data = np.bincount(slots, values, minlength=self.indices.size)
+        m = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
+
+
 class Grid:
     """Base class for the two tensor grids.
 
@@ -223,11 +262,49 @@ class Grid:
     def gradient(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def divergence(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def _face_steps(self) -> Iterable[tuple[int, int, np.ndarray | float]]:
+        """The face of each interior node (i, j) towards (i + d0, j + d1),
+        as (d0, d1, geom): geom is a scalar or one value per interior node.
+        Axis 1 wraps; a face past axis 0's start is dropped."""
         raise NotImplementedError
 
+    @cached_property
+    def faces(self) -> FaceSet:
+        """The face stencil of :class:`FaceSet`, built once per grid.  Faces
+        run step by step; each node's faces keep the order of the steps."""
+        n1, m = self.shape[1], self.n_interior
+        I, J = np.divmod(self.interior_ids, n1)
+        D0, D1, G = zip(*self._face_steps())
+        d0, d1 = np.array(D0)[:, None], np.array(D1)[:, None]
+        valid = I + d0 >= 0  # (steps, m), as are the arrays below
+        nb = np.where(valid, (I + d0) * n1 + (J + d1) % n1, 0)
+        inward = (I - d0) * n1 + (J - d1) % n1
+        on_boundary = self.boundary_mask[nb]
+        # each row's columns in ascending order, padded with m: the row itself
+        # and its interior neighbours; a slot is the row start plus the
+        # number of the row's columns below the slot's column
+        rows = np.broadcast_to(np.arange(m), valid.shape)
+        nb_col = np.where(valid & ~on_boundary, self.interior_index[nb], m)
+        table = np.sort(np.vstack([rows[:1], nb_col]), axis=0)
+        indptr = np.concatenate([[0], np.cumsum(np.sum(table < m, axis=0))])
+        col = self.interior_index[np.where(on_boundary, inward, nb)]
+        diag, off = ((indptr[:-1] + np.sum(table[:, None] < c, axis=0))[valid].astype(np.int32)
+                     for c in (rows, col))
+        fs = FaceSet(np.broadcast_to(self.interior_ids, valid.shape)[valid], nb[valid],
+                     np.array([np.broadcast_to(g, (m,)) for g in G])[valid],
+                     on_boundary[valid], indptr.astype(np.int32),
+                     table.T[table.T < m].astype(np.int32), diag, off)
+        for arr in vars(fs).values():
+            arr.setflags(write=False)
+        return fs
+
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """The face sum of geom * (v[nb] - v[center]): the theta = 1
+        operator at interior nodes, zero on the boundary."""
+        fs = self.faces
+        v = np.asarray(values, dtype=float).reshape(-1)
+        return np.bincount(fs.center, fs.geom * (v[fs.nb] - v[fs.center]),
+                           minlength=self.n_nodes)
 
     def second_derivatives(self, values):
         raise NotImplementedError
@@ -339,19 +416,9 @@ class SquareGrid(Grid):
         gy = self._diff(v, self.hy, 1)
         return gx.reshape(-1), gy.reshape(-1)
 
-    def divergence(self, vx, vy):
-        fx = self._diff(self.reshape(vx), self.hx, 0)
-        fy = self._diff(self.reshape(vy), self.hy, 1)
-        return (fx + fy).reshape(-1)
-
-    def laplacian_values(self, values):
-        v = self.reshape(values)
-        out = np.zeros_like(v)
-        out[1:-1, 1:-1] = (
-            (v[2:, 1:-1] - 2.0 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / self.hx**2
-            + (v[1:-1, 2:] - 2.0 * v[1:-1, 1:-1] + v[1:-1, :-2]) / self.hy**2
-        )
-        return out.reshape(-1)
+    def _face_steps(self):
+        gx, gy = 1.0 / self.hx**2, 1.0 / self.hy**2
+        return ((-1, 0, gx), (1, 0, gx), (0, -1, gy), (0, 1, gy))
 
     def second_derivatives(self, values):
         v = self.reshape(values)
@@ -433,33 +500,13 @@ class DiskGrid(Grid):
         gy = st * dvr + ct * dvt / R
         return gx.reshape(-1), gy.reshape(-1)
 
-    def divergence(self, vx, vy):
-        ct = np.cos(self.ts)[None, :]
-        st = np.sin(self.ts)[None, :]
-        FX = self.reshape(vx)
-        FY = self.reshape(vy)
-        Fr = ct * FX + st * FY
-        Ft = -st * FX + ct * FY
-        dFr_r, _ = self._polar_derivs(Fr)
-        _, dFt_t = self._polar_derivs(Ft)
-        R = self.rs[:, None]
-        out = dFr_r + Fr / R + dFt_t / R
-        return out.reshape(-1)
-
-    def laplacian_values(self, values):
-        v = self.reshape(values)
-        out = np.zeros_like(v)
-        r_plus = self.rs + self.dr / 2.0
-        r_minus = np.maximum(self.rs - self.dr / 2.0, 0.0)
-        for i in range(self.shape[0] - 1):
-            outer = r_plus[i] * (v[i + 1] - v[i])
-            inner = r_minus[i] * (v[i] - v[i - 1]) if i > 0 else 0.0
-            radial = (outer - inner) / (self.rs[i] * self.dr**2)
-            ang = (np.roll(v[i], -1) - 2.0 * v[i] + np.roll(v[i], 1)) / (
-                self.rs[i] ** 2 * self.dt**2
-            )
-            out[i] = radial + ang
-        return out.reshape(-1)
+    def _face_steps(self):
+        # radial faces at r_{i +- 1/2} (none at r = 0) and periodic angular faces
+        rs = self.rs[self.interior_ids // self.shape[1]]
+        g_ang = 1.0 / (rs**2 * self.dt**2)
+        return ((1, 0, (rs + self.dr / 2.0) / (rs * self.dr**2)),
+                (-1, 0, (rs - self.dr / 2.0) / (rs * self.dr**2)),
+                (0, -1, g_ang), (0, 1, g_ang))
 
     def second_derivatives(self, values):
         # Cartesian second derivatives by composing the first-derivative
@@ -515,15 +562,6 @@ def norm_l2(f: ScalarField) -> float:
     return math.sqrt(max(inner_l2(f, f), 0.0))
 
 
-def grad(f: ScalarField) -> VectorField:
-    gx, gy = f.grid.gradient(f.values)
-    return VectorField(f.grid, gx, gy)
-
-
-def div(F: VectorField) -> ScalarField:
-    return ScalarField(F.grid, F.grid.divergence(F.vx, F.vy))
-
-
 def laplacian(f: ScalarField) -> ScalarField:
     """Compact discrete Laplacian; valid at interior nodes, zero on the boundary."""
     return ScalarField(f.grid, f.grid.laplacian_values(f.values))
@@ -563,10 +601,7 @@ def make_bump(grid: Grid, center, radius: float, amplitude: float = 1.0) -> Scal
     if radius <= 0:
         raise ValueError("bump radius must be positive")
     margin = COLLAR_CELLS * grid.h_mesh
-    if grid.spec.kind is DomainKind.SQUARE:
-        clearance = min(cx - 1.0, 2.0 - cx, cy - 1.0, 2.0 - cy) - radius
-    else:
-        clearance = 1.0 - (math.hypot(cx, cy) + radius)
+    clearance = grid.boundary_distance(np.array([[cx, cy]]))[0] - radius
     if clearance + 1e-12 < margin:
         raise ValueError(
             f"bump support (center {center}, radius {radius}) leaves clearance "

@@ -17,11 +17,12 @@ The gradient-formula adjoint and the exact transpose are two discretizations
 of the same operator; their gap is a first-order mesh quantity and is measured
 by the adjoint-consistency diagnostics rather than hidden.
 
-T is assembled once as a sparse matrix in h.  Faces between two interior
-nodes average h; faces touching the boundary extrapolate h linearly from the
-two nearest interior nodes, which keeps constants exactly in the kernel of
-h -> T(h) when the base solution is discretely harmonic.  For perturbations
-vanishing on the collar the assembly identity
+T is filled once as a sparse matrix in h on the grid's face pattern
+(``Grid.faces``), the pattern of the elliptic operator K.  Faces between two
+interior nodes average h; faces touching the boundary extrapolate h linearly
+from the two nearest interior nodes, which keeps constants exactly in the
+kernel of h -> T(h) when the base solution is discretely harmonic.  For
+perturbations vanishing on the collar the assembly identity
 L_{theta + s h} = L_theta + s L_h holds exactly, which makes the Gateaux
 remainder of the forward map exactly quadratic in s at the discrete level.
 """
@@ -41,7 +42,6 @@ from ellinfo.grids import (
     Grid,
     ScalarField,
     VectorField,
-    grad,
     inner_l2,
     norm_l2,
     random_smooth_field,
@@ -81,37 +81,16 @@ class ScoreContext:
     # -- assembly ----------------------------------------------------------
 
     def _assemble_source_operator(self) -> sp.csr_matrix:
-        grid = self.grid
-        fs = self.op.faces
+        fs = self.grid.faces
         uvals = self.u.values
         q = fs.geom * (uvals[fs.nb] - uvals[fs.center])
-        c_int = grid.interior_index[fs.center]
-        rows, cols, data = [], [], []
-
-        interior_nb = ~fs.nb_is_boundary
-        # h averaged onto interior faces: half weight on each side
-        rows.append(c_int)
-        cols.append(c_int)
-        data.append(0.5 * q)
-        rows.append(c_int[interior_nb])
-        cols.append(grid.interior_index[fs.nb[interior_nb]])
-        data.append(0.5 * q[interior_nb])
-        # boundary faces: h_b = 2 h_center - h_inward, so the face value
-        # (h_center + h_b)/2 becomes (3 h_center - h_inward)/2
-        bmask = fs.nb_is_boundary
-        rows.append(c_int[bmask])
-        cols.append(c_int[bmask])
-        data.append(1.0 * q[bmask])  # on top of the 0.5 q already added
-        rows.append(c_int[bmask])
-        cols.append(grid.interior_index[fs.inward[bmask]])
-        data.append(-0.5 * q[bmask])
-
-        m = grid.n_interior
-        T = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m, m),
-        ).tocsr()
-        return T
+        inner, bnd = ~fs.nb_is_boundary, fs.nb_is_boundary
+        # h averaged onto interior faces: half weight on each side; on
+        # boundary faces h_b = 2 h_center - h_inward, so the face value
+        # (h_center + h_b)/2 becomes (3 h_center - h_inward)/2: q more on
+        # the diagonal and -q/2 at the inward slot
+        return fs.fill(np.concatenate([fs.diag, fs.off[inner], fs.diag[bnd], fs.off[bnd]]),
+                       np.concatenate([0.5 * q, 0.5 * q[inner], q[bnd], -0.5 * q[bnd]]))
 
     def transport_lu(self) -> spla.SuperLU:
         """The context's one sparse LU of T^T, factored on first use;

@@ -103,11 +103,12 @@ class _Axis:
 
 
 def _discrete_flow(ctx: ScoreContext) -> tuple[_Axis, _Axis]:
-    """The walk's velocity field: T's face differences (u_nb - u_c) / h, and
-    (u_{j+1} - u_j) / (dt r_i^2) across the disk's angular faces.  Boundary
-    half-cells extend the neighbouring linear profile, the disk's face at
-    r = 0 carries zero velocity, and velocities of at most CRIT_TOL_FACTOR
-    times the largest count as zero."""
+    """The walk's velocity field: the face differences (u_nb - u_c) / h of
+    ``Grid.faces``, on which T is filled, and (u_{j+1} - u_j) / (dt r_i^2)
+    across the disk's angular faces.  Boundary half-cells extend the
+    neighbouring linear profile, the disk's face at r = 0 carries zero
+    velocity, and velocities of at most CRIT_TOL_FACTOR times the largest
+    count as zero."""
     grid = ctx.grid
     u = grid.reshape(ctx.u.values)
 

@@ -1,9 +1,11 @@
-"""Divergence-form solver: exactness, convergence, symmetry, validation."""
+"""Divergence-form solver: exactness, convergence, symmetry, validation,
+and the face pattern shared by K and T."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ellinfo.elliptic import (ELLIPTICITY_FLOOR, Conductivity,
                               DivergenceFormOperator, check_identifiability)
@@ -141,6 +143,116 @@ class TestOperatorAlgebra:
         grid = square(15)
         with pytest.raises(ValueError, match="mode"):
             DivergenceFormOperator(Conductivity.constant(grid), mode="qmr")
+
+
+def _coo_faces(grid):
+    """Face lists as the COO assembly built them, independently of
+    ``Grid.faces`` (ring by ring on the disk): center, nb, geom, whether nb
+    is a boundary node, and inward, the node beyond center away from nb."""
+    ids = np.arange(grid.n_nodes).reshape(grid.shape)
+    parts = []
+    if grid.spec.kind is DomainKind.SQUARE:
+        nx, ny = grid.shape
+        I, J = (a.reshape(-1) for a in np.meshgrid(np.arange(1, nx - 1), np.arange(1, ny - 1),
+                                                    indexing="ij"))
+        for di, dj, h in ((-1, 0, grid.hx), (1, 0, grid.hx), (0, -1, grid.hy), (0, 1, grid.hy)):
+            parts.append((ids[I, J], ids[I + di, J + dj], np.full(I.size, 1.0 / h**2),
+                          ids[I - di, J - dj]))
+    else:
+        rs, dr, n_t = grid.rs, grid.dr, grid.shape[1]
+        for i in range(grid.shape[0] - 1):
+            row = ids[i]
+            parts.append((row, ids[i + 1], np.full(n_t, (rs[i] + dr / 2.0) / (rs[i] * dr**2)),
+                          ids[i - 1]))
+            if i >= 1:  # no flux through the face at r = 0
+                parts.append((row, ids[i - 1],
+                              np.full(n_t, (rs[i] - dr / 2.0) / (rs[i] * dr**2)), ids[i + 1]))
+            for shift in (-1, 1):
+                parts.append((row, np.roll(row, -shift),
+                              np.full(n_t, 1.0 / (rs[i] ** 2 * grid.dt**2)), np.roll(row, shift)))
+    center, nb, geom, inward = (np.concatenate(a) for a in zip(*parts))
+    return center, nb, geom, grid.boundary_mask[nb], inward
+
+
+def _coo_reference(ctx):
+    """K, C and T of a context assembled from COO triplets and converted to
+    CSR, the assembly the shared face pattern replaced."""
+    grid = ctx.grid
+    center, nb, geom, bnd, inward = _coo_faces(grid)
+    m, inner = grid.n_interior, ~bnd
+    c_int, nb_int = grid.interior_index[center], grid.interior_index[nb[inner]]
+
+    def csr(data, rows, cols, shape=(m, m)):
+        return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=shape).tocsr()
+
+    th, u = ctx.theta.values, ctx.u.values
+    coef = 0.5 * (th[center] + th[nb]) * geom * grid.quad_weights[center]
+    K = csr([coef, -coef[inner]], [c_int, c_int[inner]], [c_int, nb_int])
+    C = csr([coef[bnd]], [c_int[bnd]], [np.searchsorted(grid.boundary_ids, nb[bnd])],
+            (m, grid.boundary_ids.size))
+    q = geom * (u[nb] - u[center])
+    T = csr([0.5 * q, 0.5 * q[inner], 1.0 * q[bnd], -0.5 * q[bnd]],
+            [c_int, c_int[inner], c_int[bnd], c_int[bnd]],
+            [c_int, nb_int, c_int[bnd], grid.interior_index[inward[bnd]]])
+    return K, C, T
+
+
+PATTERN_CONFIGS = [("square_ex1", 8, None), ("square_ex1", 17, None), ("square_ex1", 33, True),
+                   ("saddle", 8, None), ("saddle", 17, None), ("saddle", 33, True),
+                   ("disk_ex2", 8, None), ("disk_ex2", 20, None), ("disk_ex2", 40, True)]
+
+
+class TestSharedFacePattern:
+    """K and T are filled on one CSR pattern per grid, bit for bit the
+    matrices of the COO assembly."""
+
+    @pytest.mark.parametrize("name,resolution,bump", PATTERN_CONFIGS)
+    def test_matrices_match_the_coo_assembly(self, ctx_cache, name, resolution, bump):
+        ctx = ctx_cache(name, resolution, theta_bump=bump)
+        for filled, ref in zip((ctx.op.K, ctx.op.C, ctx.T), _coo_reference(ctx)):
+            for part in ("indptr", "indices", "data"):
+                a, b = getattr(filled, part), getattr(ref, part)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), part
+
+    @pytest.mark.parametrize("name,resolution,bump", PATTERN_CONFIGS)
+    def test_K_and_T_share_one_read_only_pattern(self, ctx_cache, name, resolution, bump):
+        ctx = ctx_cache(name, resolution, theta_bump=bump)
+        ctx.transport_lu()
+        fs = ctx.grid.faces
+        for M in (ctx.op.K, ctx.T):
+            np.testing.assert_array_equal(M.indptr, fs.indptr)
+            np.testing.assert_array_equal(M.indices, fs.indices)
+            assert M.has_sorted_indices
+        for arr in vars(fs).values():
+            assert not arr.flags.writeable
+
+    def test_disk_pattern_holds_ring_zero_and_the_seam(self, ctx_cache):
+        """Ring 0 couples outward and around only; the seam column couples
+        across theta = 0; the ring inside the boundary keeps its inward
+        column, where T's extrapolation lands."""
+        ctx = ctx_cache("disk_ex2", 20)
+        n_r, n_t = ctx.grid.shape
+        fs = ctx.grid.faces
+
+        def columns(r):
+            return list(fs.indices[fs.indptr[r]:fs.indptr[r + 1]])
+
+        assert columns(0) == [0, 1, n_t - 1, n_t]
+        assert columns(n_t) == [0, n_t, n_t + 1, 2 * n_t - 1, 2 * n_t]
+        last = (n_r - 2) * n_t
+        assert columns(last) == [last - n_t, last, last + 1, last + n_t - 1]
+        assert ctx.T[last, last - n_t] != 0.0 and ctx.op.K[last, last - n_t] != 0.0
+
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_laplacian_is_the_unit_conductivity_operator(self, name):
+        grid = fixture_grid(name, 20)
+        v = random_smooth_field(grid, np.random.default_rng(21), apply_collar=False)
+        lap = grid.laplacian_values(v.values)[grid.interior_ids]
+        ref = DivergenceFormOperator(Conductivity.constant(grid)).apply_operator(v)
+        ref = ref.values[grid.interior_ids]
+        np.testing.assert_allclose(lap, ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
+        assert not grid.laplacian_values(v.values)[grid.boundary_ids].any()
 
 
 class TestDiscreteSineOracle:
