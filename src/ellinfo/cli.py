@@ -530,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
         if name == "spectrum":
             p.add_argument("--n-modes", type=int, dest="n_modes",
-                           help="number of top modes (default: full spectrum)")
+                           help="number of top modes, by certified Lanczos below the "
+                                "interior dimension (default: full dense spectrum)")
     return parser
 
 

@@ -7,16 +7,19 @@ nodal equation by its quadrature weight (on the square this is the classic
 5-point stencil).  The system matrix K is filled by one ``bincount`` on the
 grid's face pattern (``Grid.faces``), which the source operator T shares;
 the coupling C to boundary values has its own small build from the boundary
-faces.  ``DivergenceFormOperator`` assembles and factorises K once; its ``solve`` handles Dirichlet data and its zero-boundary inverse
+faces.  ``DivergenceFormOperator`` assembles and factorises K once; its
+``solve`` handles Dirichlet data and its zero-boundary inverse
 ``apply_inverse`` is the discrete counterpart of the solution operator for
 the Dirichlet problem with source w, self-adjoint for the weighted inner
 product by construction.
 
-Systems up to 200^2 unknowns are solved by sparse LU; beyond that (``solve
---resolution 257`` and the disk at 192) conjugate gradient takes over at
-relative tolerance 1e-10, preconditioned by the exact fast-Poisson inverse of
-the theta = 1 operator: 1-2 steps at theta = 1, 4-8 with the fixtures' bumps.
-``last_stats`` holds the mode, iterations and residual of the last solve.
+The size of the system alone picks the solver.  Up to
+``DIRECT_SOLVE_MAX_UNKNOWNS`` (200^2) unknowns it is sparse LU; beyond that
+(``solve --resolution 257`` and the disk at 192) it is conjugate gradient at
+relative tolerance ``SOLVER_TOL`` (1e-10), preconditioned by the exact
+fast-Poisson inverse of the theta = 1 operator: 1-2 steps at theta = 1, 4-8
+with the fixtures' bumps.  ``last_stats`` holds the mode, iterations and
+residual of the last solve.
 """
 
 from __future__ import annotations
@@ -103,19 +106,15 @@ class DivergenceFormOperator:
     the zero-boundary inverse.
     """
 
-    def __init__(self, theta: Conductivity, mode: str = "auto", tol: float = SOLVER_TOL):
-        if mode not in ("auto", "direct", "cg"):
-            raise ValueError(f"unknown solver mode {mode!r}")
-        self.grid = grid = theta.grid
+    def __init__(self, theta: Conductivity):
+        self.grid = theta.grid
         self.theta = theta
-        self.tol = tol
         self._assemble()
-        if mode == "auto":
-            mode = "direct" if grid.n_interior <= DIRECT_SOLVE_MAX_UNKNOWNS else "cg"
-        self.mode = mode
-        self._lu = None
-        if mode == "direct":
-            self._lu = spla.splu(self.K.tocsc())
+        # module constants are read here, per operator, so tests can patch them
+        direct = self.grid.n_interior <= DIRECT_SOLVE_MAX_UNKNOWNS
+        self.mode = "direct" if direct else "cg"
+        self.tol = SOLVER_TOL
+        self._lu = spla.splu(self.K.tocsc()) if direct else None
         self.last_stats: dict = {}
 
     def _assemble(self):

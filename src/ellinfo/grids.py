@@ -76,28 +76,22 @@ class DomainSpec:
 
     ``resolution`` is ``(nx, ny)`` node counts for the square and
     ``(n_r, n_theta)`` for the disk.  A bare int is accepted and applied to
-    both axes.  ``measure_normalization`` is the Lebesgue mass of the domain
-    (1 for the shifted square, pi for the disk); the sampling measure divides
-    by it.
+    both axes.
     """
 
     kind: DomainKind
     resolution: tuple[int, int]
-    measure_normalization: float = 0.0
 
     def __post_init__(self):
         kind = DomainKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        res = _normalize_resolution(kind, self.resolution)
-        object.__setattr__(self, "resolution", res)
-        norm = math.pi if kind is DomainKind.DISK else 1.0
-        if self.measure_normalization == 0.0:
-            object.__setattr__(self, "measure_normalization", norm)
-        elif not math.isclose(self.measure_normalization, norm, rel_tol=1e-12):
-            raise ValueError(
-                f"measure_normalization {self.measure_normalization} does not match "
-                f"domain kind {kind.value} (expected {norm})"
-            )
+        object.__setattr__(self, "resolution", _normalize_resolution(kind, self.resolution))
+
+    @property
+    def measure_normalization(self) -> float:
+        """Lebesgue mass of the domain (1 for the shifted square, pi for the
+        disk); the sampling measure divides by it."""
+        return math.pi if self.kind is DomainKind.DISK else 1.0
 
 
 @dataclass
@@ -171,6 +165,17 @@ class FaceSet:
         data = np.bincount(slots, values, minlength=self.indices.size)
         m = self.indptr.size - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
+
+
+def _diff(v: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """Second-order first derivative along ``axis``, one-sided at its two
+    edges: the square's x and y derivatives and the disk's radial one."""
+    v = np.moveaxis(v, axis, 0)
+    d = np.empty_like(v)
+    d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(d, 0, axis)
 
 
 class Grid:
@@ -400,20 +405,10 @@ class SquareGrid(Grid):
         x, y = (self.x, self.y) if points is None else points.T
         return np.minimum.reduce([x - 1.0, 2.0 - x, y - 1.0, 2.0 - y])
 
-    @staticmethod
-    def _diff(v: np.ndarray, h: float, axis: int) -> np.ndarray:
-        """Second-order first derivative, one-sided at the two edges."""
-        v = np.moveaxis(v, axis, 0)
-        d = np.empty_like(v)
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        return np.moveaxis(d, 0, axis)
-
     def gradient(self, values):
         v = self.reshape(values)
-        gx = self._diff(v, self.hx, 0)
-        gy = self._diff(v, self.hy, 1)
+        gx = _diff(v, self.hx, 0)
+        gy = _diff(v, self.hy, 1)
         return gx.reshape(-1), gy.reshape(-1)
 
     def _face_steps(self):
@@ -482,17 +477,10 @@ class DiskGrid(Grid):
     def boundary_distance(self, points=None):
         return 1.0 - (self.r if points is None else np.hypot(points[:, 0], points[:, 1]))
 
-    def _polar_derivs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dvr = np.empty_like(v)
-        dvr[1:-1] = (v[2:] - v[:-2]) / (2.0 * self.dr)
-        dvr[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * self.dr)
-        dvr[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * self.dr)
-        dvt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.dt)
-        return dvr, dvt
-
     def gradient(self, values):
         v = self.reshape(values)
-        dvr, dvt = self._polar_derivs(v)
+        dvr = _diff(v, self.dr, 0)
+        dvt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.dt)
         R = self.rs[:, None]
         ct = np.cos(self.ts)[None, :]
         st = np.sin(self.ts)[None, :]
@@ -535,10 +523,8 @@ class DiskGrid(Grid):
                 (np.append(self.ts, 2.0 * math.pi), 0.0, self.dt)), v
 
 
-def build_grid(spec: DomainSpec | None = None, *, kind=None, resolution=None) -> Grid:
-    """Construct the grid for a domain spec (or ``kind`` plus ``resolution``)."""
-    if spec is None:
-        spec = DomainSpec(DomainKind(kind), resolution)
+def build_grid(spec: DomainSpec) -> Grid:
+    """Construct the grid for a domain spec."""
     if spec.kind is DomainKind.SQUARE:
         return SquareGrid(spec)
     return DiskGrid(spec)

@@ -181,7 +181,7 @@ class ScoreContext:
                 )
             w = self.grid.weights_interior
             T_dense = self.T.toarray()
-            if self.op.mode != "direct" or self.op._lu is None:
+            if self.op._lu is None:
                 raise RuntimeError("dense linearization requires the direct solver")
             B = self.op._lu.solve(w[:, None] * T_dense)
             s = np.sqrt(w)

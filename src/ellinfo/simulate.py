@@ -249,7 +249,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     tracks the bounded partial sums M_K; for out-of-range bumps it inherits
     their divergence.  ``estimator_config`` keys: ``cutoff`` (callable n ->
     K), ``noiseless`` (sanity mode), ``theta_truth`` (generate data from a
-    different conductivity to expose bias).
+    different conductivity to expose bias).  Only the top max(K) pairs are
+    computed; below the interior dimension they come from certified Lanczos
+    and no dense matrix is formed.
     """
     from ellinfo.spectral import eigendecompose, range_series
 
@@ -262,7 +264,7 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     if any(n < k for n, k in zip(n_list, k_values)):
         raise ValueError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")
     k_max = max(k_values)
-    decomp = eigendecompose(ctx, n_modes=None, mode="dense")
+    decomp = eigendecompose(ctx, n_modes=k_max)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k_max]
     series, _ = range_series(decomp, psi)
     coeffs = decomp.coefficients(psi)[keep]

@@ -14,6 +14,7 @@ import ellinfo
 from ellinfo import cli, spectral, transport
 from ellinfo.cli import main
 from ellinfo.grids import MIN_RESOLUTION
+from ellinfo.score import ScoreContext
 
 
 def run(args, tmp_path, name):
@@ -219,6 +220,27 @@ class TestRuntimeErrors:
         assert "DENSE_OPERATOR_MAX_DIM" in record["message"]
         assert not (out / "spectrum").exists()
 
+    def test_top_modes_past_the_dense_budget(self, tmp_path, capsys, monkeypatch):
+        """The grid whose full spectrum is refused above still gives its top
+        pairs, each certified to EIG_RESIDUAL_RTOL * lambda_1."""
+        decomps = []
+
+        def keep(*args, **kwargs):
+            decomps.append(spectral.eigendecompose(*args, **kwargs))
+            return decomps[-1]
+
+        monkeypatch.setattr(cli, "eigendecompose", keep)
+        rc, out = run(["spectrum", "--fixture", "square_ex1",
+                       "--resolution", "129", "--n-modes", "10"], tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "spectrum")
+        assert summary["n_modes"] == 10 and not summary["complete"]
+        (d,) = decomps
+        assert d.mode == "iterative"
+        assert summary["lambda_max"] == d.eigenvalues[0]
+        assert np.all(d.residuals <= spectral.EIG_RESIDUAL_RTOL * d.eigenvalues[0])
+        capsys.readouterr()
+
     def test_uncertified_curve_integrals(self, tmp_path, capsys, monkeypatch):
         """A degraded one-point rule moves the integrals by more than
         integral_tol under the two-point rule: the certificate fails the
@@ -399,7 +421,13 @@ class TestConfigFile:
 class TestAuxiliaryCommands:
     """Remaining subcommands produce coherent summaries."""
 
-    def test_spectrum(self, tmp_path, capsys):
+    def test_spectrum(self, tmp_path, capsys, monkeypatch):
+        """A mode count below the interior dimension is served by Lanczos
+        alone: no dense B_hat is built."""
+        def refuse(self):
+            raise AssertionError("dense linearization built for --n-modes")
+
+        monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
         rc, out = run(["spectrum", "--fixture", "square_ex1",
                        "--resolution", "15", "--n-modes", "10"], tmp_path, "a")
         assert rc == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ellinfo import elliptic
 from ellinfo.elliptic import (ELLIPTICITY_FLOOR, Conductivity,
                               DivergenceFormOperator, check_identifiability)
 from ellinfo.fixtures import FIXTURE_NAMES, exact_solution, fixture_data, fixture_domain
@@ -24,6 +25,12 @@ def fixture_grid(name, resolution):
 
 def scaled(field, factor):
     return ScalarField(field.grid, factor * field.values)
+
+
+def force_cg(monkeypatch, tol=elliptic.SOLVER_TOL):
+    """Make every operator built afterwards solve by CG at relative tolerance tol."""
+    monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 0)
+    monkeypatch.setattr(elliptic, "SOLVER_TOL", tol)
 
 
 class TestExactSolutions:
@@ -99,50 +106,60 @@ class TestOperatorAlgebra:
         op = DivergenceFormOperator(Conductivity.constant(grid))
         assert inner_l2(w, op.apply_inverse(w)) < 0.0
 
-    def test_cg_mode_matches_direct(self):
+    def test_cg_mode_matches_direct(self, monkeypatch):
         grid = square(25)
         rng = np.random.default_rng(8)
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng), 0.15), eta=None)
         f = random_smooth_field(grid, rng, apply_collar=False)
-        u_direct = DivergenceFormOperator(theta, mode="direct").apply_inverse(f)
-        op_cg = DivergenceFormOperator(theta, mode="cg", tol=1e-12)
+        u_direct = DivergenceFormOperator(theta).apply_inverse(f)
+        force_cg(monkeypatch, tol=1e-12)
+        op_cg = DivergenceFormOperator(theta)
         u_cg = op_cg.apply_inverse(f)
+        assert op_cg.mode == "cg" and op_cg.tol == 1e-12
         assert op_cg.last_stats["mode"] == "cg"
         assert op_cg.last_stats["iterations"] > 0
         np.testing.assert_allclose(u_cg.values, u_direct.values, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
-    def test_cg_at_unit_conductivity_is_a_direct_solve(self, name):
+    def test_cg_at_unit_conductivity_is_a_direct_solve(self, monkeypatch, name):
         """The preconditioner is the exact inverse of the theta = 1 operator,
         so CG stops after one or two steps with the LU answer."""
         grid = fixture_grid(name, 25)
         f, g = fixture_data(name, grid)
         theta = Conductivity.constant(grid)
-        u_direct = DivergenceFormOperator(theta, mode="direct").solve(f, g)
-        op_cg = DivergenceFormOperator(theta, mode="cg")
+        u_direct = DivergenceFormOperator(theta).solve(f, g)
+        force_cg(monkeypatch)
+        op_cg = DivergenceFormOperator(theta)
         u_cg = op_cg.solve(f, g)
         assert op_cg.last_stats["mode"] == "cg"
         assert 1 <= op_cg.last_stats["iterations"] <= 2
         np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-12)
 
-    def test_cg_with_a_bump_on_the_periodic_disk(self):
+    def test_cg_with_a_bump_on_the_periodic_disk(self, monkeypatch):
         """A non-separable theta (three times the fixture's bump) on the disk:
         the theta = 1 inverse with its periodic angular factor still leaves
         only a few CG steps."""
         grid = fixture_grid("disk_ex2", 40)
         f, g = fixture_data("disk_ex2", grid)
         theta = Conductivity.with_bump(grid, (0.3, 0.25), 0.3, 0.45)
-        u_direct = DivergenceFormOperator(theta, mode="direct").solve(f, g)
-        op_cg = DivergenceFormOperator(theta, mode="cg", tol=1e-12)
+        u_direct = DivergenceFormOperator(theta).solve(f, g)
+        force_cg(monkeypatch, tol=1e-12)
+        op_cg = DivergenceFormOperator(theta)
         u_cg = op_cg.solve(f, g)
         assert 3 <= op_cg.last_stats["iterations"] <= 15
         np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-10)
 
-    def test_unknown_mode_rejected(self):
-        grid = square(15)
-        with pytest.raises(ValueError, match="mode"):
-            DivergenceFormOperator(Conductivity.constant(grid), mode="qmr")
+    def test_size_picks_the_solver(self, monkeypatch):
+        """LU up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` interior unknowns, CG at
+        ``SOLVER_TOL`` beyond; both constants are read per operator."""
+        theta = Conductivity.constant(square(15))
+        monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 13 * 13)
+        op = DivergenceFormOperator(theta)
+        assert op.mode == "direct" and op._lu is not None
+        monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 13 * 13 - 1)
+        op = DivergenceFormOperator(theta)
+        assert op.mode == "cg" and op._lu is None and op.tol == elliptic.SOLVER_TOL
 
 
 def _coo_faces(grid):

@@ -33,10 +33,6 @@ class TestDomainSpec:
         assert DomainSpec(DomainKind.SQUARE, 17).measure_normalization == 1.0
         assert DomainSpec(DomainKind.DISK, (12, 24)).measure_normalization == math.pi
 
-    def test_mismatched_normalization_rejected(self):
-        with pytest.raises(ValueError, match="measure_normalization"):
-            DomainSpec(DomainKind.SQUARE, 17, measure_normalization=2.0)
-
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError, match="minimum"):
             DomainSpec(DomainKind.SQUARE, 4)

@@ -32,19 +32,43 @@ class TestDecomposition:
     def test_iterative_matches_dense_leaders(self, ctx_cache, decomp_cache):
         ctx = ctx_cache("square_ex1", 15)
         dense = decomp_cache("square_ex1", 15)
-        lanczos = eigendecompose(ctx, n_modes=10, mode="iterative")
+        lanczos = eigendecompose(ctx, n_modes=10)
         np.testing.assert_allclose(
             lanczos.eigenvalues, dense.eigenvalues[:10],
             rtol=0.0, atol=1e-12 * dense.eigenvalues[0])
-        assert dense.complete
-        assert not lanczos.complete
+        assert dense.complete and dense.mode == "dense"
+        assert not lanczos.complete and lanczos.mode == "iterative"
         assert lanczos.residuals is not None
+
+    def test_top_pairs_build_no_dense_matrix(self, ctx_cache, monkeypatch):
+        """Fewer pairs than the interior dimension come from Lanczos alone,
+        up to m - 1, each certified by its residual."""
+        def refuse(self):
+            raise AssertionError("dense linearization built for top pairs")
+
+        monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
+        ctx = ctx_cache("square_ex1", 15)
+        m = ctx.grid.n_interior
+        for k in (1, m - 1):
+            d = eigendecompose(ctx, n_modes=k)
+            assert d.n_modes == k and d.mode == "iterative" and not d.complete
+            assert np.all(d.residuals <= EIG_RESIDUAL_RTOL * d.eigenvalues[0])
+
+    @pytest.mark.parametrize("extra", [0, 1, 500])
+    def test_mode_count_at_or_past_the_dimension_is_the_full_spectrum(
+            self, ctx_cache, decomp_cache, extra):
+        ctx = ctx_cache("square_ex1", 15)
+        dense = decomp_cache("square_ex1", 15)
+        d = eigendecompose(ctx, n_modes=ctx.grid.n_interior + extra)
+        assert d.complete and d.mode == "dense" and d.residuals is None
+        np.testing.assert_array_equal(d.eigenvalues, dense.eigenvalues)
+        np.testing.assert_array_equal(d.modes, dense.modes)
 
     def test_iterative_calls_agree_bit_for_bit(self, ctx_cache):
         """Lanczos starts from a fixed vector, so repeated calls in one
         process return identical pairs."""
         ctx = ctx_cache("square_ex1", 15)
-        a, b = (eigendecompose(ctx, n_modes=6, mode="iterative") for _ in range(2))
+        a, b = (eigendecompose(ctx, n_modes=6) for _ in range(2))
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.modes, b.modes)
         np.testing.assert_array_equal(a.residuals, b.residuals)
@@ -71,15 +95,8 @@ class TestDecomposition:
         ctx = ctx_cache("square_ex1", 15)
         with pytest.raises(ValueError, match="subspace"):
             eigendecompose(ctx, subspace="full")
-        with pytest.raises(ValueError, match="dense-only"):
-            eigendecompose(ctx, n_modes=5, mode="iterative",
-                           subspace="collar_supported")
-        with pytest.raises(ValueError, match="mode count"):
-            eigendecompose(ctx, mode="iterative")
-        with pytest.raises(ValueError, match="n_modes"):
-            eigendecompose(ctx, n_modes=10**6, mode="iterative")
-        with pytest.raises(ValueError, match="mode"):
-            eigendecompose(ctx, mode="qr")
+        with pytest.raises(ValueError, match="full spectrum only"):
+            eigendecompose(ctx, n_modes=5, subspace="collar_supported")
         for k in (0, -3):
             with pytest.raises(ValueError, match="n_modes must be positive"):
                 eigendecompose(ctx, n_modes=k)
