@@ -41,8 +41,8 @@ from ellinfo.grids import (MIN_RESOLUTION, DomainKind, ScalarField, build_grid,
                            inner_l2, norm_l2, random_smooth_field)
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
-from ellinfo.spectral import (KERNEL_SWEEP_MAX_DIM, degeneracy_profile, eigendecompose,
-                              fisher_refinement)
+from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
+                              eigendecompose, fisher_refinement)
 from ellinfo.transport import IntegralCurve, range_verdict, trace_curve
 
 SUBCOMMANDS = ("solve", "verify-operators", "spectrum", "fisher", "transport",
@@ -292,14 +292,18 @@ def _run_spectrum(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
     decomp = eigendecompose(ctx, n_modes=cfg.n_modes)
-    lam = decomp.eigenvalues
+    lam, residuals = decomp.eigenvalues, decomp.residuals
     summary = {
         "fixture": cfg.fixture, "resolution": res,
         "n_modes": int(lam.size), "complete": decomp.complete,
         "kernel_dim": int(decomp.kernel_mask.sum()),
         "lambda_max": float(lam[0]), "lambda_min": float(lam[-1]),
         "decay_ratio": float(lam[-1] / lam[0]),
+        "max_residual_rel": None if residuals is None else float(residuals.max() / lam[0]),
+        "residual_rtol": None if residuals is None else EIG_RESIDUAL_RTOL,
     }
+    if residuals is None:
+        summary["max_residual_rel_reason"] = "dense eigh certifies no single pair"
     tables = {"eigenvalues.csv": (
         ("k", "eigenvalue", "in_kernel"),
         (np.arange(lam.size), lam, decomp.kernel_mask),

@@ -34,23 +34,35 @@ def test_package_exports_resolve_once():
 
 
 class TestImportCost:
-    """Startup: importing the CLI loads no scipy module that only one
-    experiment (scipy.stats, for the LAN Monte Carlo) or only the tests
-    (scipy.interpolate, the interpolation oracle) need, nor the curve
-    integrators that the cell walk replaced by numpy's expm1 and log1p
-    (scipy.integrate, scipy.special)."""
+    """Startup: importing the CLI loads no scipy module that only the tests
+    need (scipy.stats, the Kolmogorov-Smirnov oracle; scipy.interpolate, the
+    interpolation oracle), nor the curve integrators that the cell walk
+    replaced by numpy's expm1 and log1p (scipy.integrate).  scipy.special
+    loads only when a study calls its normal CDF or Smirnov tail, and
+    scipy.stats never does."""
 
-    def test_cli_import_skips_slow_scipy_modules(self):
+    @staticmethod
+    def _loaded(code):
         src = str(Path(ellinfo.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-        probe = ("import sys, ellinfo.cli; print(sorted(m for m in "
-                 "('scipy.stats', 'scipy.interpolate', 'scipy.integrate', "
-                 "'scipy.special') "
+        probe = (f"import sys\n{code}\nprint(sorted(m for m in ('scipy.stats', "
+                 "'scipy.interpolate', 'scipy.integrate', 'scipy.special') "
                  "if m in sys.modules))")
         result = subprocess.run([sys.executable, "-c", probe], env=env,
                                 capture_output=True, text=True, timeout=120, check=True)
-        assert result.stdout.strip() == "[]"
+        return result.stdout.strip().splitlines()[-1]
+
+    def test_cli_import_skips_slow_scipy_modules(self):
+        assert self._loaded("import ellinfo.cli") == "[]"
+
+    def test_simulate_run_leaves_scipy_stats_unloaded(self, tmp_path):
+        out = str(tmp_path / "out")
+        loaded = self._loaded(
+            "from ellinfo import cli\n"
+            f"assert cli.main(['simulate', '--replicates', '2', '--samples', '200', "
+            f"'--resolution', '17', '--out', {out!r}]) == 0")
+        assert loaded == "['scipy.special']"
 
 
 class TestSolveCommand:
@@ -220,25 +232,18 @@ class TestRuntimeErrors:
         assert "DENSE_OPERATOR_MAX_DIM" in record["message"]
         assert not (out / "spectrum").exists()
 
-    def test_top_modes_past_the_dense_budget(self, tmp_path, capsys, monkeypatch):
+    def test_top_modes_past_the_dense_budget(self, tmp_path, capsys):
         """The grid whose full spectrum is refused above still gives its top
-        pairs, each certified to EIG_RESIDUAL_RTOL * lambda_1."""
-        decomps = []
-
-        def keep(*args, **kwargs):
-            decomps.append(spectral.eigendecompose(*args, **kwargs))
-            return decomps[-1]
-
-        monkeypatch.setattr(cli, "eigendecompose", keep)
+        pairs; the summary's certificate puts each residual within
+        EIG_RESIDUAL_RTOL * lambda_1."""
         rc, out = run(["spectrum", "--fixture", "square_ex1",
                        "--resolution", "129", "--n-modes", "10"], tmp_path, "a")
         assert rc == 0
         summary = load_summary(out, "spectrum")
         assert summary["n_modes"] == 10 and not summary["complete"]
-        (d,) = decomps
-        assert d.mode == "iterative"
-        assert summary["lambda_max"] == d.eigenvalues[0]
-        assert np.all(d.residuals <= spectral.EIG_RESIDUAL_RTOL * d.eigenvalues[0])
+        assert summary["residual_rtol"] == spectral.EIG_RESIDUAL_RTOL
+        assert 0.0 < summary["max_residual_rel"] <= summary["residual_rtol"]
+        assert "max_residual_rel_reason" not in summary
         capsys.readouterr()
 
     def test_uncertified_curve_integrals(self, tmp_path, capsys, monkeypatch):
@@ -335,6 +340,26 @@ class TestDeterminism:
         # wall times live in the manifest only
         stages = json.loads((out1 / "solve" / "manifest.json").read_text())["stages"]
         assert set(stages) == {"run", "solve_17", "write"}
+        capsys.readouterr()
+
+    def test_spectrum_rerun_is_byte_identical(self, tmp_path, capsys):
+        """Both solver paths repeat byte for byte.  Lanczos pairs carry their
+        residual certificate; the dense spectrum records null and a reason."""
+        for name, extra in (("lanczos", ["--n-modes", "10"]), ("dense", [])):
+            args = ["spectrum", "--fixture", "square_ex1", "--resolution", "15"] + extra
+            rc1, out1 = run(list(args), tmp_path, name + "_a")
+            rc2, out2 = run(list(args), tmp_path, name + "_b")
+            assert rc1 == rc2 == 0
+            for artifact in ("summary.json", "eigenvalues.csv"):
+                assert ((out1 / "spectrum" / artifact).read_bytes()
+                        == (out2 / "spectrum" / artifact).read_bytes())
+            summary = load_summary(out1, "spectrum")
+            if name == "lanczos":
+                assert 0.0 < summary["max_residual_rel"] <= summary["residual_rtol"]
+            else:
+                assert summary["max_residual_rel"] is None
+                assert summary["residual_rtol"] is None
+                assert "eigh" in summary["max_residual_rel_reason"]
         capsys.readouterr()
 
     def test_thm38_rerun_is_byte_identical(self, tmp_path, capsys):

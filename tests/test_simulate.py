@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ellinfo import spectral
+from ellinfo import simulate, spectral
 from ellinfo.elliptic import Conductivity
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
                            random_smooth_field)
 from ellinfo.score import ScoreContext
-from ellinfo.simulate import (info_identity_mc, lan_mc, plugin_risk_study,
-                              sample_data, score_eval)
+from ellinfo.simulate import (info_identity_mc, kolmogorov_sf, ks_normal, lan_mc,
+                              plugin_risk_study, sample_data, score_eval)
 from ellinfo.spectral import eigendecompose
 from test_grids import rgi_interpolator
 
@@ -132,6 +133,55 @@ class TestLanMC:
         rep = lan_mc(ctx, ctx.grid.field(0.0), 500, 120, seed=9)
         assert "degenerate_direction" in rep.flags
         assert rep.references["variance"] == 0.0
+
+
+class TestKolmogorovSmirnov:
+    """The in-library two-sided KS test against its oracle, scipy.stats."""
+
+    def test_pvalue_matches_scipy_on_every_branch(self, monkeypatch):
+        """P(D_n >= d) within 1e-9 of scipy's for n d^2 from 0.05 to 400,
+        the closed-form ends n d <= 1 and n d >= n - 1, and d >= 1/2.  The
+        grid runs Durbin's matrix where scipy does and where scipy runs
+        Pomeranz's recursion instead (n <= 140, n d^2 in (0.754693, 4]),
+        and the Pelz-Good series at every n above 140."""
+        calls = {"durbin": [], "pelz_good": []}
+        for name in calls:
+            real = getattr(simulate, f"_{name}_cdf")
+            monkeypatch.setattr(simulate, f"_{name}_cdf",
+                                lambda n, d, real=real, name=name:
+                                calls[name].append((n, n * d * d)) or real(n, d))
+        for n in (1, 2, 10, 140, 141, 500, 2000, 100_000):
+            d = np.concatenate([np.sqrt(np.geomspace(0.05, 400.0, 21) / n),
+                                [0.7 / n, 1.0 / n, (n - 0.5) / n, 0.5, 0.62, 0.97]])
+            d = d[(d > 0.0) & (d < 1.0)]
+            ours = [kolmogorov_sf(n, float(x)) for x in d]
+            np.testing.assert_allclose(ours, stats.kstwo.sf(d, n), rtol=1e-9, atol=0.0,
+                                       err_msg=f"n = {n}")
+        assert any(n <= 140 and 0.754693 < t <= 4.0 for n, t in calls["durbin"])
+        assert any(n <= 140 and t <= 0.754693 for n, t in calls["durbin"])
+        assert any(n > 140 for n, _ in calls["durbin"])
+        assert {n for n, _ in calls["pelz_good"]} == {141, 500, 2000, 100_000}
+
+    @pytest.mark.parametrize("n", (1, 2, 10, 140, 141, 2000))
+    def test_statistic_is_bit_identical(self, n):
+        rng = np.random.default_rng(n)
+        for shift in (0.0, 0.4, 1.5):
+            x = rng.normal(0.1 + shift, 1.7, n)
+            ref = stats.kstest(x, "norm", args=(0.1, 1.7))
+            d, p = ks_normal(x, 0.1, 1.7)
+            assert d == ref.statistic
+            assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("replicates", (1, 150))
+    def test_lan_report_matches_scipy(self, ctx_cache, replicates):
+        ctx = ctx_cache("square_ex1", 17)
+        rep = lan_mc(ctx, direction(ctx.grid, 31, scale=2.0), 2000, replicates, seed=9)
+        ref = stats.kstest(rep.statistics, "norm",
+                           args=(rep.references["mean"],
+                                 math.sqrt(rep.references["variance"])))
+        assert rep.extras["ks_statistic"] == ref.statistic
+        assert rep.extras["ks_pvalue"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
+        assert ("variance_se" in rep.extras) == (replicates > 1)
 
 
 class TestRiskStudy:
