@@ -29,7 +29,8 @@ from ellinfo.elliptic import (
     DivergenceFormOperator,
     check_identifiability,
 )
-from ellinfo.score import ScoreContext, gateaux_remainders, stability_pair, stability_report
+from ellinfo.score import (ScoreContext, adjoint_defects, gateaux_remainders, stability_pair,
+                           stability_report)
 from ellinfo.spectral import (
     FisherReport,
     RefinementSweep,
@@ -87,6 +88,7 @@ __all__ = [
     "stability_report",
     "stability_pair",
     "gateaux_remainders",
+    "adjoint_defects",
     "SpectralDecomposition",
     "eigendecompose",
     "sqrt_apply",

@@ -37,9 +37,8 @@ from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import (FIXTURE_NAMES, PSI_KINDS, build_context,
                               exact_solution, fixture_data, fixture_domain,
                               psi_fixture)
-from ellinfo.grids import (MIN_RESOLUTION, DomainKind, ScalarField, build_grid,
-                           inner_l2, norm_l2, random_smooth_field)
-from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
+from ellinfo.grids import MIN_RESOLUTION, DomainKind, build_grid, random_smooth_field
+from ellinfo.score import ScoreContext, adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
                               eigendecompose, fisher_refinement)
@@ -248,35 +247,26 @@ def _run_solve(cfg: ExperimentConfig):
 def _run_verify_operators(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
-    grid = ctx.grid
-    rng = np.random.default_rng(cfg.seed)
-    defects = []
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(100):
-            h = random_smooth_field(grid, rng, apply_collar=False)
-            g = random_smooth_field(grid, rng, apply_collar=False)
-            lhs = inner_l2(ctx.apply_linearization(h), g)
-            rhs = inner_l2(h, ctx.apply_adjoint(g))
-            defects.append(abs(lhs - rhs) / (norm_l2(h) * norm_l2(g)))
-    defects = np.asarray(defects)
-    slopes = []
+    t0 = time.perf_counter()
+    defects = adjoint_defects(ctx, n_pairs=100, seed=cfg.seed)
+    t1 = time.perf_counter()
+    slopes, gateaux = [], []
     for k in range(3):
-        h = random_smooth_field(grid, np.random.default_rng(cfg.seed + 1000 + k))
-        _, slope = gateaux_remainders(ctx, h)
-        slopes.append(slope)
+        h = random_smooth_field(ctx.grid, np.random.default_rng(cfg.seed + 1000 + k))
+        gateaux.append({})
+        slopes.append(gateaux_remainders(ctx, h, stats=gateaux[-1])[1])
+    t2 = time.perf_counter()
     stab = stability_report(ctx, n_trials=200, seed=cfg.seed)
+    stages = {"adjoint": t1 - t0, "gateaux": t2 - t1, "stability": time.perf_counter() - t2}
     summary = {
         "fixture": cfg.fixture, "resolution": res, "seed": cfg.seed,
         "adjoint": {"n_pairs": 100, "max_defect": float(defects.max()),
-                    "mean_defect": float(defects.mean()),
-                    "bound_5h": 5.0 * grid.h_mesh},
-        "linearization_slopes": slopes,
+                    "mean_defect": float(defects.mean()), "bound_5h": 5.0 * ctx.grid.h_mesh},
+        "linearization_slopes": slopes, "linearization_solves": gateaux,
         "stability": {"applicable": stab.applicable, "c0_hat": stab.c0_hat,
-                      "min_ratio_T": stab.min_ratio_T,
-                      "min_ratio_H2": stab.min_ratio_H2,
+                      "min_ratio_T": stab.min_ratio_T, "min_ratio_H2": stab.min_ratio_H2,
                       "n_trials": stab.n_trials},
+        "max_solve_residual": ctx.op.max_residual,
     }
     if not stab.applicable:
         summary["stability"]["reason"] = (
@@ -285,7 +275,7 @@ def _run_verify_operators(cfg: ExperimentConfig):
     tables = {"adjoint_defects.csv": (
         ("pair", "defect"), (np.arange(defects.size), defects),
         {"fixture": cfg.fixture, "resolution": res, "seed": cfg.seed})}
-    return summary, tables, {}, {}
+    return summary, tables, {}, stages
 
 
 def _run_spectrum(cfg: ExperimentConfig):

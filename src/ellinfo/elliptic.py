@@ -4,22 +4,22 @@ The PDE is div(theta * grad u) = f in the domain with u = g on the boundary.
 Assembly is finite-volume flux form with the conductivity averaged onto cell
 faces, which yields a symmetric positive definite system after weighting each
 nodal equation by its quadrature weight (on the square this is the classic
-5-point stencil).  The system matrix K is filled by one ``bincount`` on the
-grid's face pattern (``Grid.faces``), which the source operator T shares;
-the coupling C to boundary values has its own small build from the boundary
-faces.  ``DivergenceFormOperator`` assembles and factorises K once; its
-``solve`` handles Dirichlet data and its zero-boundary inverse
-``apply_inverse`` is the discrete counterpart of the solution operator for
-the Dirichlet problem with source w, self-adjoint for the weighted inner
-product by construction.
+5-point stencil).  ``assemble`` fills the system matrix K by one ``bincount``
+on the grid's face pattern (``Grid.faces``), shared with the source operator
+T, and the boundary coupling C; both are linear in the coefficient.
+``DivergenceFormOperator`` factorises K once; its ``solve`` handles Dirichlet
+data, and its zero-boundary inverse ``apply_inverse``, the discrete solution
+operator for a source w, is self-adjoint for the weighted inner product.
 
 The size of the system alone picks the solver.  Up to
 ``DIRECT_SOLVE_MAX_UNKNOWNS`` (200^2) unknowns it is sparse LU; beyond that
 (``solve --resolution 257`` and the disk at 192) it is conjugate gradient at
 relative tolerance ``SOLVER_TOL`` (1e-10), preconditioned by the exact
 fast-Poisson inverse of the theta = 1 operator: 1-2 steps at theta = 1, 4-8
-with the fixtures' bumps.  ``last_stats`` holds the mode, iterations and
-residual of the last solve.
+with the fixtures' bumps.  An (m, k) block of right-hand sides is one LU
+solve, or CG per column.  ``last_stats`` holds the mode, iterations and
+relative residual (a block's worst column) of the last solve, and
+``max_residual`` the largest relative residual of all solves.
 """
 
 from __future__ import annotations
@@ -98,6 +98,22 @@ class Conductivity:
         return cls.from_perturbation(grid, make_bump(grid, center, radius, amplitude), eta=eta)
 
 
+def assemble(grid: Grid, values: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """K and the boundary coupling C of div(a grad .) for nodal values a of
+    any sign.  Both are linear in a: K(theta + s h) = K(theta) + s K(h)."""
+    fs = grid.faces
+    coef = 0.5 * (values[fs.center] + values[fs.nb]) * fs.geom * grid.quad_weights[fs.center]
+    # K[c, c] accumulates +coef per face, K[c, nb] takes -coef
+    inner = ~fs.nb_is_boundary
+    K = fs.fill(np.concatenate([fs.diag, fs.off[inner]]), np.concatenate([coef, -coef[inner]]))
+    # coupling of interior equations to boundary values (for the lift)
+    bmask = fs.nb_is_boundary
+    b_pos = np.searchsorted(grid.boundary_ids, fs.nb[bmask])
+    C = sp.coo_matrix((coef[bmask], (grid.interior_index[fs.center[bmask]], b_pos)),
+                      shape=(grid.n_interior, grid.boundary_ids.size)).tocsr()
+    return K, C
+
+
 class DivergenceFormOperator:
     """Assembled handle for L = div(theta grad .) with Dirichlet boundary.
 
@@ -109,32 +125,14 @@ class DivergenceFormOperator:
     def __init__(self, theta: Conductivity):
         self.grid = theta.grid
         self.theta = theta
-        self._assemble()
+        self.K, self.C = assemble(self.grid, theta.values)
         # module constants are read here, per operator, so tests can patch them
         direct = self.grid.n_interior <= DIRECT_SOLVE_MAX_UNKNOWNS
         self.mode = "direct" if direct else "cg"
         self.tol = SOLVER_TOL
         self._lu = spla.splu(self.K.tocsc()) if direct else None
         self.last_stats: dict = {}
-
-    def _assemble(self):
-        grid = self.grid
-        fs = grid.faces
-        th = self.theta.values
-        theta_face = 0.5 * (th[fs.center] + th[fs.nb])
-        coef = theta_face * fs.geom * grid.quad_weights[fs.center]
-        # K[c, c] accumulates +coef per face, K[c, nb] takes -coef
-        inner = ~fs.nb_is_boundary
-        self.K = fs.fill(np.concatenate([fs.diag, fs.off[inner]]),
-                         np.concatenate([coef, -coef[inner]]))
-
-        # coupling of interior equations to boundary values (for the lift)
-        bmask = fs.nb_is_boundary
-        b_pos = np.searchsorted(grid.boundary_ids, fs.nb[bmask])
-        self.C = sp.coo_matrix(
-            (coef[bmask], (grid.interior_index[fs.center[bmask]], b_pos)),
-            shape=(grid.n_interior, grid.boundary_ids.size),
-        ).tocsr()
+        self.max_residual = 0.0
 
     # -- linear algebra ----------------------------------------------------
 
@@ -175,20 +173,24 @@ class DivergenceFormOperator:
             L @ ((L.T @ r.reshape(m1, m2) @ V) / denom) @ V.T).reshape(r.shape))
 
     def _solve_spd(self, rhs: np.ndarray) -> np.ndarray:
+        """K^-1 rhs for a vector or an (m, k) block: one LU call, or CG per column."""
+        cols = np.atleast_2d(rhs.T)
         if self.mode == "direct":
             out = self._lu.solve(rhs)
             self.last_stats = {"mode": "direct", "iterations": 0}
         else:
-            steps = []
-            out, info = spla.cg(self.K, rhs, rtol=self.tol, atol=0.0, M=self._theta1_inverse,
-                                maxiter=10 * rhs.size, callback=lambda _: steps.append(1))
-            if info != 0:
-                raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+            steps, out = [], np.empty_like(cols)
+            for j, b in enumerate(cols):
+                out[j], info = spla.cg(self.K, b, rtol=self.tol, atol=0.0, M=self._theta1_inverse,
+                                       maxiter=10 * b.size, callback=lambda _: steps.append(1))
+                if info != 0:
+                    raise RuntimeError(f"conjugate gradient did not converge (info={info})")
+            out = out.T.reshape(rhs.shape)
             self.last_stats = {"mode": "cg", "iterations": len(steps)}
-        if rhs.ndim == 1:
-            res = self.K @ out - rhs
-            denom = max(float(np.linalg.norm(rhs)), 1e-300)
-            self.last_stats["residual"] = float(np.linalg.norm(res)) / denom
+        norms = [(float(np.linalg.norm(r)), float(np.linalg.norm(b)))
+                 for r, b in zip(np.atleast_2d((self.K @ out - rhs).T), cols)]
+        self.last_stats["residual"] = max(r / max(b, 1e-300) for r, b in norms)
+        self.max_residual = max(self.max_residual, self.last_stats["residual"])
         return out
 
     def apply_operator(self, u: ScalarField) -> ScalarField:
@@ -203,16 +205,12 @@ class DivergenceFormOperator:
         grid = self.grid
         f_field = f if isinstance(f, ScalarField) else grid.field(f)
         rhs = -grid.weights_interior * grid.restrict(f_field)
+        u = np.zeros(grid.n_nodes)
         if g is not None:
             g_field = g if isinstance(g, ScalarField) else grid.field(g)
-            g_b = g_field.values[grid.boundary_ids]
-            rhs = rhs + self.C @ g_b
-        else:
-            g_b = np.zeros(grid.boundary_ids.size)
-        u_int = self._solve_spd(rhs)
-        u = np.zeros(grid.n_nodes)
-        u[grid.interior_ids] = u_int
-        u[grid.boundary_ids] = g_b
+            u[grid.boundary_ids] = g_field.values[grid.boundary_ids]
+            rhs = rhs + self.C @ u[grid.boundary_ids]
+        u[grid.interior_ids] = self._solve_spd(rhs)
         return ScalarField(grid, u)
 
     def apply_inverse(self, w) -> ScalarField:
@@ -220,9 +218,8 @@ class DivergenceFormOperator:
         return self.solve(w, g=None)
 
     def apply_inverse_interior(self, w_int: np.ndarray) -> np.ndarray:
-        """Same as apply_inverse but on raw interior vectors (hot path)."""
-        rhs = -self.grid.weights_interior * w_int
-        return self._solve_spd(rhs)
+        """Same as apply_inverse but on raw interior vectors or blocks (hot path)."""
+        return self._solve_spd(-(w_int.T * self.grid.weights_interior).T)
 
 
 @dataclass

@@ -96,7 +96,7 @@ class DomainSpec:
 
 @dataclass
 class ScalarField:
-    """Nodal scalar values on a grid."""
+    """Nodal scalar values on a grid, or an (n_nodes, k) stack of k fields."""
 
     grid: "Grid"
     values: np.ndarray
@@ -105,14 +105,11 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape == self.grid.shape:
             self.values = self.values.reshape(-1)
-        if self.values.shape != (self.grid.n_nodes,):
+        if self.values.shape[:1] != (self.grid.n_nodes,) or self.values.ndim > 2:
             raise ValueError(
                 f"field has {self.values.shape} values for a grid with "
                 f"{self.grid.n_nodes} nodes"
             )
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -213,12 +210,9 @@ class Grid:
         for arr in (self.x, self.y, self.quad_weights, self.boundary_mask):
             arr.setflags(write=False)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
-
     def reshape(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values).reshape(self.shape)
+        """Node values, or an (n_nodes, k) stack, on the tensor shape."""
+        return np.reshape(values, self.shape + np.shape(values)[1:])
 
     def field(self, data=0.0) -> ScalarField:
         """Build a ScalarField from a scalar, an array, or a callable(x, y)."""
@@ -232,17 +226,17 @@ class Grid:
         return ScalarField(self, vals)
 
     def interior_field(self, interior_values: np.ndarray) -> ScalarField:
-        """Scatter a vector over interior nodes into a full field, zero boundary."""
+        """Scatter interior values (or an (n_interior, k) stack), zero boundary."""
         interior_values = np.asarray(interior_values, dtype=float)
-        if interior_values.shape != (self.n_interior,):
+        if interior_values.shape[:1] != (self.n_interior,):
             raise ValueError("interior vector has wrong length")
-        vals = np.zeros(self.n_nodes)
+        vals = np.zeros((self.n_nodes,) + interior_values.shape[1:])
         vals[self.interior_ids] = interior_values
         return ScalarField(self, vals)
 
     def restrict(self, field: ScalarField | np.ndarray) -> np.ndarray:
         vals = field.values if isinstance(field, ScalarField) else np.asarray(field)
-        return vals.reshape(-1)[self.interior_ids]
+        return vals[self.interior_ids]
 
     # -- geometry helpers, provided by subclasses --------------------------
 
@@ -407,9 +401,8 @@ class SquareGrid(Grid):
 
     def gradient(self, values):
         v = self.reshape(values)
-        gx = _diff(v, self.hx, 0)
-        gy = _diff(v, self.hy, 1)
-        return gx.reshape(-1), gy.reshape(-1)
+        return tuple(_diff(v, h, ax).reshape(np.shape(values))
+                     for ax, h in ((0, self.hx), (1, self.hy)))
 
     def _face_steps(self):
         gx, gy = 1.0 / self.hx**2, 1.0 / self.hy**2
@@ -425,7 +418,7 @@ class SquareGrid(Grid):
         fxy[1:-1, 1:-1] = (
             v[2:, 2:] - v[2:, :-2] - v[:-2, 2:] + v[:-2, :-2]
         ) / (4.0 * self.hx * self.hy)
-        return fxx.reshape(-1), fxy.reshape(-1), fyy.reshape(-1)
+        return tuple(d.reshape(np.shape(values)) for d in (fxx, fxy, fyy))
 
     def grid_coords(self, points):
         return np.asarray(points, dtype=float)
@@ -481,12 +474,12 @@ class DiskGrid(Grid):
         v = self.reshape(values)
         dvr = _diff(v, self.dr, 0)
         dvt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.dt)
-        R = self.rs[:, None]
-        ct = np.cos(self.ts)[None, :]
-        st = np.sin(self.ts)[None, :]
+        tail = (1,) * (v.ndim - 2)
+        R, ct, st = (a.reshape(a.shape + tail) for a in (
+            self.rs[:, None], np.cos(self.ts)[None, :], np.sin(self.ts)[None, :]))
         gx = ct * dvr - st * dvt / R
         gy = st * dvr + ct * dvt / R
-        return gx.reshape(-1), gy.reshape(-1)
+        return gx.reshape(np.shape(values)), gy.reshape(np.shape(values))
 
     def _face_steps(self):
         # radial faces at r_{i +- 1/2} (none at r = 0) and periodic angular faces
@@ -538,14 +531,21 @@ def _check_same_grid(f: ScalarField, g: ScalarField):
         raise ValueError("fields live on different grids")
 
 
-def inner_l2(f: ScalarField, g: ScalarField) -> float:
-    """Inner product in L^2 of the normalized sampling measure."""
+def _node_sum(terms: np.ndarray):
+    """Sum of (n,) terms, or per row of (k, n) terms, each row contiguous as
+    in the 1-D sum: a stack's columns match single fields bit for bit."""
+    total = np.ascontiguousarray(terms).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def inner_l2(f: ScalarField, g: ScalarField):
+    """Inner product in L^2 of the normalized sampling measure (per column)."""
     _check_same_grid(f, g)
-    return float(np.sum(f.grid.quad_weights * f.values * g.values))
+    return _node_sum(f.grid.quad_weights * f.values.T * g.values.T)
 
 
-def norm_l2(f: ScalarField) -> float:
-    return math.sqrt(max(inner_l2(f, f), 0.0))
+def norm_l2(f: ScalarField):
+    return sobolev_norm(f, 0)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
@@ -553,8 +553,8 @@ def laplacian(f: ScalarField) -> ScalarField:
     return ScalarField(f.grid, f.grid.laplacian_values(f.values))
 
 
-def sobolev_norm(f: ScalarField, order: int) -> float:
-    """Discrete Sobolev norm of integer order 0, 1 or 2.
+def sobolev_norm(f: ScalarField, order: int):
+    """Discrete Sobolev norm of integer order 0, 1 or 2 (per column).
 
     Orders 0 and 1 integrate over all nodes (edge derivatives are one-sided).
     The order-2 terms use second differences at interior nodes only, which
@@ -566,15 +566,13 @@ def sobolev_norm(f: ScalarField, order: int) -> float:
     total = inner_l2(f, f)
     if order >= 1:
         gx, gy = g.gradient(f.values)
-        total += float(np.sum(g.quad_weights * (gx**2 + gy**2)))
+        total += _node_sum(g.quad_weights * (gx.T**2 + gy.T**2))
     if order == 2:
-        fxx, fxy, fyy = g.second_derivatives(f.values)
-        w_int = g.quad_weights[g.interior_ids]
         ids = g.interior_ids
-        total += float(
-            np.sum(w_int * (fxx[ids] ** 2 + fxy[ids] ** 2 + fyy[ids] ** 2))
-        )
-    return math.sqrt(max(total, 0.0))
+        fxx, fxy, fyy = (d[ids].T for d in g.second_derivatives(f.values))
+        total += _node_sum(g.quad_weights[ids] * (fxx**2 + fxy**2 + fyy**2))
+    norm = np.sqrt(np.maximum(total, 0.0))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def make_bump(grid: Grid, center, radius: float, amplitude: float = 1.0) -> ScalarField:
@@ -608,18 +606,20 @@ def random_smooth_field(
     kmax: int = 8,
     decay: float = 3.0,
     apply_collar: bool = True,
+    size: int | None = None,
 ) -> ScalarField:
     """Random smooth field from a truncated double-sine series.
 
     Coefficients are standard Gaussians damped by (k^2 + l^2)^(-decay/2), so
     realizations are smooth at the grid scale; with ``apply_collar`` the field
     is zeroed on the boundary collar to mimic compact support.  The sine
-    tables are built once per grid and ``kmax``.
+    tables are built once per grid and ``kmax``.  ``size`` gives an (n_nodes,
+    size) stack of that many successive draws, bit for bit.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     ks = np.arange(1, kmax + 1)
-    coef = rng.standard_normal((kmax, kmax))
+    coef = rng.standard_normal((1 if size is None else size, kmax, kmax))
     damp = (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-decay / 2.0)
     coef = coef * damp
     if kmax not in grid._sine_tables:
@@ -630,7 +630,7 @@ def random_smooth_field(
         grid._sine_tables[kmax] = tuple(np.sin(np.pi * ks[:, None] * Z[None, :])
                                         for Z in (X, Y))
     SX, SY = grid._sine_tables[kmax]
-    vals = ((coef.T @ SX) * SY).sum(axis=0)
+    vals = ((coef.transpose(0, 2, 1) @ SX) * SY).sum(axis=1).T
     if apply_collar:
         vals[grid.collar_mask] = 0.0
-    return ScalarField(grid, vals)
+    return ScalarField(grid, vals[:, 0] if size is None else vals)

@@ -21,10 +21,12 @@ T is filled once as a sparse matrix in h on the grid's face pattern
 (``Grid.faces``), the pattern of the elliptic operator K.  Faces between two
 interior nodes average h; faces touching the boundary extrapolate h linearly
 from the two nearest interior nodes, which keeps constants exactly in the
-kernel of h -> T(h) when the base solution is discretely harmonic.  For
-perturbations vanishing on the collar the assembly identity
-L_{theta + s h} = L_theta + s L_h holds exactly, which makes the Gateaux
-remainder of the forward map exactly quadratic in s at the discrete level.
+kernel of h -> T(h) when the base solution is discretely harmonic.
+
+The assembly identity K(theta + s h) = K(theta) + s K(h), the same for C,
+drives the Gateaux remainders: d = u_{theta + s h} - u_theta solves
+(K + s K(h)) d = s (C(h) g - K(h) u_theta) by CG on the context's LU.  The
+other checks draw fields in blocks of ``BLOCK_COLUMNS``, one solve each.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ellinfo.elliptic import Conductivity, DivergenceFormOperator, check_identifiability
+from ellinfo.elliptic import Conductivity, DivergenceFormOperator, assemble, check_identifiability
 from ellinfo.grids import (
     Grid,
     ScalarField,
@@ -52,6 +54,11 @@ DENSE_OPERATOR_MAX_DIM = 4100
 
 #: Bound on the relative residual and refinement change of a transport solve.
 TRANSPORT_SOLVE_RTOL = 1e-6
+
+#: Fields per block of the batched checks, bounding their temporaries; even.
+BLOCK_COLUMNS = 16
+#: Bound on the backward error of a Gateaux solve, and its CG step cap.
+GATEAUX_RTOL, GATEAUX_MAXITER = 1e-12, 50
 
 
 def _collar_violation(grid: Grid, values: np.ndarray) -> bool:
@@ -147,10 +154,10 @@ class ScoreContext:
         return self.grid.interior_field(self._apply_B(self.grid.restrict(h)))
 
     def apply_adjoint(self, g: ScalarField) -> ScalarField:
-        """I* g = grad u_theta . grad V[g] (gradient formula, zero trace)."""
-        v = self.op.apply_inverse(g)
+        """I* g = grad u_theta . grad V[g] (gradient formula, zero trace); stacks too."""
+        v = self.grid.interior_field(self.op.apply_inverse_interior(self.grid.restrict(g)))
         gx, gy = self.grid.gradient(v.values)
-        vals = self.grad_u.vx * gx + self.grad_u.vy * gy
+        vals = (self.grad_u.vx * gx.T + self.grad_u.vy * gy.T).T
         vals[self.grid.boundary_ids] = 0.0
         return ScalarField(self.grid, vals)
 
@@ -192,6 +199,21 @@ class ScoreContext:
 # -- verification-style diagnostics ---------------------------------------
 
 
+def adjoint_defects(ctx: ScoreContext, n_pairs: int = 100, seed: int = 0) -> np.ndarray:
+    """Defects |<I h, g> - <h, I* g>| / (||h|| ||g||) of the gradient-formula
+    adjoint over random pairs without the collar, drawn h, g, h, g, ...
+    from one generator."""
+    rng, defects = np.random.default_rng(seed), []
+    for i in range(0, 2 * n_pairs, BLOCK_COLUMNS):
+        size = min(BLOCK_COLUMNS, 2 * n_pairs - i)
+        hg = random_smooth_field(ctx.grid, rng, apply_collar=False, size=size).values
+        h, g = ScalarField(ctx.grid, hg[:, 0::2]), ScalarField(ctx.grid, hg[:, 1::2])
+        ih = ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h)))
+        pairing = inner_l2(ih, g) - inner_l2(h, ctx.apply_adjoint(g))
+        defects.append(np.abs(pairing) / (norm_l2(h) * norm_l2(g)))
+    return np.concatenate(defects)
+
+
 @dataclass
 class StabilityReport:
     """Empirical lower-bound diagnostics for the linearization.
@@ -211,25 +233,27 @@ class StabilityReport:
     ratios_H2: np.ndarray
 
 
+def _stability_ratios(ctx: ScoreContext, h: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    hn = norm_l2(h)
+    h, hn = h.values[:, hn >= 1e-13], hn[hn >= 1e-13]
+    th = ctx.T @ ctx.grid.restrict(h)
+    ih = ctx.grid.interior_field(-ctx.op.apply_inverse_interior(th))
+    return norm_l2(ctx.grid.interior_field(th)) / hn, sobolev_norm(ih, 2) / hn
+
+
 def stability_report(ctx: ScoreContext, n_trials: int = 200, seed: int = 0,
                      mu: float = 4.0, c0_min: float = 0.0) -> StabilityReport:
+    """The ratios over n_trials random fields of norm at least 1e-13, drawn in
+    blocks of BLOCK_COLUMNS; each block is one solve, and its arrays are freed
+    before the next draw, so memory does not grow with n_trials."""
     ident = check_identifiability(ctx.theta, ctx.f, ctx.g, mu, c0_min, op=ctx.op)
     if not ident.passes:
         return StabilityReport(False, mu, ident.c0_hat, 0, seed,
                                math.nan, math.nan, np.array([]), np.array([]))
     rng = np.random.default_rng(seed)
-    ratios_T, ratios_H2 = [], []
-    for _ in range(n_trials):
-        h = random_smooth_field(ctx.grid, rng)
-        hn = norm_l2(h)
-        if hn < 1e-13:
-            continue
-        t_norm = norm_l2(ctx.perturbation_source(h))
-        ih = ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h)))
-        ratios_T.append(t_norm / hn)
-        ratios_H2.append(sobolev_norm(ih, 2) / hn)
-    ratios_T = np.asarray(ratios_T)
-    ratios_H2 = np.asarray(ratios_H2)
+    sizes = [min(BLOCK_COLUMNS, n_trials - i) for i in range(0, n_trials, BLOCK_COLUMNS)]
+    blocks = [_stability_ratios(ctx, random_smooth_field(ctx.grid, rng, size=k)) for k in sizes]
+    ratios_T, ratios_H2 = (np.concatenate(r) for r in zip(*blocks))
     return StabilityReport(True, mu, ident.c0_hat, ratios_T.size, seed,
                            float(ratios_T.min()), float(ratios_H2.min()),
                            ratios_T, ratios_H2)
@@ -258,18 +282,35 @@ def stability_pair(theta1: Conductivity, theta2: Conductivity, f, g=None) -> Sta
 
 
 def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
-                       s_values=(1e-1, 1e-2, 1e-3, 1e-4)):
+                       s_values=(1e-1, 1e-2, 1e-3, 1e-4), stats: dict | None = None):
     """Sup-norm remainders ||G(theta + s h) - G(theta) - s I h|| and the
-    fitted log-log slope (quadratic remainder means slope 2)."""
-    ih = ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h))).values
-    remainders = []
+    fitted log-log slope (quadratic remainder means slope 2).
+
+    Each s is one CG solve for d = G(theta + s h) - G(theta) (module
+    docstring) from d = 0, preconditioned by the context's LU (past the LU
+    size, by its operator's preconditioner).  A normwise backward error above
+    GATEAUX_RTOL, or GATEAUX_MAXITER steps, raises RuntimeError.  ``stats``,
+    if given, receives the CG steps per s and the largest backward error.
+    """
+    grid, op = ctx.grid, ctx.op
+    K_h, C_h = assemble(grid, h.values)
+    src = C_h @ ctx.u.values[grid.boundary_ids] - K_h @ grid.restrict(ctx.u)
+    ih = ctx._apply_B(grid.restrict(h))
+    M = op._theta1_inverse if op._lu is None else spla.LinearOperator(op.K.shape, op._lu.solve)
+    remainders, steps, errors = [], [], []
     for s in s_values:
-        theta_s = Conductivity(
-            ScalarField(ctx.grid, ctx.theta.values + s * h.values), eta=None
-        )
-        u_s = ctx.forward_map(theta_s)
-        rem = np.max(np.abs(u_s.values - ctx.u.values - s * ih))
-        remainders.append(rem)
-    remainders = np.asarray(remainders)
-    slope = float(np.polyfit(np.log(np.asarray(s_values)), np.log(remainders), 1)[0])
-    return remainders, slope
+        K_s, b, count = op.K + s * K_h, s * src, []
+        d, info = spla.cg(K_s, b, rtol=GATEAUX_RTOL / 10, atol=0.0, M=M,
+                          maxiter=GATEAUX_MAXITER, callback=lambda _: count.append(1))
+        errors.append(float(np.max(np.abs(K_s @ d - b)) / (
+            abs(K_s).sum(axis=1).max() * np.max(np.abs(d)) + np.max(np.abs(b)))))
+        if info != 0 or errors[-1] > GATEAUX_RTOL:
+            raise RuntimeError(f"Gateaux solve at s = {s:g}: backward error {errors[-1]:.3e} "
+                               f"after {len(count)} CG steps (bound {GATEAUX_RTOL:g}, cap "
+                               f"{GATEAUX_MAXITER})")
+        steps.append(len(count))
+        remainders.append(np.max(np.abs(d - s * ih)))
+    if stats is not None:
+        stats.update(cg_iterations=steps, max_backward_error=max(errors), bound=GATEAUX_RTOL)
+    slope = float(np.polyfit(np.log(s_values), np.log(remainders), 1)[0])
+    return np.asarray(remainders), slope

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import ellinfo
-from ellinfo import cli, spectral, transport
+from ellinfo import cli, score, spectral, transport
 from ellinfo.cli import main
+from ellinfo.fixtures import build_context
 from ellinfo.grids import MIN_RESOLUTION
 from ellinfo.score import ScoreContext
 
@@ -222,6 +224,19 @@ class TestRuntimeErrors:
         assert record == {"error": "LinAlgError", "message": "Singular matrix"}
         assert not (out / "solve").exists()
 
+    def test_gateaux_solve_failure(self, tmp_path, capsys, monkeypatch):
+        """A Gateaux CG that reaches its step cap is a numerical failure:
+        exit 1, with the solve named, and no artifacts."""
+        monkeypatch.setattr(score, "GATEAUX_MAXITER", 1)
+        rc, out = run(["verify-operators", "--fixture", "square_ex1",
+                       "--resolution", "17"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "Gateaux solve at s = 0.1" in record["message"]
+        assert "after 1 CG steps" in record["message"]
+        assert not (out / "verify-operators").exists()
+
     def test_dense_size_refusal(self, tmp_path, capsys):
         rc, out = run(["spectrum", "--fixture", "square_ex1",
                        "--resolution", "129"], tmp_path, "a")
@@ -340,6 +355,50 @@ class TestDeterminism:
         # wall times live in the manifest only
         stages = json.loads((out1 / "solve" / "manifest.json").read_text())["stages"]
         assert set(stages) == {"run", "solve_17", "write"}
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("fixture,res", [("square_ex1", "17"), ("disk_ex2", "20")])
+    def test_verify_operators_rerun_is_byte_identical(self, tmp_path, capsys, fixture, res):
+        """The summary carries the solver certificates: CG steps and backward
+        errors per Gateaux direction, and the largest residual of the block
+        solves.  The three checks' wall times go to the manifest."""
+        args = ["verify-operators", "--fixture", fixture, "--resolution", res]
+        rc1, out1 = run(list(args), tmp_path, "a")
+        rc2, out2 = run(list(args), tmp_path, "b")
+        assert rc1 == rc2 == 0
+        for name in ("summary.json", "adjoint_defects.csv"):
+            assert ((out1 / "verify-operators" / name).read_bytes()
+                    == (out2 / "verify-operators" / name).read_bytes())
+        summary = load_summary(out1, "verify-operators")
+        solves = summary["linearization_solves"]
+        assert len(solves) == len(summary["linearization_slopes"]) == 3
+        for entry in solves:
+            assert len(entry["cg_iterations"]) == 4
+            assert all(n >= 1 for n in entry["cg_iterations"])
+            assert 0.0 < entry["max_backward_error"] <= entry["bound"] == score.GATEAUX_RTOL
+        assert 0.0 < summary["max_solve_residual"] <= 1e-10
+        stages = json.loads((out1 / "verify-operators" / "manifest.json").read_text())["stages"]
+        assert set(stages) == {"adjoint", "gateaux", "stability", "run", "write"}
+        capsys.readouterr()
+
+    def test_verify_operators_factors_only_the_context_operator(self, tmp_path, capsys,
+                                                                monkeypatch):
+        """The checks share the context's one LU: no operator is built or
+        factored per Gateaux step, and nothing else is factored."""
+        own = build_context("disk_ex2", 20).op.K.tocsc()
+        factored = []
+        real = spla.splu
+
+        def counting(A, *a, **kw):
+            factored.append(A)
+            return real(A, *a, **kw)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        rc, _ = run(["verify-operators", "--fixture", "disk_ex2", "--resolution", "20"],
+                    tmp_path, "a")
+        assert rc == 0
+        assert len(factored) == 1
+        assert factored[0].shape == own.shape and abs(factored[0] - own).max() == 0.0
         capsys.readouterr()
 
     def test_spectrum_rerun_is_byte_identical(self, tmp_path, capsys):

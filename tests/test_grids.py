@@ -162,6 +162,49 @@ class TestStencils:
         np.testing.assert_allclose(interior, 0.0, atol=1e-10)
 
 
+class TestStackedCalculus:
+    """Every calculus function takes an (n_nodes, k) stack and returns what
+    k single-field calls return, bit for bit, on both grids."""
+
+    @staticmethod
+    def stack(g, k=6):
+        return random_smooth_field(g, np.random.default_rng(3), apply_collar=False, size=k)
+
+    @pytest.mark.parametrize("g", [square(33), disk(20)], ids=["square", "disk"])
+    def test_derivatives(self, g):
+        F = self.stack(g).values
+        for op in (g.gradient, g.second_derivatives):
+            parts = op(F)
+            for j in range(F.shape[1]):
+                for part, single in zip(parts, op(np.ascontiguousarray(F[:, j]))):
+                    assert part.shape == F.shape
+                    np.testing.assert_array_equal(part[:, j], single)
+
+    @pytest.mark.parametrize("g", [square(33), disk(20)], ids=["square", "disk"])
+    def test_norms_and_inner_product(self, g):
+        S = self.stack(g)
+        cols = [ScalarField(g, S.values[:, j].copy()) for j in range(S.values.shape[1])]
+        for order in (0, 1, 2):
+            np.testing.assert_array_equal(sobolev_norm(S, order),
+                                          [sobolev_norm(c, order) for c in cols])
+        np.testing.assert_array_equal(norm_l2(S), [norm_l2(c) for c in cols])
+        np.testing.assert_array_equal(inner_l2(S, S), [inner_l2(c, c) for c in cols])
+        assert isinstance(sobolev_norm(cols[0], 2), float)
+        assert isinstance(inner_l2(cols[0], cols[1]), float)
+
+    def test_stack_plumbing(self):
+        """Stacks reshape onto the tensor shape, restrict and scatter by row;
+        a third axis is rejected."""
+        g = disk(12)
+        S = self.stack(g, 3)
+        assert g.reshape(S.values).shape == g.shape + (3,)
+        back = g.interior_field(g.restrict(S))
+        np.testing.assert_array_equal(back.values[g.interior_ids], S.values[g.interior_ids])
+        assert not back.values[g.boundary_ids].any()
+        with pytest.raises(ValueError, match="nodes"):
+            ScalarField(g, np.zeros((g.n_nodes, 2, 2)))
+
+
 class TestFieldPlumbing:
     """ScalarField construction, restriction, and scatter."""
 
@@ -277,7 +320,7 @@ class TestInterpolation:
             np.testing.assert_array_equal(stacked(coords), sep)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
-    def test_sample_matrix_matches_interpolator(self, g):
+    def test_prepared_interpolator_matches_oracle(self, g):
         """The prepared interpolator at grid coordinates reproduces the
         oracle at Cartesian points column by column, at random points and at
         every special point, including the extrapolation past the square's
@@ -388,6 +431,21 @@ class TestBumpAndRandomFields:
         tables = g._sine_tables[8]
         random_smooth_field(g, 7)
         assert g._sine_tables[8] is tables and sorted(g._sine_tables) == [4, 8]
+
+    @pytest.mark.parametrize("g", [square(33), disk(20)], ids=["square", "disk"])
+    def test_stacked_draw_reads_the_same_stream(self, g):
+        """A stack of k fields equals k successive single draws from the
+        same generator, bit for bit, with and without the collar; size=1
+        is a one-column stack."""
+        for collar in (True, False):
+            stack = random_smooth_field(g, np.random.default_rng(11), apply_collar=collar,
+                                        size=5)
+            rng = np.random.default_rng(11)
+            cols = [random_smooth_field(g, rng, apply_collar=collar).values for _ in range(5)]
+            assert stack.values.shape == (g.n_nodes, 5)
+            np.testing.assert_array_equal(stack.values, np.column_stack(cols))
+        one = random_smooth_field(g, 11, size=1)
+        np.testing.assert_array_equal(one.values[:, 0], random_smooth_field(g, 11).values)
 
     def test_sobolev_norm_orders_nest(self):
         g = square(17)

@@ -1,16 +1,20 @@
 """Linearized score machinery: source operator, adjoints, remainders,
 stability diagnostics."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from ellinfo.elliptic import Conductivity
+from ellinfo import elliptic, score
+from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import build_context
 from ellinfo.grids import (ScalarField, inner_l2, make_bump, norm_l2,
                            random_smooth_field)
-from ellinfo.score import gateaux_remainders, stability_pair, stability_report
+from ellinfo.score import adjoint_defects, gateaux_remainders, stability_pair, stability_report
+from test_acceptance import _adjoint_defects
+from test_elliptic import force_cg
 
 
 def interior_residual_norm(grid, got, oracle):
@@ -137,6 +141,119 @@ class TestGateauxRemainders:
             assert 1.8 <= slope <= 2.2
 
 
+class TestGateauxSolves:
+    """Each s is one CG solve on the context's LU, started from u_theta,
+    against an oracle that builds and factors the operator at theta + s h."""
+
+    S_VALUES = (1e-1, 1e-2, 1e-3, 1e-4)
+
+    @staticmethod
+    def oracle(ctx, h, s_values):
+        ih = ctx.apply_linearization(h).values
+        rems, scale = [], 0.0
+        for s in s_values:
+            theta_s = Conductivity(ScalarField(ctx.grid, ctx.theta.values + s * h.values),
+                                   eta=None)
+            u_s = DivergenceFormOperator(theta_s).solve(ctx.f, ctx.g).values
+            rems.append(np.max(np.abs(u_s - ctx.u.values - s * ih)))
+            scale = max(scale, np.max(np.abs(u_s)))
+        return np.asarray(rems), scale
+
+    @pytest.mark.parametrize("name,res,bump", [("square_ex1", 33, None), ("disk_ex2", 40, None),
+                                               ("square_ex1", 33, True)])
+    def test_remainders_match_fresh_factorisations(self, ctx_cache, name, res, bump):
+        """The solutions agree with the oracle's to 1e-10 of max |u_s|.  At
+        s = 0.1 and 0.01, where the oracle's cancellation u_s - u_theta costs
+        little, each remainder agrees to 1e-6 relative."""
+        ctx = ctx_cache(name, res, theta_bump=bump)
+        for seed in (1000, 1001):
+            h = random_smooth_field(ctx.grid, np.random.default_rng(seed))
+            stats = {}
+            rems, slope = gateaux_remainders(ctx, h, self.S_VALUES, stats=stats)
+            ref, scale = self.oracle(ctx, h, self.S_VALUES)
+            assert np.max(np.abs(rems - ref)) <= 1e-10 * scale
+            np.testing.assert_allclose(rems[:2], ref[:2], rtol=1e-6)
+            assert abs(slope - 2.0) <= 0.05
+            assert len(stats["cg_iterations"]) == 4
+            assert all(1 <= n <= 12 for n in stats["cg_iterations"])
+            assert stats["max_backward_error"] <= score.GATEAUX_RTOL
+
+    def test_past_the_lu_size_the_operator_preconditioner_serves(self, monkeypatch):
+        """Without an LU the CG takes the operator's own preconditioner and
+        reaches the same remainders."""
+        ctx = build_context("disk_ex2", 28)
+        h = random_smooth_field(ctx.grid, np.random.default_rng(5))
+        rems, _ = gateaux_remainders(ctx, h, self.S_VALUES)
+        force_cg(monkeypatch, tol=1e-12)
+        ctx_cg = build_context("disk_ex2", 28)
+        assert ctx_cg.op._lu is None
+        rems_cg, _ = gateaux_remainders(ctx_cg, h, self.S_VALUES)
+        np.testing.assert_allclose(rems_cg, rems, rtol=1e-3)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        ctx = build_context("square_ex1", 17)
+        h = random_smooth_field(ctx.grid, np.random.default_rng(5))
+        monkeypatch.setattr(score, "GATEAUX_MAXITER", 1)
+        with pytest.raises(RuntimeError, match="backward error .* after 1 CG steps"):
+            gateaux_remainders(ctx, h)
+
+    def test_backward_error_bound_raises(self, monkeypatch):
+        ctx = build_context("square_ex1", 17)
+        h = random_smooth_field(ctx.grid, np.random.default_rng(5))
+        monkeypatch.setattr(score, "GATEAUX_RTOL", 1e-30)
+        with pytest.raises(RuntimeError, match="bound 1e-30"):
+            gateaux_remainders(ctx, h)
+
+
+class TestAdjointDefects:
+    """The batched pairing check against the per-pair loop of criterion 3."""
+
+    @pytest.mark.parametrize("name,res", [("square_ex1", 33), ("disk_ex2", 40)])
+    def test_matches_the_per_pair_loop(self, ctx_cache, name, res):
+        ctx = ctx_cache(name, res)
+        defects = adjoint_defects(ctx, n_pairs=100, seed=7)
+        assert defects.shape == (100,)
+        np.testing.assert_allclose(defects.max(), _adjoint_defects(ctx, n_pairs=100, seed=7),
+                                   rtol=1e-12)
+
+    def test_every_pair_matches_its_single_evaluation(self, ctx_cache):
+        """Pair by pair, over several blocks and a partial last one (37 pairs)."""
+        ctx = ctx_cache("square_ex1", 33)
+        rng = np.random.default_rng(4)
+        loop = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for _ in range(37):
+                h = random_smooth_field(ctx.grid, rng, apply_collar=False)
+                g = random_smooth_field(ctx.grid, rng, apply_collar=False)
+                lhs = inner_l2(ctx.apply_linearization(h), g)
+                loop.append(abs(lhs - inner_l2(h, ctx.apply_adjoint(g))) / (norm_l2(h) * norm_l2(g)))
+        np.testing.assert_allclose(adjoint_defects(ctx, n_pairs=37, seed=4), loop, rtol=1e-9,
+                                   atol=1e-16)
+
+
+class TestBlockSolves:
+    """A block of right-hand sides is one solve, with a certificate for its
+    worst column."""
+
+    @pytest.mark.parametrize("cg", [False, True], ids=["lu", "cg"])
+    def test_block_records_its_worst_column(self, monkeypatch, cg):
+        if cg:
+            force_cg(monkeypatch, tol=1e-12)
+        ctx = build_context("disk_ex2", 20)
+        W = random_smooth_field(ctx.grid, np.random.default_rng(2), apply_collar=False, size=5)
+        block = ctx.op.apply_inverse_interior(ctx.grid.restrict(W))
+        worst = ctx.op.last_stats["residual"]
+        singles = []
+        for j in range(5):
+            col = ctx.op.apply_inverse_interior(np.ascontiguousarray(ctx.grid.restrict(W)[:, j]))
+            singles.append(ctx.op.last_stats["residual"])
+            np.testing.assert_allclose(block[:, j], col, rtol=0.0, atol=1e-13 * np.abs(col).max())
+        assert worst == pytest.approx(max(singles), rel=1e-6 if cg else 1e-12)
+        assert ctx.op.max_residual >= worst
+        assert ctx.op.last_stats["mode"] == ("cg" if cg else "direct")
+
+
 class TestStabilityReport:
     """Monte Carlo lower-bound ratios under the identifiability gate."""
 
@@ -156,6 +273,35 @@ class TestStabilityReport:
         rep2 = stability_report(ctx, n_trials=20, seed=3)
         np.testing.assert_array_equal(rep1.ratios_T, rep2.ratios_T)
         np.testing.assert_array_equal(rep1.ratios_H2, rep2.ratios_H2)
+
+    def test_blocks_match_the_single_field_ratios(self, ctx_cache):
+        """Over several blocks and a partial last one (45 trials), each ratio
+        equals the one computed from its field alone."""
+        ctx = ctx_cache("disk_ex2", 40)
+        rep = stability_report(ctx, n_trials=45, seed=2)
+        rng = np.random.default_rng(2)
+        for j in range(45):
+            h = random_smooth_field(ctx.grid, rng)
+            ih = ctx.apply_linearization(h)
+            assert rep.ratios_T[j] == pytest.approx(
+                norm_l2(ctx.perturbation_source(h)) / norm_l2(h), rel=1e-12)
+            assert rep.ratios_H2[j] == pytest.approx(
+                score.sobolev_norm(ih, 2) / norm_l2(h), rel=1e-12)
+
+    def test_memory_does_not_grow_with_trials(self, ctx_cache):
+        """Fields are drawn and solved in bounded blocks: the traced peak at
+        400 trials is within 10 % of the peak at 50."""
+        ctx = ctx_cache("disk_ex2", 40)
+        stability_report(ctx, n_trials=5, seed=0)  # sine tables, collar mask
+        peaks = []
+        for n in (50, 400):
+            tracemalloc.start()
+            try:
+                stability_report(ctx, n_trials=n, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_failed_gate_marks_inapplicable(self):
         """A harmonic base with mu = 0 has no pointwise bound, so the ratio
