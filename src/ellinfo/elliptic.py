@@ -7,19 +7,19 @@ nodal equation by its quadrature weight (on the square this is the classic
 5-point stencil).  ``assemble`` fills the system matrix K by one ``bincount``
 on the grid's face pattern (``Grid.faces``), shared with the source operator
 T, and the boundary coupling C; both are linear in the coefficient.
-``DivergenceFormOperator`` factorises K once; its ``solve`` handles Dirichlet
-data, and its zero-boundary inverse ``apply_inverse``, the discrete solution
-operator for a source w, is self-adjoint for the weighted inner product.
+``DivergenceFormOperator`` prepares one solver of K; its ``solve`` handles
+Dirichlet data, and its zero-boundary inverse ``apply_inverse``, the discrete
+solution operator for a source w, is self-adjoint for the weighted inner product.
 
-The size of the system alone picks the solver.  Up to
-``DIRECT_SOLVE_MAX_UNKNOWNS`` (200^2) unknowns it is sparse LU; beyond that
-(``solve --resolution 257`` and the disk at 192) it is conjugate gradient at
-relative tolerance ``SOLVER_TOL`` (1e-10), preconditioned by the exact
-fast-Poisson inverse of the theta = 1 operator: 1-2 steps at theta = 1, 4-8
-with the fixtures' bumps.  An (m, k) block of right-hand sides is one LU
-solve, or CG per column.  ``last_stats`` holds the mode, iterations and
-relative residual (a block's worst column) of the last solve, and
-``max_residual`` the largest relative residual of all solves.
+The problem picks the solver.  Up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` (200^2)
+unknowns, theta = 1 (every default context) takes the exact separable inverse
+of K (fast diagonalisation: Lynch, Rice & Thomas 1964), other theta a sparse
+LU.  Beyond (``solve --resolution 257``, the disk at 192) it is CG at relative
+tolerance ``SOLVER_TOL`` (1e-10), preconditioned by that inverse: 1-2 steps at
+theta = 1, 4-8 with the fixtures' bumps.  An (m, k) block is one LU solve or
+one separable apply, or CG per column.  ``last_stats`` holds the mode,
+iterations, relative residual and normwise backward error (a block's worst
+column) of the last solve, and ``max_residual`` the largest relative residual.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from ellinfo.grids import Grid, ScalarField, laplacian, make_bump, sobolev_norm
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
 SOLVER_TOL = 1e-10
+BACKWARD_ERROR_RTOL = 1e-12  # bound on a separable solve's normwise backward error
 
 
 @dataclass
@@ -126,11 +127,13 @@ class DivergenceFormOperator:
         self.grid = theta.grid
         self.theta = theta
         self.K, self.C = assemble(self.grid, theta.values)
-        # module constants are read here, per operator, so tests can patch them
-        direct = self.grid.n_interior <= DIRECT_SOLVE_MAX_UNKNOWNS
-        self.mode = "direct" if direct else "cg"
+        # module constants are read here, per operator, so tests can patch them;
+        # validate() pins theta to 1 on the boundary, so constant means theta = 1
+        big = self.grid.n_interior > DIRECT_SOLVE_MAX_UNKNOWNS
+        self.mode = "cg" if big else "direct" if np.any(theta.values != 1.0) else "separable"
         self.tol = SOLVER_TOL
-        self._lu = spla.splu(self.K.tocsc()) if direct else None
+        self._lu = spla.splu(self.K.tocsc()) if self.mode == "direct" else None
+        self._K_norm = float(abs(self.K).sum(axis=1).max())
         self.last_stats: dict = {}
         self.max_residual = 0.0
 
@@ -138,7 +141,7 @@ class DivergenceFormOperator:
 
     @cached_property
     def _theta1_inverse(self) -> spla.LinearOperator:
-        """Exact inverse of the theta = 1 operator: the CG preconditioner.
+        """Exact inverse of the theta = 1 operator: its solver, and CG's preconditioner.
 
         In the interior ordering, rows along x or r and columns along y or t,
         that operator is K0 = T1 (x) I + diag(c) (x) A2; its factors come from
@@ -169,15 +172,23 @@ class DivergenceFormOperator:
         s = 1.0 / np.sqrt(c)
         mu, U = np.linalg.eigh(s[:, None] * stencil(col & along1, 0, m1) * s)
         L, denom = s[:, None] * U, mu[:, None] + lam
-        return spla.LinearOperator(self.K.shape, dtype=float, matvec=lambda r: (
+
+        def matmat(F):  # (m, k): L^T on axis 0, then V on axis 1, for all k columns at once
+            X = np.matmul(V.T, (L.T @ F.reshape(m1, -1)).reshape(m1, m2, -1)) / denom[..., None]
+            return (L @ np.matmul(V, X).reshape(m1, -1)).reshape(F.shape)
+
+        # a vector takes plain 2-D products: stacked ones would be m1 matrix-vector calls
+        return spla.LinearOperator(self.K.shape, dtype=float, matmat=matmat, matvec=lambda r: (
             L @ ((L.T @ r.reshape(m1, m2) @ V) / denom) @ V.T).reshape(r.shape))
 
     def _solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs for a vector or an (m, k) block: one LU call, or CG per column."""
+        """K^-1 rhs for a vector or an (m, k) block: one LU call, one separable
+        apply, or CG per column.  A separable solve whose normwise backward
+        error exceeds ``BACKWARD_ERROR_RTOL`` raises RuntimeError."""
         cols = np.atleast_2d(rhs.T)
-        if self.mode == "direct":
-            out = self._lu.solve(rhs)
-            self.last_stats = {"mode": "direct", "iterations": 0}
+        if self.mode != "cg":
+            out = self._lu.solve(rhs) if self.mode == "direct" else self._theta1_inverse @ rhs
+            self.last_stats = {"mode": self.mode, "iterations": 0}
         else:
             steps, out = [], np.empty_like(cols)
             for j, b in enumerate(cols):
@@ -187,10 +198,15 @@ class DivergenceFormOperator:
                     raise RuntimeError(f"conjugate gradient did not converge (info={info})")
             out = out.T.reshape(rhs.shape)
             self.last_stats = {"mode": "cg", "iterations": len(steps)}
-        norms = [(float(np.linalg.norm(r)), float(np.linalg.norm(b)))
-                 for r, b in zip(np.atleast_2d((self.K @ out - rhs).T), cols)]
+        R, X = np.atleast_2d((self.K @ out - rhs).T), np.atleast_2d(out.T)
+        norms = [(float(np.linalg.norm(r)), float(np.linalg.norm(b))) for r, b in zip(R, cols)]
         self.last_stats["residual"] = max(r / max(b, 1e-300) for r, b in norms)
+        scale = np.maximum(self._K_norm * np.abs(X).max(axis=1) + np.abs(cols).max(axis=1), 1e-300)
+        error = self.last_stats["backward_error"] = float(np.max(np.abs(R).max(axis=1) / scale))
         self.max_residual = max(self.max_residual, self.last_stats["residual"])
+        if self.mode == "separable" and error > BACKWARD_ERROR_RTOL:
+            raise RuntimeError(f"separable solve of K: backward error {error:.3e} exceeds "
+                               f"{BACKWARD_ERROR_RTOL:g}")
         return out
 
     def apply_operator(self, u: ScalarField) -> ScalarField:

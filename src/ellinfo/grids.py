@@ -445,6 +445,7 @@ class DiskGrid(Grid):
         self.dt = 2.0 * math.pi / n_t
         self.rs = (np.arange(n_r) + 0.5) * self.dr
         self.ts = np.arange(n_t) * self.dt
+        self._trig = np.cos(self.ts)[None, :], np.sin(self.ts)[None, :]  # for gradient
         R, T = np.meshgrid(self.rs, self.ts, indexing="ij")
         self.r = R.reshape(-1)
         self.t = T.reshape(-1)
@@ -475,8 +476,7 @@ class DiskGrid(Grid):
         dvr = _diff(v, self.dr, 0)
         dvt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * self.dt)
         tail = (1,) * (v.ndim - 2)
-        R, ct, st = (a.reshape(a.shape + tail) for a in (
-            self.rs[:, None], np.cos(self.ts)[None, :], np.sin(self.ts)[None, :]))
+        R, ct, st = (a.reshape(a.shape + tail) for a in (self.rs[:, None], *self._trig))
         gx = ct * dvr - st * dvt / R
         gy = st * dvr + ct * dvt / R
         return gx.reshape(np.shape(values)), gy.reshape(np.shape(values))

@@ -25,8 +25,8 @@ kernel of h -> T(h) when the base solution is discretely harmonic.
 
 The assembly identity K(theta + s h) = K(theta) + s K(h), the same for C,
 drives the Gateaux remainders: d = u_{theta + s h} - u_theta solves
-(K + s K(h)) d = s (C(h) g - K(h) u_theta) by CG on the context's LU.  The
-other checks draw fields in blocks of ``BLOCK_COLUMNS``, one solve each.
+(K + s K(h)) d = s (C(h) g - K(h) u_theta) by CG preconditioned by the
+context's solver of K.  The other checks solve blocks of ``BLOCK_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -187,10 +187,7 @@ class ScoreContext:
                     f"DENSE_OPERATOR_MAX_DIM = {DENSE_OPERATOR_MAX_DIM}"
                 )
             w = self.grid.weights_interior
-            T_dense = self.T.toarray()
-            if self.op._lu is None:
-                raise RuntimeError("dense linearization requires the direct solver")
-            B = self.op._lu.solve(w[:, None] * T_dense)
+            B = self.op._solve_spd(w[:, None] * self.T.toarray())
             s = np.sqrt(w)
             self._B_hat = (s[:, None] * B) / s[None, :]
         return self._B_hat
@@ -287,8 +284,8 @@ def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
     fitted log-log slope (quadratic remainder means slope 2).
 
     Each s is one CG solve for d = G(theta + s h) - G(theta) (module
-    docstring) from d = 0, preconditioned by the context's LU (past the LU
-    size, by its operator's preconditioner).  A normwise backward error above
+    docstring) from d = 0, preconditioned by the context's LU of K or, with
+    no LU, by its theta = 1 inverse.  A normwise backward error above
     GATEAUX_RTOL, or GATEAUX_MAXITER steps, raises RuntimeError.  ``stats``,
     if given, receives the CG steps per s and the largest backward error.
     """

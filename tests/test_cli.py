@@ -12,10 +12,11 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ellinfo
-from ellinfo import cli, score, spectral, transport
+from ellinfo import cli, elliptic, score, spectral, transport
 from ellinfo.cli import main
-from ellinfo.fixtures import build_context
-from ellinfo.grids import MIN_RESOLUTION
+from ellinfo.elliptic import assemble
+from ellinfo.fixtures import build_context, fixture_domain
+from ellinfo.grids import MIN_RESOLUTION, build_grid
 from ellinfo.score import ScoreContext
 
 
@@ -27,6 +28,18 @@ def run(args, tmp_path, name):
 
 def load_summary(out, subcommand):
     return json.loads((out / subcommand / "summary.json").read_text())
+
+
+def record_factorisations(monkeypatch):
+    """Wrap ``splu``; the returned list collects every matrix it factors."""
+    factored, real = [], spla.splu
+
+    def counting(A, *a, **kw):
+        factored.append(A)
+        return real(A, *a, **kw)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return factored
 
 
 def test_package_exports_resolve_once():
@@ -237,6 +250,19 @@ class TestRuntimeErrors:
         assert "after 1 CG steps" in record["message"]
         assert not (out / "verify-operators").exists()
 
+    def test_separable_solve_failure(self, tmp_path, capsys, monkeypatch):
+        """A theta = 1 solve that fails its backward-error certificate is a
+        numerical failure: exit 1, with the solve named, and no artifacts."""
+        exact = elliptic.DivergenceFormOperator._theta1_inverse.func
+        monkeypatch.setattr(elliptic.DivergenceFormOperator, "_theta1_inverse",
+                            property(lambda op: 1.001 * exact(op)))
+        rc, out = run(["solve", "--fixture", "disk_ex2", "--resolution", "20"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "separable solve of K: backward error" in record["message"]
+        assert not (out / "solve").exists()
+
     def test_dense_size_refusal(self, tmp_path, capsys):
         rc, out = run(["spectrum", "--fixture", "square_ex1",
                        "--resolution", "129"], tmp_path, "a")
@@ -350,8 +376,9 @@ class TestDeterminism:
             b2 = (out2 / "solve" / name).read_bytes()
             assert b1 == b2
         solver = load_summary(out1, "solve")["results"]["17"]["solver"]
-        assert solver["mode"] == "direct" and solver["iterations"] == 0
+        assert solver["mode"] == "separable" and solver["iterations"] == 0
         assert solver["residual"] <= 1e-12
+        assert 0.0 < solver["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
         # wall times live in the manifest only
         stages = json.loads((out1 / "solve" / "manifest.json").read_text())["stages"]
         assert set(stages) == {"run", "solve_17", "write"}
@@ -383,22 +410,38 @@ class TestDeterminism:
 
     def test_verify_operators_factors_only_the_context_operator(self, tmp_path, capsys,
                                                                 monkeypatch):
-        """The checks share the context's one LU: no operator is built or
-        factored per Gateaux step, and nothing else is factored."""
-        own = build_context("disk_ex2", 20).op.K.tocsc()
-        factored = []
-        real = spla.splu
-
-        def counting(A, *a, **kw):
-            factored.append(A)
-            return real(A, *a, **kw)
-
-        monkeypatch.setattr(spla, "splu", counting)
-        rc, _ = run(["verify-operators", "--fixture", "disk_ex2", "--resolution", "20"],
-                    tmp_path, "a")
-        assert rc == 0
+        """At theta = 1 the checks solve by the separable inverse and factor
+        nothing.  With a bumped theta they share the context's one LU: no
+        operator is built or factored per Gateaux step, and nothing else is
+        factored."""
+        own = build_context("disk_ex2", 20, theta_bump=((0.3, 0.25), 0.25, 0.15)).op.K.tocsc()
+        factored = record_factorisations(monkeypatch)
+        args = ["verify-operators", "--fixture", "disk_ex2", "--resolution", "20"]
+        assert run(list(args), tmp_path, "a")[0] == 0
+        assert factored == []
+        cfg = tmp_path / "bump.ini"
+        cfg.write_text("[theta]\nbump_center = 0.3, 0.25\nbump_radius = 0.25\n"
+                       "bump_amplitude = 0.15\n")
+        assert run(args + ["--config", str(cfg)], tmp_path, "b")[0] == 0
         assert len(factored) == 1
         assert factored[0].shape == own.shape and abs(factored[0] - own).max() == 0.0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("subcommand", ["reproduce-thm38", "spectrum", "fisher",
+                                            "verify-operators"])
+    def test_default_runs_factor_no_stiffness_matrix(self, tmp_path, capsys, monkeypatch,
+                                                     subcommand):
+        """Default contexts sit at theta = 1, so K is never factored; the
+        sparse LUs left are those of T^T."""
+        grids = {"reproduce-thm38": [("square_ex1", 33), ("disk_ex2", 96)],
+                 "fisher": [("square_ex1", r) for r in (17, 25, 33)]}
+        unit_K = [assemble(g, np.ones(g.n_nodes))[0] for g in (
+            build_grid(fixture_domain(*spec))
+            for spec in grids.get(subcommand, [("square_ex1", 33)]))]
+        factored = record_factorisations(monkeypatch)
+        assert run([subcommand], tmp_path, "a")[0] == 0
+        assert not any(A.shape == K.shape and abs(A - K).max() == 0.0
+                       for A in factored for K in unit_K)
         capsys.readouterr()
 
     def test_spectrum_rerun_is_byte_identical(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ellinfo import elliptic
 from ellinfo.elliptic import (ELLIPTICITY_FLOOR, Conductivity,
@@ -124,7 +125,7 @@ class TestOperatorAlgebra:
     @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
     def test_cg_at_unit_conductivity_is_a_direct_solve(self, monkeypatch, name):
         """The preconditioner is the exact inverse of the theta = 1 operator,
-        so CG stops after one or two steps with the LU answer."""
+        so CG stops after one or two steps with the separable solve's answer."""
         grid = fixture_grid(name, 25)
         f, g = fixture_data(name, grid)
         theta = Conductivity.constant(grid)
@@ -151,15 +152,51 @@ class TestOperatorAlgebra:
         np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-10)
 
     def test_size_picks_the_solver(self, monkeypatch):
-        """LU up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` interior unknowns, CG at
-        ``SOLVER_TOL`` beyond; both constants are read per operator."""
-        theta = Conductivity.constant(square(15))
+        """Up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` interior unknowns, theta = 1
+        takes the separable inverse and factors nothing, and any other theta,
+        even one off by 1e-15 at a single node, takes the LU.  Beyond, both
+        take CG at ``SOLVER_TOL``.  Both constants are read per operator."""
+        grid = square(15)
+        unit = Conductivity.constant(grid)
+        bumped = Conductivity.with_bump(grid, (1.5, 1.5), 0.25, 0.15)
+        nudged = grid.field(1.0)
+        nudged.values[grid.interior_ids[0]] += 1e-15
         monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 13 * 13)
-        op = DivergenceFormOperator(theta)
-        assert op.mode == "direct" and op._lu is not None
+        op = DivergenceFormOperator(unit)
+        assert op.mode == "separable" and op._lu is None
+        for theta in (bumped, Conductivity(nudged, eta=None)):
+            op = DivergenceFormOperator(theta)
+            assert op.mode == "direct" and op._lu is not None
         monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 13 * 13 - 1)
-        op = DivergenceFormOperator(theta)
-        assert op.mode == "cg" and op._lu is None and op.tol == elliptic.SOLVER_TOL
+        for theta in (unit, bumped):
+            op = DivergenceFormOperator(theta)
+            assert op.mode == "cg" and op._lu is None and op.tol == elliptic.SOLVER_TOL
+
+
+class TestSeparableSolve:
+    """At theta = 1 the operator solves by its separable inverse, checked
+    against a sparse LU of the same K on both domains."""
+
+    @pytest.mark.parametrize("name,res", [("square_ex1", 17), ("square_ex1", 33),
+                                          ("square_ex1", 129), ("disk_ex2", 20),
+                                          ("disk_ex2", 40), ("disk_ex2", 96)])
+    def test_matches_the_lu_of_the_same_operator(self, name, res):
+        """Backward error at most 1e-14; each column within 1e-10 of the LU
+        solution, and within 1e-13 of its own single solve (relative)."""
+        grid = fixture_grid(name, res)
+        op = DivergenceFormOperator(Conductivity.constant(grid))
+        assert op.mode == "separable" and op._lu is None
+        F = grid.restrict(random_smooth_field(grid, np.random.default_rng(res),
+                                              apply_collar=False, size=16))
+        block = op._solve_spd(F)
+        assert op.last_stats["backward_error"] <= 1e-14
+        lu = spla.splu(op.K.tocsc()).solve(F)
+        for j in range(16):
+            single = op._solve_spd(np.ascontiguousarray(F[:, j]))
+            assert op.last_stats["backward_error"] <= 1e-14
+            scale = np.abs(lu[:, j]).max()
+            assert np.abs(block[:, j] - lu[:, j]).max() <= 1e-10 * scale
+            assert np.abs(block[:, j] - single).max() <= 1e-13 * scale
 
 
 def _coo_faces(grid):

@@ -7,7 +7,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, ScalarField,
-                           build_grid, inner_l2, laplacian, make_bump,
+                           _diff, build_grid, inner_l2, laplacian, make_bump,
                            norm_l2, random_smooth_field, sobolev_norm)
 
 
@@ -153,6 +153,25 @@ class TestStencils:
         keep = g.r < 1.0 - g.dr  # one-sided closure at the rim is lower order
         np.testing.assert_allclose(gx[keep], g.x[keep], atol=5e-3)
         np.testing.assert_allclose(gy[keep], g.y[keep], atol=5e-3)
+
+    def test_disk_gradient_keeps_the_uncached_bits(self):
+        """The cached angle rows give, bit for bit, what cos and sin of the
+        angles computed per call give, with the division by r kept, for a
+        field and a stack, on the first call and on later ones."""
+        g = disk(20)
+        for values in (g.x * g.y + g.y**3, random_smooth_field(
+                g, np.random.default_rng(1), apply_collar=False, size=3).values):
+            v = g.reshape(values)
+            tail = (1,) * (v.ndim - 2)
+            dvr = _diff(v, g.dr, 0)
+            dvt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * g.dt)
+            R, ct, st = (a.reshape(a.shape + tail) for a in (
+                g.rs[:, None], np.cos(g.ts)[None, :], np.sin(g.ts)[None, :]))
+            expected = ((ct * dvr - st * dvt / R).reshape(values.shape),
+                        (st * dvr + ct * dvt / R).reshape(values.shape))
+            for _ in range(2):
+                for got, want in zip(g.gradient(values), expected):
+                    np.testing.assert_array_equal(got, want)
 
     def test_laplacian_field_wrapper(self):
         g = square(17)

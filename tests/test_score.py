@@ -236,22 +236,29 @@ class TestBlockSolves:
     """A block of right-hand sides is one solve, with a certificate for its
     worst column."""
 
-    @pytest.mark.parametrize("cg", [False, True], ids=["lu", "cg"])
-    def test_block_records_its_worst_column(self, monkeypatch, cg):
-        if cg:
+    @pytest.mark.parametrize("mode", ["lu", "cg", "separable"])
+    def test_block_records_its_worst_column(self, monkeypatch, mode):
+        """The LU with a bumped theta, CG at theta = 1 past a patched LU
+        size, and the separable inverse at theta = 1."""
+        if mode == "cg":
             force_cg(monkeypatch, tol=1e-12)
-        ctx = build_context("disk_ex2", 20)
+        ctx = build_context("disk_ex2", 20,
+                            theta_bump=((0.3, 0.25), 0.25, 0.15) if mode == "lu" else None)
         W = random_smooth_field(ctx.grid, np.random.default_rng(2), apply_collar=False, size=5)
         block = ctx.op.apply_inverse_interior(ctx.grid.restrict(W))
-        worst = ctx.op.last_stats["residual"]
+        worst = dict(ctx.op.last_stats)
         singles = []
         for j in range(5):
             col = ctx.op.apply_inverse_interior(np.ascontiguousarray(ctx.grid.restrict(W)[:, j]))
-            singles.append(ctx.op.last_stats["residual"])
+            singles.append(dict(ctx.op.last_stats))
             np.testing.assert_allclose(block[:, j], col, rtol=0.0, atol=1e-13 * np.abs(col).max())
-        assert worst == pytest.approx(max(singles), rel=1e-6 if cg else 1e-12)
-        assert ctx.op.max_residual >= worst
-        assert ctx.op.last_stats["mode"] == ("cg" if cg else "direct")
+        # the separable block and single applies round differently (matmat
+        # against matvec), so there the two worst residuals agree in size only
+        assert worst["residual"] == pytest.approx(max(s["residual"] for s in singles), abs=0.0,
+                                                  rel={"lu": 1e-12, "cg": 1e-6}.get(mode, 0.5))
+        assert 0.0 < worst["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
+        assert ctx.op.max_residual >= worst["residual"]
+        assert worst["mode"] == {"lu": "direct"}.get(mode, mode)
 
 
 class TestStabilityReport:
