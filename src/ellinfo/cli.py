@@ -266,7 +266,7 @@ def _run_verify_operators(cfg: ExperimentConfig):
         "stability": {"applicable": stab.applicable, "c0_hat": stab.c0_hat,
                       "min_ratio_T": stab.min_ratio_T, "min_ratio_H2": stab.min_ratio_H2,
                       "n_trials": stab.n_trials},
-        "max_solve_residual": ctx.op.max_residual,
+        "max_solve_backward_error": ctx.op.max_backward_error,
     }
     if not stab.applicable:
         summary["stability"]["reason"] = (

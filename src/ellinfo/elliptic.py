@@ -11,15 +11,15 @@ T, and the boundary coupling C; both are linear in the coefficient.
 Dirichlet data, and its zero-boundary inverse ``apply_inverse``, the discrete
 solution operator for a source w, is self-adjoint for the weighted inner product.
 
-The problem picks the solver.  Up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` (200^2)
-unknowns, theta = 1 (every default context) takes the exact separable inverse
-of K (fast diagonalisation: Lynch, Rice & Thomas 1964), other theta a sparse
-LU.  Beyond (``solve --resolution 257``, the disk at 192) it is CG at relative
-tolerance ``SOLVER_TOL`` (1e-10), preconditioned by that inverse: 1-2 steps at
-theta = 1, 4-8 with the fixtures' bumps.  An (m, k) block is one LU solve or
-one separable apply, or CG per column.  ``last_stats`` holds the mode,
-iterations, relative residual and normwise backward error (a block's worst
-column) of the last solve, and ``max_residual`` the largest relative residual.
+Every solve runs one block preconditioned CG loop (Hestenes & Stiefel 1952),
+certified by the worst column's normwise backward error (Rigal & Gaches 1967).
+The problem picks the preconditioner M: up to ``DIRECT_SOLVE_MAX_UNKNOWNS``
+(200^2) unknowns a theta other than 1 takes a sparse LU of K; otherwise M is
+the exact inverse of the theta = 1 operator by fast diagonalisation (Lynch,
+Rice & Thomas 1964).  Where M inverts K, x = M b ends the loop at step 1.
+``last_stats`` holds the mode (``direct`` or ``separable``, naming M), the
+steps and the backward error of the last solve; ``max_backward_error`` the
+largest so far.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from ellinfo.grids import Grid, ScalarField, laplacian, make_bump, sobolev_norm
 
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
-SOLVER_TOL = 1e-10
-BACKWARD_ERROR_RTOL = 1e-12  # bound on a separable solve's normwise backward error
+BACKWARD_ERROR_RTOL = 1e-12  # bound on every solve's normwise backward error
+PCG_MAXITER = 50  # PCG steps, each one apply of M and one product with A
 
 
 @dataclass
@@ -127,21 +127,19 @@ class DivergenceFormOperator:
         self.grid = theta.grid
         self.theta = theta
         self.K, self.C = assemble(self.grid, theta.values)
-        # module constants are read here, per operator, so tests can patch them;
-        # validate() pins theta to 1 on the boundary, so constant means theta = 1
+        # size read per operator, so tests can patch it; validate() pins theta to 1 on the boundary
         big = self.grid.n_interior > DIRECT_SOLVE_MAX_UNKNOWNS
-        self.mode = "cg" if big else "direct" if np.any(theta.values != 1.0) else "separable"
-        self.tol = SOLVER_TOL
+        self.mode = "direct" if not big and np.any(theta.values != 1.0) else "separable"
         self._lu = spla.splu(self.K.tocsc()) if self.mode == "direct" else None
         self._K_norm = float(abs(self.K).sum(axis=1).max())
         self.last_stats: dict = {}
-        self.max_residual = 0.0
+        self.max_backward_error = 0.0
 
     # -- linear algebra ----------------------------------------------------
 
     @cached_property
     def _theta1_inverse(self) -> spla.LinearOperator:
-        """Exact inverse of the theta = 1 operator: its solver, and CG's preconditioner.
+        """Exact inverse of the theta = 1 operator: the preconditioner without an LU.
 
         In the interior ordering, rows along x or r and columns along y or t,
         that operator is K0 = T1 (x) I + diag(c) (x) A2; its factors come from
@@ -181,33 +179,43 @@ class DivergenceFormOperator:
         return spla.LinearOperator(self.K.shape, dtype=float, matmat=matmat, matvec=lambda r: (
             L @ ((L.T @ r.reshape(m1, m2) @ V) / denom) @ V.T).reshape(r.shape))
 
+    def _pcg(self, A, rhs: np.ndarray, name: str) -> np.ndarray:
+        """A^-1 rhs for SPD A and a vector or an (m, k) block: PCG from x = M rhs,
+        all columns in step, until the worst column's ||b - A x|| / (||A|| ||x||
+        + ||b||) (infinity norms, true residual) is at most BACKWARD_ERROR_RTOL;
+        after PCG_MAXITER steps (x = M rhs is one) it raises RuntimeError."""
+        M = self._theta1_inverse.dot if self._lu is None else self._lu.solve
+        a_norm = self._K_norm if A is self.K else float(abs(A).sum(axis=1).max())
+        b = rhs.reshape(rhs.shape[0], -1)
+        x = M(rhs).reshape(b.shape)
+        r, b_norm, steps, rz = b - A @ x, np.abs(b).max(axis=0), 1, None
+
+        def backward_error():
+            scale = np.maximum(a_norm * np.abs(x).max(axis=0) + b_norm, 1e-300)
+            return float(np.max(np.abs(r).max(axis=0) / scale))
+
+        while (error := backward_error()) > BACKWARD_ERROR_RTOL and steps < PCG_MAXITER:
+            z = M(r.reshape(rhs.shape)).reshape(b.shape)  # a vector keeps M's vector path
+            rz_old, rz = rz, np.einsum("ij,ij->j", r, z)
+            # floored divisions: a column whose residual is exactly 0 gets beta = alpha = 0
+            p = z if rz_old is None else np.add(z, rz / np.maximum(rz_old, 1e-300) * p, out=p)
+            q = A @ p
+            alpha = rz / np.maximum(np.einsum("ij,ij->j", p, q), 1e-300)
+            x += alpha * p
+            r -= alpha * q
+            steps += 1
+            if backward_error() <= BACKWARD_ERROR_RTOL:  # certify on b - A x, not the recurrence
+                r = b - A @ x
+        self.last_stats = {"mode": self.mode, "iterations": steps, "backward_error": error}
+        self.max_backward_error = max(self.max_backward_error, error)
+        if error > BACKWARD_ERROR_RTOL:
+            raise RuntimeError(f"{name}: backward error {error:.3e} after {steps} PCG steps "
+                               f"(bound {BACKWARD_ERROR_RTOL:g}, cap {PCG_MAXITER})")
+        return x.reshape(rhs.shape)
+
     def _solve_spd(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs for a vector or an (m, k) block: one LU call, one separable
-        apply, or CG per column.  A separable solve whose normwise backward
-        error exceeds ``BACKWARD_ERROR_RTOL`` raises RuntimeError."""
-        cols = np.atleast_2d(rhs.T)
-        if self.mode != "cg":
-            out = self._lu.solve(rhs) if self.mode == "direct" else self._theta1_inverse @ rhs
-            self.last_stats = {"mode": self.mode, "iterations": 0}
-        else:
-            steps, out = [], np.empty_like(cols)
-            for j, b in enumerate(cols):
-                out[j], info = spla.cg(self.K, b, rtol=self.tol, atol=0.0, M=self._theta1_inverse,
-                                       maxiter=10 * b.size, callback=lambda _: steps.append(1))
-                if info != 0:
-                    raise RuntimeError(f"conjugate gradient did not converge (info={info})")
-            out = out.T.reshape(rhs.shape)
-            self.last_stats = {"mode": "cg", "iterations": len(steps)}
-        R, X = np.atleast_2d((self.K @ out - rhs).T), np.atleast_2d(out.T)
-        norms = [(float(np.linalg.norm(r)), float(np.linalg.norm(b))) for r, b in zip(R, cols)]
-        self.last_stats["residual"] = max(r / max(b, 1e-300) for r, b in norms)
-        scale = np.maximum(self._K_norm * np.abs(X).max(axis=1) + np.abs(cols).max(axis=1), 1e-300)
-        error = self.last_stats["backward_error"] = float(np.max(np.abs(R).max(axis=1) / scale))
-        self.max_residual = max(self.max_residual, self.last_stats["residual"])
-        if self.mode == "separable" and error > BACKWARD_ERROR_RTOL:
-            raise RuntimeError(f"separable solve of K: backward error {error:.3e} exceeds "
-                               f"{BACKWARD_ERROR_RTOL:g}")
-        return out
+        """K^-1 rhs for a vector or an (m, k) block, by :meth:`_pcg`."""
+        return self._pcg(self.K, rhs, f"{self.mode} solve of K")
 
     def apply_operator(self, u: ScalarField) -> ScalarField:
         """L(u) at interior nodes from a full nodal field (boundary included)."""

@@ -25,8 +25,8 @@ kernel of h -> T(h) when the base solution is discretely harmonic.
 
 The assembly identity K(theta + s h) = K(theta) + s K(h), the same for C,
 drives the Gateaux remainders: d = u_{theta + s h} - u_theta solves
-(K + s K(h)) d = s (C(h) g - K(h) u_theta) by CG preconditioned by the
-context's solver of K.  The other checks solve blocks of ``BLOCK_COLUMNS``.
+(K + s K(h)) d = s (C(h) g - K(h) u_theta) in the operator's PCG loop.  The
+other checks solve blocks of ``BLOCK_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ellinfo import elliptic
 from ellinfo.elliptic import Conductivity, DivergenceFormOperator, assemble, check_identifiability
 from ellinfo.grids import (
     Grid,
@@ -57,8 +58,6 @@ TRANSPORT_SOLVE_RTOL = 1e-6
 
 #: Fields per block of the batched checks, bounding their temporaries; even.
 BLOCK_COLUMNS = 16
-#: Bound on the backward error of a Gateaux solve, and its CG step cap.
-GATEAUX_RTOL, GATEAUX_MAXITER = 1e-12, 50
 
 
 def _collar_violation(grid: Grid, values: np.ndarray) -> bool:
@@ -283,31 +282,23 @@ def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
     """Sup-norm remainders ||G(theta + s h) - G(theta) - s I h|| and the
     fitted log-log slope (quadratic remainder means slope 2).
 
-    Each s is one CG solve for d = G(theta + s h) - G(theta) (module
-    docstring) from d = 0, preconditioned by the context's LU of K or, with
-    no LU, by its theta = 1 inverse.  A normwise backward error above
-    GATEAUX_RTOL, or GATEAUX_MAXITER steps, raises RuntimeError.  ``stats``,
-    if given, receives the CG steps per s and the largest backward error.
+    Each s is one solve for d = G(theta + s h) - G(theta) (module docstring)
+    in the operator's PCG loop, preconditioned by its solver of K; a failed
+    certificate raises RuntimeError naming s.  ``stats``, if given, receives
+    the PCG steps per s, the largest backward error and its bound.
     """
     grid, op = ctx.grid, ctx.op
     K_h, C_h = assemble(grid, h.values)
     src = C_h @ ctx.u.values[grid.boundary_ids] - K_h @ grid.restrict(ctx.u)
     ih = ctx._apply_B(grid.restrict(h))
-    M = op._theta1_inverse if op._lu is None else spla.LinearOperator(op.K.shape, op._lu.solve)
-    remainders, steps, errors = [], [], []
+    remainders, solves = [], []
     for s in s_values:
-        K_s, b, count = op.K + s * K_h, s * src, []
-        d, info = spla.cg(K_s, b, rtol=GATEAUX_RTOL / 10, atol=0.0, M=M,
-                          maxiter=GATEAUX_MAXITER, callback=lambda _: count.append(1))
-        errors.append(float(np.max(np.abs(K_s @ d - b)) / (
-            abs(K_s).sum(axis=1).max() * np.max(np.abs(d)) + np.max(np.abs(b)))))
-        if info != 0 or errors[-1] > GATEAUX_RTOL:
-            raise RuntimeError(f"Gateaux solve at s = {s:g}: backward error {errors[-1]:.3e} "
-                               f"after {len(count)} CG steps (bound {GATEAUX_RTOL:g}, cap "
-                               f"{GATEAUX_MAXITER})")
-        steps.append(len(count))
+        d = op._pcg(op.K + s * K_h, s * src, f"Gateaux solve at s = {s:g}")
+        solves.append(op.last_stats)
         remainders.append(np.max(np.abs(d - s * ih)))
     if stats is not None:
-        stats.update(cg_iterations=steps, max_backward_error=max(errors), bound=GATEAUX_RTOL)
+        stats.update(cg_iterations=[t["iterations"] for t in solves],
+                     max_backward_error=max(t["backward_error"] for t in solves),
+                     bound=elliptic.BACKWARD_ERROR_RTOL)
     slope = float(np.polyfit(np.log(s_values), np.log(remainders), 1)[0])
     return np.asarray(remainders), slope

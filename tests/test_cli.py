@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ellinfo
-from ellinfo import cli, elliptic, score, spectral, transport
+from ellinfo import cli, elliptic, spectral, transport
 from ellinfo.cli import main
 from ellinfo.elliptic import assemble
 from ellinfo.fixtures import build_context, fixture_domain
@@ -94,15 +94,15 @@ class TestSolveCommand:
         assert "wrote" in capsys.readouterr().out
 
     def test_largest_grid_solves_by_preconditioned_cg(self, tmp_path, capsys):
-        """255^2 unknowns exceed the LU budget; CG preconditioned by the
-        theta = 1 inverse converges at once to the exact discrete solution."""
+        """255^2 unknowns exceed the LU budget; PCG preconditioned by the
+        theta = 1 inverse stops at step 1 with the exact discrete solution."""
         rc, out = run(["solve", "--fixture", "square_ex1",
                        "--resolution", "257"], tmp_path, "a")
         assert rc == 0
         result = load_summary(out, "solve")["results"]["257"]
-        assert result["solver"]["mode"] == "cg"
-        assert result["solver"]["iterations"] <= 2
-        assert result["solver"]["residual"] <= 1e-10
+        assert result["solver"]["mode"] == "separable"
+        assert result["solver"]["iterations"] == 1
+        assert 0.0 < result["solver"]["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
         assert result["max_error"] <= 1e-10
         capsys.readouterr()
 
@@ -238,29 +238,33 @@ class TestRuntimeErrors:
         assert not (out / "solve").exists()
 
     def test_gateaux_solve_failure(self, tmp_path, capsys, monkeypatch):
-        """A Gateaux CG that reaches its step cap is a numerical failure:
-        exit 1, with the solve named, and no artifacts."""
-        monkeypatch.setattr(score, "GATEAUX_MAXITER", 1)
+        """A Gateaux solve that reaches the PCG step cap is a numerical
+        failure: exit 1, with the solve named, and no artifacts."""
+        monkeypatch.setattr(elliptic, "PCG_MAXITER", 1)
         rc, out = run(["verify-operators", "--fixture", "square_ex1",
                        "--resolution", "17"], tmp_path, "a")
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
         assert "Gateaux solve at s = 0.1" in record["message"]
-        assert "after 1 CG steps" in record["message"]
+        assert "after 1 PCG steps" in record["message"]
         assert not (out / "verify-operators").exists()
 
     def test_separable_solve_failure(self, tmp_path, capsys, monkeypatch):
         """A theta = 1 solve that fails its backward-error certificate is a
-        numerical failure: exit 1, with the solve named, and no artifacts."""
+        numerical failure: exit 1, with the solve named, and no artifacts.
+        PCG corrects a 1.001-scaled inverse in one more step, so the cap of 1
+        keeps the failure."""
         exact = elliptic.DivergenceFormOperator._theta1_inverse.func
         monkeypatch.setattr(elliptic.DivergenceFormOperator, "_theta1_inverse",
                             property(lambda op: 1.001 * exact(op)))
+        monkeypatch.setattr(elliptic, "PCG_MAXITER", 1)
         rc, out = run(["solve", "--fixture", "disk_ex2", "--resolution", "20"], tmp_path, "a")
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
-        assert "separable solve of K: backward error" in record["message"]
+        assert record["message"].startswith("separable solve of K: backward error")
+        assert "after 1 PCG steps" in record["message"]
         assert not (out / "solve").exists()
 
     def test_dense_size_refusal(self, tmp_path, capsys):
@@ -376,8 +380,8 @@ class TestDeterminism:
             b2 = (out2 / "solve" / name).read_bytes()
             assert b1 == b2
         solver = load_summary(out1, "solve")["results"]["17"]["solver"]
-        assert solver["mode"] == "separable" and solver["iterations"] == 0
-        assert solver["residual"] <= 1e-12
+        assert set(solver) == {"mode", "iterations", "backward_error"}
+        assert solver["mode"] == "separable" and solver["iterations"] == 1
         assert 0.0 < solver["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
         # wall times live in the manifest only
         stages = json.loads((out1 / "solve" / "manifest.json").read_text())["stages"]
@@ -386,9 +390,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("fixture,res", [("square_ex1", "17"), ("disk_ex2", "20")])
     def test_verify_operators_rerun_is_byte_identical(self, tmp_path, capsys, fixture, res):
-        """The summary carries the solver certificates: CG steps and backward
-        errors per Gateaux direction, and the largest residual of the block
-        solves.  The three checks' wall times go to the manifest."""
+        """The summary carries the solver certificates: PCG steps and backward
+        errors per Gateaux direction, and the largest backward error of any
+        solve.  The three checks' wall times go to the manifest."""
         args = ["verify-operators", "--fixture", fixture, "--resolution", res]
         rc1, out1 = run(list(args), tmp_path, "a")
         rc2, out2 = run(list(args), tmp_path, "b")
@@ -402,8 +406,9 @@ class TestDeterminism:
         for entry in solves:
             assert len(entry["cg_iterations"]) == 4
             assert all(n >= 1 for n in entry["cg_iterations"])
-            assert 0.0 < entry["max_backward_error"] <= entry["bound"] == score.GATEAUX_RTOL
-        assert 0.0 < summary["max_solve_residual"] <= 1e-10
+            assert 0.0 < entry["max_backward_error"] <= entry["bound"]
+            assert entry["bound"] == elliptic.BACKWARD_ERROR_RTOL
+        assert 0.0 < summary["max_solve_backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
         stages = json.loads((out1 / "verify-operators" / "manifest.json").read_text())["stages"]
         assert set(stages) == {"adjoint", "gateaux", "stability", "run", "write"}
         capsys.readouterr()

@@ -28,10 +28,16 @@ def scaled(field, factor):
     return ScalarField(field.grid, factor * field.values)
 
 
-def force_cg(monkeypatch, tol=elliptic.SOLVER_TOL):
-    """Make every operator built afterwards solve by CG at relative tolerance tol."""
+def past_lu_size(monkeypatch):
+    """Make every operator built afterwards take the size past the LU budget:
+    no LU of K, and PCG preconditioned by the theta = 1 inverse."""
     monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 0)
-    monkeypatch.setattr(elliptic, "SOLVER_TOL", tol)
+
+
+def smooth_block(grid, seed, size=16):
+    """A block of smooth interior right-hand sides."""
+    return grid.restrict(random_smooth_field(grid, np.random.default_rng(seed),
+                                             apply_collar=False, size=size))
 
 
 class TestExactSolutions:
@@ -108,34 +114,40 @@ class TestOperatorAlgebra:
         assert inner_l2(w, op.apply_inverse(w)) < 0.0
 
     def test_cg_mode_matches_direct(self, monkeypatch):
+        """A random theta past the LU size: PCG by the theta = 1 inverse
+        iterates to the LU's answer, inside the backward-error bound."""
         grid = square(25)
         rng = np.random.default_rng(8)
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng), 0.15), eta=None)
         f = random_smooth_field(grid, rng, apply_collar=False)
         u_direct = DivergenceFormOperator(theta).apply_inverse(f)
-        force_cg(monkeypatch, tol=1e-12)
+        past_lu_size(monkeypatch)
         op_cg = DivergenceFormOperator(theta)
         u_cg = op_cg.apply_inverse(f)
-        assert op_cg.mode == "cg" and op_cg.tol == 1e-12
-        assert op_cg.last_stats["mode"] == "cg"
-        assert op_cg.last_stats["iterations"] > 0
+        assert op_cg.mode == "separable" and op_cg._lu is None
+        assert op_cg.last_stats["mode"] == "separable"
+        assert op_cg.last_stats["iterations"] > 1
+        assert op_cg.last_stats["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
         np.testing.assert_allclose(u_cg.values, u_direct.values, atol=1e-8)
 
     @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
     def test_cg_at_unit_conductivity_is_a_direct_solve(self, monkeypatch, name):
         """The preconditioner is the exact inverse of the theta = 1 operator,
-        so CG stops after one or two steps with the separable solve's answer."""
+        so PCG stops at step 1, x = M b: the separable apply bit for bit, at
+        any size."""
         grid = fixture_grid(name, 25)
         f, g = fixture_data(name, grid)
         theta = Conductivity.constant(grid)
-        u_direct = DivergenceFormOperator(theta).solve(f, g)
-        force_cg(monkeypatch)
+        op = DivergenceFormOperator(theta)
+        u = op.solve(f, g)
+        assert op.last_stats["mode"] == "separable" and op.last_stats["iterations"] == 1
+        rhs = op.C @ g.values[grid.boundary_ids] - grid.weights_interior * grid.restrict(f)
+        np.testing.assert_array_equal(grid.restrict(u), op._theta1_inverse @ rhs)
+        past_lu_size(monkeypatch)
         op_cg = DivergenceFormOperator(theta)
-        u_cg = op_cg.solve(f, g)
-        assert op_cg.last_stats["mode"] == "cg"
-        assert 1 <= op_cg.last_stats["iterations"] <= 2
-        np.testing.assert_allclose(u_cg.values, u_direct.values, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(op_cg.solve(f, g).values, u.values)
+        assert op_cg.last_stats == op.last_stats
 
     def test_cg_with_a_bump_on_the_periodic_disk(self, monkeypatch):
         """A non-separable theta (three times the fixture's bump) on the disk:
@@ -145,7 +157,7 @@ class TestOperatorAlgebra:
         f, g = fixture_data("disk_ex2", grid)
         theta = Conductivity.with_bump(grid, (0.3, 0.25), 0.3, 0.45)
         u_direct = DivergenceFormOperator(theta).solve(f, g)
-        force_cg(monkeypatch, tol=1e-12)
+        past_lu_size(monkeypatch)
         op_cg = DivergenceFormOperator(theta)
         u_cg = op_cg.solve(f, g)
         assert 3 <= op_cg.last_stats["iterations"] <= 15
@@ -155,7 +167,8 @@ class TestOperatorAlgebra:
         """Up to ``DIRECT_SOLVE_MAX_UNKNOWNS`` interior unknowns, theta = 1
         takes the separable inverse and factors nothing, and any other theta,
         even one off by 1e-15 at a single node, takes the LU.  Beyond, both
-        take CG at ``SOLVER_TOL``.  Both constants are read per operator."""
+        take the separable inverse as PCG's preconditioner.  The constant is
+        read per operator."""
         grid = square(15)
         unit = Conductivity.constant(grid)
         bumped = Conductivity.with_bump(grid, (1.5, 1.5), 0.25, 0.15)
@@ -170,7 +183,7 @@ class TestOperatorAlgebra:
         monkeypatch.setattr(elliptic, "DIRECT_SOLVE_MAX_UNKNOWNS", 13 * 13 - 1)
         for theta in (unit, bumped):
             op = DivergenceFormOperator(theta)
-            assert op.mode == "cg" and op._lu is None and op.tol == elliptic.SOLVER_TOL
+            assert op.mode == "separable" and op._lu is None
 
 
 class TestSeparableSolve:
@@ -186,8 +199,7 @@ class TestSeparableSolve:
         grid = fixture_grid(name, res)
         op = DivergenceFormOperator(Conductivity.constant(grid))
         assert op.mode == "separable" and op._lu is None
-        F = grid.restrict(random_smooth_field(grid, np.random.default_rng(res),
-                                              apply_collar=False, size=16))
+        F = smooth_block(grid, res)
         block = op._solve_spd(F)
         assert op.last_stats["backward_error"] <= 1e-14
         lu = spla.splu(op.K.tocsc()).solve(F)
@@ -197,6 +209,79 @@ class TestSeparableSolve:
             scale = np.abs(lu[:, j]).max()
             assert np.abs(block[:, j] - lu[:, j]).max() <= 1e-10 * scale
             assert np.abs(block[:, j] - single).max() <= 1e-13 * scale
+
+
+class TestPCG:
+    """The one PCG loop behind every solve with K."""
+
+    @pytest.mark.parametrize("name,res,center", [("square_ex1", 25, (1.6, 1.4)),
+                                                 ("disk_ex2", 40, (0.3, 0.25))])
+    def test_block_with_the_separable_preconditioner_matches_the_lu(self, monkeypatch,
+                                                                    name, res, center):
+        """A bumped theta past the (patched) LU size iterates, and each column
+        of a 16-column block is within 1e-10 of its single solve and of
+        ``splu`` of the same K (relative)."""
+        past_lu_size(monkeypatch)
+        grid = fixture_grid(name, res)
+        theta = Conductivity.with_bump(grid, center, 0.28, 0.3)
+        op = DivergenceFormOperator(theta)
+        assert op.mode == "separable" and op._lu is None
+        F = smooth_block(grid, res)
+        block = op._solve_spd(F)
+        assert op.last_stats["iterations"] > 1
+        assert op.last_stats["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
+        lu = spla.splu(op.K.tocsc()).solve(F)
+        for j in range(16):
+            single = op._solve_spd(np.ascontiguousarray(F[:, j]))
+            scale = np.abs(lu[:, j]).max()
+            assert np.abs(block[:, j] - lu[:, j]).max() <= 1e-10 * scale
+            assert np.abs(block[:, j] - single).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("name,res", [("square_ex1", 17), ("square_ex1", 129),
+                                          ("square_ex1", 257), ("disk_ex2", 96),
+                                          ("disk_ex2", 192)])
+    def test_unit_conductivity_takes_one_step_at_every_size(self, name, res):
+        """Below and past the LU size (257, disk 192) alike."""
+        grid = fixture_grid(name, res)
+        f, g = fixture_data(name, grid)
+        op = DivergenceFormOperator(Conductivity.constant(grid))
+        u = op.solve(f, g)
+        assert op.last_stats["mode"] == "separable" and op.last_stats["iterations"] == 1
+        assert op.last_stats["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
+        error = np.abs(u.values - exact_solution(name, grid).values).max()
+        assert error <= (1e-10 if res < 192 else 1e-8)
+
+    def test_a_scaled_preconditioner_is_corrected(self, monkeypatch):
+        """A theta = 1 inverse off by 0.1 % is a valid preconditioner: the
+        step after x = M b recovers the LU solution on disk 20."""
+        exact = DivergenceFormOperator._theta1_inverse.func
+        monkeypatch.setattr(DivergenceFormOperator, "_theta1_inverse",
+                            property(lambda op: 1.001 * exact(op)))
+        grid = fixture_grid("disk_ex2", 20)
+        f, g = fixture_data("disk_ex2", grid)
+        op = DivergenceFormOperator(Conductivity.constant(grid))
+        u = grid.restrict(op.solve(f, g))
+        assert op.last_stats["iterations"] == 2
+        assert op.last_stats["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
+        rhs = op.C @ g.values[grid.boundary_ids] - grid.weights_interior * grid.restrict(f)
+        lu = spla.splu(op.K.tocsc()).solve(rhs)
+        assert np.abs(u - lu).max() <= 1e-10 * np.abs(lu).max()
+
+    def test_iteration_cap_raises_naming_the_solve(self, monkeypatch):
+        """A bumped theta past the LU size needs more steps than a cap of 2;
+        on the LU, whose first step is exact, a cap of 1 serves."""
+        grid = square(17)
+        op = DivergenceFormOperator(Conductivity.with_bump(grid, (1.5, 1.5), 0.25, 0.15))
+        past_lu_size(monkeypatch)
+        op_pcg = DivergenceFormOperator(op.theta)
+        monkeypatch.setattr(elliptic, "PCG_MAXITER", 2)
+        with pytest.raises(RuntimeError, match=r"^separable solve of K: backward error .* "
+                                               r"after 2 PCG steps \(bound 1e-12, cap 2\)$"):
+            op_pcg.apply_inverse(grid.field(1.0))
+        monkeypatch.setattr(elliptic, "PCG_MAXITER", 1)
+        op.apply_inverse(grid.field(1.0))
+        assert op.last_stats == {"mode": "direct", "iterations": 1,
+                                 "backward_error": op.max_backward_error}
 
 
 def _coo_faces(grid):

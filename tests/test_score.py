@@ -14,7 +14,7 @@ from ellinfo.grids import (ScalarField, inner_l2, make_bump, norm_l2,
                            random_smooth_field)
 from ellinfo.score import adjoint_defects, gateaux_remainders, stability_pair, stability_report
 from test_acceptance import _adjoint_defects
-from test_elliptic import force_cg
+from test_elliptic import past_lu_size
 
 
 def interior_residual_norm(grid, got, oracle):
@@ -176,32 +176,39 @@ class TestGateauxSolves:
             assert abs(slope - 2.0) <= 0.05
             assert len(stats["cg_iterations"]) == 4
             assert all(1 <= n <= 12 for n in stats["cg_iterations"])
-            assert stats["max_backward_error"] <= score.GATEAUX_RTOL
+            assert stats["max_backward_error"] <= stats["bound"] == elliptic.BACKWARD_ERROR_RTOL
 
     def test_past_the_lu_size_the_operator_preconditioner_serves(self, monkeypatch):
-        """Without an LU the CG takes the operator's own preconditioner and
-        reaches the same remainders."""
-        ctx = build_context("disk_ex2", 28)
+        """A bumped theta past the LU size: the PCG takes the operator's
+        theta = 1 inverse in place of the LU and reaches the same remainders."""
+        ctx = build_context("disk_ex2", 28, theta_bump=True)
+        assert ctx.op._lu is not None
         h = random_smooth_field(ctx.grid, np.random.default_rng(5))
         rems, _ = gateaux_remainders(ctx, h, self.S_VALUES)
-        force_cg(monkeypatch, tol=1e-12)
-        ctx_cg = build_context("disk_ex2", 28)
+        past_lu_size(monkeypatch)
+        ctx_cg = build_context("disk_ex2", 28, theta_bump=True)
         assert ctx_cg.op._lu is None
         rems_cg, _ = gateaux_remainders(ctx_cg, h, self.S_VALUES)
         np.testing.assert_allclose(rems_cg, rems, rtol=1e-3)
 
     def test_iteration_cap_raises(self, monkeypatch):
+        """At theta = 1 the solves with K stop at step 1, so a cap of 1 stops
+        the first Gateaux solve, which M does not invert exactly."""
         ctx = build_context("square_ex1", 17)
         h = random_smooth_field(ctx.grid, np.random.default_rng(5))
-        monkeypatch.setattr(score, "GATEAUX_MAXITER", 1)
-        with pytest.raises(RuntimeError, match="backward error .* after 1 CG steps"):
+        monkeypatch.setattr(elliptic, "PCG_MAXITER", 1)
+        with pytest.raises(RuntimeError, match=r"^Gateaux solve at s = 0.1: backward error "
+                                               r".* after 1 PCG steps \(bound 1e-12, cap 1\)$"):
             gateaux_remainders(ctx, h)
 
     def test_backward_error_bound_raises(self, monkeypatch):
+        """The bound gates every solve: past it the first one, here the solve
+        with K for I h, raises after the step cap."""
         ctx = build_context("square_ex1", 17)
         h = random_smooth_field(ctx.grid, np.random.default_rng(5))
-        monkeypatch.setattr(score, "GATEAUX_RTOL", 1e-30)
-        with pytest.raises(RuntimeError, match="bound 1e-30"):
+        monkeypatch.setattr(elliptic, "BACKWARD_ERROR_RTOL", 1e-30)
+        with pytest.raises(RuntimeError, match=r"^separable solve of K: backward error .* "
+                                               r"after 50 PCG steps \(bound 1e-30, cap 50\)$"):
             gateaux_remainders(ctx, h)
 
 
@@ -238,27 +245,30 @@ class TestBlockSolves:
 
     @pytest.mark.parametrize("mode", ["lu", "cg", "separable"])
     def test_block_records_its_worst_column(self, monkeypatch, mode):
-        """The LU with a bumped theta, CG at theta = 1 past a patched LU
-        size, and the separable inverse at theta = 1."""
+        """The LU with a bumped theta, PCG by the theta = 1 inverse with that
+        bumped theta past a patched LU size, and the separable inverse at
+        theta = 1.  ``backward_error`` is the largest column backward error
+        of the block's own answer, and ``max_backward_error`` keeps it."""
         if mode == "cg":
-            force_cg(monkeypatch, tol=1e-12)
+            past_lu_size(monkeypatch)
         ctx = build_context("disk_ex2", 20,
-                            theta_bump=((0.3, 0.25), 0.25, 0.15) if mode == "lu" else None)
-        W = random_smooth_field(ctx.grid, np.random.default_rng(2), apply_collar=False, size=5)
-        block = ctx.op.apply_inverse_interior(ctx.grid.restrict(W))
+                            theta_bump=None if mode == "separable" else ((0.3, 0.25), 0.25, 0.15))
+        F = ctx.grid.restrict(random_smooth_field(ctx.grid, np.random.default_rng(2),
+                                                  apply_collar=False, size=5))
+        block = ctx.op.apply_inverse_interior(F)
         worst = dict(ctx.op.last_stats)
-        singles = []
-        for j in range(5):
-            col = ctx.op.apply_inverse_interior(np.ascontiguousarray(ctx.grid.restrict(W)[:, j]))
-            singles.append(dict(ctx.op.last_stats))
-            np.testing.assert_allclose(block[:, j], col, rtol=0.0, atol=1e-13 * np.abs(col).max())
-        # the separable block and single applies round differently (matmat
-        # against matvec), so there the two worst residuals agree in size only
-        assert worst["residual"] == pytest.approx(max(s["residual"] for s in singles), abs=0.0,
-                                                  rel={"lu": 1e-12, "cg": 1e-6}.get(mode, 0.5))
+        b = -(F.T * ctx.grid.weights_interior).T
+        R, K_norm = ctx.op.K @ block - b, abs(ctx.op.K).sum(axis=1).max()
+        errors = np.abs(R).max(axis=0) / (K_norm * np.abs(block).max(axis=0) + np.abs(b).max(axis=0))
+        assert worst["backward_error"] == pytest.approx(errors.max(), rel=1e-12, abs=0.0)
         assert 0.0 < worst["backward_error"] <= elliptic.BACKWARD_ERROR_RTOL
-        assert ctx.op.max_residual >= worst["residual"]
-        assert worst["mode"] == {"lu": "direct"}.get(mode, mode)
+        assert ctx.op.max_backward_error >= worst["backward_error"]
+        assert worst["mode"] == {"lu": "direct"}.get(mode, "separable")
+        assert (worst["iterations"] > 1) == (mode == "cg")
+        for j in range(5):
+            col = ctx.op.apply_inverse_interior(np.ascontiguousarray(F[:, j]))
+            atol = (1e-10 if mode == "cg" else 1e-13) * np.abs(col).max()
+            np.testing.assert_allclose(block[:, j], col, rtol=0.0, atol=atol)
 
 
 class TestStabilityReport:
