@@ -14,9 +14,10 @@ solution operator for a source w, is self-adjoint for the weighted inner product
 Every solve runs one block preconditioned CG loop (Hestenes & Stiefel 1952),
 certified by the worst column's normwise backward error (Rigal & Gaches 1967).
 The problem picks the preconditioner M: up to ``DIRECT_SOLVE_MAX_UNKNOWNS``
-(200^2) unknowns a theta other than 1 takes a sparse LU of K; otherwise M is
-the exact inverse of the theta = 1 operator by fast diagonalisation (Lynch,
-Rice & Thomas 1964).  Where M inverts K, x = M b ends the loop at step 1.
+(200^2) unknowns a theta other than 1 takes a symmetric-mode sparse LU of K;
+otherwise M is the exact inverse of the theta = 1 operator by fast
+diagonalisation (Lynch, Rice & Thomas 1964).  Where M inverts K, x = M b ends
+the loop at step 1.
 ``last_stats`` holds the mode (``direct`` or ``separable``, naming M), the
 steps and the backward error of the last solve; ``max_backward_error`` the
 largest so far.
@@ -130,7 +131,8 @@ class DivergenceFormOperator:
         # size read per operator, so tests can patch it; validate() pins theta to 1 on the boundary
         big = self.grid.n_interior > DIRECT_SOLVE_MAX_UNKNOWNS
         self.mode = "direct" if not big and np.any(theta.values != 1.0) else "separable"
-        self._lu = spla.splu(self.K.tocsc()) if self.mode == "direct" else None
+        self._lu = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                             options={"SymmetricMode": True}) if self.mode == "direct" else None
         self._K_norm = float(abs(self.K).sum(axis=1).max())
         self.last_stats: dict = {}
         self.max_backward_error = 0.0

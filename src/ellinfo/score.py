@@ -17,6 +17,12 @@ The gradient-formula adjoint and the exact transpose are two discretizations
 of the same operator; their gap is a first-order mesh quantity and is measured
 by the adjoint-consistency diagnostics rather than hidden.
 
+The context owns the information operator: in h_hat = S h, S = W^{1/2}, it is
+G = B_hat^T B_hat with B_hat = S I S^{-1} (``dense_linearization_hat``).
+``_apply_info_hat`` applies G and, where T is nonsingular,
+``_apply_info_hat_inverse`` applies G^{-1} = S T^{-1} W^{-1} K W^{-1} K W^{-1}
+T^{-T} S through the one LU of T^T; every raw map takes a vector or a block.
+
 T is filled once as a sparse matrix in h on the grid's face pattern
 (``Grid.faces``), the pattern of the elliptic operator K.  Faces between two
 interior nodes average h; faces touching the boundary extrapolate h linearly
@@ -58,6 +64,11 @@ TRANSPORT_SOLVE_RTOL = 1e-6
 
 #: Fields per block of the batched checks, bounding their temporaries; even.
 BLOCK_COLUMNS = 16
+
+
+def _per_row(d: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """d shaped to scale the rows of x, a vector or an (m, k) block."""
+    return d if x.ndim == 1 else d[:, None]
 
 
 def _collar_violation(grid: Grid, values: np.ndarray) -> bool:
@@ -124,12 +135,23 @@ class ScoreContext:
 
     def _apply_B_adjoint(self, g_int: np.ndarray) -> np.ndarray:
         """Exact transpose of _apply_B for the weighted inner product."""
-        w = self.grid.weights_interior
+        w = _per_row(self.grid.weights_interior, g_int)
         v = self.op.apply_inverse_interior(g_int)
         return -(self.T.T @ (w * v)) / w
 
     def _apply_info(self, h_int: np.ndarray) -> np.ndarray:
         return self._apply_B_adjoint(self._apply_B(h_int))
+
+    def _apply_info_hat(self, x_hat: np.ndarray) -> np.ndarray:
+        s = _per_row(np.sqrt(self.grid.weights_interior), x_hat)
+        return s * self._apply_info(x_hat / s)
+
+    def _apply_info_hat_inverse(self, x_hat: np.ndarray) -> np.ndarray:
+        """G^-1 x_hat (module docstring); trustworthy only where T is certified nonsingular."""
+        w = _per_row(self.grid.weights_interior, x_hat)
+        s, lu, K = np.sqrt(w), self.transport_lu(), self.op.K
+        z = K @ (lu.solve(s * x_hat) / w)
+        return s * lu.solve(K @ (z / w) / w, trans="T")
 
     # -- public field-level API --------------------------------------------
 
@@ -161,11 +183,11 @@ class ScoreContext:
         return ScalarField(self.grid, vals)
 
     def apply_adjoint_exact(self, g: ScalarField) -> ScalarField:
-        """Exact discrete transpose of the linearization."""
+        """Exact discrete transpose of the linearization; stacks too."""
         return self.grid.interior_field(self._apply_B_adjoint(self.grid.restrict(g)))
 
     def apply_information(self, h: ScalarField) -> ScalarField:
-        """Information operator I* I h (exact-transpose composition)."""
+        """Information operator I* I h (exact-transpose composition); stacks too."""
         return self.grid.interior_field(self._apply_info(self.grid.restrict(h)))
 
     def forward_map(self, theta: Conductivity) -> ScalarField:

@@ -386,8 +386,7 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     # Column 0 is the regression bias u_truth - u; columns 1..k_max are the
     # images of the kept modes, so one product gives residual and design.
     fields = np.zeros((grid.n_nodes, 1 + keep.size))
-    for c, k in enumerate(keep, start=1):
-        fields[grid.interior_ids, c] = decomp.ctx._apply_B(decomp.modes[:, k])
+    fields[grid.interior_ids, 1:] = ctx._apply_B(decomp.modes[:, keep])
     if theta_truth is not None:
         fields[:, 0] = ctx.forward_map(theta_truth).values - ctx.u.values
         truth_offset = inner_l2(

@@ -16,9 +16,10 @@ dense, and a few top pairs come from certified Lanczos.  Dense
 decompositions therefore serve only where a full spectrum is wanted (the
 default `spectrum` command, degeneracy ladders) and on singular grids; the
 risk study and `spectrum --n-modes` take their top pairs from Lanczos.  A
-sweep's kernel diagnostics on certified grids come from
-`kernel_decomposition`: Lanczos on the inverse information operator through
-the sparse LU of T^T that the Fisher solve already factored and certified.
+sweep's kernel diagnostics on certified grids come from Lanczos on the
+inverse (`kernel_decomposition`).  The score context applies the operator
+G = B_hat^T B_hat and its inverse to vectors or blocks; every residual
+certificate is one block apply of G, and a ladder one block apply of I.
 """
 
 from __future__ import annotations
@@ -167,8 +168,7 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
         else:
             vals, vecs = np.linalg.eigh(gram)
     else:
-        vals, vecs = _lanczos(lambda x_hat: s * ctx._apply_info(x_hat / s), m,
-                              n_modes, "LM")
+        vals, vecs = _lanczos(ctx._apply_info_hat, m, n_modes, "LM")
     vals, vecs = vals[::-1], vecs[:, ::-1]
     residuals = None if dense else _certified_residuals(ctx, vals, vecs, float(vals[0]))
     modes = vecs / s[:, None]
@@ -197,14 +197,10 @@ def _lanczos(matvec, m: int, k: int, which: str) -> tuple[np.ndarray, np.ndarray
 
 def _certified_residuals(ctx: ScoreContext, vals: np.ndarray, vecs: np.ndarray,
                          lam_max: float) -> np.ndarray:
-    """Residuals ||G v - lambda v|| of eigenpairs of the symmetrized
-    information matrix G = B_hat^T B_hat, applied matrix-free; raises unless
-    every one is at most ``EIG_RESIDUAL_RTOL * lambda_1``."""
-    s = np.sqrt(ctx.grid.weights_interior)
-    residuals = np.array([
-        np.linalg.norm(s * ctx._apply_info(v / s) - lam * v)
-        for lam, v in zip(vals, vecs.T)
-    ])
+    """Residuals ||G v - lambda v|| of the columns v of ``vecs`` for G = B_hat^T
+    B_hat, from one block apply of G on the context; raises unless every one
+    is at most ``EIG_RESIDUAL_RTOL * lambda_1``."""
+    residuals = np.linalg.norm(ctx._apply_info_hat(vecs) - vecs * vals, axis=0)
     if not np.all(residuals <= EIG_RESIDUAL_RTOL * max(lam_max, 1e-300)):
         raise RuntimeError(
             f"eigenpair residuals up to {residuals.max():.3e} exceed the "
@@ -216,33 +212,23 @@ def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
     """The bottom of the information spectrum: every kernel pair, plus at
     least one pair above the kernel tolerance, largest eigenvalue first.
 
-    Lanczos runs on the inverse (B_hat^T B_hat)^{-1} = S T^{-1} W^{-1} K
-    W^{-1} K W^{-1} T^{-T} S, with S = W^{1/2}, through the context's sparse
-    LU of T^T, so no dense matrix is formed.  lambda_1 comes from an
-    iterative top pair and sets ``kernel_tol``.  The pair count starts at
-    ``KERNEL_SEARCH_MODES`` and doubles until a returned pair lies above
-    ``kernel_tol``, which shows that the kernel set is complete.  Every pair
-    is certified against the forward operator, ||G v - lambda v|| <=
-    ``EIG_RESIDUAL_RTOL * lambda_1``, and a failed certificate raises
-    RuntimeError.  The LU is trustworthy only where T is certified
-    nonsingular, as after a successful :func:`fisher_information`.
+    Lanczos runs on the inverse of G = B_hat^T B_hat, which the context
+    applies through its sparse LU of T^T (``_apply_info_hat_inverse``), so no
+    dense matrix is formed.  lambda_1 comes from an iterative top pair and
+    sets ``kernel_tol``.  The pair count starts at ``KERNEL_SEARCH_MODES`` and
+    doubles until a returned pair lies above ``kernel_tol``, which shows that
+    the kernel set is complete.  One block apply of G certifies every pair,
+    ||G v - lambda v|| <= ``EIG_RESIDUAL_RTOL * lambda_1``, and a failed
+    certificate raises RuntimeError.  The LU is trustworthy only where T is
+    certified nonsingular, as after a successful :func:`fisher_information`.
     """
-    grid = ctx.grid
-    m = grid.n_interior
-    w = grid.weights_interior
-    s = np.sqrt(w)
+    m = ctx.grid.n_interior
     lam_max = float(eigendecompose(ctx, 1).eigenvalues[0])
     kernel_tol = KERNEL_TOL_FACTOR * lam_max
-    lu, K = ctx.transport_lu(), ctx.op.K
-
-    def inverse_matvec(x_hat: np.ndarray) -> np.ndarray:
-        z = K @ (lu.solve(s * x_hat) / w)
-        return s * lu.solve(K @ (z / w) / w, trans="T")
-
     k = KERNEL_SEARCH_MODES
     while True:
         k = min(k, m - 1)
-        mu, vecs = _lanczos(inverse_matvec, m, k, "LA")
+        mu, vecs = _lanczos(ctx._apply_info_hat_inverse, m, k, "LA")
         vals = 1.0 / mu
         if vals[0] > kernel_tol:
             break
@@ -250,6 +236,7 @@ def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
             raise RuntimeError(f"kernel search found {k} kernel pairs and no end")
         k *= 2
     residuals = _certified_residuals(ctx, vals, vecs, lam_max)
+    s = np.sqrt(ctx.grid.weights_interior)
     return SpectralDecomposition(ctx=ctx, eigenvalues=vals,
                                  modes=np.ascontiguousarray(vecs / s[:, None]),
                                  kernel_tol=kernel_tol, mode="inverse",
@@ -279,24 +266,26 @@ def range_series(decomp: SpectralDecomposition,
     return np.cumsum(terms), p0_norm
 
 
-def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, n: int,
-                      masked: bool) -> tuple[ScalarField, float, float, float]:
-    """h_N, its pairing <psi, h_N>, its squared image norm ||I h_N||^2 and
-    their quotient (see :func:`degeneracy_sequence`)."""
+def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: np.ndarray,
+                      masked: bool) -> tuple[ScalarField, np.ndarray, np.ndarray, np.ndarray]:
+    """h_N for each of ``orders`` as one stack, with the pairings <psi, h_N>,
+    image norms ||I h_N||^2 and quotients (:func:`degeneracy_sequence`), from
+    one product for every h_N and one block apply of I."""
     keep = np.flatnonzero(~decomp.kernel_mask)
-    if n < 1 or n > len(keep):
-        raise ValueError(f"order {n} outside 1..{len(keep)}")
-    idx = keep[:n]
-    c = decomp.coefficients(psi)
-    vals = decomp.modes[:, idx] @ (c[idx] / decomp.eigenvalues[idx])
-    h = decomp.grid.interior_field(vals)
+    outside = (orders < 1) | (orders > len(keep))
+    if np.any(outside):
+        raise ValueError(f"order {orders[outside][0]} outside 1..{len(keep)}")
+    idx = keep[:orders.max()]
+    c = decomp.coefficients(psi)[idx] / decomp.eigenvalues[idx]
+    ladder = c[:, None] * (np.arange(idx.size)[:, None] < orders)
+    grid = decomp.grid
+    h = grid.interior_field(decomp.modes[:, idx] @ ladder)
     if masked:
-        h.values[decomp.grid.collar_mask] = 0.0
+        h.values[grid.collar_mask] = 0.0
     pairing = inner_l2(psi, h)
-    image = decomp.ctx.grid.interior_field(
-        decomp.ctx._apply_B(decomp.grid.restrict(h)))
-    info_norm_sq = norm_l2(image) ** 2
-    quotient = info_norm_sq / pairing ** 2 if pairing != 0.0 else math.inf
+    info_norm_sq = norm_l2(grid.interior_field(decomp.ctx._apply_B(grid.restrict(h)))) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = np.where(pairing != 0.0, info_norm_sq / pairing ** 2, math.inf)
     return h, pairing, info_norm_sq, quotient
 
 
@@ -310,8 +299,8 @@ def degeneracy_sequence(decomp: SpectralDecomposition, psi: ScalarField,
     is the inverse of the Fisher lower-bound candidate generated by h_N; for
     the unmasked sequence it equals 1/M_N exactly by spectral algebra.
     """
-    h, _, _, quotient = _degeneracy_terms(decomp, psi, n, masked)
-    return h, quotient
+    h, _, _, quotient = _degeneracy_terms(decomp, psi, np.array([n]), masked)
+    return ScalarField(h.grid, h.values[:, 0]), float(quotient[0])
 
 
 @dataclass
@@ -337,12 +326,7 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
         orders = np.asarray(sorted(set(int(v) for v in orders)))
         if orders[0] < 1 or orders[-1] > n_avail:
             raise ValueError(f"orders must lie in 1..{n_avail}")
-    pairing = np.empty(len(orders))
-    info_norm_sq = np.empty(len(orders))
-    quotient = np.empty(len(orders))
-    for i, n in enumerate(orders):
-        _, pairing[i], info_norm_sq[i], quotient[i] = _degeneracy_terms(
-            decomp, psi, int(n), masked)
+    _, pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders, masked)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = np.abs(pairing - m_n) / np.where(m_n > 0, m_n, 1.0)
@@ -491,13 +475,7 @@ def fisher_refinement(fixture: str, psi_kind: str,
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("refinement sweeps need strictly increasing resolutions")
     psi_params = psi_params or {}
-    values = []
-    dims = []
-    h_mesh = []
-    fractions = []
-    counts = []
-    residuals = []
-    reports = []
+    dims, h_mesh, fractions, counts, residuals, reports = ([] for _ in range(6))
     for n in resolutions:
         ctx = build_context(fixture, n, theta_bump=theta_bump)
         psi = psi_fixture(ctx, psi_kind, **psi_params)
@@ -509,7 +487,6 @@ def fisher_refinement(fixture: str, psi_kind: str,
         else:
             decomp = (kernel_decomposition(ctx)
                       if ctx.grid.n_interior <= KERNEL_SWEEP_MAX_DIM else None)
-        values.append(report.i_inverse_full)
         dims.append(ctx.grid.n_interior)
         h_mesh.append(ctx.grid.h_mesh)
         fractions.append(None if decomp is None else decomp.kernel_mass_fraction(psi))
@@ -517,7 +494,7 @@ def fisher_refinement(fixture: str, psi_kind: str,
         residuals.append(None if decomp is None or decomp.residuals is None else
                          float(decomp.residuals.max()) * KERNEL_TOL_FACTOR / decomp.kernel_tol)
         reports.append(report)
-    values = np.asarray(values)
+    values = np.array([report.i_inverse_full for report in reports])
     bounds = tuple(report.lower_bound for report in reports)
     growth = float(values[-1] / values[0])
     variation = float(values.max() / values.min() - 1.0)

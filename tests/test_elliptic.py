@@ -185,6 +185,21 @@ class TestOperatorAlgebra:
             op = DivergenceFormOperator(theta)
             assert op.mode == "separable" and op._lu is None
 
+    @pytest.mark.parametrize("name, res, center", [("square_ex1", 33, (1.5, 1.5)),
+                                                   ("disk_ex2", 40, (0.3, 0.25))])
+    def test_lu_pivots_on_the_diagonal(self, name, res, center):
+        """K is SPD, so its LU takes a symmetric ordering and diagonal pivots:
+        one permutation for rows and columns, less fill than ``splu``'s
+        defaults (COLAMD, partial pivoting), and the same solution to 1e-12."""
+        grid = fixture_grid(name, res)
+        op = DivergenceFormOperator(Conductivity.with_bump(grid, center, 0.25, 0.15))
+        lu, default = op._lu, spla.splu(op.K.tocsc())
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        assert lu.L.nnz + lu.U.nnz < 0.7 * (default.L.nnz + default.U.nnz)
+        b = smooth_block(grid, 8, size=3)
+        x = default.solve(b)
+        np.testing.assert_allclose(lu.solve(b), x, rtol=0.0, atol=1e-12 * np.abs(x).max())
+
 
 class TestSeparableSolve:
     """At theta = 1 the operator solves by its separable inverse, checked

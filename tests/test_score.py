@@ -271,6 +271,43 @@ class TestBlockSolves:
             np.testing.assert_allclose(block[:, j], col, rtol=0.0, atol=atol)
 
 
+class TestInformationBlocks:
+    """The exact adjoint, I*I and the information operator G in h_hat = sqrt(w) h
+    with its inverse take stacks, and each column equals its single apply."""
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 20)])
+    def test_field_stacks_match_single_fields(self, ctx_cache, name, res):
+        ctx = ctx_cache(name, res)
+        stack = random_smooth_field(ctx.grid, np.random.default_rng(4), size=3)
+        for apply in (ctx.apply_adjoint_exact, ctx.apply_information):
+            out = apply(stack).values
+            assert out.shape == stack.values.shape
+            for j in range(3):
+                single = apply(ScalarField(ctx.grid, stack.values[:, j])).values
+                assert np.linalg.norm(out[:, j] - single) <= 1e-13 * np.linalg.norm(single)
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 20)])
+    def test_hat_blocks_match_the_per_column_formulas(self, ctx_cache, name, res):
+        """Oracles: G x = s I*I (x / s) and G^-1 x = S T^-1 W^-1 K W^-1 K W^-1
+        T^-T S x, one column at a time through the LU of T^T."""
+        ctx = ctx_cache(name, res)
+        w = ctx.grid.weights_interior
+        s, lu, K = np.sqrt(w), ctx.transport_lu(), ctx.op.K
+        X = np.random.default_rng(6).standard_normal((ctx.grid.n_interior, 4))
+
+        def inverse(x):
+            z = K @ (lu.solve(s * x) / w)
+            return s * lu.solve(K @ (z / w) / w, trans="T")
+
+        for block, single in ((ctx._apply_info_hat, lambda x: s * ctx._apply_info(x / s)),
+                              (ctx._apply_info_hat_inverse, inverse)):
+            out = block(X)
+            for j in range(4):
+                col = single(X[:, j])
+                assert np.linalg.norm(out[:, j] - col) <= 1e-13 * np.linalg.norm(col)
+                np.testing.assert_array_equal(block(X[:, j]), col)
+
+
 class TestStabilityReport:
     """Monte Carlo lower-bound ratios under the identifiability gate."""
 

@@ -242,6 +242,26 @@ class TestRiskStudy:
             estimator_config={"cutoff": lambda n: math.ceil(3 * n ** (1 / 3))})
         assert table.ratio_last_first >= 2.0
 
+    def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
+        """The study images its kept modes with one block apply of I; oracle:
+        ``_apply_B`` of each mode alone, on the same certified Lanczos pairs."""
+        ctx = ctx_cache("square_ex1", 17)
+        seen, real = [], ctx.grid.interpolator
+
+        def recording(values):
+            seen.append(np.array(values))
+            return real(values)
+
+        monkeypatch.setattr(ctx.grid, "interpolator", recording)
+        plugin_risk_study(ctx, in_range_fixture(ctx).psi, (1000,), replicates=2, seed=0)
+        images = seen[0][:, 1:]
+        decomp = eigendecompose(ctx, n_modes=images.shape[1])
+        assert images.shape[1] == 10 and not np.any(decomp.kernel_mask)
+        for k in range(images.shape[1]):
+            col = ctx.grid.interior_field(ctx._apply_B(decomp.modes[:, k])).values
+            np.testing.assert_allclose(images[:, k], col, rtol=0.0,
+                                       atol=1e-13 * np.abs(col).max())
+
     def test_sample_size_below_cutoff_rejected(self, ctx_cache):
         """N < K leaves the plug-in regression underdetermined; the study
         refuses it before any draw."""

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from ellinfo import spectral
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
-from ellinfo.grids import norm_l2, random_smooth_field
+from ellinfo.grids import inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES,
                               SpectralDecomposition, _observed_order,
@@ -134,6 +134,22 @@ class TestKernelDecomposition:
         np.testing.assert_allclose(gram, np.eye(d.n_modes), atol=1e-10)
 
 
+class TestBlockResiduals:
+    """The residual certificate is one block apply of G on the context."""
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 20)])
+    @pytest.mark.parametrize("solver", ["top", "kernel"])
+    def test_match_the_per_pair_norms(self, ctx_cache, name, res, solver):
+        """Oracle: ||s I*I(v / s) - lambda v|| for each pair v = s e alone."""
+        ctx = ctx_cache(name, res)
+        d = eigendecompose(ctx, 10) if solver == "top" else kernel_decomposition(ctx)
+        s = np.sqrt(ctx.grid.weights_interior)
+        per_pair = [np.linalg.norm(s * ctx._apply_info(v / s) - lam * v)
+                    for lam, v in zip(d.eigenvalues, (d.modes * s[:, None]).T)]
+        lam_1 = d.kernel_tol / spectral.KERNEL_TOL_FACTOR
+        np.testing.assert_allclose(d.residuals, per_pair, rtol=0.0, atol=1e-12 * lam_1)
+
+
 class TestSqrtAndSeries:
     """Spectral square root and the range-membership series."""
 
@@ -190,6 +206,30 @@ class TestDegeneracyProfiles:
         prof = degeneracy_profile(d, psi_fixture(ctx, "bump"), masked=True)
         np.testing.assert_allclose(prof.mask_correction, 0.0, atol=1e-12)
         np.testing.assert_allclose(prof.product, 1.0, rtol=1e-8)
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache, masked):
+        """Oracle: each h_N built alone from its first N kept modes, imaged by
+        one apply of I.  The sequence is the one-order case of the profile."""
+        ctx = ctx_cache("square_ex1", 17)
+        d = decomp_cache("square_ex1", 17, subspace="collar_supported")
+        psi = psi_fixture(ctx, "bump")
+        prof = degeneracy_profile(d, psi, masked=masked)
+        keep, c = np.flatnonzero(~d.kernel_mask), d.coefficients(psi)
+        for i, n in enumerate(prof.orders):
+            h = ctx.grid.interior_field(d.modes[:, keep[:n]] @ (c[keep[:n]]
+                                                                / d.eigenvalues[keep[:n]]))
+            if masked:
+                h.values[ctx.grid.collar_mask] = 0.0
+            pairing = inner_l2(psi, h)
+            info = norm_l2(ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h)))) ** 2
+            np.testing.assert_allclose(
+                [prof.pairing[i], prof.info_norm_sq[i], prof.quotient[i]],
+                [pairing, info, info / pairing ** 2], rtol=1e-12, atol=0.0)
+            h_seq, quotient = degeneracy_sequence(d, psi, int(n), masked=masked)
+            assert h_seq.values.shape == (ctx.grid.n_nodes,)
+            assert np.linalg.norm(h_seq.values - h.values) <= 1e-12 * np.linalg.norm(h.values)
+            assert quotient == pytest.approx(prof.quotient[i], rel=1e-12, abs=0.0)
 
     def test_order_validation(self, ctx_cache, decomp_cache):
         ctx = ctx_cache("square_ex1", 15)
