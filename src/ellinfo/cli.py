@@ -41,7 +41,8 @@ from ellinfo.grids import MIN_RESOLUTION, DomainKind, build_grid, random_smooth_
 from ellinfo.score import ScoreContext, adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
-                              eigendecompose, fisher_refinement)
+                              dense_eigenvalues, eigendecompose, fisher_refinement,
+                              kernel_tolerance)
 from ellinfo.transport import IntegralCurve, range_verdict, trace_curve
 
 SUBCOMMANDS = ("solve", "verify-operators", "spectrum", "fisher", "transport",
@@ -281,12 +282,16 @@ def _run_verify_operators(cfg: ExperimentConfig):
 def _run_spectrum(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
-    decomp = eigendecompose(ctx, n_modes=cfg.n_modes)
-    lam, residuals = decomp.eigenvalues, decomp.residuals
+    if cfg.n_modes is None:  # the full spectrum reads no mode
+        lam, residuals, complete = dense_eigenvalues(ctx), None, True
+    else:
+        decomp = eigendecompose(ctx, n_modes=cfg.n_modes)
+        lam, residuals, complete = decomp.eigenvalues, decomp.residuals, decomp.complete
+    in_kernel = lam <= kernel_tolerance(lam)
     summary = {
         "fixture": cfg.fixture, "resolution": res,
-        "n_modes": int(lam.size), "complete": decomp.complete,
-        "kernel_dim": int(decomp.kernel_mask.sum()),
+        "n_modes": int(lam.size), "complete": complete,
+        "kernel_dim": int(in_kernel.sum()),
         "lambda_max": float(lam[0]), "lambda_min": float(lam[-1]),
         "decay_ratio": float(lam[-1] / lam[0]),
         "max_residual_rel": None if residuals is None else float(residuals.max() / lam[0]),
@@ -296,7 +301,7 @@ def _run_spectrum(cfg: ExperimentConfig):
         summary["max_residual_rel_reason"] = "dense eigh certifies no single pair"
     tables = {"eigenvalues.csv": (
         ("k", "eigenvalue", "in_kernel"),
-        (np.arange(lam.size), lam, decomp.kernel_mask),
+        (np.arange(lam.size), lam, in_kernel),
         {"fixture": cfg.fixture, "resolution": res})}
     return summary, tables, {}, {}
 

@@ -18,7 +18,7 @@ of the same operator; their gap is a first-order mesh quantity and is measured
 by the adjoint-consistency diagnostics rather than hidden.
 
 The context owns the information operator: in h_hat = S h, S = W^{1/2}, it is
-G = B_hat^T B_hat with B_hat = S I S^{-1} (``dense_linearization_hat``).
+G = B_hat^T B_hat with B_hat = S I S^{-1} (``dense_linearization_hat``, column blocks, uncached).
 ``_apply_info_hat`` applies G and, where T is nonsingular,
 ``_apply_info_hat_inverse`` applies G^{-1} = S T^{-1} W^{-1} K W^{-1} K W^{-1}
 T^{-T} S through the one LU of T^T; every raw map takes a vector or a block.
@@ -30,9 +30,9 @@ from the two nearest interior nodes, which keeps constants exactly in the
 kernel of h -> T(h) when the base solution is discretely harmonic.
 
 The assembly identity K(theta + s h) = K(theta) + s K(h), the same for C,
-drives the Gateaux remainders: d = u_{theta + s h} - u_theta solves
-(K + s K(h)) d = s (C(h) g - K(h) u_theta) in the operator's PCG loop.  The
-other checks solve blocks of ``BLOCK_COLUMNS``.
+drives the Gateaux remainders and the LAN study: ``solve_difference`` solves
+(K + s K(h)) d = s (C(h) g - K(h) u_theta) for d = u_{theta + s h} - u_theta in
+the operator's PCG loop.  The other checks solve blocks of ``BLOCK_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class ScoreContext:
         self.grad_u = VectorField(self.grid, gx, gy)
         self.T = self._assemble_source_operator()
         self._transport_lu = None
-        self._B_hat: np.ndarray | None = None
 
     # -- assembly ----------------------------------------------------------
 
@@ -199,19 +198,25 @@ class ScoreContext:
     def dense_linearization_hat(self) -> np.ndarray:
         """Dense matrix of I in coordinates orthonormalizing the weighted
         inner product (h_hat = sqrt(w) h).  In these coordinates the
-        information operator is the plain symmetric PSD matrix B^T B."""
-        if self._B_hat is None:
-            m = self.grid.n_interior
-            if m > DENSE_OPERATOR_MAX_DIM:
-                raise RuntimeError(
-                    f"dense linearization refused: interior dimension {m} exceeds "
-                    f"DENSE_OPERATOR_MAX_DIM = {DENSE_OPERATOR_MAX_DIM}"
-                )
-            w = self.grid.weights_interior
-            B = self.op._solve_spd(w[:, None] * self.T.toarray())
-            s = np.sqrt(w)
-            self._B_hat = (s[:, None] * B) / s[None, :]
-        return self._B_hat
+        information operator is the plain symmetric PSD matrix B^T B.  Each call
+        fills a new array, one solve per ``BLOCK_COLUMNS`` columns, kept nowhere."""
+        m = self.grid.n_interior
+        if m > DENSE_OPERATOR_MAX_DIM:
+            raise RuntimeError(f"dense linearization refused: interior dimension {m} "
+                               f"exceeds DENSE_OPERATOR_MAX_DIM = {DENSE_OPERATOR_MAX_DIM}")
+        w, T, bhat = self.grid.weights_interior, self.T.tocsc(), np.empty((m, m))
+        for j in range(0, m, BLOCK_COLUMNS):
+            cols = slice(j, j + BLOCK_COLUMNS)
+            bhat[:, cols] = self.op._solve_spd(w[:, None] * T[:, cols].toarray())
+        bhat *= np.sqrt(w)[:, None]
+        bhat /= np.sqrt(w)
+        return bhat
+
+    def solve_difference(self, h: ScalarField, s: float) -> np.ndarray:
+        """d = u_{theta + s h} - u_theta, interior, by one certified solve (module docstring)."""
+        K_h, C_h = assemble(self.grid, h.values)
+        src = C_h @ self.u.values[self.grid.boundary_ids] - K_h @ self.grid.restrict(self.u)
+        return self.op._pcg(self.op.K + s * K_h, s * src, f"Gateaux solve at s = {s:g}")
 
 
 # -- verification-style diagnostics ---------------------------------------
@@ -304,19 +309,16 @@ def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
     """Sup-norm remainders ||G(theta + s h) - G(theta) - s I h|| and the
     fitted log-log slope (quadratic remainder means slope 2).
 
-    Each s is one solve for d = G(theta + s h) - G(theta) (module docstring)
-    in the operator's PCG loop, preconditioned by its solver of K; a failed
-    certificate raises RuntimeError naming s.  ``stats``, if given, receives
-    the PCG steps per s, the largest backward error and its bound.
+    Each s is one :meth:`ScoreContext.solve_difference` for d = G(theta + s h)
+    - G(theta) in the operator's PCG loop, preconditioned by its solver of K; a
+    failed certificate raises RuntimeError naming s.  ``stats``, if given,
+    receives the PCG steps per s, the largest backward error and its bound.
     """
-    grid, op = ctx.grid, ctx.op
-    K_h, C_h = assemble(grid, h.values)
-    src = C_h @ ctx.u.values[grid.boundary_ids] - K_h @ grid.restrict(ctx.u)
-    ih = ctx._apply_B(grid.restrict(h))
+    ih = ctx._apply_B(ctx.grid.restrict(h))
     remainders, solves = [], []
     for s in s_values:
-        d = op._pcg(op.K + s * K_h, s * src, f"Gateaux solve at s = {s:g}")
-        solves.append(op.last_stats)
+        d = ctx.solve_difference(h, s)
+        solves.append(ctx.op.last_stats)
         remainders.append(np.max(np.abs(d - s * ih)))
     if stats is not None:
         stats.update(cg_iterations=[t["iterations"] for t in solves],

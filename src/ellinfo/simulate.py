@@ -286,9 +286,9 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     """Monte Carlo for the log-likelihood ratio of the 1/sqrt(n) perturbation.
 
     Each replicate draws n observations under the base conductivity and
-    evaluates the exact Gaussian log-likelihood ratio against theta +
-    h/sqrt(n) (one extra solve, shared across replicates) as -eps.d(X) -
-    ||d(X)||^2/2, which cancels no O(1) terms (nodal d is exact).  References are
+    evaluates the exact Gaussian log-likelihood ratio against theta + h/sqrt(n)
+    as -eps.d(X) - ||d(X)||^2/2, which cancels no O(1) terms; the nodal d is one
+    solve shared across replicates (:meth:`ScoreContext.solve_difference`).  References are
     the predicted Gaussian limit: mean -||I h||^2/2, variance ||I h||^2;
     the two-sided Kolmogorov-Smirnov statistic and p-value against that
     Gaussian (:func:`ks_normal`, oracle ``scipy.stats.kstest``) are attached.
@@ -296,10 +296,10 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     if replicates < 1:
         raise ValueError("need at least one replicate")
     grid = ctx.grid
-    theta2 = Conductivity.from_perturbation(
+    Conductivity.from_perturbation(  # validates theta + h/sqrt(n)
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
         eta=None)
-    d = ctx.u.values - ctx.forward_map(theta2).values
+    d = grid.interior_field(-ctx.solve_difference(h, 1.0 / math.sqrt(n))).values
     image = ctx.apply_linearization(h)
     norm_sq = inner_l2(image, image)
     llrs = np.empty(replicates)

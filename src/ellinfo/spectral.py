@@ -12,9 +12,9 @@ form, falling back to a spectral lower bound on grids where T is singular to
 working precision.
 
 `eigendecompose` picks its solver from the request: the full spectrum is
-dense, and a few top pairs come from certified Lanczos.  Dense
-decompositions therefore serve only where a full spectrum is wanted (the
-default `spectrum` command, degeneracy ladders) and on singular grids; the
+dense, and a few top pairs come from certified Lanczos.  Dense spectra serve
+only degeneracy ladders, the default `spectrum` command (eigenvalues alone,
+`dense_eigenvalues`) and singular grids; the
 risk study and `spectrum --n-modes` take their top pairs from Lanczos.  A
 sweep's kernel diagnostics on certified grids come from Lanczos on the
 inverse (`kernel_decomposition`).  The score context applies the operator
@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh
+from scipy.linalg.blas import dsyrk
 
 from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
 from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
@@ -132,13 +134,13 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     """Eigendecompose the information operator.
 
     The request picks the solver.  The full spectrum (``n_modes`` None, or
-    at least the interior dimension m) forms the symmetrized dense matrix
-    and solves the whole symmetric eigenproblem (``mode='dense'``,
-    ``complete``).  Fewer pairs come from implicitly restarted Lanczos on
-    the matrix-free operator, with every returned pair residual-checked
-    (``mode='iterative'``); no dense matrix is formed.  For a count close to
-    m Lanczos is slower than the full dense spectrum: 200 of 961 pairs take
-    0.37 s against 0.26 s for all of them (2-core x86 VM, one BLAS thread).
+    at least the interior dimension m) solves the whole eigenproblem in place
+    on one triangle of G (``mode='dense'``, ``complete``), in 3 m^2 doubles at
+    most: G, overwritten by the eigenvectors, and LAPACK's workspace.  Fewer
+    pairs come from implicitly restarted Lanczos on the matrix-free operator,
+    each residual-checked (``mode='iterative'``); no dense matrix is formed.
+    Near m Lanczos is slower: 200 of 961 pairs take 0.37 s, all of them 0.26 s,
+    B_hat included, :func:`dense_eigenvalues` 0.16 s (2-core x86 VM, 1 BLAS thread).
 
     ``subspace='collar_supported'`` decomposes the quadratic form restricted
     to fields vanishing on the boundary collar, the discrete tangent space
@@ -154,31 +156,42 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
         raise ValueError("the collar-restricted decomposition takes the full spectrum only")
     grid = ctx.grid
     m = grid.n_interior
-    s = np.sqrt(grid.weights_interior)
     dense = n_modes is None or n_modes >= m
+    free = (np.flatnonzero(~grid.collar_mask[grid.interior_ids])
+            if subspace == "collar_supported" else slice(None))
     if dense:
-        bhat = ctx.dense_linearization_hat()
-        gram = bhat.T @ bhat
-        gram = 0.5 * (gram + gram.T)
-        if subspace == "collar_supported":
-            free = np.flatnonzero(~grid.collar_mask[grid.interior_ids])
-            vals, vecs_free = np.linalg.eigh(gram[np.ix_(free, free)])
-            vecs = np.zeros((m, len(vals)))
-            vecs[free, :] = vecs_free
-        else:
-            vals, vecs = np.linalg.eigh(gram)
+        vals, vecs = eigh(_gram(ctx, free), lower=True, overwrite_a=True,
+                          check_finite=False, driver="evd")
     else:
         vals, vecs = _lanczos(ctx._apply_info_hat, m, n_modes, "LM")
     vals, vecs = vals[::-1], vecs[:, ::-1]
     residuals = None if dense else _certified_residuals(ctx, vals, vecs, float(vals[0]))
-    modes = vecs / s[:, None]
-    kernel_tol = KERNEL_TOL_FACTOR * float(vals[0]) if len(vals) else 0.0
+    modes = np.zeros((m, vals.size))
+    modes[free] = vecs
+    modes /= np.sqrt(grid.weights_interior)[:, None]
     return SpectralDecomposition(ctx=ctx, eigenvalues=np.ascontiguousarray(vals),
-                                 modes=np.ascontiguousarray(modes),
-                                 kernel_tol=kernel_tol,
+                                 modes=modes, kernel_tol=kernel_tolerance(vals),
                                  mode="dense" if dense else "iterative",
                                  complete=dense, subspace=subspace,
                                  residuals=residuals)
+
+
+def _gram(ctx: ScoreContext, free=slice(None)) -> np.ndarray:
+    """Fortran-order lower triangle of G = B_hat^T B_hat, the only one LAPACK reads,
+    by one ``dsyrk`` on a B_hat kept nowhere; an index array ``free`` restricts G."""
+    gram = dsyrk(1.0, ctx.dense_linearization_hat().T, lower=1)
+    return gram if isinstance(free, slice) else gram.T[np.ix_(free, free)].T
+
+
+def dense_eigenvalues(ctx: ScoreContext) -> np.ndarray:
+    """Every eigenvalue of G, largest first: the dense path without eigenvectors."""
+    return eigh(_gram(ctx), lower=True, overwrite_a=True, check_finite=False,
+                driver="evd", eigvals_only=True)[::-1].copy()
+
+
+def kernel_tolerance(eigenvalues: np.ndarray) -> float:
+    """``KERNEL_TOL_FACTOR`` times lambda_1 of a spectrum sorted largest first."""
+    return KERNEL_TOL_FACTOR * float(eigenvalues[0]) if len(eigenvalues) else 0.0
 
 
 def _lanczos(matvec, m: int, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
@@ -223,8 +236,8 @@ def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
     certified nonsingular, as after a successful :func:`fisher_information`.
     """
     m = ctx.grid.n_interior
-    lam_max = float(eigendecompose(ctx, 1).eigenvalues[0])
-    kernel_tol = KERNEL_TOL_FACTOR * lam_max
+    top = eigendecompose(ctx, 1)
+    lam_max, kernel_tol = float(top.eigenvalues[0]), top.kernel_tol
     k = KERNEL_SEARCH_MODES
     while True:
         k = min(k, m - 1)

@@ -308,6 +308,24 @@ class TestInformationBlocks:
                 np.testing.assert_array_equal(block(X[:, j]), col)
 
 
+class TestDenseLinearization:
+    """B_hat built in blocks of BLOCK_COLUMNS columns, one solve each."""
+
+    @pytest.mark.parametrize("name, res, bump", [("square_ex1", 33, None),
+                                                 ("disk_ex2", 20, None),
+                                                 ("square_ex1", 25, True)])
+    def test_blocks_match_the_one_block_formula(self, ctx_cache, name, res, bump):
+        ctx = ctx_cache(name, res, theta_bump=bump)
+        w = ctx.grid.weights_interior
+        s = np.sqrt(w)
+        B = ctx.op._solve_spd(w[:, None] * ctx.T.toarray())
+        ref = (s[:, None] * B) / s[None, :]
+        got = ctx.dense_linearization_hat()
+        assert got.flags.c_contiguous
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert ctx.dense_linearization_hat() is not got  # not cached
+
+
 class TestStabilityReport:
     """Monte Carlo lower-bound ratios under the identifiability gate."""
 

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy import stats
 
 from ellinfo import simulate, spectral
-from ellinfo.elliptic import Conductivity
+from ellinfo.elliptic import Conductivity, assemble
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
                            random_smooth_field)
@@ -310,6 +311,15 @@ def perturbed_solution(ctx, h, n):
     return ctx.forward_map(theta2).values
 
 
+def lu_difference(ctx, h, n):
+    """Nodal d = u_theta - u_{theta + h/sqrt(n)} from a sparse LU solve of
+    (K + s K(h)) d' = s (C(h) g - K(h) u_theta), s = 1/sqrt(n), d = -d'."""
+    grid, s = ctx.grid, 1.0 / math.sqrt(n)
+    K_h, C_h = assemble(grid, h.values)
+    rhs = s * (C_h @ ctx.u.values[grid.boundary_ids] - K_h @ grid.restrict(ctx.u))
+    return grid.interior_field(-spla.splu((ctx.op.K + s * K_h).tocsc()).solve(rhs)).values
+
+
 def reference_lan(ctx, h, n, replicates, seed):
     grid = ctx.grid
     u = rgi_interpolator(grid, ctx.u.values)
@@ -384,11 +394,14 @@ class TestMatchesInterpolatorPath:
         """At the default bump and n the ratios are about 1e-3 while the
         squared residuals are O(1): each statistic matches a long-double
         evaluation of sum(eps^2 - (eps + d(X))^2) / 2 on the same draw, with
-        d = u_theta - u_{theta + h/sqrt(n)}, to 1e-12 of its own size."""
+        the study's d = u_theta - u_{theta + h/sqrt(n)}, to 1e-12 of its own
+        size.  That d is checked against an LU solve in
+        :meth:`test_lan_difference_is_one_solve`."""
         ctx = ctx_cache(name, res)
         h, n, seed = psi_fixture(ctx, "bump"), 10_000, 0
         rep = lan_mc(ctx, h, n, 10, seed=seed)
-        d = rgi_interpolator(ctx.grid, ctx.u.values - perturbed_solution(ctx, h, n))
+        d = rgi_interpolator(ctx.grid, ctx.grid.interior_field(
+            -ctx.solve_difference(h, 1.0 / math.sqrt(n))).values)
         exact = []
         for child in np.random.SeedSequence(seed).spawn(10):
             x, eps = reference_draw(ctx.grid, np.random.default_rng(child), n)
@@ -396,6 +409,22 @@ class TestMatchesInterpolatorPath:
             exact.append(0.5 * np.sum(eps * eps - (eps + d_x) ** 2))
         exact = np.array(exact)
         assert np.all(np.abs(rep.statistics - exact) <= 1e-12 * np.abs(exact))
+
+    @pytest.mark.parametrize("name, res, bump", [("square_ex1", 33, None),
+                                                 ("disk_ex2", 33, None),
+                                                 ("square_ex1", 25, True)])
+    def test_lan_difference_is_one_solve(self, ctx_cache, monkeypatch, name, res, bump):
+        """The nodal d that the study interpolates equals the LU solve of its
+        own equation to 1e-12 relative; subtracting u_{theta + h/sqrt(n)}
+        from u_theta cancels about four digits and misses by about 1e-9."""
+        ctx = ctx_cache(name, res, theta_bump=bump)
+        h, n, seen = psi_fixture(ctx, "bump"), 10_000, []
+        build = type(ctx.grid).interpolator
+        monkeypatch.setattr(type(ctx.grid), "interpolator",
+                            lambda grid, values: seen.append(values) or build(grid, values))
+        lan_mc(ctx, h, n, 2, seed=0)
+        ref = lu_difference(ctx, h, n)
+        assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_info_identity_statistics(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 17)

@@ -1,6 +1,8 @@
 """Spectral analysis of the information operator: decompositions, range
 series, degeneracy profiles, Fisher functionals, refinement sweeps."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -100,6 +102,38 @@ class TestDecomposition:
         for k in (0, -3):
             with pytest.raises(ValueError, match="n_modes must be positive"):
                 eigendecompose(ctx, n_modes=k)
+
+
+class TestDensePath:
+    """The dense spectrum from one triangle of G = B_hat^T B_hat, solved in
+    place: its memory, and the eigenvalues-only call."""
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 15), ("disk_ex2", 10),
+                                           ("square_ex1", 33)])
+    def test_eigenvalues_only_match_the_decomposition(self, decomp_cache, name, res):
+        d = decomp_cache(name, res)
+        lam = spectral.dense_eigenvalues(d.ctx)
+        assert lam.shape == d.eigenvalues.shape and np.all(np.diff(lam) <= 0.0)
+        np.testing.assert_allclose(lam, d.eigenvalues, rtol=0.0,
+                                   atol=1e-13 * d.eigenvalues[0])
+
+    @pytest.mark.parametrize("call, budget", [
+        (lambda ctx: eigendecompose(ctx), 3.25),
+        (lambda ctx: eigendecompose(ctx, subspace="collar_supported"), 2.25),
+        (lambda ctx: spectral.dense_eigenvalues(ctx), 2.25),
+    ], ids=["full", "collar_supported", "eigenvalues_only"])
+    def test_peak_memory_in_units_of_the_dense_matrix(self, call, budget):
+        """Traced peak at square 33 over 8 m^2 bytes: G and LAPACK's 2 m^2
+        workspace for eigenvectors, B_hat beside G only while it is formed."""
+        ctx = build_context("square_ex1", 33)
+        eigendecompose(ctx, n_modes=2)  # the operator's cached solver tables
+        tracemalloc.start()
+        try:
+            call(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * 8 * ctx.grid.n_interior ** 2
 
 
 class TestKernelDecomposition:
@@ -270,10 +304,13 @@ class TestFisherInformation:
         np.testing.assert_allclose(report.i_inverse_full, float(x @ x), rtol=1e-8)
         assert 0.0 <= report.rel_error <= 1e-6
 
-    def test_direct_solve_builds_no_dense_matrix(self):
+    def test_direct_solve_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense linearization built for a direct solve")
+
+        monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
         ctx = build_context("square_ex1", 17)
-        fisher_information(ctx, psi_fixture(ctx, "bump"))
-        assert ctx._B_hat is None
+        assert fisher_information(ctx, psi_fixture(ctx, "bump")).method == "direct_solve"
 
     def test_transport_solution_is_the_potential(self, ctx_cache):
         """For psi = I*(L phi) the solution of T^T y = W psi is y = -W phi:
