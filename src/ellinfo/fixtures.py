@@ -37,7 +37,10 @@ from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, Grid,
 from ellinfo.score import ScoreContext
 
 FIXTURE_NAMES = ("square_ex1", "disk_ex2", "saddle")
-PSI_KINDS = ("bump", "quadrant_bump", "in_range", "constant")
+#: Parameters of each psi kind; a config file's ``[psi]`` sets all but ``value``.
+_PSI_PARAMS = {"bump": ("center", "radius", "amplitude"), "quadrant_bump": ("amplitude",),
+               "in_range": ("center", "radius"), "constant": ("value",)}
+PSI_KINDS = tuple(_PSI_PARAMS)
 
 _DEFAULT_THETA_BUMP = {
     "square_ex1": ((1.6, 1.4), 0.28, 0.15),
@@ -183,16 +186,18 @@ def in_range_psi(ctx: ScoreContext, center=None, radius=None) -> ScalarField:
 
 
 def psi_fixture(ctx: ScoreContext, kind: str, **params) -> ScalarField:
-    """Dispatcher used by the CLI: bump | quadrant_bump | in_range | constant."""
+    """Dispatcher used by the CLI; a parameter the kind does not take is a ValueError."""
+    if kind not in _PSI_PARAMS:
+        raise ValueError(f"unknown psi fixture kind {kind!r}; choose from {PSI_KINDS}")
+    if extra := sorted(set(params) - set(_PSI_PARAMS[kind])):
+        raise ValueError(f"psi kind {kind!r} takes {list(_PSI_PARAMS[kind])}, not {extra}")
     if kind == "bump":
         return bump_psi(ctx.grid, **params)
     if kind == "quadrant_bump":
         return quadrant_bump_psi(ctx.grid, **params)
     if kind == "in_range":
         return in_range_psi(ctx, **params)
-    if kind == "constant":
-        return ctx.grid.field(params.get("value", 1.0))
-    raise ValueError(f"unknown psi fixture kind {kind!r}; choose from {PSI_KINDS}")
+    return ctx.grid.field(params.get("value", 1.0))
 
 
 #: psi fixtures shipped for the cross-module coherence comparison:

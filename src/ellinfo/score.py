@@ -21,7 +21,8 @@ The context owns the information operator: in h_hat = S h, S = W^{1/2}, it is
 G = B_hat^T B_hat with B_hat = S I S^{-1} (``dense_linearization_hat``, column blocks, uncached).
 ``_apply_info_hat`` applies G and, where T is nonsingular,
 ``_apply_info_hat_inverse`` applies G^{-1} = S T^{-1} W^{-1} K W^{-1} K W^{-1}
-T^{-T} S through the one LU of T^T; every raw map takes a vector or a block.
+T^{-T} S through the one LU of T^T, which alone solves and certifies T^T y = W psi
+(``solve_transport_equation``); every raw map takes a vector or a block.
 
 T is filled once as a sparse matrix in h on the grid's face pattern
 (``Grid.faces``), the pattern of the elliptic operator K.  Faces between two
@@ -115,16 +116,27 @@ class ScoreContext:
             self._transport_lu = spla.splu(self.T.T.tocsc())
         return self._transport_lu
 
-    def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """T^T y = rhs: y0 from :meth:`transport_lu`, y after one refinement
-        step, and the relative residual of y.  Callers certify by the
-        residual and the change from y0 to y, which alone exposes a singular
-        T on a consistent system."""
+    def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """y of T^T y = rhs, by :meth:`transport_lu` and one refinement step,
+        and its relative change in that step.  A relative residual or change
+        above ``TRANSPORT_SOLVE_RTOL`` raises ``LinAlgError``: the change alone
+        exposes a singular T on a consistent system.  rhs = 0 gives (0, 0.0)."""
+        if not np.any(rhs):
+            return np.zeros_like(rhs), 0.0
         lu = self.transport_lu()
         y0 = lu.solve(rhs)
         y = y0 + lu.solve(rhs - self.T.T @ y0)
         residual = float(np.linalg.norm(self.T.T @ y - rhs) / np.linalg.norm(rhs))
-        return y0, y, residual
+        change = float(np.linalg.norm(y - y0) / np.linalg.norm(y))
+        if not (residual <= TRANSPORT_SOLVE_RTOL and change <= TRANSPORT_SOLVE_RTOL):
+            raise np.linalg.LinAlgError(
+                f"source operator T numerically singular (residual {residual:.1e}, "
+                f"refinement change {change:.1e}); no unique transport solution")
+        return y, change
+
+    def _k_w_inverse(self, v: np.ndarray) -> np.ndarray:
+        """K W^{-1} v, v a vector or a block: twice in G^{-1}, once in the Fisher form."""
+        return self.op.K @ (v / _per_row(self.grid.weights_interior, v))
 
     # -- raw interior-vector maps (hot paths) ------------------------------
 
@@ -148,9 +160,9 @@ class ScoreContext:
     def _apply_info_hat_inverse(self, x_hat: np.ndarray) -> np.ndarray:
         """G^-1 x_hat (module docstring); trustworthy only where T is certified nonsingular."""
         w = _per_row(self.grid.weights_interior, x_hat)
-        s, lu, K = np.sqrt(w), self.transport_lu(), self.op.K
-        z = K @ (lu.solve(s * x_hat) / w)
-        return s * lu.solve(K @ (z / w) / w, trans="T")
+        s, lu = np.sqrt(w), self.transport_lu()
+        z = self._k_w_inverse(self._k_w_inverse(lu.solve(s * x_hat)))
+        return s * lu.solve(z / w, trans="T")
 
     # -- public field-level API --------------------------------------------
 

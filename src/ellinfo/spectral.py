@@ -33,7 +33,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
 
 from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
-from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
+from ellinfo.score import ScoreContext
 
 #: Eigenvalues below this multiple of the top eigenvalue count as kernel.
 KERNEL_TOL_FACTOR = 1e-8
@@ -232,8 +232,8 @@ def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
     doubles until a returned pair lies above ``kernel_tol``, which shows that
     the kernel set is complete.  One block apply of G certifies every pair,
     ||G v - lambda v|| <= ``EIG_RESIDUAL_RTOL * lambda_1``, and a failed
-    certificate raises RuntimeError.  The LU is trustworthy only where T is
-    certified nonsingular, as after a successful :func:`fisher_information`.
+    certificate raises RuntimeError; taken against the forward G, it holds
+    for every pair however the LU of T^T is conditioned.
     """
     m = ctx.grid.n_interior
     top = eigendecompose(ctx, 1)
@@ -356,9 +356,9 @@ class FisherReport:
     ``spectral_truncation`` for the singular-grid fallback of
     :func:`fisher_refinement`, whose values are flagged ``lower_bound``: the
     true quadratic form is at least this large (kernel terms are evaluated
-    at an eigenvalue floor).  ``rel_error`` is the relative change of a
-    direct-solve value under one step of iterative refinement; it is None
-    for lower bounds.
+    at an eigenvalue floor).  ``rel_error`` is the relative change of the
+    transport solution y in the direct solve's refinement step, as the score
+    context certified it; it is None for lower bounds.
     """
 
     method: str
@@ -371,29 +371,21 @@ class FisherReport:
 def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     """Evaluate the inverse Fisher quadratic form psi -> psi^T (I*I)^{-1} psi.
 
-    Solves the discrete transport equation T^T y = W psi through
-    ``ScoreContext.solve_transport_equation``; as I = -K^{-1} W T, the form
-    is ||W^{-1/2} K W^{-1} y||^2.  A residual or a refinement change of the
-    value (``rel_error``) above ``TRANSPORT_SOLVE_RTOL`` raises, which also
-    catches a singular T on a consistent system.  A single grid never
-    certifies divergence; that is the job of :func:`fisher_refinement`.
+    The score context solves and certifies the discrete transport equation
+    T^T y = W psi (``ScoreContext.solve_transport_equation``, which raises
+    ``LinAlgError`` for a singular T); as I = -K^{-1} W T, the form is
+    ||W^{-1/2} K W^{-1} y||^2, from the context's factor K W^{-1} of G^{-1}.
+    ``rel_error`` is the solve's relative refinement change of y.  A single
+    grid never certifies divergence; that is the job of :func:`fisher_refinement`.
     """
-    grid = ctx.grid
-    psi_int = grid.restrict(psi)
+    psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
     if not np.any(psi_int):
         raise ValueError("psi vanishes identically: Fisher functional undefined")
-    w = grid.weights_interior
-    y0, y, residual = ctx.solve_transport_equation(w * psi_int)
-    x0, x = (ctx.op.K @ (v / w) / np.sqrt(w) for v in (y0, y))
+    y, rel_error = ctx.solve_transport_equation(w * psi_int)
+    x = ctx._k_w_inverse(y) / np.sqrt(w)
     i_inverse = float(x @ x)
-    rel_error = abs(i_inverse - float(x0 @ x0)) / i_inverse
-    if not (residual <= TRANSPORT_SOLVE_RTOL and rel_error <= TRANSPORT_SOLVE_RTOL):
-        raise np.linalg.LinAlgError(
-            f"source operator T numerically singular (residual {residual:.1e}, "
-            f"refinement change {rel_error:.1e})")
-    i_value = 1.0 / i_inverse if i_inverse > 0 else math.inf
-    return FisherReport(method="direct_solve", i_inverse_full=i_inverse,
-                        i_value=i_value, rel_error=rel_error)
+    return FisherReport(method="direct_solve", i_inverse_full=i_inverse, rel_error=rel_error,
+                        i_value=1.0 / i_inverse if i_inverse > 0 else math.inf)
 
 
 @dataclass

@@ -5,8 +5,9 @@ grad u_theta . grad y = psi with zero trace has a solution, and psi must
 integrate to zero along every integral curve of grad u_theta crossing the
 domain.  This module traces those curves, evaluates the line-integral
 obstructions, solves the transport problem on the non-trapping square
-configuration (as the inverse Fisher form does, by T^T y = W psi; curves give
-the outflow mismatch), and builds kernel elements from first integrals.
+configuration (as the inverse Fisher form does, by T^T y = W psi, which the
+score context solves and certifies; curves give the outflow mismatch), and
+builds kernel elements from first integrals.
 
 The curves follow the discrete flow on which T(h) = div(h grad u) is
 assembled: each dual face carries the face difference of u as its velocity.
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ellinfo.grids import DomainKind, Grid, ScalarField
-from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
+from ellinfo.score import ScoreContext
 
 #: Gauss-Legendre points per walk step and per radial cell of a disk ray.
 GAUSS_ORDER = 4
@@ -463,33 +464,22 @@ def _inflow_boundary_nodes(ctx: ScoreContext) -> np.ndarray:
 def solve_transport(ctx: ScoreContext, psi: ScalarField) -> tuple[ScalarField, float]:
     """Solve grad u_theta . grad y = psi with zero trace (square only).
 
-    y = -(T^T)^{-1}(W psi) / w from ``ScoreContext.solve_transport_equation``,
-    as in the inverse Fisher form; a residual or a refinement change of y
-    above ``TRANSPORT_SOLVE_RTOL`` raises ``LinAlgError``, so a singular T
-    (the saddle) raises as in ``fisher_information``.  The outflow mismatch,
-    the largest integral of psi over crossings traced from the inflow nodes,
-    vanishes exactly when psi is transport-compatible.  For an incompatible
-    psi, y is the discrete zero-trace solution, large and meaningless (max|y|
-    about 1.7e3 for the square bump at 25^2): only the mismatch counts.
+    y = -(T^T)^{-1}(W psi) / w, solved and certified by the score context
+    (``ScoreContext.solve_transport_equation``): a singular T (the saddle)
+    raises ``LinAlgError``.  The outflow mismatch, the largest integral of
+    psi over crossings traced from the inflow nodes, vanishes exactly when
+    psi is transport-compatible.  For an incompatible psi, y is the discrete
+    zero-trace solution, large and meaningless (max|y| about 1.7e3 for the
+    square bump at 25^2): only the mismatch counts.
     """
     _square_only(ctx, "solve_transport")
-    grid = ctx.grid
-    w = grid.weights_interior
-    rhs = w * grid.restrict(psi)
-    y = np.zeros(grid.n_interior)
-    if np.any(rhs):
-        y0, y, residual = ctx.solve_transport_equation(rhs)
-        change = float(np.linalg.norm(y - y0) / np.linalg.norm(y))
-        if not (residual <= TRANSPORT_SOLVE_RTOL and change <= TRANSPORT_SOLVE_RTOL):
-            raise np.linalg.LinAlgError(
-                f"source operator T numerically singular (residual {residual:.1e}, "
-                f"refinement change {change:.1e}); no unique transport solution")
-        y = -y / w
+    grid, w = ctx.grid, ctx.grid.weights_interior
+    y, _ = ctx.solve_transport_equation(w * grid.restrict(psi))
     inflow = _inflow_boundary_nodes(ctx)
     crossings, _ = _sweep_from_nodes(ctx, np.column_stack([grid.x[inflow], grid.y[inflow]]),
                                      psi.values, sign=1.0)
     mismatch = float(np.max(np.abs(crossings))) if len(crossings) else 0.0
-    return grid.interior_field(y), mismatch
+    return grid.interior_field(-y / w), mismatch
 
 
 def kernel_element(ctx: ScoreContext, first_integral,

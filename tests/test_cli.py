@@ -201,6 +201,23 @@ class TestConfigErrors:
         assert "two replicates" in record["message"]
         assert not (out / "simulate").exists()
 
+    @pytest.mark.parametrize("args, kind, key, takes", [
+        (["fisher"], "in_range", "amplitude = 2", "'center', 'radius'"),
+        (["transport", "--fixture", "disk_ex2", "--resolution", "20"], "quadrant_bump",
+         "radius = 0.2", "'amplitude'"),
+    ], ids=["in_range-amplitude", "quadrant_bump-radius"])
+    def test_psi_key_the_kind_does_not_take(self, tmp_path, capsys, args, kind, key, takes):
+        """A [psi] key that the chosen kind does not take is a config mistake,
+        named with the keys the kind does take, and nothing is written."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[experiment]\npsi = {kind}\n\n[psi]\n{key}\n")
+        rc, out = run(args + ["--config", str(cfg)], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert all(s in record["message"] for s in (kind, key.split()[0], takes))
+        assert not (out / args[0]).exists()
+
     @pytest.mark.parametrize("text", [
         "[experiment]\nseed = abc\n",
         "[psi]\nradius = wide\n",

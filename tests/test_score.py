@@ -9,7 +9,7 @@ import pytest
 
 from ellinfo import elliptic, score
 from ellinfo.elliptic import Conductivity, DivergenceFormOperator
-from ellinfo.fixtures import build_context
+from ellinfo.fixtures import build_context, psi_fixture
 from ellinfo.grids import (ScalarField, inner_l2, make_bump, norm_l2,
                            random_smooth_field)
 from ellinfo.score import adjoint_defects, gateaux_remainders, stability_pair, stability_report
@@ -306,6 +306,35 @@ class TestInformationBlocks:
                 col = single(X[:, j])
                 assert np.linalg.norm(out[:, j] - col) <= 1e-13 * np.linalg.norm(col)
                 np.testing.assert_array_equal(block(X[:, j]), col)
+
+
+class TestTransportEquation:
+    """The context alone solves and certifies T^T y = W psi."""
+
+    @pytest.mark.parametrize("kind", ["bump", "in_range"])
+    def test_singular_T_raises(self, ctx_cache, kind):
+        """The saddle's T is singular: the bump's system fails its residual,
+        and the consistent in-range system its refinement change."""
+        ctx = ctx_cache("saddle", 17)
+        rhs = ctx.grid.weights_interior * ctx.grid.restrict(psi_fixture(ctx, kind))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            ctx.solve_transport_equation(rhs)
+
+    @pytest.mark.parametrize("kind", ["bump", "in_range"])
+    def test_returns_the_refined_solution_and_its_change(self, ctx_cache, kind):
+        ctx = ctx_cache("square_ex1", 25)
+        rhs = ctx.grid.weights_interior * ctx.grid.restrict(psi_fixture(ctx, kind))
+        y, change = ctx.solve_transport_equation(rhs)
+        y0 = ctx.transport_lu().solve(rhs)
+        assert change == pytest.approx(np.linalg.norm(y - y0) / np.linalg.norm(y), rel=1e-12)
+        assert 0.0 < change <= score.TRANSPORT_SOLVE_RTOL
+        assert np.linalg.norm(ctx.T.T @ y - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    def test_zero_rhs_gives_zero(self, ctx_cache):
+        ctx = ctx_cache("square_ex1", 17)
+        y, change = ctx.solve_transport_equation(np.zeros(ctx.grid.n_interior))
+        np.testing.assert_array_equal(y, 0.0)
+        assert change == 0.0
 
 
 class TestDenseLinearization:

@@ -318,7 +318,7 @@ class TestFisherInformation:
         ctx = ctx_cache("square_ex1", 33)
         fx = in_range_fixture(ctx)
         w = ctx.grid.weights_interior
-        _, y, _ = ctx.solve_transport_equation(w * ctx.grid.restrict(fx.psi))
+        y, _ = ctx.solve_transport_equation(w * ctx.grid.restrict(fx.psi))
         np.testing.assert_allclose(-y / w, ctx.grid.restrict(fx.potential),
                                    rtol=0.0, atol=1e-8 * np.max(np.abs(fx.potential.values)))
 

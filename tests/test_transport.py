@@ -479,6 +479,21 @@ class TestTransportSolve:
             solve_transport(ctx, ctx.grid.field(1.0))
 
 
+class TestFisherTransportIdentity:
+    """The paper's identity i_psi^{-1} = ||L phi||^2, with phi the solution
+    of grad u . grad phi = psi, ties fisher_information to solve_transport."""
+
+    @pytest.mark.parametrize("kind", ["bump", "in_range"])
+    @pytest.mark.parametrize("bump", [None, True], ids=["theta1", "theta_bump"])
+    @pytest.mark.parametrize("res", [25, 33, 49])
+    def test_inverse_fisher_is_the_norm_of_L_phi(self, ctx_cache, res, bump, kind):
+        ctx = ctx_cache("square_ex1", res, theta_bump=bump)
+        psi = psi_fixture(ctx, kind)
+        phi, _ = solve_transport(ctx, psi)
+        assert norm_l2(ctx.op.apply_operator(phi)) ** 2 == pytest.approx(
+            fisher_information(ctx, psi).i_inverse_full, rel=1e-12)
+
+
 class TestKernelElements:
     """Approximate kernel directions built from first integrals."""
 
