@@ -29,32 +29,36 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ellinfo import io as eio
 from ellinfo.elliptic import Conductivity, DivergenceFormOperator
-from ellinfo.fixtures import (FIXTURE_NAMES, PSI_KINDS, build_context,
-                              exact_solution, fixture_data, fixture_domain,
-                              psi_fixture)
-from ellinfo.grids import MIN_RESOLUTION, DomainKind, build_grid, random_smooth_field
-from ellinfo.score import ScoreContext, adjoint_defects, gateaux_remainders, stability_report
+from ellinfo.fixtures import (_PSI_PARAMS, FIXTURE_NAMES, PSI_KINDS, build_context,
+                              exact_solution, fixture_data, fixture_domain, psi_fixture)
+from ellinfo.grids import MIN_RESOLUTION, build_grid, random_smooth_field
+from ellinfo.score import adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
                               dense_eigenvalues, eigendecompose, fisher_refinement,
                               kernel_tolerance)
-from ellinfo.transport import IntegralCurve, range_verdict, trace_curve
-
-SUBCOMMANDS = ("solve", "verify-operators", "spectrum", "fisher", "transport",
-               "simulate", "reproduce-thm37", "reproduce-thm38")
-
-_SWEEP_DEFAULTS = {"square_ex1": (17, 25, 33), "saddle": (17, 25, 33),
-                   "disk_ex2": (20, 28, 40)}
-_TRANSPORT_DEFAULTS = {"square_ex1": 33, "saddle": 33, "disk_ex2": 96}
+from ellinfo.transport import range_verdict, trace_curve
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; maps to exit status 2."""
+
+
+class Subcommand(NamedTuple):
+    """One row of the subcommand table (``_SUBCOMMANDS``)."""
+
+    run: Callable               # cfg -> (summary, tables, curve_tables, stages)
+    resolutions: tuple          # default grids ...
+    by_fixture: dict            # ... and where a fixture's differ
+    counts: tuple               # (fewest, most) grids, and the rule that says so
+    psi: str | None = None      # default functional kind
+    flags: tuple = ()           # extra (flag, argparse keywords) pairs
 
 
 @dataclass
@@ -86,26 +90,33 @@ def _parse_resolutions(text: str) -> tuple:
     return values
 
 
-def _parse_pair(text: str, label: str) -> tuple:
-    parts = [p for p in str(text).split(",") if p.strip()]
+def _parse_point(text: str) -> tuple:
+    parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 2:
-        raise ConfigError(f"{label} must be two comma-separated numbers, got {text!r}")
-    try:
-        return (float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise ConfigError(f"bad {label} {text!r}: {exc}") from None
+        raise ValueError("need two comma-separated numbers")
+    return (float(parts[0]), float(parts[1]))
 
 
-def _parse_number(section, key: str, kind=float):
-    """``kind(section[key])``, with a malformed value as a ConfigError."""
-    try:
-        return kind(section[key])
-    except ValueError:
-        raise ConfigError(f"bad {key} {section[key]!r} in the config file") from None
+#: INI section -> key -> (ExperimentConfig field, parser of the value).  The
+#: [psi] keys are every parameter that some psi kind takes, bar ``value``; a
+#: key naming a center is a point.  The three [theta] bump keys set one field.
+_CONFIG_KEYS = {
+    "experiment": {"fixture": ("fixture", str.strip),
+                   "resolution": ("resolutions", _parse_resolutions),
+                   "seed": ("seed", int), "psi": ("psi", str.strip)},
+    "psi": {key: ("psi_params", _parse_point if key.endswith("center") else float)
+            for key in sorted(set().union(*_PSI_PARAMS.values()) - {"value"})},
+    "theta": {"eta": ("eta", lambda text: None if text.strip() == "none" else float(text)),
+              "bump_center": ("theta_bump", _parse_point),
+              "bump_radius": ("theta_bump", float), "bump_amplitude": ("theta_bump", float)},
+    "simulate": {"samples": ("samples", int), "replicates": ("replicates", int)},
+    "output": {"dir": ("out", Path)},
+}
 
 
-def _load_config_file(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+def _read_config_file(path: str, cfg: ExperimentConfig) -> None:
+    """Set cfg from the file; an unknown section or key is a ConfigError."""
+    parser = configparser.ConfigParser(default_section="")  # [DEFAULT] is unknown too
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -113,57 +124,47 @@ def _load_config_file(path: str) -> configparser.ConfigParser:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from None
-    return parser
+    bump = {}
+    for section in parser.sections():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config section [{section}]; "
+                              f"choose from {list(_CONFIG_KEYS)}")
+        for key in parser[section]:
+            if key not in _CONFIG_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in config section [{section}]; "
+                                  f"it takes {list(_CONFIG_KEYS[section])}")
+            name, parse = _CONFIG_KEYS[section][key]
+            text = parser.get(section, key, raw=True)
+            try:  # a stray % fails the file's interpolation
+                value = parse(parser[section][key])
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"bad {key} {text!r} in the config file ({exc})") from None
+            if name == "psi_params":
+                cfg.psi_params[key] = value
+            elif name == "theta_bump":
+                bump[key] = value
+            else:
+                setattr(cfg, name, value)
+    if 0 < len(bump) < 3:
+        raise ConfigError("theta bump needs bump_center, bump_radius and bump_amplitude")
+    if bump:
+        cfg.theta_bump = (bump["bump_center"], bump["bump_radius"], bump["bump_amplitude"])
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Merge defaults, config-file sections, and CLI flag overrides."""
     cfg = ExperimentConfig(subcommand=args.subcommand)
     if args.config:
-        parser = _load_config_file(args.config)
-        exp = parser["experiment"] if parser.has_section("experiment") else {}
-        if "fixture" in exp:
-            cfg.fixture = exp["fixture"].strip()
-        if "resolution" in exp:
-            cfg.resolutions = _parse_resolutions(exp["resolution"])
-        if "seed" in exp:
-            cfg.seed = _parse_number(exp, "seed", int)
-        if "psi" in exp:
-            cfg.psi = exp["psi"].strip()
-        if parser.has_section("psi"):
-            sec = parser["psi"]
-            if "center" in sec:
-                cfg.psi_params["center"] = _parse_pair(sec["center"], "psi center")
-            for name in ("radius", "amplitude"):
-                if name in sec:
-                    cfg.psi_params[name] = _parse_number(sec, name)
-        if parser.has_section("theta"):
-            sec = parser["theta"]
-            if "eta" in sec:
-                cfg.eta = None if sec["eta"].strip() == "none" else _parse_number(sec, "eta")
-            keys = ("bump_center", "bump_radius", "bump_amplitude")
-            present = [k for k in keys if k in sec]
-            if present:
-                if len(present) != 3:
-                    raise ConfigError(
-                        "theta bump needs bump_center, bump_radius and bump_amplitude")
-                center = _parse_pair(sec["bump_center"], "theta bump center")
-                cfg.theta_bump = (center, _parse_number(sec, "bump_radius"),
-                                  _parse_number(sec, "bump_amplitude"))
-        if parser.has_section("simulate"):
-            for name in ("samples", "replicates"):
-                if name in parser["simulate"]:
-                    setattr(cfg, name, _parse_number(parser["simulate"], name, int))
-        if parser.has_section("output") and "dir" in parser["output"]:
-            cfg.out = Path(parser["output"]["dir"])
+        _read_config_file(args.config, cfg)
     if args.fixture is not None:
         cfg.fixture = args.fixture
     if args.resolution is not None:
         cfg.resolutions = _parse_resolutions(args.resolution)
     if args.seed is not None:
         cfg.seed = args.seed
-    for name in ("psi", "samples", "replicates", "n_modes"):  # per-subcommand flags
-        if getattr(args, name, None) is not None:
+    for flag, _ in _SUBCOMMANDS[cfg.subcommand].flags:
+        name = flag[2:].replace("-", "_")  # argparse's dest, an ExperimentConfig field
+        if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if args.out:
         cfg.out = Path(args.out)
@@ -172,6 +173,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
+    row = _SUBCOMMANDS[cfg.subcommand]
     if cfg.fixture not in FIXTURE_NAMES:
         raise ConfigError(
             f"unknown fixture {cfg.fixture!r}; choose from {FIXTURE_NAMES}")
@@ -185,33 +187,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if cfg.samples < 1 or cfg.replicates < 1:
         raise ConfigError("samples and replicates must be positive")
-    if cfg.subcommand == "simulate" and cfg.replicates < 2:
-        raise ConfigError("simulate needs at least two replicates for a "
-                          "standard error")
     if cfg.n_modes is not None and cfg.n_modes < 1:
         raise ConfigError("n-modes must be positive")
-    if cfg.subcommand in ("fisher", "transport") and cfg.psi is None:
-        cfg.psi = "bump"
-    if cfg.resolutions is None:
-        if cfg.subcommand == "fisher":
-            cfg.resolutions = _SWEEP_DEFAULTS[cfg.fixture]
-        elif cfg.subcommand == "transport":
-            cfg.resolutions = (_TRANSPORT_DEFAULTS[cfg.fixture],)
-        elif cfg.subcommand == "reproduce-thm37":
-            cfg.resolutions = (17, 33, 65)
-        elif cfg.subcommand == "reproduce-thm38":
-            cfg.resolutions = (33, 96)
-        else:
-            cfg.resolutions = (33,)
-    if cfg.subcommand == "fisher" and len(cfg.resolutions) < 3:
-        raise ConfigError("fisher sweeps need at least three resolutions")
-    if cfg.subcommand == "reproduce-thm38" and len(cfg.resolutions) != 2:
-        raise ConfigError(
-            "reproduce-thm38 takes two resolutions: square grid, disk grid")
-    single_grid = ("verify-operators", "spectrum", "transport", "simulate")
-    if cfg.subcommand in single_grid and len(cfg.resolutions) != 1:
-        raise ConfigError(f"{cfg.subcommand} takes one resolution, got "
-                          f"{','.join(map(str, cfg.resolutions))}")
+    cfg.psi = cfg.psi or row.psi
+    cfg.resolutions = cfg.resolutions or row.by_fixture.get(cfg.fixture, row.resolutions)
+    fewest, most, rule = row.counts
+    if not fewest <= len(cfg.resolutions) <= most:
+        raise ConfigError(f"{cfg.subcommand} {rule}, got {','.join(map(str, cfg.resolutions))}")
 
 
 # --------------------------------------------------------------------------
@@ -374,6 +356,8 @@ def _run_transport(cfg: ExperimentConfig):
 
 
 def _run_simulate(cfg: ExperimentConfig):
+    if cfg.replicates < 2:
+        raise ConfigError("simulate needs at least two replicates for a standard error")
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
     h = psi_fixture(ctx, cfg.psi or "bump", **cfg.psi_params)
@@ -481,15 +465,28 @@ def _run_thm38(cfg: ExperimentConfig):
     return summary, tables, _curve_tables(v_sq_bump, "square_ex1", "bump"), {}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "verify-operators": _run_verify_operators,
-    "spectrum": _run_spectrum,
-    "fisher": _run_fisher,
-    "transport": _run_transport,
-    "simulate": _run_simulate,
-    "reproduce-thm37": _run_thm37,
-    "reproduce-thm38": _run_thm38,
+_ANY = (1, math.inf, "")
+_ONE = (1, 1, "takes one resolution")
+_SWEEP = (3, math.inf, "sweeps need at least three resolutions")
+_PSI_FLAG = ("--psi", {"help": f"functional kind: {', '.join(PSI_KINDS)}"})
+
+#: Every subcommand, one row each: build_parser, _validate and main read only this.
+_SUBCOMMANDS = {
+    "solve": Subcommand(_run_solve, (33,), {}, _ANY),
+    "verify-operators": Subcommand(_run_verify_operators, (33,), {}, _ONE),
+    "spectrum": Subcommand(_run_spectrum, (33,), {}, _ONE, flags=(
+        ("--n-modes", {"type": int, "help": "number of top modes, by certified Lanczos below "
+                       "the interior dimension (default: full dense spectrum)"}),)),
+    "fisher": Subcommand(_run_fisher, (17, 25, 33), {"disk_ex2": (20, 28, 40)}, _SWEEP,
+                         psi="bump", flags=(_PSI_FLAG,)),
+    "transport": Subcommand(_run_transport, (33,), {"disk_ex2": (96,)}, _ONE,
+                            psi="bump", flags=(_PSI_FLAG,)),
+    "simulate": Subcommand(_run_simulate, (33,), {}, _ONE, flags=(
+        _PSI_FLAG, ("--samples", {"type": int, "help": "observations per replicate"}),
+        ("--replicates", {"type": int, "help": "Monte Carlo replicates"}))),
+    "reproduce-thm37": Subcommand(_run_thm37, (17, 33, 65), {}, _SWEEP),
+    "reproduce-thm38": Subcommand(_run_thm38, (33, 96), {}, (
+        2, 2, "takes two resolutions: square grid, disk grid")),
 }
 
 
@@ -514,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information-geometry experiments for the divergence-form "
                     "elliptic inverse problem.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, row in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="INI experiment configuration file")
         p.add_argument("--fixture", help=f"one of {', '.join(FIXTURE_NAMES)}")
@@ -522,15 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated grid resolutions, e.g. 17,33,65")
         p.add_argument("--seed", type=int, help="base RNG seed")
         p.add_argument("--out", help="artifact output directory")
-        if name in ("fisher", "transport", "simulate"):
-            p.add_argument("--psi", help=f"functional kind: {', '.join(PSI_KINDS)}")
-        if name == "simulate":
-            p.add_argument("--samples", type=int, help="observations per replicate")
-            p.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-        if name == "spectrum":
-            p.add_argument("--n-modes", type=int, dest="n_modes",
-                           help="number of top modes, by certified Lanczos below the "
-                                "interior dimension (default: full dense spectrum)")
+        for flag, keywords in row.flags:
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -549,7 +539,7 @@ def main(argv=None) -> int:
         return _fail(2, "config", str(exc))
     try:
         t0 = time.perf_counter()
-        summary, tables, curves, stages = _RUNNERS[cfg.subcommand](cfg)
+        summary, tables, curves, stages = _SUBCOMMANDS[cfg.subcommand].run(cfg)
         stages["run"] = time.perf_counter() - t0
         out_dir = _emit(cfg, summary, tables, curves, stages)
     except ConfigError as exc:

@@ -100,6 +100,13 @@ class Conductivity:
         return cls.from_perturbation(grid, make_bump(grid, center, radius, amplitude), eta=eta)
 
 
+def backward_error(r: np.ndarray, a_norm: float, x: np.ndarray, b_norm) -> float:
+    """Worst column's normwise backward error ||r|| / (||A|| ||x|| + ||b||), infinity
+    norms, of x, a vector or an (m, k) block, with r = b - A x and b_norm per column."""
+    scale = np.maximum(a_norm * np.abs(x).max(axis=0) + b_norm, 1e-300)
+    return float(np.max(np.abs(r).max(axis=0) / scale))
+
+
 def assemble(grid: Grid, values: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """K and the boundary coupling C of div(a grad .) for nodal values a of
     any sign.  Both are linear in a: K(theta + s h) = K(theta) + s K(h)."""
@@ -191,12 +198,8 @@ class DivergenceFormOperator:
         b = rhs.reshape(rhs.shape[0], -1)
         x = M(rhs).reshape(b.shape)
         r, b_norm, steps, rz = b - A @ x, np.abs(b).max(axis=0), 1, None
-
-        def backward_error():
-            scale = np.maximum(a_norm * np.abs(x).max(axis=0) + b_norm, 1e-300)
-            return float(np.max(np.abs(r).max(axis=0) / scale))
-
-        while (error := backward_error()) > BACKWARD_ERROR_RTOL and steps < PCG_MAXITER:
+        while (error := backward_error(r, a_norm, x, b_norm)) > BACKWARD_ERROR_RTOL \
+                and steps < PCG_MAXITER:
             z = M(r.reshape(rhs.shape)).reshape(b.shape)  # a vector keeps M's vector path
             rz_old, rz = rz, np.einsum("ij,ij->j", r, z)
             # floored divisions: a column whose residual is exactly 0 gets beta = alpha = 0
@@ -206,7 +209,7 @@ class DivergenceFormOperator:
             x += alpha * p
             r -= alpha * q
             steps += 1
-            if backward_error() <= BACKWARD_ERROR_RTOL:  # certify on b - A x, not the recurrence
+            if backward_error(r, a_norm, x, b_norm) <= BACKWARD_ERROR_RTOL:  # certify on b - A x
                 r = b - A @ x
         self.last_stats = {"mode": self.mode, "iterations": steps, "backward_error": error}
         self.max_backward_error = max(self.max_backward_error, error)

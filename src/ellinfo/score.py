@@ -21,8 +21,8 @@ The context owns the information operator: in h_hat = S h, S = W^{1/2}, it is
 G = B_hat^T B_hat with B_hat = S I S^{-1} (``dense_linearization_hat``, column blocks, uncached).
 ``_apply_info_hat`` applies G and, where T is nonsingular,
 ``_apply_info_hat_inverse`` applies G^{-1} = S T^{-1} W^{-1} K W^{-1} K W^{-1}
-T^{-T} S through the one LU of T^T, which alone solves and certifies T^T y = W psi
-(``solve_transport_equation``); every raw map takes a vector or a block.
+T^{-T} S through the one LU of T^T, which alone solves T^T y = W psi, certified by its
+backward error as K's solves are (``solve_transport_equation``); raw maps take blocks too.
 
 T is filled once as a sparse matrix in h on the grid's face pattern
 (``Grid.faces``), the pattern of the elliptic operator K.  Faces between two
@@ -60,8 +60,9 @@ from ellinfo.grids import (
 
 DENSE_OPERATOR_MAX_DIM = 4100
 
-#: Bound on the relative residual and refinement change of a transport solve.
+#: Bound on the relative refinement change of a transport solve, and its step cap.
 TRANSPORT_SOLVE_RTOL = 1e-6
+TRANSPORT_REFINEMENT_STEPS = 3
 
 #: Fields per block of the batched checks, bounding their temporaries; even.
 BLOCK_COLUMNS = 16
@@ -117,21 +118,26 @@ class ScoreContext:
         return self._transport_lu
 
     def solve_transport_equation(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-        """y of T^T y = rhs, by :meth:`transport_lu` and one refinement step,
-        and its relative change in that step.  A relative residual or change
-        above ``TRANSPORT_SOLVE_RTOL`` raises ``LinAlgError``: the change alone
-        exposes a singular T on a consistent system.  rhs = 0 gives (0, 0.0)."""
+        """y of T^T y = rhs by :meth:`transport_lu`, refined (Skeel 1980) until a
+        step changes y by at most ``TRANSPORT_SOLVE_RTOL`` relative, in at most
+        ``TRANSPORT_REFINEMENT_STEPS`` steps, and that last change.  A normwise
+        backward error (``elliptic.backward_error``) above ``BACKWARD_ERROR_RTOL``,
+        or a last change above ``TRANSPORT_SOLVE_RTOL``, which alone exposes a
+        singular T, raises ``LinAlgError``.  rhs = 0 gives (0, 0.0)."""
         if not np.any(rhs):
             return np.zeros_like(rhs), 0.0
-        lu = self.transport_lu()
-        y0 = lu.solve(rhs)
-        y = y0 + lu.solve(rhs - self.T.T @ y0)
-        residual = float(np.linalg.norm(self.T.T @ y - rhs) / np.linalg.norm(rhs))
-        change = float(np.linalg.norm(y - y0) / np.linalg.norm(y))
-        if not (residual <= TRANSPORT_SOLVE_RTOL and change <= TRANSPORT_SOLVE_RTOL):
+        lu, Tt = self.transport_lu(), self.T.T
+        y = lu.solve(rhs)
+        for steps in range(1, TRANSPORT_REFINEMENT_STEPS + 1):
+            y = y + (dy := lu.solve(rhs - Tt @ y))
+            if (change := float(np.linalg.norm(dy) / np.linalg.norm(y))) <= TRANSPORT_SOLVE_RTOL:
+                break
+        t_norm = np.bincount(self.T.indices, np.abs(self.T.data)).max()  # ||T^T||_inf, T CSR
+        error = elliptic.backward_error(rhs - Tt @ y, t_norm, y, np.abs(rhs).max())
+        if not (error <= elliptic.BACKWARD_ERROR_RTOL and change <= TRANSPORT_SOLVE_RTOL):
             raise np.linalg.LinAlgError(
-                f"source operator T numerically singular (residual {residual:.1e}, "
-                f"refinement change {change:.1e}); no unique transport solution")
+                f"source operator T numerically singular (backward error {error:.1e}, change "
+                f"{change:.1e} after {steps} refinement steps); no unique transport solution")
         return y, change
 
     def _k_w_inverse(self, v: np.ndarray) -> np.ndarray:

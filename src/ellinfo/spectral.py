@@ -357,8 +357,8 @@ class FisherReport:
     :func:`fisher_refinement`, whose values are flagged ``lower_bound``: the
     true quadratic form is at least this large (kernel terms are evaluated
     at an eigenvalue floor).  ``rel_error`` is the relative change of the
-    transport solution y in the direct solve's refinement step, as the score
-    context certified it; it is None for lower bounds.
+    transport solution y in the direct solve's last refinement step, certified
+    with y's backward error by the score context; None for lower bounds.
     """
 
     method: str
@@ -375,7 +375,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     T^T y = W psi (``ScoreContext.solve_transport_equation``, which raises
     ``LinAlgError`` for a singular T); as I = -K^{-1} W T, the form is
     ||W^{-1/2} K W^{-1} y||^2, from the context's factor K W^{-1} of G^{-1}.
-    ``rel_error`` is the solve's relative refinement change of y.  A single
+    ``rel_error`` is the solve's last relative refinement change of y.  A single
     grid never certifies divergence; that is the job of :func:`fisher_refinement`.
     """
     psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
@@ -465,7 +465,7 @@ def fisher_refinement(fixture: str, psi_kind: str,
     Grids where the source operator T is singular to working precision fall
     back to a certified lower bound (flagged in ``lower_bounds``); it is
     dense, so past ``DENSE_OPERATOR_MAX_DIM`` such a grid raises instead, as
-    the square bump does from 193.  A lower bound can still certify growth
+    the saddle does from 97.  A lower bound can still certify growth
     -- provided the coarsest value is exact -- but never convergence.
 
     Kernel diagnostics run on grids of at most ``KERNEL_SWEEP_MAX_DIM``

@@ -191,6 +191,15 @@ class TestConfigErrors:
         assert "one resolution" in record["message"] and "17,33" in record["message"]
         assert not (out / subcommand).exists()
 
+    @pytest.mark.parametrize("subcommand", ["fisher", "reproduce-thm37"])
+    def test_sweeps_need_three_resolutions(self, tmp_path, capsys, subcommand):
+        rc, out = run([subcommand, "--resolution", "17,33"], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert "at least three resolutions" in record["message"]
+        assert not (out / subcommand).exists()
+
     def test_single_simulate_replicate_rejected(self, tmp_path, capsys):
         """One replicate has no standard error, so no verdict to report."""
         rc, out = run(["simulate", "--resolution", "17", "--replicates", "1",
@@ -225,7 +234,8 @@ class TestConfigErrors:
         "[theta]\neta = small\n",
         "[theta]\nbump_center = 1.5, 1.5\nbump_radius = r\nbump_amplitude = 0.1\n",
         "[simulate]\nsamples = 1.5\n",
-    ], ids=["seed", "psi-radius", "psi-amplitude", "eta", "bump-radius", "samples"])
+        "[output]\ndir = 50%\n",
+    ], ids=["seed", "psi-radius", "psi-amplitude", "eta", "bump-radius", "samples", "dir-percent"])
     def test_malformed_config_number(self, tmp_path, capsys, text):
         cfg = tmp_path / "exp.ini"
         cfg.write_text(text)
@@ -235,6 +245,26 @@ class TestConfigErrors:
         assert record["error"] == "config"
         assert "config file" in record["message"]
         assert not (out / "solve").exists()
+
+    @pytest.mark.parametrize("text, names", [
+        ("[experiment]\nresolutions = 9,10,11\n", "'resolutions'"),
+        ("[simulate]\nsample = 5\n", "'sample'"),
+        ("[psi]\nwidht = 3\n", "'widht'"),
+        ("[output]\ndirectory = elsewhere\n", "'directory'"),
+        ("[outptu]\ndir = elsewhere\n", "[outptu]"),
+    ], ids=["experiment-resolutions", "simulate-sample", "psi-widht", "output-directory",
+            "section-outptu"])
+    def test_unknown_config_key_or_section(self, tmp_path, capsys, text, names):
+        """A key or section that no setting reads is a config mistake, not a
+        run at the defaults; the record names it, and nothing is written."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        rc, out = run(["simulate", "--config", str(cfg)], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert names in record["message"]
+        assert not out.exists()
 
 
 class TestRuntimeErrors:
@@ -246,7 +276,8 @@ class TestRuntimeErrors:
         def singular(cfg):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setitem(cli._RUNNERS, "solve", singular)
+        monkeypatch.setitem(cli._SUBCOMMANDS, "solve", cli._SUBCOMMANDS["solve"]._replace(
+            run=singular))
         rc, out = run(["solve", "--fixture", "square_ex1",
                        "--resolution", "17"], tmp_path, "a")
         assert rc == 1
@@ -369,19 +400,30 @@ class TestFisherCommand:
 
     def test_near_singular_operator_past_the_dense_budget_exits_1(
             self, tmp_path, capsys):
-        """At 225^2 the square bump's source operator T is singular to
-        working precision, so the Fisher solve fails its certificate.  The
-        singular-grid fallback needs the dense linearization, which is
-        refused at 49,729 interior unknowns: a capacity failure, exit 1,
+        """The saddle's source operator T is singular (its base solution is
+        harmonic), so the Fisher solve fails its certificate on every grid.
+        The singular-grid fallback needs the dense linearization, which is
+        refused at 97^2, 9,025 interior unknowns: a capacity failure, exit 1,
         and no number is reported."""
-        rc, out = run(["fisher", "--fixture", "square_ex1",
-                       "--resolution", "225,233,241"], tmp_path, "a")
+        rc, out = run(["fisher", "--fixture", "saddle",
+                       "--resolution", "97,113,129"], tmp_path, "a")
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
         assert record["message"].startswith(
-            "dense linearization refused: interior dimension 49729")
+            "dense linearization refused: interior dimension 9025")
         assert not (out / "fisher").exists()
+
+    def test_square_sweep_past_the_dense_budget_is_certified(self, tmp_path, capsys):
+        """T at 193^2 is ill conditioned (kappa_1 about 1e12) but not
+        singular: its refined solve passes the backward-error gate, so the
+        sweep needs no dense fallback."""
+        rc, out = run(["fisher", "--resolution", "65,129,193"], tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "fisher")
+        assert summary["verdict"] == "out_of_range_divergent"
+        assert summary["lower_bounds"] == [False, False, False]
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 """Linearized score machinery: source operator, adjoints, remainders,
 stability diagnostics."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -313,12 +314,54 @@ class TestTransportEquation:
 
     @pytest.mark.parametrize("kind", ["bump", "in_range"])
     def test_singular_T_raises(self, ctx_cache, kind):
-        """The saddle's T is singular: the bump's system fails its residual,
-        and the consistent in-range system its refinement change."""
+        """The saddle's T is singular.  Its refined y is backward stable, so
+        only the refinement change, still large after the last step, refuses
+        both the bump's system and the consistent in-range one."""
         ctx = ctx_cache("saddle", 17)
         rhs = ctx.grid.weights_interior * ctx.grid.restrict(psi_fixture(ctx, kind))
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        cap = score.TRANSPORT_REFINEMENT_STEPS
+        with pytest.raises(np.linalg.LinAlgError, match=f"after {cap} refinement steps") as err:
             ctx.solve_transport_equation(rhs)
+        assert "singular" in str(err.value)
+        error = float(re.search(r"backward error (\S+),", str(err.value)).group(1))
+        assert error <= elliptic.BACKWARD_ERROR_RTOL
+
+    def test_ill_conditioned_T_is_certified_by_its_backward_error(self):
+        """kappa_1(T) of the square bump is about 1e12 at 193, so the relative
+        residual of y exceeds TRANSPORT_SOLVE_RTOL.  Its normwise backward
+        error stays near rounding, and the refinement converges."""
+        ctx = build_context("square_ex1", 193)
+        rhs = ctx.grid.weights_interior * ctx.grid.restrict(psi_fixture(ctx, "bump"))
+        y, change = ctx.solve_transport_equation(rhs)
+        r = rhs - ctx.T.T @ y
+        assert elliptic.backward_error(r, abs(ctx.T).sum(axis=0).max(), y,
+                                       np.abs(rhs).max()) <= 1e-12
+        assert change <= score.TRANSPORT_SOLVE_RTOL
+        assert np.linalg.norm(r) > score.TRANSPORT_SOLVE_RTOL * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("delta, steps", [(1e-4, 2), (0.5, None)])
+    def test_refinement_runs_until_the_change_is_small(self, delta, steps):
+        """An LU whose solves are off by the factor 1 + delta leaves y off by
+        delta^(k+1) after k steps, and the change of step k is about delta^k:
+        1e-4 takes two steps, and 0.5 is still changing after the last one."""
+        ctx = build_context("square_ex1", 17)
+        lu, solves = ctx.transport_lu(), []
+
+        class Scaled:
+            def solve(self, b, trans="N"):
+                solves.append(trans)
+                return (1.0 + delta) * lu.solve(b, trans=trans)
+
+        ctx._transport_lu = Scaled()
+        rhs = ctx.grid.weights_interior * ctx.grid.restrict(psi_fixture(ctx, "bump"))
+        cap = score.TRANSPORT_REFINEMENT_STEPS
+        if steps is None:
+            with pytest.raises(np.linalg.LinAlgError, match=f"after {cap} refinement steps"):
+                ctx.solve_transport_equation(rhs)
+        else:
+            y, _ = ctx.solve_transport_equation(rhs)
+            np.testing.assert_allclose(y, lu.solve(rhs), rtol=1e-10)
+        assert len(solves) == 1 + (steps or cap)  # the plain solve, then one per step
 
     @pytest.mark.parametrize("kind", ["bump", "in_range"])
     def test_returns_the_refined_solution_and_its_change(self, ctx_cache, kind):
