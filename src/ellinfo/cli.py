@@ -192,8 +192,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     cfg.psi = cfg.psi or row.psi
     cfg.resolutions = cfg.resolutions or row.by_fixture.get(cfg.fixture, row.resolutions)
     fewest, most, rule = row.counts
+    got = ",".join(map(str, cfg.resolutions))
     if not fewest <= len(cfg.resolutions) <= most:
-        raise ConfigError(f"{cfg.subcommand} {rule}, got {','.join(map(str, cfg.resolutions))}")
+        raise ConfigError(f"{cfg.subcommand} {rule}, got {got}")
+    if most == math.inf and list(cfg.resolutions) != sorted(set(cfg.resolutions)):
+        raise ConfigError(f"{cfg.subcommand} needs strictly increasing resolutions, got {got}")
 
 
 # --------------------------------------------------------------------------

@@ -8,16 +8,16 @@ discrete transport equation T^T y = W psi, and builds the degeneracy
 sequences h_N whose normalized quotients certify vanishing information.
 Divergence verdicts are never issued from a single grid: `fisher_refinement`
 sweeps a family of meshes and classifies the growth of the inverse quadratic
-form, falling back to a spectral lower bound on grids where T is singular to
-working precision.
+form.  Where T is singular (the saddle's harmonic base), sparse Lanczos
+certifies the kernels of T and T^T: psi with mass on ker T has zero
+information, and a bordered sparse solve gives the others' exact value.
 
 `eigendecompose` picks its solver from the request: the full spectrum is
 dense, and a few top pairs come from certified Lanczos.  Dense spectra serve
-only degeneracy ladders, the default `spectrum` command (eigenvalues alone,
-`dense_eigenvalues`) and singular grids; the
-risk study and `spectrum --n-modes` take their top pairs from Lanczos.  A
-sweep's kernel diagnostics on certified grids come from Lanczos on the
-inverse (`kernel_decomposition`).  The score context applies the operator
+only degeneracy ladders and the default `spectrum` command (eigenvalues
+alone, `dense_eigenvalues`); the risk study and `spectrum --n-modes` take
+their top pairs from Lanczos, and a sweep's kernel diagnostics come from
+Lanczos on an inverse.  The score context applies the operator
 G = B_hat^T B_hat and its inverse to vectors or blocks; every residual
 certificate is one block apply of G, and a ladder one block apply of I.
 """
@@ -28,24 +28,26 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
 
+from ellinfo import elliptic
 from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
 from ellinfo.score import ScoreContext
 
-#: Eigenvalues below this multiple of the top eigenvalue count as kernel.
+#: Eigenvalues below this multiple of the top eigenvalue count as kernel, and
+#: so does a larger mass fraction of psi on a certified ker T.
 KERNEL_TOL_FACTOR = 1e-8
 
 #: Residual tolerance (relative to lambda_1) for iterative eigenpairs.
 EIG_RESIDUAL_RTOL = 1e-8
 
 #: Refinement-sweep classification thresholds: total growth of the inverse
-#: quadratic form marking divergence, the kernel mass fraction marking
-#: obstruction, and the observed convergence order marking in-range.
+#: quadratic form marking divergence, and the observed convergence order
+#: marking in-range.
 DIVERGENCE_GROWTH = 2.0
-KERNEL_FRACTION_THRESHOLD = 0.5
 MIN_CONVERGENCE_ORDER = 1.0
 
 #: Largest interior dimension for which the refinement sweep computes kernel
@@ -57,11 +59,9 @@ KERNEL_SWEEP_MAX_DIM = 1500
 #: Pair count of the first sparse kernel search; it doubles until complete.
 KERNEL_SEARCH_MODES = 16
 
-#: Floor applied to computed eigenvalues, as a multiple of lambda_1, when a
-#: singular direct solve is replaced by a certified lower bound: symmetric
-#: eigensolvers are backward stable, so true eigenvalues cannot exceed the
-#: computed ones by more than a small multiple of eps * lambda_1.
-EIG_FLOOR_FACTOR = 10.0 * float(np.finfo(float).eps)
+#: Largest ||A v||_2 / ||A||_1 of a vector in the kernel of A = T or T^T.  On the
+#: saddle, 17 to 129, kernel pairs reach 1.0e-14 and the next pair 2.5e-2 to 2.0e-3.
+NULL_SPACE_RTOL = 1e-6
 
 
 @dataclass
@@ -221,39 +221,65 @@ def _certified_residuals(ctx: ScoreContext, vals: np.ndarray, vecs: np.ndarray,
     return residuals
 
 
+def _inverse_lanczos(apply_inverse, m: int, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom eigenpairs of a positive operator on R^m, largest first, by Lanczos on its
+    inverse: ``KERNEL_SEARCH_MODES`` pairs, doubled until one lies above ``cutoff``."""
+    k = KERNEL_SEARCH_MODES
+    while True:
+        k = min(k, m - 1)
+        mu, vecs = _lanczos(apply_inverse, m, k, "LA")
+        if 1.0 / mu[0] > cutoff:
+            return 1.0 / mu, vecs
+        if k == m - 1:
+            raise RuntimeError(f"kernel search found {k} kernel pairs and no end")
+        k *= 2
+
+
 def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
     """The bottom of the information spectrum: every kernel pair, plus at
     least one pair above the kernel tolerance, largest eigenvalue first.
 
     Lanczos runs on the inverse of G = B_hat^T B_hat, which the context
     applies through its sparse LU of T^T (``_apply_info_hat_inverse``), so no
-    dense matrix is formed.  lambda_1 comes from an iterative top pair and
-    sets ``kernel_tol``.  The pair count starts at ``KERNEL_SEARCH_MODES`` and
-    doubles until a returned pair lies above ``kernel_tol``, which shows that
-    the kernel set is complete.  One block apply of G certifies every pair,
+    dense matrix is formed; it widens until a pair lies above ``kernel_tol``
+    (set by an iterative lambda_1), which shows that the kernel set is
+    complete.  One block apply of G certifies every pair,
     ||G v - lambda v|| <= ``EIG_RESIDUAL_RTOL * lambda_1``, and a failed
     certificate raises RuntimeError; taken against the forward G, it holds
     for every pair however the LU of T^T is conditioned.
     """
-    m = ctx.grid.n_interior
     top = eigendecompose(ctx, 1)
     lam_max, kernel_tol = float(top.eigenvalues[0]), top.kernel_tol
-    k = KERNEL_SEARCH_MODES
-    while True:
-        k = min(k, m - 1)
-        mu, vecs = _lanczos(ctx._apply_info_hat_inverse, m, k, "LA")
-        vals = 1.0 / mu
-        if vals[0] > kernel_tol:
-            break
-        if k == m - 1:
-            raise RuntimeError(f"kernel search found {k} kernel pairs and no end")
-        k *= 2
+    vals, vecs = _inverse_lanczos(ctx._apply_info_hat_inverse, ctx.grid.n_interior, kernel_tol)
     residuals = _certified_residuals(ctx, vals, vecs, lam_max)
     s = np.sqrt(ctx.grid.weights_interior)
     return SpectralDecomposition(ctx=ctx, eigenvalues=vals,
                                  modes=np.ascontiguousarray(vecs / s[:, None]),
                                  kernel_tol=kernel_tol, mode="inverse",
                                  complete=False, residuals=residuals)
+
+
+def _null_space(a) -> tuple[np.ndarray, float, float]:
+    """Orthonormal basis of the kernel of a square sparse A, its largest residual
+    ||A v||_2 / ||A||_1 and the gap: the residual of the first pair outside it.
+
+    Lanczos on (A^T A + delta I)^{-1}, delta = 1e-10 ||A^T A||_1, through one
+    symmetric-mode splu, widens as :func:`kernel_decomposition`'s does; pairs up
+    to delta + (``NULL_SPACE_RTOL`` ||A||_1)^2 are kernel.  Unless every kernel
+    residual is at most ``NULL_SPACE_RTOL`` and the gap above it, RuntimeError."""
+    gram, m, scale = (a.T @ a).tocsc(), a.shape[0], spla.norm(a, 1)
+    delta = 1e-10 * spla.norm(gram, 1)
+    cutoff = delta + (NULL_SPACE_RTOL * scale) ** 2
+    lu = spla.splu(gram + delta * sp.identity(m, format="csc"), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    vals, vecs = _inverse_lanczos(lu.solve, m, cutoff)
+    residuals = np.linalg.norm(a @ vecs, axis=0) / scale
+    outside = int(np.count_nonzero(vals > cutoff))  # largest eigenvalue first
+    inside, gap = residuals[outside:].max(initial=0.0), residuals[outside - 1]
+    if not inside <= NULL_SPACE_RTOL < gap:
+        raise RuntimeError(f"kernel not certified: residuals up to {inside:.1e} inside, "
+                           f"{gap:.1e} outside, cutoff NULL_SPACE_RTOL = {NULL_SPACE_RTOL:.1e}")
+    return vecs[:, outside:], float(inside), float(gap)
 
 
 def sqrt_apply(decomp: SpectralDecomposition, h: ScalarField) -> ScalarField:
@@ -352,19 +378,17 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
 class FisherReport:
     """Inverse Fisher quadratic form for one functional on one grid.
 
-    ``method`` is ``direct_solve`` for the certified sparse solve and
-    ``spectral_truncation`` for the singular-grid fallback of
-    :func:`fisher_refinement`, whose values are flagged ``lower_bound``: the
-    true quadratic form is at least this large (kernel terms are evaluated
-    at an eigenvalue floor).  ``rel_error`` is the relative change of the
-    transport solution y in the direct solve's last refinement step, certified
-    with y's backward error by the score context; None for lower bounds.
+    ``method`` is ``direct_solve`` for the certified sparse solve; where T is
+    singular (:func:`singular_grid_fisher`), ``kernel_mass`` when psi has
+    certified mass on ker T (i_psi = 0, ``i_inverse_full`` inf), else
+    ``bordered_solve``.  ``rel_error`` is the relative change of the transport
+    solution y in the direct solve's last refinement step, certified with y's
+    backward error by the score context; None off the direct solve.
     """
 
     method: str
     i_inverse_full: float
     i_value: float
-    lower_bound: bool = False
     rel_error: float | None = None
 
 
@@ -373,10 +397,11 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
 
     The score context solves and certifies the discrete transport equation
     T^T y = W psi (``ScoreContext.solve_transport_equation``, which raises
-    ``LinAlgError`` for a singular T); as I = -K^{-1} W T, the form is
-    ||W^{-1/2} K W^{-1} y||^2, from the context's factor K W^{-1} of G^{-1}.
-    ``rel_error`` is the solve's last relative refinement change of y.  A single
-    grid never certifies divergence; that is the job of :func:`fisher_refinement`.
+    ``LinAlgError`` for a singular T, the case of :func:`singular_grid_fisher`);
+    as I = -K^{-1} W T, the form is ||W^{-1/2} K W^{-1} y||^2, from the context's
+    factor K W^{-1} of G^{-1}.  ``rel_error`` is the solve's last relative refinement
+    change of y.  A single grid never certifies divergence; that is the job of
+    :func:`fisher_refinement`.
     """
     psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
     if not np.any(psi_int):
@@ -388,6 +413,53 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
                         i_value=1.0 / i_inverse if i_inverse > 0 else math.inf)
 
 
+def singular_grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherReport, tuple]:
+    """The Fisher report where T is singular, with psi's mass fraction on ker T,
+    its dimension and the largest residual of :func:`_null_space`'s bases V0 of
+    ker T and U0 of ker T^T.  psi's weighted mass on ker T (``kernel_mass_fraction``'s,
+    through a QR of W^{1/2} V0) above ``KERNEL_TOL_FACTOR`` makes i_psi = 0.  Else
+    [[T^T, V0], [U0^T, 0]] [y0; mu] = [W psi; 0], certified by its backward error and
+    mu ~ 0 (else RuntimeError), solves T^T y = W psi, and the form is the least
+    ||W^{-1/2} K W^{-1} y||^2 over y0 + ker T^T: psi^T G^+ psi."""
+    grid, T = ctx.grid, ctx.T
+    (v0, res_v, _), (u0, res_u, _) = _null_space(T), _null_space(T.T.tocsr())
+    if not 0 < (n := v0.shape[1]) == u0.shape[1]:
+        raise RuntimeError(f"T^T y = W psi failed, but ker T and ker T^T have {n} and "
+                           f"{u0.shape[1]} certified vectors")
+    w, psi_int = grid.weights_interior, grid.restrict(psi)
+    s = np.sqrt(w)
+    coefficients = np.linalg.qr(s[:, None] * v0)[0].T @ (s * psi_int)
+    kernel = (float(coefficients @ coefficients) / norm_l2(psi) ** 2, n, max(res_v, res_u))
+    if kernel[0] > KERNEL_TOL_FACTOR:
+        return FisherReport("kernel_mass", math.inf, 0.0), kernel
+    rhs = np.concatenate([w * psi_int, np.zeros(n)])
+    a = sp.bmat([[T.T, sp.csc_matrix(v0)], [sp.csc_matrix(u0.T), None]], format="csc")
+    x = spla.splu(a).solve(rhs)
+    error = elliptic.backward_error(rhs - a @ x, abs(a).sum(axis=1).max(), x, np.abs(rhs).max())
+    border = float(np.linalg.norm(x[-n:]) / np.linalg.norm(rhs))
+    if not (error <= elliptic.BACKWARD_ERROR_RTOL and border ** 2 <= KERNEL_TOL_FACTOR):
+        raise RuntimeError(f"bordered transport solve not certified (backward error "
+                           f"{error:.1e}, border {border:.1e})")
+    z, zu = ctx._k_w_inverse(x[:-n]) / s, ctx._k_w_inverse(u0) / s[:, None]
+    z -= zu @ np.linalg.lstsq(zu, z, rcond=None)[0]
+    i_inverse = float(z @ z)
+    return FisherReport("bordered_solve", i_inverse, 1.0 / i_inverse), kernel
+
+
+def _grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherReport, tuple]:
+    """A sweep grid's report and kernel diagnostics: :func:`singular_grid_fisher`'s where T is
+    singular, else from :func:`kernel_decomposition` up to ``KERNEL_SWEEP_MAX_DIM`` unknowns."""
+    try:
+        report = fisher_information(ctx, psi)
+    except np.linalg.LinAlgError:
+        return singular_grid_fisher(ctx, psi)
+    if ctx.grid.n_interior > KERNEL_SWEEP_MAX_DIM:
+        return report, (None, None, None)
+    d = kernel_decomposition(ctx)
+    return report, (d.kernel_mass_fraction(psi), d.n_kernel,
+                    float(d.residuals.max()) * KERNEL_TOL_FACTOR / d.kernel_tol)
+
+
 @dataclass
 class RefinementSweep:
     """Inverse Fisher values across a family of grids, with classification."""
@@ -397,16 +469,16 @@ class RefinementSweep:
     resolutions: tuple
     interior_dims: tuple
     values: np.ndarray
-    growth: float                   # coarsest-to-finest ratio
-    variation: float                # max/min - 1
+    growth: float | None            # coarsest-to-finest ratio
+    variation: float | None         # max/min - 1
     kernel_fractions: list
     kernel_counts: list             # kernel pairs found on each grid
-    kernel_residuals: list          # largest sparse-search residual / lambda_1
+    kernel_residuals: list          # largest kernel residual: / lambda_1, or ||T v|| / ||T||_1
     verdict: str
     verdict_reason: str             # the rule that decided the verdict
     order: float | None             # observed order p of the three finest values
     richardson_limit: float | None  # extrapolated value, when p > 0
-    lower_bounds: tuple = ()        # grids where the value is only a bound
+    lower_bounds: tuple = ()        # all False: every value is exact
     reports: list = field(default_factory=list)
 
 
@@ -428,50 +500,25 @@ def _observed_order(h, values) -> tuple[float | None, float | None]:
     return p, (float(v3 + (v3 - v2) / math.expm1(p * log_b)) if p > 0.0 else None)
 
 
-def _singular_grid_bound(psi: ScalarField,
-                         decomp: SpectralDecomposition) -> FisherReport:
-    """Certified lower bound for the inverse quadratic form on a grid where
-    the information matrix is singular to working precision.
-
-    Non-kernel terms of the spectral series are reliable as computed; kernel
-    terms are bounded from below by flooring their eigenvalues at
-    ``EIG_FLOOR_FACTOR * lambda_1`` (backward-stability bound).
-    """
-    m_series, _ = range_series(decomp, psi)
-    lam = decomp.eigenvalues
-    floor = EIG_FLOOR_FACTOR * float(lam[0])
-    mask = decomp.kernel_mask
-    c = decomp.coefficients(psi)
-    kernel_part = float(np.sum(c[mask] ** 2 / np.maximum(lam[mask], floor)))
-    value = float(m_series[-1]) + kernel_part
-    return FisherReport(method="spectral_truncation", i_inverse_full=value,
-                        i_value=1.0 / value, lower_bound=True)
-
-
 def fisher_refinement(fixture: str, psi_kind: str,
                       resolutions=(17, 25, 33), theta_bump=None,
                       psi_params: dict | None = None) -> RefinementSweep:
     """Classify a functional by sweeping the inverse Fisher form over grids.
 
-    Any fixed grid reports a finite inverse form, so divergence is read off
-    the refinement trend and stability needs a convergence certificate:
-    dominant kernel mass marks ``kernel_obstructed``, growth on every pair
-    (``DIVERGENCE_GROWTH`` in total) ``out_of_range_divergent``, and
-    differences of one sign between the three finest grids that shrink at
-    an observed order p >= 1 ``in_range``; anything else, such as values
-    that change direction between grids, is ``undetermined``.
-    ``verdict_reason`` names the deciding rule.
+    A grid where T is invertible reports a finite inverse form, so divergence
+    is read off the refinement trend and stability needs a convergence
+    certificate: growth on every pair (``DIVERGENCE_GROWTH`` in total) marks
+    ``out_of_range_divergent``, and differences of one sign between the three
+    finest grids that shrink at an observed order p >= 1 ``in_range``;
+    anything else, such as values that change direction between grids, is
+    ``undetermined``.  ``verdict_reason`` names the deciding rule.
 
-    Grids where the source operator T is singular to working precision fall
-    back to a certified lower bound (flagged in ``lower_bounds``); it is
-    dense, so past ``DENSE_OPERATOR_MAX_DIM`` such a grid raises instead, as
-    the saddle does from 97.  A lower bound can still certify growth
-    -- provided the coarsest value is exact -- but never convergence.
-
-    Kernel diagnostics run on grids of at most ``KERNEL_SWEEP_MAX_DIM``
-    interior unknowns.  Where the Fisher solve certified T, they come from
-    :func:`kernel_decomposition` through the same LU; on a singular grid,
-    from the dense decomposition that also gives the lower bound.
+    Where T is singular, :func:`singular_grid_fisher` gives exact values or
+    certified kernel mass of psi (i_psi = 0): on every grid the sweep is
+    ``kernel_obstructed``, on some ``undetermined``, with growth, variation,
+    order and limit None.  So ``lower_bounds`` is all False.  The near-kernel
+    fraction of :func:`kernel_decomposition` on the other grids is reported
+    but decides nothing (:func:`_grid_fisher`).
     """
     from ellinfo.fixtures import build_context, psi_fixture
 
@@ -479,46 +526,30 @@ def fisher_refinement(fixture: str, psi_kind: str,
         raise ValueError("refinement sweeps need at least three grids")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("refinement sweeps need strictly increasing resolutions")
-    psi_params = psi_params or {}
-    dims, h_mesh, fractions, counts, residuals, reports = ([] for _ in range(6))
+    rows = []
     for n in resolutions:
         ctx = build_context(fixture, n, theta_bump=theta_bump)
-        psi = psi_fixture(ctx, psi_kind, **psi_params)
-        try:
-            report = fisher_information(ctx, psi)
-        except np.linalg.LinAlgError:
-            decomp = eigendecompose(ctx)
-            report = _singular_grid_bound(psi, decomp)
-        else:
-            decomp = (kernel_decomposition(ctx)
-                      if ctx.grid.n_interior <= KERNEL_SWEEP_MAX_DIM else None)
-        dims.append(ctx.grid.n_interior)
-        h_mesh.append(ctx.grid.h_mesh)
-        fractions.append(None if decomp is None else decomp.kernel_mass_fraction(psi))
-        counts.append(None if decomp is None else decomp.n_kernel)
-        residuals.append(None if decomp is None or decomp.residuals is None else
-                         float(decomp.residuals.max()) * KERNEL_TOL_FACTOR / decomp.kernel_tol)
-        reports.append(report)
+        report, kernel = _grid_fisher(ctx, psi_fixture(ctx, psi_kind, **(psi_params or {})))
+        rows.append((ctx.grid.n_interior, ctx.grid.h_mesh, report, *kernel))
+    dims, h_mesh, reports, fractions, counts, residuals = map(list, zip(*rows))
     values = np.array([report.i_inverse_full for report in reports])
-    bounds = tuple(report.lower_bound for report in reports)
-    growth = float(values[-1] / values[0])
-    variation = float(values.max() / values.min() - 1.0)
-    order, limit = _observed_order(h_mesh, values)
-    known_fractions = [fr for fr in fractions if fr is not None]
-    if known_fractions and max(known_fractions) > KERNEL_FRACTION_THRESHOLD:
-        verdict, reason = "kernel_obstructed", "kernel_mass"
-    elif (growth >= DIVERGENCE_GROWTH and not bounds[0]
-          and np.all(np.diff(values) > 0.0)):
-        verdict, reason = "out_of_range_divergent", "growth_on_every_pair"
+    growth = variation = order = limit = None
+    if np.any(np.isinf(values)):
+        verdict, reason = (("kernel_obstructed", "kernel_mass") if np.all(np.isinf(values))
+                           else ("undetermined", "kernel_mass_on_some_grids"))
     else:
-        reason = ("lower_bound" if any(bounds) else "non_monotone" if order is None
-                  else "order_below_1" if order < MIN_CONVERGENCE_ORDER else "converged")
-        verdict = "in_range" if reason == "converged" else "undetermined"
-    return RefinementSweep(fixture=fixture, psi_kind=psi_kind,
-                           resolutions=tuple(resolutions), interior_dims=tuple(dims),
-                           values=values, growth=growth, variation=variation,
-                           kernel_fractions=fractions, kernel_counts=counts,
-                           kernel_residuals=residuals, verdict=verdict,
-                           verdict_reason=reason, order=order,
-                           richardson_limit=limit, lower_bounds=bounds,
-                           reports=reports)
+        growth = float(values[-1] / values[0])
+        variation = float(values.max() / values.min() - 1.0)
+        order, limit = _observed_order(h_mesh, values)
+        if growth >= DIVERGENCE_GROWTH and np.all(np.diff(values) > 0.0):
+            verdict, reason = "out_of_range_divergent", "growth_on_every_pair"
+        else:
+            reason = ("non_monotone" if order is None
+                      else "order_below_1" if order < MIN_CONVERGENCE_ORDER else "converged")
+            verdict = "in_range" if reason == "converged" else "undetermined"
+    return RefinementSweep(
+        fixture=fixture, psi_kind=psi_kind, resolutions=tuple(resolutions),
+        interior_dims=tuple(dims), values=values, growth=growth, variation=variation,
+        kernel_fractions=fractions, kernel_counts=counts, kernel_residuals=residuals,
+        verdict=verdict, verdict_reason=reason, order=order, richardson_limit=limit,
+        lower_bounds=(False,) * len(reports), reports=reports)

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import ellinfo
-from ellinfo import cli, elliptic, spectral, transport
+from ellinfo import cli, elliptic, score, spectral, transport
 from ellinfo.cli import main
 from ellinfo.elliptic import assemble
 from ellinfo.fixtures import build_context, fixture_domain
@@ -198,6 +198,19 @@ class TestConfigErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "config"
         assert "at least three resolutions" in record["message"]
+        assert not (out / subcommand).exists()
+
+    @pytest.mark.parametrize("subcommand, grids", [
+        ("solve", "17,17"), ("solve", "33,17"), ("reproduce-thm37", "17,33,33")])
+    def test_grid_lists_must_increase(self, tmp_path, capsys, subcommand, grids):
+        """A repeated or unsorted list of grids is a config mistake for every
+        subcommand that takes a family of them: nothing is solved or written."""
+        rc, out = run([subcommand, "--resolution", grids], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert record["message"] == (
+            f"{subcommand} needs strictly increasing resolutions, got {grids}")
         assert not (out / subcommand).exists()
 
     def test_single_simulate_replicate_rejected(self, tmp_path, capsys):
@@ -398,20 +411,30 @@ class TestFisherCommand:
         assert summary["verdict_reason"] == "growth_on_every_pair"
         capsys.readouterr()
 
-    def test_near_singular_operator_past_the_dense_budget_exits_1(
-            self, tmp_path, capsys):
+    def test_singular_operator_past_the_dense_budget_is_certified(
+            self, tmp_path, capsys, monkeypatch):
         """The saddle's source operator T is singular (its base solution is
         harmonic), so the Fisher solve fails its certificate on every grid.
-        The singular-grid fallback needs the dense linearization, which is
-        refused at 97^2, 9,025 interior unknowns: a capacity failure, exit 1,
-        and no number is reported."""
-        rc, out = run(["fisher", "--fixture", "saddle",
-                       "--resolution", "97,113,129"], tmp_path, "a")
+        The sweep then certifies the kernels of T and T^T by sparse Lanczos,
+        so a dense budget of 0 unknowns still gives every grid its verdict."""
+        monkeypatch.setattr(score, "DENSE_OPERATOR_MAX_DIM", 0)
+        for psi, verdict in (("bump", "kernel_obstructed"), ("in_range", "in_range")):
+            rc, out = run(["fisher", "--fixture", "saddle", "--psi", psi], tmp_path, psi)
+            assert rc == 0
+            summary = load_summary(out, "fisher")
+            assert summary["verdict"] == verdict
+            assert summary["lower_bounds"] == [False, False, False]
+        capsys.readouterr()
+
+    def test_failed_kernel_certificate_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A kernel cutoff that every Lanczos pair passes leaves no pair
+        outside the kernel, so no gap: the sweep exits 1 and writes nothing."""
+        monkeypatch.setattr(spectral, "NULL_SPACE_RTOL", 1.0)
+        rc, out = run(["fisher", "--fixture", "saddle"], tmp_path, "a")
         assert rc == 1
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "RuntimeError"
-        assert record["message"].startswith(
-            "dense linearization refused: interior dimension 9025")
+        assert "kernel search found" in record["message"]
         assert not (out / "fisher").exists()
 
     def test_square_sweep_past_the_dense_budget_is_certified(self, tmp_path, capsys):
@@ -546,14 +569,15 @@ class TestDeterminism:
 
     def test_fisher_rerun_is_byte_identical(self, tmp_path, capsys):
         """Also the report contract: the square solves directly on every
-        grid, while the saddle's singular grids all fall back to spectral
-        lower bounds.  The summary records each grid's kernel count, and on
-        certified grids the residual of the sparse kernel search relative
-        to lambda_1 (none for the saddle's dense decompositions)."""
-        for fixture, args, method, lower_bound, kernel_modes in (
+        grid, while on the saddle's singular grids the bump carries certified
+        mass on ker T, so its information is 0 and its inverse form null.
+        The summary records each grid's kernel count and the largest residual
+        of its sparse kernel search: relative to lambda_1 on the square, and
+        ||T v|| / ||T||_1 on the saddle."""
+        for fixture, args, method, rtol, kernel_modes in (
                 ("square", ["--fixture", "square_ex1", "--resolution", "17,21,25"],
-                 "direct_solve", "false", [5, 6, 8]),
-                ("saddle", ["--fixture", "saddle"], "spectral_truncation", "true",
+                 "direct_solve", spectral.EIG_RESIDUAL_RTOL, [5, 6, 8]),
+                ("saddle", ["--fixture", "saddle"], "kernel_mass", spectral.NULL_SPACE_RTOL,
                  [15, 23, 31])):
             rc1, out1 = run(["fisher"] + args, tmp_path, fixture + "_a")
             rc2, out2 = run(["fisher"] + args, tmp_path, fixture + "_b")
@@ -565,12 +589,11 @@ class TestDeterminism:
             lines = (out1 / "fisher" / "refinement.csv").read_text().splitlines()
             rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
             assert len(rows) == 3
-            assert {(r["method"], r["lower_bound"]) for r in rows} == {(method, lower_bound)}
+            assert {(r["method"], r["lower_bound"]) for r in rows} == {(method, "false")}
             summary = load_summary(out1, "fisher")
             assert summary["kernel_modes"] == kernel_modes
-            assert all(r is None if fixture == "saddle" else
-                       0.0 < r <= spectral.EIG_RESIDUAL_RTOL
-                       for r in summary["kernel_residual"])
+            assert all(0.0 < r <= rtol for r in summary["kernel_residual"])
+            assert (summary["i_inverse"] == [None] * 3) == (fixture == "saddle")
         capsys.readouterr()
 
 

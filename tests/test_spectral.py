@@ -152,6 +152,47 @@ class TestKernelDecomposition:
                    - dense.kernel_mass_fraction(psi)) <= 1e-10
         assert sparse.kernel_tol == pytest.approx(dense.kernel_tol, rel=1e-12)
 
+    @pytest.mark.parametrize("res", [17, 25, 33])
+    def test_kernel_of_T_matches_the_dense_kernel(self, ctx_cache, decomp_cache, res):
+        """On the singular saddle grids the sparse kernel of T has the dense
+        kernel's dimension, the bump's mass on it is the dense kernel mass,
+        and the in-range value is the dense pseudo-inverse sum."""
+        ctx, dense = ctx_cache("saddle", res), decomp_cache("saddle", res)
+        bump, in_range = psi_fixture(ctx, "bump"), psi_fixture(ctx, "in_range")
+        report, (fraction, count, _) = spectral.singular_grid_fisher(ctx, bump)
+        assert report.method == "kernel_mass" and report.i_inverse_full == np.inf
+        assert count == dense.n_kernel
+        assert abs(fraction - dense.kernel_mass_fraction(bump)) <= 1e-10
+        report, _ = spectral.singular_grid_fisher(ctx, in_range)
+        assert report.method == "bordered_solve"
+        np.testing.assert_allclose(report.i_inverse_full, range_series(dense, in_range)[0][-1],
+                                   rtol=1e-10)
+
+    def test_kernel_of_T_widens_once_at_33(self, ctx_cache, monkeypatch):
+        """Saddle 33 has 31 kernel vectors in T and in T^T: each search takes
+        its first 16 pairs, then 32, of which one lies outside the kernel."""
+        calls, lanczos = [], spectral._lanczos
+
+        def counted(matvec, m, k, which):
+            calls.append(k)
+            return lanczos(matvec, m, k, which)
+
+        monkeypatch.setattr(spectral, "_lanczos", counted)
+        ctx = ctx_cache("saddle", 33)
+        basis, inside, gap = spectral._null_space(ctx.T)
+        assert calls == [16, 32] and basis.shape == (ctx.grid.n_interior, 31)
+        assert inside <= spectral.NULL_SPACE_RTOL < gap
+
+    @pytest.mark.parametrize("cutoff, message", [
+        (1e-16, "not certified"), (1.0, "no end")], ids=["below_kernel", "above_every_pair"])
+    def test_failed_kernel_certificate_raises(self, ctx_cache, monkeypatch, cutoff, message):
+        """A cutoff below the kernel residuals, or one that every pair passes
+        (no pair outside, no gap), fails the certificate."""
+        monkeypatch.setattr(spectral, "NULL_SPACE_RTOL", cutoff)
+        ctx = ctx_cache("saddle", 17)
+        with pytest.raises(RuntimeError, match=message):
+            spectral.singular_grid_fisher(ctx, psi_fixture(ctx, "bump"))
+
     def test_pairs_are_certified_and_reach_past_the_kernel(self, ctx_cache):
         """The disk at 20 has 31 kernel pairs, so the search must widen
         beyond its first pair count."""
@@ -389,28 +430,57 @@ class TestRefinementSweeps:
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 2.0, 1.5]) == (None, None)
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 1.0, 1.5]) == (None, None)
 
-    def test_singular_grids_report_spectral_bounds(self, ctx_cache, decomp_cache,
-                                                    monkeypatch):
-        """On the saddle every grid falls back to the spectral bound, whose
-        kernel terms are negligible for the in-range functional; a sweep of
-        bounds never certifies stability.  T is singular, so the kernel
-        diagnostics come from the same dense decomposition, not the sparse
-        search through its LU."""
-        def refuse(ctx):
-            raise AssertionError("sparse kernel search on a singular grid")
+    def test_singular_grids_report_exact_values(self, monkeypatch):
+        """On the saddle every grid is singular; the in-range functional is
+        consistent, so each grid reports the exact pseudo-inverse value from
+        the bordered sparse solve, and the values converge at order 1.87.  The
+        kernel diagnostics come from the sparse kernel of T, not from the
+        search through the LU of T^T, and no dense matrix is built."""
+        def refuse(*args):
+            raise AssertionError("dense matrix or LU kernel search on a singular grid")
 
         monkeypatch.setattr(spectral, "kernel_decomposition", refuse)
+        monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
         sweep = fisher_refinement("saddle", "in_range", (17, 25, 33))
         assert sweep.kernel_counts == [15, 23, 31]
-        assert sweep.kernel_residuals == [None, None, None]
-        assert sweep.lower_bounds == (True, True, True)
+        assert all(0.0 < r <= spectral.NULL_SPACE_RTOL for r in sweep.kernel_residuals)
+        assert all(f <= spectral.KERNEL_TOL_FACTOR for f in sweep.kernel_fractions)
+        assert sweep.lower_bounds == (False, False, False)
+        assert {r.method for r in sweep.reports} == {"bordered_solve"}
+        assert sweep.verdict == "in_range"
+        assert sweep.verdict_reason == "converged"
+        assert sweep.order == pytest.approx(1.87, abs=0.01)
+        assert sweep.richardson_limit == pytest.approx(563.6, abs=0.1)
+        np.testing.assert_allclose(sweep.values, [504.41393743087, 535.83000139773,
+                                                  547.36588080996], rtol=1e-10)
+
+    def test_kernel_mass_on_every_grid_obstructs(self):
+        """The bump has certified mass on ker T of the saddle on every grid, so
+        its information is 0 there and the sweep reads no trend."""
+        sweep = fisher_refinement("saddle", "bump", (17, 25, 33))
+        assert sweep.verdict == "kernel_obstructed"
+        assert sweep.verdict_reason == "kernel_mass"
+        assert np.all(np.isinf(sweep.values))
+        assert [r.i_value for r in sweep.reports] == [0.0, 0.0, 0.0]
+        assert sweep.growth is sweep.variation is sweep.order is sweep.richardson_limit is None
+        np.testing.assert_allclose(sweep.kernel_fractions, [0.17075, 0.148741, 0.141724],
+                                   rtol=0.0, atol=5e-6)
+
+    def test_kernel_mass_on_some_grids_is_undetermined(self, monkeypatch):
+        """Kernel mass that does not persist over the sweep decides nothing."""
+        fisher = spectral.singular_grid_fisher
+
+        def coarsest_only(ctx, psi):
+            report, kernel = fisher(ctx, psi)
+            if ctx.grid.n_interior > 225:
+                report = spectral.FisherReport("bordered_solve", 1.0, 1.0)
+            return report, kernel
+
+        monkeypatch.setattr(spectral, "singular_grid_fisher", coarsest_only)
+        sweep = fisher_refinement("saddle", "bump", (17, 25, 33))
         assert sweep.verdict == "undetermined"
-        assert sweep.verdict_reason == "lower_bound"
-        for res, value in zip(sweep.resolutions, sweep.values):
-            ctx = ctx_cache("saddle", res)
-            series, _ = range_series(decomp_cache("saddle", res),
-                                     psi_fixture(ctx, "in_range"))
-            np.testing.assert_allclose(value, series[-1], rtol=1e-6)
+        assert sweep.verdict_reason == "kernel_mass_on_some_grids"
+        assert sweep.growth is sweep.variation is sweep.order is sweep.richardson_limit is None
 
     def test_sweep_needs_three_grids(self):
         with pytest.raises(ValueError, match="three"):
