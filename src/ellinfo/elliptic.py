@@ -4,8 +4,8 @@ The PDE is div(theta * grad u) = f in the domain with u = g on the boundary.
 Assembly is finite-volume flux form with the conductivity averaged onto cell
 faces, which yields a symmetric positive definite system after weighting each
 nodal equation by its quadrature weight (on the square this is the classic
-5-point stencil).  ``assemble`` fills the system matrix K by one ``bincount``
-on the grid's face pattern (``Grid.faces``), shared with the source operator
+5-point stencil).  ``assemble`` fills the system matrix K part by part on
+the grid's face pattern (``Grid.faces``), shared with the source operator
 T, and the boundary coupling C; both are linear in the coefficient.
 ``DivergenceFormOperator`` prepares one solver of K; its ``solve`` handles
 Dirichlet data, and its zero-boundary inverse ``apply_inverse``, the discrete
@@ -109,14 +109,17 @@ def backward_error(r: np.ndarray, a_norm: float, x: np.ndarray, b_norm) -> float
 
 def assemble(grid: Grid, values: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """K and the boundary coupling C of div(a grad .) for nodal values a of
-    any sign.  Both are linear in a: K(theta + s h) = K(theta) + s K(h)."""
+    any sign, K filled in two parts: +coef at (center, center), -coef at
+    (center, nb).  Both are linear in a: K(theta + s h) = K(theta) + s K(h)."""
     fs = grid.faces
-    coef = 0.5 * (values[fs.center] + values[fs.nb]) * fs.geom * grid.quad_weights[fs.center]
-    # K[c, c] accumulates +coef per face, K[c, nb] takes -coef
-    inner = ~fs.nb_is_boundary
-    K = fs.fill(np.concatenate([fs.diag, fs.off[inner]]), np.concatenate([coef, -coef[inner]]))
-    # coupling of interior equations to boundary values (for the lift)
+    coef = values[fs.center]  # 0.5 (a_center + a_nb) geom w_center, formed in place
+    coef += values[fs.nb]
+    coef *= 0.5
+    coef *= fs.geom
+    coef *= grid.quad_weights[fs.center]
     bmask = fs.nb_is_boundary
+    K = fs.fill((fs.diag, coef), (fs.off[~bmask], -coef[~bmask]))
+    # coupling of interior equations to boundary values (for the lift)
     b_pos = np.searchsorted(grid.boundary_ids, fs.nb[bmask])
     C = sp.coo_matrix((coef[bmask], (grid.interior_index[fs.center[bmask]], b_pos)),
                       shape=(grid.n_interior, grid.boundary_ids.size)).tocsr()
@@ -140,7 +143,7 @@ class DivergenceFormOperator:
         self.mode = "direct" if not big and np.any(theta.values != 1.0) else "separable"
         self._lu = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                              options={"SymmetricMode": True}) if self.mode == "direct" else None
-        self._K_norm = float(abs(self.K).sum(axis=1).max())
+        self._K_norm = float(np.add.reduceat(np.abs(self.K.data), self.K.indptr[:-1]).max())
         self.last_stats: dict = {}
         self.max_backward_error = 0.0
 

@@ -14,12 +14,12 @@ on the square, exact annular sector areas on the disk).  First derivatives use
 second-order central differences with one-sided closures at non-periodic
 edges.
 
-``Grid.faces`` is the grid's one face stencil: the flux faces of every
-interior node (the 5-point stencil on the square, a polar flux form on the
-disk whose innermost face sits at r = 0 and carries no flux, which kills the
-coordinate singularity at the origin) and the interior CSR pattern they
-fill.  The elliptic operator K, the source operator T and the compact
-Laplacian are sums over these faces with theta, h or 1 on each face.
+``Grid.faces`` is the grid's one face stencil, built one face step at a
+time: the flux faces of every interior node (the 5-point stencil on the
+square, a polar flux form on the disk whose innermost face sits at r = 0 and
+carries no flux, which kills the coordinate singularity at the origin) and
+the interior CSR pattern they fill.  K, T and the compact Laplacian are sums
+over these faces with theta, h or 1 on each face, K and T filled by parts.
 
 Point evaluation is bilinear on both grids, in grid coordinates: (x, y) on
 the square, (r, theta) on the disk, whose tensor axes gain a ring at r = 0
@@ -132,7 +132,7 @@ class VectorField:
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Flux faces of all interior nodes and the interior CSR pattern they fill.
+    """Flux faces of all interior nodes, step-major, and the CSR pattern they fill.
 
     Face k contributes ``a_k * geom[k] * (v[nb[k]] - v[center[k]])`` at
     ``center[k]`` to a divergence-form operator with coefficient a on the
@@ -156,10 +156,15 @@ class FaceSet:
     diag: np.ndarray
     off: np.ndarray
 
-    def fill(self, slots: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
-        """The matrix on the pattern whose entry at each slot sums, in
-        order, the values given for that slot."""
-        data = np.bincount(slots, values, minlength=self.indices.size)
+    def fill(self, *parts: tuple[np.ndarray, np.ndarray]) -> sp.csr_matrix:
+        """The matrix on the pattern whose slots sum, in order, the values of
+        the (slots, values) parts, each added in place in runs of rising
+        slots: no part is copied and no second data array is made."""
+        data = np.zeros(self.indices.size)
+        for slots, values in parts:
+            ends = [0, *(np.flatnonzero(np.diff(slots) <= 0) + 1), slots.size]
+            for a, b in zip(ends, ends[1:]):
+                data[slots[a:b]] += values[a:b]
         m = self.indptr.size - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
 
@@ -269,41 +274,49 @@ class Grid:
 
     @cached_property
     def faces(self) -> FaceSet:
-        """The face stencil of :class:`FaceSet`, built once per grid.  Faces
-        run step by step; each node's faces keep the order of the steps."""
+        """The face stencil of :class:`FaceSet`, built once per grid, step by
+        step into its arrays at their final size; each node's faces keep the
+        order of the steps.  Beside the set the build holds a (steps + 1, m)
+        int32 column table and one step's m-long temporaries."""
         n1, m = self.shape[1], self.n_interior
         I, J = np.divmod(self.interior_ids, n1)
-        D0, D1, G = zip(*self._face_steps())
-        d0, d1 = np.array(D0)[:, None], np.array(D1)[:, None]
-        valid = I + d0 >= 0  # (steps, m), as are the arrays below
-        nb = np.where(valid, (I + d0) * n1 + (J + d1) % n1, 0)
-        inward = (I - d0) * n1 + (J - d1) % n1
-        on_boundary = self.boundary_mask[nb]
-        # each row's columns in ascending order, padded with m: the row itself
-        # and its interior neighbours; a slot is the row start plus the
-        # number of the row's columns below the slot's column
-        rows = np.broadcast_to(np.arange(m), valid.shape)
-        nb_col = np.where(valid & ~on_boundary, self.interior_index[nb], m)
-        table = np.sort(np.vstack([rows[:1], nb_col]), axis=0)
-        indptr = np.concatenate([[0], np.cumsum(np.sum(table < m, axis=0))])
-        col = self.interior_index[np.where(on_boundary, inward, nb)]
-        diag, off = ((indptr[:-1] + np.sum(table[:, None] < c, axis=0))[valid].astype(np.int32)
-                     for c in (rows, col))
-        fs = FaceSet(np.broadcast_to(self.interior_ids, valid.shape)[valid], nb[valid],
-                     np.array([np.broadcast_to(g, (m,)) for g in G])[valid],
-                     on_boundary[valid], indptr.astype(np.int32),
-                     table.T[table.T < m].astype(np.int32), diag, off)
+        steps = tuple(self._face_steps())
+        # the nodes with a face in a step are a suffix of the nodes, as I is sorted
+        ends = np.cumsum([0] + [np.count_nonzero(I + d0 >= 0) for d0, _, _ in steps])
+        spans = [(slice(a, b), slice(m - (b - a), m)) for a, b in zip(ends, ends[1:])]
+        center, nb, geom, on_boundary, diag, off = (
+            np.empty(ends[-1], t) for t in (np.intp, np.intp, float, bool, np.int32, np.int32))
+        # table row 0 holds each node's own column, row k + 1 its step-k neighbour's
+        # or m; off holds the column of each face's slot until the table is sorted
+        table = np.full((len(steps) + 1, m), m, np.int32)
+        table[0] = rows = np.arange(m, dtype=np.int32)
+        for k, ((d0, d1, g), (s, v)) in enumerate(zip(steps, spans)):
+            center[s], geom[s] = self.interior_ids[v], np.broadcast_to(g, (m,))[v]
+            nb[s] = ((I + d0) * n1 + (J + d1) % n1)[v]
+            on_boundary[s] = self.boundary_mask[nb[s]]
+            inward = ((I - d0) * n1 + (J - d1) % n1)[v]
+            off[s] = self.interior_index[np.where(on_boundary[s], inward, nb[s])]
+            table[k + 1, v] = np.where(on_boundary[s], m, off[s])
+        # sorted, each table column lists its node's CSR columns in order; a
+        # slot is its row's start plus the row's columns below its column
+        table.sort(axis=0)
+        indptr = np.zeros(m + 1, np.int32)
+        indptr[1:] = np.cumsum(sum(row < m for row in table))
+        for s, v in spans:
+            for slots, col in ((diag[s], rows[v]), (off[s], off[s].copy())):
+                slots[:] = indptr[:-1][v] + sum(row[v] < col for row in table)
+        fs = FaceSet(center, nb, geom, on_boundary, indptr, table.T[table.T < m], diag, off)
         for arr in vars(fs).values():
             arr.setflags(write=False)
         return fs
 
     def laplacian_values(self, values: np.ndarray) -> np.ndarray:
-        """The face sum of geom * (v[nb] - v[center]): the theta = 1
-        operator at interior nodes, zero on the boundary."""
-        fs = self.faces
-        v = np.asarray(values, dtype=float).reshape(-1)
-        return np.bincount(fs.center, fs.geom * (v[fs.nb] - v[fs.center]),
-                           minlength=self.n_nodes)
+        """The face sum of geom * (v[nb] - v[center]), a stack column by
+        column: the theta = 1 operator at interior nodes, zero on the boundary."""
+        fs, v = self.faces, np.asarray(values, dtype=float)
+        return np.stack([np.bincount(fs.center, fs.geom * (c[fs.nb] - c[fs.center]),
+                                     minlength=self.n_nodes)
+                         for c in v.reshape(v.shape[0], -1).T], axis=-1).reshape(v.shape)
 
     def second_derivatives(self, values):
         raise NotImplementedError

@@ -99,16 +99,15 @@ class ScoreContext:
     # -- assembly ----------------------------------------------------------
 
     def _assemble_source_operator(self) -> sp.csr_matrix:
-        fs = self.grid.faces
-        uvals = self.u.values
-        q = fs.geom * (uvals[fs.nb] - uvals[fs.center])
+        fs, u = self.grid.faces, self.u.values
+        q = fs.geom * (u[fs.nb] - u[fs.center])
         inner, bnd = ~fs.nb_is_boundary, fs.nb_is_boundary
         # h averaged onto interior faces: half weight on each side; on
         # boundary faces h_b = 2 h_center - h_inward, so the face value
         # (h_center + h_b)/2 becomes (3 h_center - h_inward)/2: q more on
         # the diagonal and -q/2 at the inward slot
-        return fs.fill(np.concatenate([fs.diag, fs.off[inner], fs.diag[bnd], fs.off[bnd]]),
-                       np.concatenate([0.5 * q, 0.5 * q[inner], q[bnd], -0.5 * q[bnd]]))
+        return fs.fill((fs.diag, 0.5 * q), (fs.off[inner], 0.5 * q[inner]),
+                       (fs.diag[bnd], q[bnd]), (fs.off[bnd], -0.5 * q[bnd]))
 
     def transport_lu(self) -> spla.SuperLU:
         """The context's one sparse LU of T^T, factored on first use;

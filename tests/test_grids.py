@@ -192,7 +192,8 @@ class TestStackedCalculus:
     @pytest.mark.parametrize("g", [square(33), disk(20)], ids=["square", "disk"])
     def test_derivatives(self, g):
         F = self.stack(g).values
-        for op in (g.gradient, g.second_derivatives):
+        for op in (g.gradient, g.second_derivatives,
+                   lambda v: (laplacian(ScalarField(g, v)).values,)):
             parts = op(F)
             for j in range(F.shape[1]):
                 for part, single in zip(parts, op(np.ascontiguousarray(F[:, j]))):
