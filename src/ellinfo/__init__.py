@@ -29,8 +29,7 @@ from ellinfo.elliptic import (
     DivergenceFormOperator,
     check_identifiability,
 )
-from ellinfo.score import (ScoreContext, adjoint_defects, gateaux_remainders, stability_pair,
-                           stability_report)
+from ellinfo.score import ScoreContext, adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.spectral import (
     FisherReport,
     RefinementSweep,
@@ -41,13 +40,11 @@ from ellinfo.spectral import (
     fisher_information,
     fisher_refinement,
     range_series,
-    sqrt_apply,
 )
 from ellinfo.transport import (
     IntegralCurve,
     RangeVerdict,
     kernel_element,
-    line_integral,
     range_verdict,
     ray_integral_disk,
     solve_transport,
@@ -56,13 +53,9 @@ from ellinfo.transport import (
 from ellinfo.simulate import (
     MCReport,
     RiskTable,
-    Sample,
-    SampleSet,
     info_identity_mc,
     lan_mc,
     plugin_risk_study,
-    sample_data,
-    score_eval,
 )
 from ellinfo import fixtures
 
@@ -86,12 +79,10 @@ __all__ = [
     "check_identifiability",
     "ScoreContext",
     "stability_report",
-    "stability_pair",
     "gateaux_remainders",
     "adjoint_defects",
     "SpectralDecomposition",
     "eigendecompose",
-    "sqrt_apply",
     "range_series",
     "degeneracy_sequence",
     "degeneracy_profile",
@@ -102,17 +93,12 @@ __all__ = [
     "IntegralCurve",
     "RangeVerdict",
     "trace_curve",
-    "line_integral",
     "ray_integral_disk",
     "range_verdict",
     "solve_transport",
     "kernel_element",
-    "Sample",
-    "SampleSet",
     "MCReport",
     "RiskTable",
-    "sample_data",
-    "score_eval",
     "info_identity_mc",
     "lan_mc",
     "plugin_risk_study",

@@ -226,11 +226,12 @@ class DivergenceFormOperator:
         return self._pcg(self.K, rhs, f"{self.mode} solve of K")
 
     def apply_operator(self, u: ScalarField) -> ScalarField:
-        """L(u) at interior nodes from a full nodal field (boundary included)."""
+        """L(u) at interior nodes from a full nodal field or an (n_nodes, k)
+        stack (boundary included)."""
         u_int = self.grid.restrict(u)
         u_b = u.values[self.grid.boundary_ids]
         resid = -(self.K @ u_int) + self.C @ u_b
-        return self.grid.interior_field(resid / self.grid.weights_interior)
+        return self.grid.interior_field((resid.T / self.grid.weights_interior).T)
 
     def solve(self, f, g=None) -> ScalarField:
         """Solve div(theta grad u) = f with u = g on the boundary."""
@@ -262,19 +263,15 @@ class IdentifiabilityReport:
     passes: bool
 
 
-def check_identifiability(theta: Conductivity, f, g, mu: float,
-                          c0_min: float = 0.0,
-                          op: DivergenceFormOperator | None = None) -> IdentifiabilityReport:
+def check_identifiability(u: ScalarField, mu: float,
+                          c0_min: float = 0.0) -> IdentifiabilityReport:
     """Pointwise lower bound underlying injectivity of the linearization.
 
     Computes c0_hat = min over interior nodes of (Lap u + mu * |grad u|^2) for
     the base solution u and reports whether it exceeds the configured floor.
     With mu = 0 this reduces to a sign condition on the source.
     """
-    if op is None:
-        op = DivergenceFormOperator(theta)
-    grid = op.grid
-    u = op.solve(f, g)
+    grid = u.grid
     lap = laplacian(u).values
     gx, gy = grid.gradient(u.values)
     quantity = lap + mu * (gx**2 + gy**2)

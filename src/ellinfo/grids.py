@@ -87,12 +87,6 @@ class DomainSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "resolution", _normalize_resolution(kind, self.resolution))
 
-    @property
-    def measure_normalization(self) -> float:
-        """Lebesgue mass of the domain (1 for the shifted square, pi for the
-        disk); the sampling measure divides by it."""
-        return math.pi if self.kind is DomainKind.DISK else 1.0
-
 
 @dataclass
 class ScalarField:
@@ -125,9 +119,6 @@ class VectorField:
         self.vy = np.asarray(self.vy, dtype=float).reshape(-1)
         if self.vx.shape != (self.grid.n_nodes,) or self.vy.shape != (self.grid.n_nodes,):
             raise ValueError("vector field components do not match grid size")
-
-    def magnitude(self) -> np.ndarray:
-        return np.hypot(self.vx, self.vy)
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,7 @@ def stability_report(ctx: ScoreContext, n_trials: int = 200, seed: int = 0,
     """The ratios over n_trials random fields of norm at least 1e-13, drawn in
     blocks of BLOCK_COLUMNS; each block is one solve, and its arrays are freed
     before the next draw, so memory does not grow with n_trials."""
-    ident = check_identifiability(ctx.theta, ctx.f, ctx.g, mu, c0_min, op=ctx.op)
+    ident = check_identifiability(ctx.u, mu, c0_min)
     if not ident.passes:
         return StabilityReport(False, mu, ident.c0_hat, 0, seed,
                                math.nan, math.nan, np.array([]), np.array([]))
@@ -297,28 +297,6 @@ def stability_report(ctx: ScoreContext, n_trials: int = 200, seed: int = 0,
     return StabilityReport(True, mu, ident.c0_hat, ratios_T.size, seed,
                            float(ratios_T.min()), float(ratios_H2.min()),
                            ratios_T, ratios_H2)
-
-
-@dataclass
-class StabilityPair:
-    lhs: float  # || theta1 - theta2 ||_{L^2}
-    rhs: float  # || u_1 - u_2 ||_{H^2}
-
-
-def stability_pair(theta1: Conductivity, theta2: Conductivity, f, g=None) -> StabilityPair:
-    """Compare the conductivity gap with the solution gap for one data set."""
-    if theta1.grid is not theta2.grid:
-        raise ValueError("conductivities live on different grids")
-    grid = theta1.grid
-    b1 = theta1.values[grid.boundary_ids]
-    b2 = theta2.values[grid.boundary_ids]
-    if b1.size and np.max(np.abs(b1 - b2)) > 1e-12:
-        raise ValueError("conductivities have different boundary values")
-    u1 = DivergenceFormOperator(theta1).solve(f, g)
-    u2 = DivergenceFormOperator(theta2).solve(f, g)
-    diff_theta = ScalarField(grid, theta1.values - theta2.values)
-    diff_u = ScalarField(grid, u1.values - u2.values)
-    return StabilityPair(lhs=norm_l2(diff_theta), rhs=sobolev_norm(diff_u, 2))
 
 
 def gateaux_remainders(ctx: ScoreContext, h: ScalarField,

@@ -6,7 +6,7 @@ spawned child seeds so reports are bitwise reproducible.  The design is
 drawn in grid coordinates ((r, theta) on the disk), and every nodal field a
 study needs at the design points is a column of one prepared
 ``Grid.interpolator`` closure, built once per study outside the replicate
-loop; ``sample_data`` alone converts its design to Cartesian X.  The
+loop, so no design point is converted to Cartesian coordinates.  The
 likelihood ratio evaluates one column, d = u_theta - u_{theta + h/sqrt(n)};
 the plug-in fit adds the noise to column 0 (the bias) of the evaluated
 Z = [bias, images], so that Z^T Z holds its normal equations, which Cholesky
@@ -32,41 +32,11 @@ from ellinfo.elliptic import Conductivity
 from ellinfo.grids import DomainKind, ScalarField, inner_l2
 from ellinfo.score import ScoreContext
 
-#: Sample sizes below this yield low-power reports that carry no verdict.
+#: Observation counts below this yield low-power reports that carry no verdict.
 LOW_POWER_N = 100
 
 #: Replicate counts below this are flagged in risk tables.
 LOW_REPLICATES = 100
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: design point, response, and the latent noise."""
-
-    X: tuple
-    Y: float
-    epsilon: float
-
-
-@dataclass
-class SampleSet:
-    """Array-backed sequence of samples from one seeded draw."""
-
-    X: np.ndarray        # (n, 2) design points
-    Y: np.ndarray        # (n,) responses
-    epsilon: np.ndarray  # (n,) latent noise
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.Y)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(X=tuple(self.X[i]), Y=float(self.Y[i]),
-                      epsilon=float(self.epsilon[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def _draw(grid, rng, n: int, interp, noiseless: bool = False):
@@ -89,33 +59,6 @@ def _draw(grid, rng, n: int, interp, noiseless: bool = False):
     at_x = interp(coords)
     eps = np.zeros(n) if noiseless else rng.standard_normal(n)
     return coords, at_x, eps
-
-
-def sample_data(ctx: ScoreContext, n: int, seed: int = 0,
-                noiseless: bool = False) -> SampleSet:
-    """Draw n observations of the regression experiment.
-
-    X is uniform for the normalized area measure, in Cartesian coordinates;
-    Y interpolates the base solution at X and adds standard normal noise
-    (suppressed in the noiseless mode, where epsilon is recorded as zero).
-    """
-    grid = ctx.grid
-    x, u_x, eps = _draw(grid, np.random.default_rng(seed), n,
-                        grid.interpolator(ctx.u.values), noiseless)
-    if grid.spec.kind is DomainKind.DISK:
-        r, t = x.T
-        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    return SampleSet(X=x, Y=u_x + eps, epsilon=eps, seed=seed)
-
-
-def score_eval(ctx: ScoreContext, h: ScalarField, sample):
-    """Linearized score (Y - u_theta(X)) * (I h)(X) for one sample or a set."""
-    grid = ctx.grid
-    interp = grid.interpolator(np.column_stack([ctx.u.values,
-                                                ctx.apply_linearization(h).values]))
-    u_x, image_x = interp(grid.grid_coords(np.reshape(sample.X, (-1, 2)))).T
-    scores = (np.asarray(sample.Y) - u_x) * image_x
-    return float(scores[0]) if isinstance(sample, Sample) else scores
 
 
 @dataclass

@@ -282,13 +282,6 @@ def _null_space(a) -> tuple[np.ndarray, float, float]:
     return vecs[:, outside:], float(inside), float(gap)
 
 
-def sqrt_apply(decomp: SpectralDecomposition, h: ScalarField) -> ScalarField:
-    """Spectral square root: sum_k lambda_k^{1/2} <h, e_k> e_k."""
-    c = decomp.coefficients(h)
-    vals = decomp.modes @ (np.sqrt(np.clip(decomp.eigenvalues, 0.0, None)) * c)
-    return decomp.grid.interior_field(vals)
-
-
 def range_series(decomp: SpectralDecomposition,
                  psi: ScalarField) -> tuple[np.ndarray, float]:
     """Partial sums M_N = sum_{k<=N} lambda_k^{-1} <e_k, psi>^2 over the

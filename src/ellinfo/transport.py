@@ -265,14 +265,6 @@ def _curve_integrals(grid: Grid, values: np.ndarray, curves: list,
     return np.bincount(lanes, weights=per_step, minlength=len(curves))
 
 
-def line_integral(psi: ScalarField, curve: IntegralCurve) -> float:
-    """Integral of psi along a curve that exits the domain, with respect to
-    its parameter: the walk's Gauss-Legendre rule on every step."""
-    if curve.termination != "boundary_exit":
-        raise ValueError("a curve into a critical point has no finite parameter range")
-    return float(_curve_integrals(psi.grid, psi.values, [curve])[0])
-
-
 def _support_min_radius(psi: ScalarField) -> float:
     mags = np.abs(psi.values)
     if mags.max() == 0.0:

@@ -127,7 +127,7 @@ def test_criterion_04_stability_floor(ctx_cache):
     details = []
     for name in ("square_ex1", "disk_ex2", "saddle"):
         ctx33 = ctx_cache(name, 33)
-        ident = check_identifiability(ctx33.theta, ctx33.f, ctx33.g, mu=4.0)
+        ident = check_identifiability(ctx33.u, mu=4.0)
         rep33 = stability_report(ctx33, n_trials=200, seed=0)
         rep65 = stability_report(ctx_cache(name, 65), n_trials=200, seed=0)
         drift = abs(rep65.min_ratio_T / rep33.min_ratio_T - 1.0)

@@ -43,8 +43,11 @@ def record_factorisations(monkeypatch):
 
 
 def test_package_exports_resolve_once():
-    """Every exported name exists on the package, and none is listed twice."""
-    assert [name for name in ellinfo.__all__ if not hasattr(ellinfo, name)] == []
+    """``from ellinfo import *`` in a fresh namespace binds every exported
+    name and nothing else, and no name is listed twice."""
+    namespace = {}
+    exec("from ellinfo import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(set(ellinfo.__all__))
     assert len(set(ellinfo.__all__)) == len(ellinfo.__all__)
 
 

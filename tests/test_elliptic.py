@@ -29,6 +29,11 @@ def scaled(field, factor):
     return ScalarField(field.grid, factor * field.values)
 
 
+def base_solution(name, grid):
+    """The fixture's solution u at theta = 1."""
+    return DivergenceFormOperator(Conductivity.constant(grid)).solve(*fixture_data(name, grid))
+
+
 def past_lu_size(monkeypatch):
     """Make every operator built afterwards take the size past the LU budget:
     no LU of K, and PCG preconditioned by the theta = 1 inverse."""
@@ -94,6 +99,21 @@ class TestOperatorAlgebra:
         np.testing.assert_allclose(
             resid.values[grid.interior_ids], f.values[grid.interior_ids],
             rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("name, res, bump", [("square_ex1", 33, None),
+                                                  ("disk_ex2", 40, True), ("saddle", 25, None)])
+    def test_apply_operator_on_a_stack_matches_single_calls(self, ctx_cache, name, res, bump):
+        """An (n_nodes, 6) stack with boundary values gives each column's
+        single call bit for bit."""
+        op = ctx_cache(name, res, theta_bump=bump).op
+        grid = op.grid
+        stack = random_smooth_field(grid, np.random.default_rng(6), apply_collar=False, size=6)
+        stack.values += np.outer(grid.x + 0.5 * grid.y, np.arange(1.0, 7.0))
+        got = op.apply_operator(stack).values
+        assert got.shape == (grid.n_nodes, 6)
+        for j in range(6):
+            np.testing.assert_array_equal(
+                got[:, j], op.apply_operator(ScalarField(grid, stack.values[:, j])).values)
 
     def test_zero_boundary_inverse_is_self_adjoint(self):
         grid = square(15)
@@ -534,8 +554,7 @@ class TestIdentifiability:
 
     def test_square_base_matches_closed_form(self):
         grid = fixture_grid("square_ex1", 33)
-        f, g = fixture_data("square_ex1", grid)
-        rep = check_identifiability(Conductivity.constant(grid), f, g, mu=4.0)
+        rep = check_identifiability(base_solution("square_ex1", grid), mu=4.0)
         h = 1.0 / 32.0
         expected = 2.0 + 4.0 * 2.0 * (1.0 + h) ** 2
         np.testing.assert_allclose(rep.c0_hat, expected, rtol=1e-10)
@@ -543,8 +562,7 @@ class TestIdentifiability:
 
     def test_disk_base_matches_closed_form(self):
         grid = fixture_grid("disk_ex2", 33)
-        f, g = fixture_data("disk_ex2", grid)
-        rep = check_identifiability(Conductivity.constant(grid), f, g, mu=4.0)
+        rep = check_identifiability(base_solution("disk_ex2", grid), mu=4.0)
         dr = 2.0 / 65.0
         np.testing.assert_allclose(rep.c0_hat, 2.0 + 4.0 * (dr / 2.0) ** 2, rtol=1e-3)
         assert rep.passes
@@ -553,21 +571,18 @@ class TestIdentifiability:
         """With f = 0 the Laplacian term vanishes, so mu = 0 fails and the
         gradient term alone must carry the bound."""
         grid = fixture_grid("saddle", 33)
-        f, g = fixture_data("saddle", grid)
-        theta = Conductivity.constant(grid)
-        flat = check_identifiability(theta, f, g, mu=0.0, c0_min=1e-6)
+        u = base_solution("saddle", grid)
+        flat = check_identifiability(u, mu=0.0, c0_min=1e-6)
         assert not flat.passes
         assert abs(flat.c0_hat) <= 1e-9
-        lifted = check_identifiability(theta, f, g, mu=4.0, c0_min=1e-6)
+        lifted = check_identifiability(u, mu=4.0, c0_min=1e-6)
         h = 1.0 / 32.0
         np.testing.assert_allclose(lifted.c0_hat, 32.0 * (1.0 + h) ** 2, rtol=1e-10)
         assert lifted.passes
 
     def test_report_records_inputs(self):
         grid = fixture_grid("square_ex1", 17)
-        f, g = fixture_data("square_ex1", grid)
-        op = DivergenceFormOperator(Conductivity.constant(grid))
-        rep = check_identifiability(op.theta, f, g, mu=2.0, c0_min=1.5, op=op)
+        rep = check_identifiability(base_solution("square_ex1", grid), mu=2.0, c0_min=1.5)
         assert rep.mu == 2.0
         assert rep.c0_min == 1.5
         assert rep.passes == (rep.c0_hat > 1.5)

@@ -27,12 +27,6 @@ class TestDomainSpec:
         spec = DomainSpec(DomainKind.SQUARE, 17)
         assert spec.resolution == (17, 17)
 
-    def test_measure_normalization_tracks_domain(self):
-        """The sampling measure is Lebesgue over the domain mass: 1 for the
-        shifted square, pi for the disk."""
-        assert DomainSpec(DomainKind.SQUARE, 17).measure_normalization == 1.0
-        assert DomainSpec(DomainKind.DISK, (12, 24)).measure_normalization == math.pi
-
     def test_minimum_resolution_enforced(self):
         with pytest.raises(ValueError, match="minimum"):
             DomainSpec(DomainKind.SQUARE, 4)

@@ -13,7 +13,7 @@ from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import build_context, psi_fixture
 from ellinfo.grids import (ScalarField, inner_l2, make_bump, norm_l2,
                            random_smooth_field)
-from ellinfo.score import adjoint_defects, gateaux_remainders, stability_pair, stability_report
+from ellinfo.score import adjoint_defects, gateaux_remainders, stability_report
 from test_acceptance import _adjoint_defects
 from test_elliptic import past_lu_size
 
@@ -456,34 +456,3 @@ class TestStabilityReport:
         assert np.isnan(rep.min_ratio_T)
         assert rep.ratios_T.size == 0
 
-
-class TestStabilityPair:
-    """Two-conductivity comparison of parameter gap vs solution gap."""
-
-    def test_identical_conductivities_give_zero_gaps(self):
-        ctx = build_context("square_ex1", 17)
-        theta = Conductivity.constant(ctx.grid)
-        pair = stability_pair(theta, theta, ctx.f, ctx.g)
-        assert pair.lhs == 0.0
-        assert pair.rhs == 0.0
-
-    def test_gap_scales_with_perturbation(self):
-        ctx = build_context("square_ex1", 17)
-        grid = ctx.grid
-        bump = make_bump(grid, (1.5, 1.5), 0.3, 1.0)
-        base = Conductivity.constant(grid)
-        small = Conductivity.from_perturbation(
-            grid, ScalarField(grid, 0.05 * bump.values))
-        large = Conductivity.from_perturbation(
-            grid, ScalarField(grid, 0.10 * bump.values))
-        p_small = stability_pair(base, small, ctx.f, ctx.g)
-        p_large = stability_pair(base, large, ctx.f, ctx.g)
-        assert p_large.lhs > p_small.lhs > 0.0
-        assert p_large.rhs > p_small.rhs > 0.0
-
-    def test_mismatched_grids_rejected(self):
-        c17 = build_context("square_ex1", 17)
-        c25 = build_context("square_ex1", 25)
-        with pytest.raises(ValueError, match="grid"):
-            stability_pair(Conductivity.constant(c17.grid),
-                           Conductivity.constant(c25.grid), c17.f, c17.g)

@@ -1,5 +1,5 @@
-"""Monte Carlo studies: sampling, scores, likelihood-ratio asymptotics, and
-plug-in risk across sample sizes."""
+"""Monte Carlo studies: the score covariance identity, likelihood-ratio
+asymptotics, and plug-in risk across sample sizes."""
 
 import dataclasses
 import math
@@ -16,7 +16,7 @@ from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
                            random_smooth_field)
 from ellinfo.score import ScoreContext
 from ellinfo.simulate import (info_identity_mc, kolmogorov_sf, ks_normal, lan_mc,
-                              plugin_risk_study, sample_data, score_eval)
+                              plugin_risk_study)
 from ellinfo.spectral import eigendecompose
 from test_grids import rgi_interpolator
 
@@ -24,62 +24,6 @@ from test_grids import rgi_interpolator
 def direction(grid, seed, scale=1.0):
     h = random_smooth_field(grid, np.random.default_rng(seed))
     return ScalarField(grid, scale * h.values / norm_l2(h))
-
-
-class TestSampleData:
-    """Seeded draws of the regression experiment."""
-
-    def test_same_seed_reproduces_draw(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        s1 = sample_data(ctx, 500, seed=4)
-        s2 = sample_data(ctx, 500, seed=4)
-        np.testing.assert_array_equal(s1.X, s2.X)
-        np.testing.assert_array_equal(s1.Y, s2.Y)
-
-    def test_design_points_stay_in_domain(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        s = sample_data(ctx, 2000, seed=1)
-        assert s.X.min() >= 1.0 and s.X.max() <= 2.0
-
-    def test_noiseless_mode_records_zero_noise(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        s = sample_data(ctx, 100, seed=0, noiseless=True)
-        np.testing.assert_array_equal(s.epsilon, 0.0)
-        interp = rgi_interpolator(ctx.grid, ctx.u.values)
-        np.testing.assert_allclose(s.Y, np.asarray(interp(s.X)), atol=1e-14)
-
-    def test_container_protocol(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        s = sample_data(ctx, 10, seed=0)
-        assert len(s) == 10
-        first = s[0]
-        np.testing.assert_array_equal(first.X, s.X[0])
-        assert len(list(iter(s))) == 10
-
-    def test_empty_draw_rejected(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        with pytest.raises(ValueError, match="observation"):
-            sample_data(ctx, 0)
-
-
-class TestScoreEval:
-    """The linearized score statistic."""
-
-    def test_single_sample_matches_vectorized(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
-        h = direction(ctx.grid, 31)
-        samples = sample_data(ctx, 50, seed=3)
-        vec = score_eval(ctx, h, samples)
-        assert score_eval(ctx, h, samples[0]) == pytest.approx(vec[0])
-
-    def test_score_is_centered(self, ctx_cache):
-        """Under the base conductivity the score has mean zero; the
-        empirical mean stays within four standard errors."""
-        ctx = ctx_cache("square_ex1", 17)
-        h = direction(ctx.grid, 31)
-        vals = score_eval(ctx, h, sample_data(ctx, 20000, seed=3))
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean()) <= 4.0 * se
 
 
 class TestInfoIdentity:
@@ -100,6 +44,12 @@ class TestInfoIdentity:
         rep = info_identity_mc(ctx, h1, h1, 50, seed=6)
         assert rep.flags == ("low_power",)
         assert "within_4se" not in rep.extras
+
+    def test_empty_draw_rejected(self, ctx_cache):
+        ctx = ctx_cache("square_ex1", 17)
+        h = direction(ctx.grid, 31)
+        with pytest.raises(ValueError, match="observation"):
+            info_identity_mc(ctx, h, h, 0)
 
 
 class TestLanMC:
