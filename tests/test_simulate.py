@@ -26,6 +26,75 @@ def direction(grid, seed, scale=1.0):
     return ScalarField(grid, scale * h.values / norm_l2(h))
 
 
+class TestDraw:
+    """One seeded draw of the regression experiment: the design in grid
+    coordinates, the prepared fields at it, and the noise."""
+
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_same_seed_reproduces_draw(self, ctx_cache, name):
+        ctx = ctx_cache(name, 17)
+        interp = ctx.grid.interpolator(ctx.u.values)
+        first = simulate._draw(ctx.grid, np.random.default_rng(4), 500, interp)
+        second = simulate._draw(ctx.grid, np.random.default_rng(4), 500, interp)
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_design_points_stay_in_domain(self, ctx_cache, name):
+        """(x, y) in [1, 2]^2 on the square; (r, theta) in [0, 1] x [0, 2 pi)
+        on the disk."""
+        ctx = ctx_cache(name, 17)
+        coords, _, _ = simulate._draw(ctx.grid, np.random.default_rng(1), 2000,
+                                      ctx.grid.interpolator(ctx.u.values))
+        assert coords.shape == (2000, 2)
+        if ctx.grid.spec.kind is DomainKind.SQUARE:
+            assert coords.min() >= 1.0 and coords.max() <= 2.0
+        else:
+            assert coords[:, 0].min() >= 0.0 and coords[:, 0].max() <= 1.0
+            assert coords[:, 1].min() >= 0.0 and coords[:, 1].max() < 2.0 * math.pi
+
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_design_is_uniform_in_area(self, ctx_cache, name):
+        """Under the normalized measure x - 1 on the square and r^2 on the
+        disk are U(0, 1): their means stay within four standard errors of 1/2."""
+        ctx = ctx_cache(name, 17)
+        n = 20000
+        coords, _, _ = simulate._draw(ctx.grid, np.random.default_rng(2), n,
+                                      ctx.grid.interpolator(ctx.u.values))
+        if ctx.grid.spec.kind is DomainKind.SQUARE:
+            uniform = coords[:, 0] - 1.0
+        else:
+            uniform = coords[:, 0] ** 2
+        assert abs(uniform.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
+
+    def test_noiseless_draw_keeps_the_design(self, ctx_cache):
+        """The design is drawn before the noise, so a noiseless draw has the
+        noisy draw's design, zero noise, and the interpolant of u at it."""
+        ctx = ctx_cache("square_ex1", 17)
+        interp = ctx.grid.interpolator(ctx.u.values)
+        coords, u_x, eps = simulate._draw(ctx.grid, np.random.default_rng(0), 100,
+                                          interp, noiseless=True)
+        noisy_coords, _, noisy_eps = simulate._draw(ctx.grid, np.random.default_rng(0),
+                                                    100, interp)
+        np.testing.assert_array_equal(coords, noisy_coords)
+        np.testing.assert_array_equal(eps, 0.0)
+        assert np.any(noisy_eps != 0.0)
+        oracle = rgi_interpolator(ctx.grid, ctx.u.values)
+        np.testing.assert_allclose(u_x, np.asarray(oracle(coords)), atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
+    def test_score_is_centered(self, ctx_cache, name):
+        """Under the base conductivity the linearized score eps * (I h)(X)
+        has mean zero; the empirical mean stays within four standard errors."""
+        ctx = ctx_cache(name, 17)
+        image = ctx.apply_linearization(direction(ctx.grid, 31))
+        _, image_x, eps = simulate._draw(ctx.grid, np.random.default_rng(3), 20000,
+                                         ctx.grid.interpolator(image.values))
+        scores = eps * image_x
+        se = scores.std(ddof=1) / math.sqrt(len(scores))
+        assert abs(scores.mean()) <= 4.0 * se
+
+
 class TestInfoIdentity:
     """E[score(h1) score(h2)] against the image inner product."""
 
