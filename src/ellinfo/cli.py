@@ -15,8 +15,10 @@ reproduce-thm38   transport showcase: crossing/ray obstructions on both domains
 All experiment logic lives in the library; this module only parses
 configuration, composes library calls, and serializes results.  Identical
 reruns differ only in the manifest's timestamp and stage times.  Exit codes:
-0 success, 2 configuration error, 1 runtime failure (both failure modes emit
-a JSON error record on stderr before exiting).
+0 success; 2 for a ``ConfigError``, a configuration mistake caught here or by
+the library (an inadmissible psi or theta bump, a grid too coarse for the psi
+window); 1 for every other failure, a library ``ValueError`` included.  Both
+failures emit a JSON error record on stderr before exiting.
 """
 
 from __future__ import annotations
@@ -37,17 +39,13 @@ from ellinfo import io as eio
 from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import (_PSI_PARAMS, FIXTURE_NAMES, PSI_KINDS, build_context,
                               exact_solution, fixture_data, fixture_domain, psi_fixture)
-from ellinfo.grids import MIN_RESOLUTION, build_grid, random_smooth_field
+from ellinfo.grids import MIN_RESOLUTION, ConfigError, build_grid, random_smooth_field
 from ellinfo.score import adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
                               dense_eigenvalues, eigendecompose, fisher_refinement,
                               kernel_tolerance)
 from ellinfo.transport import range_verdict, trace_curve
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; maps to exit status 2."""
 
 
 class Subcommand(NamedTuple):
@@ -187,8 +185,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if cfg.samples < 1 or cfg.replicates < 1:
         raise ConfigError("samples and replicates must be positive")
-    if cfg.n_modes is not None and cfg.n_modes < 1:
-        raise ConfigError("n-modes must be positive")
     cfg.psi = cfg.psi or row.psi
     cfg.resolutions = cfg.resolutions or row.by_fixture.get(cfg.fixture, row.resolutions)
     fewest, most, rule = row.counts
@@ -534,23 +530,14 @@ def _fail(status: int, kind: str, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-    except ConfigError as exc:
-        return _fail(2, "config", str(exc))
-    try:
         t0 = time.perf_counter()
         summary, tables, curves, stages = _SUBCOMMANDS[cfg.subcommand].run(cfg)
         stages["run"] = time.perf_counter() - t0
         out_dir = _emit(cfg, summary, tables, curves, stages)
     except ConfigError as exc:
-        return _fail(2, "config", str(exc))
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a numerical failure, not a config mistake
-        return _fail(1, "LinAlgError", str(exc))
-    except ValueError as exc:
         return _fail(2, "config", str(exc))
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         return _fail(1, type(exc).__name__, str(exc))

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ellinfo.grids import Grid, ScalarField, laplacian, make_bump, sobolev_norm
+from ellinfo.grids import ConfigError, Grid, ScalarField, laplacian, make_bump, sobolev_norm
 
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
@@ -71,17 +71,17 @@ class Conductivity:
     def validate(self):
         vals = self.field.values
         if not np.all(np.isfinite(vals)):
-            raise ValueError("conductivity contains non-finite values")
+            raise ConfigError("conductivity contains non-finite values")
         if self.min_value <= ELLIPTICITY_FLOOR:
-            raise ValueError(
+            raise ConfigError(
                 f"conductivity minimum {self.min_value:.6g} violates the "
                 f"ellipticity floor {ELLIPTICITY_FLOOR}"
             )
         bvals = vals[self.grid.boundary_ids]
         if bvals.size and np.max(np.abs(bvals - 1.0)) > 1e-12:
-            raise ValueError("conductivity must equal 1 on the boundary")
-        if self.eta is not None and self.perturbation_norm() >= self.eta:
-            raise ValueError(
+            raise ConfigError("conductivity must equal 1 on the boundary")
+        if self.eta is not None and not self.perturbation_norm() < self.eta:  # NaN eta too
+            raise ConfigError(
                 f"perturbation norm {self.perturbation_norm():.6g} exceeds the "
                 f"smoothness budget eta={self.eta}"
             )

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ellinfo.elliptic import Conductivity
-from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, Grid,
-                           ScalarField, build_grid, make_bump)
+from ellinfo.grids import (ConfigError, DomainKind, DomainSpec, Grid, ScalarField,
+                           _support_s2, build_grid, make_bump)
 from ellinfo.score import ScoreContext
 
 FIXTURE_NAMES = ("square_ex1", "disk_ex2", "saddle")
@@ -68,26 +68,22 @@ def _window_bump(grid: Grid, center, radius: float) -> ScalarField:
     far flatter than the mollifier near the support edge, which keeps the
     manufactured functional concentrated on low-frequency modes.
     """
-    cx, cy = float(center[0]), float(center[1])
-    if radius <= 0:
-        raise ValueError("window radius must be positive")
-    clearance = grid.boundary_distance(np.array([[cx, cy]]))[0] - radius
-    if clearance + 1e-12 < COLLAR_CELLS * grid.h_mesh:
-        raise ValueError(
-            f"window support (center {center}, radius {radius}) too close to "
-            f"the boundary for this grid"
-        )
-    s2 = ((grid.x - cx) ** 2 + (grid.y - cy) ** 2) / radius**2
+    s2 = _support_s2(grid, center, radius, "window")
     vals = np.where(s2 < 1.0, (1.0 - np.minimum(s2, 1.0)) ** 4, 0.0)
     return ScalarField(grid, vals)
+
+
+def _domain_kind(name: str) -> DomainKind:
+    """The domain of a named configuration; an unknown name is a ConfigError."""
+    if name not in FIXTURE_NAMES:
+        raise ConfigError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    return DomainKind.DISK if name == "disk_ex2" else DomainKind.SQUARE
 
 
 def fixture_domain(name: str, resolution) -> DomainSpec:
     """Domain spec for a named configuration; an int resolution n means
     (n, n) nodes on the square and (n, 2n) on the disk."""
-    if name not in FIXTURE_NAMES:
-        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    kind = DomainKind.DISK if name == "disk_ex2" else DomainKind.SQUARE
+    kind = _domain_kind(name)
     if isinstance(resolution, (int, np.integer)):
         res = (int(resolution), 2 * int(resolution)) if kind is DomainKind.DISK \
             else (int(resolution), int(resolution))
@@ -98,25 +94,17 @@ def fixture_domain(name: str, resolution) -> DomainSpec:
 
 def fixture_data(name: str, grid: Grid) -> tuple[ScalarField, ScalarField]:
     """Source f and boundary data g of a named configuration."""
-    if name == "square_ex1":
-        f = grid.field(2.0)
-        g = grid.field(lambda x, y: (x**2 + y**2 - 1.0) / 2.0)
-    elif name == "disk_ex2":
-        f = grid.field(2.0)
-        g = grid.field(0.0)
-    elif name == "saddle":
-        f = grid.field(0.0)
-        g = grid.field(lambda x, y: x**2 - y**2)
-    else:
-        raise ValueError(f"unknown fixture {name!r}")
-    return f, g
+    if _domain_kind(name) is DomainKind.DISK:
+        return grid.field(2.0), grid.field(0.0)
+    if name == "saddle":
+        return grid.field(0.0), grid.field(lambda x, y: x**2 - y**2)
+    return grid.field(2.0), grid.field(lambda x, y: (x**2 + y**2 - 1.0) / 2.0)
 
 
 def exact_solution(name: str, grid: Grid) -> ScalarField:
     """Closed-form base solution at theta = 1 (exact for central differences,
     since every fixture solution is a quadratic polynomial)."""
-    if name not in FIXTURE_NAMES:
-        raise ValueError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    _domain_kind(name)
     if name == "saddle":
         return ScalarField(grid, grid.x**2 - grid.y**2)
     return ScalarField(grid, (grid.x**2 + grid.y**2 - 1.0) / 2.0)
@@ -139,22 +127,6 @@ def build_context(name: str, resolution, theta_bump=None, eta: float | None = No
         theta = Conductivity.with_bump(grid, center, radius, amplitude, eta=eta)
     f, g = fixture_data(name, grid)
     return ScoreContext(theta, f, g)
-
-
-def bump_psi(grid: Grid, center=None, radius=None, amplitude=None) -> ScalarField:
-    c0, r0, a0 = _DEFAULT_PSI_BUMP[grid.spec.kind]
-    return make_bump(grid,
-                     c0 if center is None else center,
-                     r0 if radius is None else radius,
-                     a0 if amplitude is None else amplitude)
-
-
-def quadrant_bump_psi(grid: Grid, amplitude: float | None = None) -> ScalarField:
-    """Disk bump supported in one angular sector, away from the origin."""
-    if grid.spec.kind is not DomainKind.DISK:
-        raise ValueError("the quadrant bump fixture lives on the disk")
-    center, radius, a0 = _QUADRANT_BUMP
-    return make_bump(grid, center, radius, a0 if amplitude is None else amplitude)
 
 
 @dataclass
@@ -181,23 +153,25 @@ def in_range_fixture(ctx: ScoreContext, center=None, radius=None) -> InRangeFixt
     return InRangeFixture(psi=ctx.apply_adjoint_exact(w), potential=phi, source=w)
 
 
-def in_range_psi(ctx: ScoreContext, center=None, radius=None) -> ScalarField:
-    return in_range_fixture(ctx, center, radius).psi
-
-
 def psi_fixture(ctx: ScoreContext, kind: str, **params) -> ScalarField:
-    """Dispatcher used by the CLI; a parameter the kind does not take is a ValueError."""
+    """Functional of a kind in ``PSI_KINDS``; a parameter left out takes the
+    kind's default, and one the kind does not take is a ConfigError."""
     if kind not in _PSI_PARAMS:
-        raise ValueError(f"unknown psi fixture kind {kind!r}; choose from {PSI_KINDS}")
+        raise ConfigError(f"unknown psi fixture kind {kind!r}; choose from {PSI_KINDS}")
     if extra := sorted(set(params) - set(_PSI_PARAMS[kind])):
-        raise ValueError(f"psi kind {kind!r} takes {list(_PSI_PARAMS[kind])}, not {extra}")
-    if kind == "bump":
-        return bump_psi(ctx.grid, **params)
-    if kind == "quadrant_bump":
-        return quadrant_bump_psi(ctx.grid, **params)
+        raise ConfigError(f"psi kind {kind!r} takes {list(_PSI_PARAMS[kind])}, not {extra}")
     if kind == "in_range":
-        return in_range_psi(ctx, **params)
-    return ctx.grid.field(params.get("value", 1.0))
+        return in_range_fixture(ctx, **params).psi
+    if kind == "constant":
+        return ctx.grid.field(params.get("value", 1.0))
+    if kind == "bump":
+        center, radius, amplitude = _DEFAULT_PSI_BUMP[ctx.grid.spec.kind]
+    elif ctx.grid.spec.kind is DomainKind.DISK:
+        center, radius, amplitude = _QUADRANT_BUMP
+    else:
+        raise ConfigError("the quadrant bump fixture lives on the disk")
+    return make_bump(ctx.grid, params.get("center", center), params.get("radius", radius),
+                     params.get("amplitude", amplitude))
 
 
 #: psi fixtures shipped for the cross-module coherence comparison:

@@ -51,6 +51,10 @@ MIN_RESOLUTION = 8
 COLLAR_CELLS = 2
 
 
+class ConfigError(ValueError):
+    """A caller's parameter that the library rejects; the CLI exits 2 on it."""
+
+
 class DomainKind(str, enum.Enum):
     SQUARE = "square_shifted"
     DISK = "unit_disk"
@@ -62,9 +66,9 @@ def _normalize_resolution(kind: DomainKind, resolution) -> tuple[int, int]:
     else:
         res = tuple(int(r) for r in resolution)
         if len(res) != 2:
-            raise ValueError(f"resolution must be an int or a pair, got {resolution!r}")
+            raise ConfigError(f"resolution must be an int or a pair, got {resolution!r}")
     if min(res) < MIN_RESOLUTION:
-        raise ValueError(
+        raise ConfigError(
             f"resolution {res} below minimum {MIN_RESOLUTION} nodes per axis"
         )
     return res
@@ -579,24 +583,30 @@ def sobolev_norm(f: ScalarField, order: int):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def make_bump(grid: Grid, center, radius: float, amplitude: float = 1.0) -> ScalarField:
-    """Smooth mollifier bump: amplitude * exp(-1 / (1 - s^2)), s = |x - c| / radius.
-
-    The support ball must stay at least COLLAR_CELLS mesh cells away from the
-    domain boundary so the bump is an admissible compactly supported field.
-    """
+def _support_s2(grid: Grid, center, radius: float, what: str) -> np.ndarray:
+    """Squared distance of each node to ``center`` in units of ``radius``, for
+    a ``what`` supported on that ball, which must stay at least COLLAR_CELLS
+    mesh cells away from the domain boundary."""
     cx, cy = float(center[0]), float(center[1])
-    if radius <= 0:
-        raise ValueError("bump radius must be positive")
+    if not radius > 0:  # NaN included
+        raise ConfigError(f"{what} radius must be positive")
     margin = COLLAR_CELLS * grid.h_mesh
     clearance = grid.boundary_distance(np.array([[cx, cy]]))[0] - radius
-    if clearance + 1e-12 < margin:
-        raise ValueError(
-            f"bump support (center {center}, radius {radius}) leaves clearance "
+    if not clearance + 1e-12 >= margin:  # a NaN center fails too
+        raise ConfigError(
+            f"{what} support (center {center}, radius {radius}) leaves clearance "
             f"{clearance:.4g} to the boundary; need at least {margin:.4g} "
             f"({COLLAR_CELLS} mesh cells)"
         )
-    s2 = ((grid.x - cx) ** 2 + (grid.y - cy) ** 2) / radius**2
+    return ((grid.x - cx) ** 2 + (grid.y - cy) ** 2) / radius**2
+
+
+def make_bump(grid: Grid, center, radius: float, amplitude: float = 1.0) -> ScalarField:
+    """Smooth mollifier bump: amplitude * exp(-1 / (1 - s^2)), s = |x - c| / radius,
+    an admissible compactly supported field (:func:`_support_s2`)."""
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"bump amplitude must be finite, got {amplitude}")
+    s2 = _support_s2(grid, center, radius, "bump")
     vals = np.zeros(grid.n_nodes)
     inside = s2 < 1.0
     with np.errstate(divide="ignore", over="ignore"):

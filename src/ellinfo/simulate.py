@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ellinfo.elliptic import Conductivity
-from ellinfo.grids import DomainKind, ScalarField, inner_l2
+from ellinfo.grids import ConfigError, DomainKind, ScalarField, inner_l2
 from ellinfo.score import ScoreContext
 
 #: Observation counts below this yield low-power reports that carry no verdict.
@@ -49,7 +49,7 @@ def _draw(grid, rng, n: int, interp, noiseless: bool = False):
     without a Cartesian round trip.
     """
     if n < 1:
-        raise ValueError("need at least one observation")
+        raise ConfigError("need at least one observation")
     if grid.spec.kind is DomainKind.SQUARE:
         coords = rng.random((n, 2))
         coords += 1.0
@@ -236,8 +236,10 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     the two-sided Kolmogorov-Smirnov statistic and p-value against that
     Gaussian (:func:`ks_normal`, oracle ``scipy.stats.kstest``) are attached.
     """
+    if n < 1:  # before 1/sqrt(n) scales h
+        raise ConfigError("need at least one observation")
     if replicates < 1:
-        raise ValueError("need at least one replicate")
+        raise ConfigError("need at least one replicate")
     grid = ctx.grid
     Conductivity.from_perturbation(  # validates theta + h/sqrt(n)
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
@@ -319,7 +321,7 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     n_list = tuple(int(n) for n in n_list)
     k_values = tuple(min(cutoff(n), ctx.grid.n_interior) for n in n_list)
     if any(n < k for n, k in zip(n_list, k_values)):
-        raise ValueError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")
+        raise ConfigError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")
     k_max = max(k_values)
     decomp = eigendecompose(ctx, n_modes=k_max)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k_max]

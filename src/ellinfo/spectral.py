@@ -34,7 +34,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
 
 from ellinfo import elliptic
-from ellinfo.grids import Grid, ScalarField, inner_l2, norm_l2
+from ellinfo.grids import ConfigError, Grid, ScalarField, inner_l2, norm_l2
 from ellinfo.score import ScoreContext
 
 #: Eigenvalues below this multiple of the top eigenvalue count as kernel, and
@@ -124,7 +124,7 @@ class SpectralDecomposition:
         """Share of the squared norm of psi carried by kernel modes."""
         total = norm_l2(psi) ** 2
         if total == 0.0:
-            raise ValueError("psi vanishes identically")
+            raise ConfigError("psi vanishes identically")
         c = self.coefficients(psi)
         return float(np.sum(c[self.kernel_mask] ** 2) / total)
 
@@ -149,11 +149,11 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     orthonormal.
     """
     if subspace not in ("interior", "collar_supported"):
-        raise ValueError("subspace must be 'interior' or 'collar_supported'")
+        raise ConfigError("subspace must be 'interior' or 'collar_supported'")
     if n_modes is not None and n_modes < 1:
-        raise ValueError(f"n_modes must be positive, got {n_modes}")
+        raise ConfigError(f"n_modes must be positive, got {n_modes}")
     if subspace == "collar_supported" and n_modes is not None:
-        raise ValueError("the collar-restricted decomposition takes the full spectrum only")
+        raise ConfigError("the collar-restricted decomposition takes the full spectrum only")
     grid = ctx.grid
     m = grid.n_interior
     dense = n_modes is None or n_modes >= m
@@ -306,7 +306,7 @@ def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: n
     keep = np.flatnonzero(~decomp.kernel_mask)
     outside = (orders < 1) | (orders > len(keep))
     if np.any(outside):
-        raise ValueError(f"order {orders[outside][0]} outside 1..{len(keep)}")
+        raise ConfigError(f"orders must lie in 1..{len(keep)}, got {orders[outside][0]}")
     idx = keep[:orders.max()]
     c = decomp.coefficients(psi)[idx] / decomp.eigenvalues[idx]
     ladder = c[:, None] * (np.arange(idx.size)[:, None] < orders)
@@ -356,8 +356,6 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
         orders = np.unique(np.geomspace(1, n_avail, num=min(24, n_avail)).round().astype(int))
     else:
         orders = np.asarray(sorted(set(int(v) for v in orders)))
-        if orders[0] < 1 or orders[-1] > n_avail:
-            raise ValueError(f"orders must lie in 1..{n_avail}")
     _, pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders, masked)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -398,7 +396,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     """
     psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
     if not np.any(psi_int):
-        raise ValueError("psi vanishes identically: Fisher functional undefined")
+        raise ConfigError("psi vanishes identically: Fisher functional undefined")
     y, rel_error = ctx.solve_transport_equation(w * psi_int)
     x = ctx._k_w_inverse(y) / np.sqrt(w)
     i_inverse = float(x @ x)
@@ -516,9 +514,9 @@ def fisher_refinement(fixture: str, psi_kind: str,
     from ellinfo.fixtures import build_context, psi_fixture
 
     if len(resolutions) < 3:
-        raise ValueError("refinement sweeps need at least three grids")
+        raise ConfigError("refinement sweeps need at least three grids")
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        raise ValueError("refinement sweeps need strictly increasing resolutions")
+        raise ConfigError("refinement sweeps need strictly increasing resolutions")
     rows = []
     for n in resolutions:
         ctx = build_context(fixture, n, theta_bump=theta_bump)

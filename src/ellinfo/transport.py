@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ellinfo.grids import DomainKind, Grid, ScalarField
+from ellinfo.grids import ConfigError, DomainKind, Grid, ScalarField
 from ellinfo.score import ScoreContext
 
 #: Gauss-Legendre points per walk step and per radial cell of a disk ray.
@@ -245,10 +245,10 @@ def trace_curve(ctx: ScoreContext, x0, direction: str = "forward") -> IntegralCu
     """Trace the integral curve of the discrete flow through an interior
     point: a one-lane ``_walk`` to the boundary or a critical limit point."""
     if direction not in ("forward", "backward"):
-        raise ValueError("direction must be 'forward' or 'backward'")
+        raise ConfigError("direction must be 'forward' or 'backward'")
     x0 = np.asarray(x0, dtype=float).reshape(1, 2)
     if ctx.grid.boundary_distance(x0)[0] <= 0.0:
-        raise ValueError("seed point must lie strictly inside the domain")
+        raise ConfigError("seed point must lie strictly inside the domain")
     sign = 1.0 if direction == "forward" else -1.0
     return _walk(ctx, x0, np.array([sign]))[0]
 
@@ -309,9 +309,9 @@ def ray_integral_disk(psi: ScalarField, z):
     z = np.asarray(z, dtype=float)
     zs = z.reshape(-1, 2)
     if np.any(np.abs(np.hypot(zs[:, 0], zs[:, 1]) - 1.0) > 1e-8):
-        raise ValueError("ray integrals are anchored at boundary points |z| = 1")
+        raise ConfigError("ray integrals are anchored at boundary points |z| = 1")
     if psi.grid.spec.kind is not DomainKind.DISK:
-        raise ValueError("ray integrals are defined on the disk configuration")
+        raise ConfigError("ray integrals are defined on the disk configuration")
     integrals = _ray_integrals(psi, zs, GAUSS_ORDER)
     return float(integrals[0]) if z.ndim == 1 else integrals
 
@@ -431,7 +431,7 @@ def _sweep_from_nodes(ctx: ScoreContext, nodes: np.ndarray,
 
 def _square_only(ctx: ScoreContext, what: str) -> None:
     if ctx.grid.spec.kind is not DomainKind.SQUARE:
-        raise ValueError(f"{what} requires the non-trapping square configuration")
+        raise ConfigError(f"{what} requires the non-trapping square configuration")
 
 
 def _edge_fluxes(ctx: ScoreContext) -> np.ndarray:
@@ -502,10 +502,10 @@ def kernel_element(ctx: ScoreContext, first_integral,
     f_entry = np.asarray(first_integral(entries[:n_in, 0], entries[:n_in, 1]), dtype=float)
     scale = float(np.abs(f_nodes).max())
     if scale == 0.0:
-        raise ValueError("first integral vanishes identically")
+        raise ConfigError("first integral vanishes identically")
     drift = float(np.abs(f_nodes - f_entry).max())
     if drift > f_tol * scale:
-        raise ValueError(
+        raise ConfigError(
             f"first integral drifts by {drift:.3e} along curves; "
             "not constant on the flow")
     r = np.zeros(grid.n_nodes)

@@ -17,8 +17,7 @@ from ellinfo.fixtures import (exact_solution, fixture_data, fixture_domain,
 from ellinfo.grids import ScalarField, build_grid, inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
 from ellinfo.simulate import info_identity_mc, lan_mc
-from ellinfo.spectral import (degeneracy_profile, eigendecompose,
-                              fisher_information, fisher_refinement,
+from ellinfo.spectral import (degeneracy_profile, fisher_information, fisher_refinement,
                               range_series)
 from ellinfo.transport import range_verdict, trace_curve
 

@@ -282,6 +282,42 @@ class TestConfigErrors:
         assert names in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, text, message", [
+        (["fisher", "--fixture", "disk_ex2", "--psi", "in_range", "--resolution", "8,9,10"],
+         "", "window support"),
+        (["fisher"], "[psi]\nradius = -1\n", "bump radius must be positive"),
+        (["verify-operators", "--resolution", "17"],
+         "[theta]\nbump_center = 1.5, 1.5\nbump_radius = 0.3\nbump_amplitude = -2\n",
+         "ellipticity floor"),
+        (["verify-operators", "--resolution", "17"],
+         "[theta]\neta = 0.01\nbump_center = 1.5, 1.5\nbump_radius = 0.3\n"
+         "bump_amplitude = 0.2\n", "smoothness budget"),
+        (["simulate", "--resolution", "17"], "[psi]\namplitude = -400\n", "ellipticity floor"),
+        (["verify-operators", "--resolution", "17"],
+         "[theta]\nbump_center = 1.5, 1.5\nbump_radius = nan\nbump_amplitude = 0.2\n",
+         "bump radius must be positive"),
+        (["verify-operators", "--resolution", "17"],
+         "[theta]\neta = nan\nbump_center = 1.5, 1.5\nbump_radius = 0.3\n"
+         "bump_amplitude = 0.2\n", "smoothness budget"),
+        (["transport", "--resolution", "17"], "[psi]\namplitude = nan\n",
+         "bump amplitude must be finite"),
+    ], ids=["window-clearance", "psi-radius", "theta-floor", "theta-eta", "simulate-floor",
+            "theta-radius-nan", "theta-eta-nan", "psi-amplitude-nan"])
+    def test_mistake_caught_by_the_library(self, tmp_path, capsys, args, text, message):
+        """A mistake that only the library can judge (a support too close to
+        the boundary for the grid, a conductivity below the ellipticity floor
+        or over the eta budget, a NaN that would pass a plain comparison) is
+        a config mistake too: exit 2 with the library's message, and nothing
+        is written."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(text)
+        rc, out = run(args + ["--config", str(cfg)], tmp_path, "a")
+        assert rc == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert message in record["message"]
+        assert not out.exists()
+
 
 class TestRuntimeErrors:
     """Numerical and capacity failures exit with status 1, never as config
@@ -300,6 +336,34 @@ class TestRuntimeErrors:
         record = json.loads(capsys.readouterr().err.strip())
         assert record == {"error": "LinAlgError", "message": "Singular matrix"}
         assert not (out / "solve").exists()
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """Only a ConfigError exits 2; a plain ValueError from a run is a
+        failure of the program."""
+        def broken(cfg):
+            raise ValueError("x")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "solve", cli._SUBCOMMANDS["solve"]._replace(
+            run=broken))
+        rc, out = run(["solve", "--resolution", "17"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "ValueError", "message": "x"}
+        assert not out.exists()
+
+    def test_failure_while_resolving_the_config(self, tmp_path, capsys, monkeypatch):
+        """An exception other than a ConfigError raised while the config is
+        resolved gets a JSON record and exit 1, not a traceback."""
+        def broken(cfg):
+            raise RuntimeError("y")
+
+        monkeypatch.setattr(cli, "_validate", broken)
+        rc, out = run(["solve", "--resolution", "17"], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record == {"error": "RuntimeError", "message": "y"}
+        assert not out.exists()
 
     def test_gateaux_solve_failure(self, tmp_path, capsys, monkeypatch):
         """A Gateaux solve that reaches the PCG step cap is a numerical

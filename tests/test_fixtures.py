@@ -32,6 +32,8 @@ class TestDomains:
         grid = build_grid(fixture_domain("square_ex1", 9))
         with pytest.raises(ValueError, match="unknown fixture"):
             exact_solution("cube_ex3", grid)
+        with pytest.raises(ValueError, match="unknown fixture"):
+            fixture_data("cube_ex3", grid)
 
 
 class TestProblemData:

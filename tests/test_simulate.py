@@ -11,8 +11,8 @@ from scipy import stats
 
 from ellinfo import simulate, spectral
 from ellinfo.elliptic import Conductivity, assemble
-from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
-from ellinfo.grids import (DomainKind, ScalarField, inner_l2, norm_l2,
+from ellinfo.fixtures import in_range_fixture, psi_fixture
+from ellinfo.grids import (ConfigError, DomainKind, ScalarField, inner_l2, norm_l2,
                            random_smooth_field)
 from ellinfo.score import ScoreContext
 from ellinfo.simulate import (info_identity_mc, kolmogorov_sf, ks_normal, lan_mc,
@@ -153,6 +153,16 @@ class TestLanMC:
         rep = lan_mc(ctx, ctx.grid.field(0.0), 500, 120, seed=9)
         assert "degenerate_direction" in rep.flags
         assert rep.references["variance"] == 0.0
+
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_empty_sample_rejected(self, ctx_cache, n):
+        """n < 1 is refused before h / sqrt(n) is formed, with _draw's message,
+        not as a bad conductivity or a math domain error."""
+        ctx = ctx_cache("square_ex1", 17)
+        h = psi_fixture(ctx, "bump")
+        with pytest.raises(ConfigError, match="need at least one observation"):
+            lan_mc(ctx, h, n, 10)
 
 
 class TestKolmogorovSmirnov:

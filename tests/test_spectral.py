@@ -11,8 +11,7 @@ from ellinfo import spectral
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext
-from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES,
-                              SpectralDecomposition, _observed_order,
+from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES, _observed_order,
                               degeneracy_profile, degeneracy_sequence,
                               eigendecompose, fisher_information,
                               fisher_refinement, kernel_decomposition,
