@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -117,9 +118,21 @@ def write_curves_csv(path, curves, meta: dict | None = None) -> Path:
     return write_table_csv(path, ("curve_id", "t", "x", "y"), columns, meta=meta)
 
 
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built against; None where
+    ``np.show_config`` has no dict mode (numpy before 1.26)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def build_manifest(config: dict, seeds, stages: dict) -> dict:
-    """Provenance record: config hash, seeds, versions, the wall times of the
-    run's stages (seconds), and the only timestamp any artifact carries."""
+    """Provenance record: config hash, seeds, versions, the numerical
+    environment (BLAS and its thread settings, None where unset), the wall
+    times of the run's stages (seconds), and the only timestamp any artifact
+    carries."""
     from ellinfo import __version__
 
     return {
@@ -132,6 +145,11 @@ def build_manifest(config: dict, seeds, stages: dict) -> dict:
             "python": sys.version.split()[0],
         },
         "platform": platform.platform(),
+        "numerics": {
+            "blas": _blas(),
+            "threads": {name: os.environ.get(name)
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+        },
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "stages": stages,
     }

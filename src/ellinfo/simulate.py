@@ -6,11 +6,13 @@ spawned child seeds so reports are bitwise reproducible.  The design is
 drawn in grid coordinates ((r, theta) on the disk), and every nodal field a
 study needs at the design points is a column of one prepared
 ``Grid.interpolator`` closure, built once per study outside the replicate
-loop, so no design point is converted to Cartesian coordinates.  The
-likelihood ratio evaluates one column, d = u_theta - u_{theta + h/sqrt(n)};
-the plug-in fit adds the noise to column 0 (the bias) of the evaluated
-Z = [bias, images], so that Z^T Z holds its normal equations, which Cholesky
-solves.  The three studies check the mean-zero/variance structure of the
+loop, so no design point is converted to Cartesian coordinates.  Where a
+statistic sees the noise only through a linear image, the study draws that
+image from its exact law given the design, next from the same generator:
+-eps.d(X) ~ N(0, ||d(X)||^2) for the likelihood ratio (one column,
+d = u_theta - u_{theta + h/sqrt(n)}) as one normal, and
+Z1^T eps ~ N(0, Z1^T Z1) for the plug-in fit on the mode images Z1 as k
+normals.  The three studies check the mean-zero/variance structure of the
 linearized score, the likelihood-ratio expansion against its predicted
 Gaussian limit, and the growth of the normalized risk of a spectral-cutoff
 plug-in estimator of a linear functional of the conductivity.  The limit is
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve, cholesky
 
 from ellinfo.elliptic import Conductivity
 from ellinfo.grids import ConfigError, DomainKind, ScalarField, inner_l2
@@ -39,14 +41,14 @@ LOW_POWER_N = 100
 LOW_REPLICATES = 100
 
 
-def _draw(grid, rng, n: int, interp, noiseless: bool = False):
-    """One draw: the design in grid coordinates, ``interp`` at it, and the noise.
+def _draw(grid, rng, n: int, interp):
+    """One design in grid coordinates and ``interp`` at it.
 
     The design is uniform for the normalized measure: 1 + U on the square,
-    (sqrt(U1), 2 pi U2) in (r, theta) on the disk, drawn before the noise, so
-    a seed fixes both.  ``interp`` is a ``Grid.interpolator`` closure
-    prepared once per study; it evaluates every field it holds at the design
-    without a Cartesian round trip.
+    (sqrt(U1), 2 pi U2) in (r, theta) on the disk.  Each study draws its
+    noise from ``rng`` next, so a seed fixes both.  ``interp`` is a
+    ``Grid.interpolator`` closure prepared once per study; it evaluates
+    every field it holds at the design without a Cartesian round trip.
     """
     if n < 1:
         raise ConfigError("need at least one observation")
@@ -56,9 +58,7 @@ def _draw(grid, rng, n: int, interp, noiseless: bool = False):
     else:
         r = np.sqrt(rng.random(n))
         coords = np.column_stack([r, 2.0 * math.pi * rng.random(n)])
-    at_x = interp(coords)
-    eps = np.zeros(n) if noiseless else rng.standard_normal(n)
-    return coords, at_x, eps
+    return coords, interp(coords)
 
 
 @dataclass
@@ -88,9 +88,11 @@ def info_identity_mc(ctx: ScoreContext, h1: ScalarField, h2: ScalarField,
     """
     img1 = ctx.apply_linearization(h1)
     img2 = ctx.apply_linearization(h2)
-    _, images_x, eps = _draw(ctx.grid, np.random.default_rng(seed), n,
-                             ctx.grid.interpolator(np.column_stack([img1.values,
-                                                                    img2.values])))
+    rng = np.random.default_rng(seed)
+    _, images_x = _draw(ctx.grid, rng, n,
+                        ctx.grid.interpolator(np.column_stack([img1.values,
+                                                               img2.values])))
+    eps = rng.standard_normal(n)  # n products eps^2 i1 i2: no shorter statistic
     i1_x, i2_x = images_x.T
     products = (eps * i1_x) * (eps * i2_x)
     reference = inner_l2(img1, img2)
@@ -228,10 +230,11 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
            seed: int = 0) -> MCReport:
     """Monte Carlo for the log-likelihood ratio of the 1/sqrt(n) perturbation.
 
-    Each replicate draws n observations under the base conductivity and
-    evaluates the exact Gaussian log-likelihood ratio against theta + h/sqrt(n)
-    as -eps.d(X) - ||d(X)||^2/2, which cancels no O(1) terms; the nodal d is one
-    solve shared across replicates (:meth:`ScoreContext.solve_difference`).  References are
+    Each replicate draws a design of n points under the base conductivity; the
+    exact log-likelihood ratio against theta + h/sqrt(n), -eps.d(X) - S/2 with
+    S = ||d(X)||^2, is drawn as sqrt(S) Z - S/2 from one normal Z, its law given
+    the design.  The nodal d is one solve shared across replicates
+    (:meth:`ScoreContext.solve_difference`).  References are
     the predicted Gaussian limit: mean -||I h||^2/2, variance ||I h||^2;
     the two-sided Kolmogorov-Smirnov statistic and p-value against that
     Gaussian (:func:`ks_normal`, oracle ``scipy.stats.kstest``) are attached.
@@ -250,8 +253,10 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     llrs = np.empty(replicates)
     interp = grid.interpolator(d)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
-        _, d_x, eps = _draw(grid, np.random.default_rng(child), n, interp)
-        llrs[r] = -float(d_x @ (eps + 0.5 * d_x))
+        rng = np.random.default_rng(child)
+        _, d_x = _draw(grid, rng, n, interp)
+        s = float(d_x @ d_x)
+        llrs[r] = math.sqrt(s) * rng.standard_normal() - 0.5 * s
     mean = float(llrs.mean())
     var = float(llrs.var(ddof=1)) if replicates > 1 else 0.0
     se = (math.sqrt(var / replicates) if replicates > 1 else math.inf)
@@ -302,15 +307,18 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     """Empirical N*MSE of a spectral-cutoff plug-in for the functional <psi, theta>.
 
     The estimator regresses residuals Y - u_theta(X) on the interpolated
-    images (I e_k)(X) of the top-K information eigenvectors by Cholesky and
-    plugs the fitted coefficients into the functional; K <= N follows the
-    cutoff rule (default ceil(N^{1/3})).  For in-range functionals the normalized risk
-    tracks the bounded partial sums M_K; for out-of-range bumps it inherits
-    their divergence.  ``estimator_config`` keys: ``cutoff`` (callable n ->
-    K), ``noiseless`` (sanity mode), ``theta_truth`` (generate data from a
-    different conductivity to expose bias).  Only the top max(K) pairs are
-    computed; below the interior dimension they come from certified Lanczos
-    and no dense matrix is formed.
+    images Z1 = (I e_k)(X) of the top-K information eigenvectors by Cholesky
+    and plugs the fitted coefficients into the functional; K <= N follows the
+    cutoff rule (default ceil(N^{1/3})).  The noise enters as
+    Z1^T eps ~ N(0, Z1^T Z1), drawn as U^T xi from k normals, U^T U = Z1^T Z1;
+    as that draw depends on the modes' signs, each mode is signed by a fixed
+    probe, not by the eigensolver.  For in-range functionals the normalized
+    risk tracks the bounded partial sums M_K; for out-of-range bumps it
+    inherits their divergence.  ``estimator_config`` keys: ``cutoff``
+    (callable n -> K), ``noiseless`` (sanity mode), ``theta_truth`` (generate
+    data from a different conductivity to expose bias).  Only the top max(K)
+    pairs are computed; below the interior dimension they come from certified
+    Lanczos and no dense matrix is formed.
     """
     from ellinfo.spectral import eigendecompose, range_series
 
@@ -326,12 +334,15 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     decomp = eigendecompose(ctx, n_modes=k_max)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k_max]
     series, _ = range_series(decomp, psi)
-    coeffs = decomp.coefficients(psi)[keep]
     grid = ctx.grid
+    probe = np.random.default_rng(0).uniform(-1.0, 1.0, grid.n_interior)
+    modes = decomp.modes[:, keep]
+    signs = np.where(probe @ modes < 0.0, -1.0, 1.0)
+    coeffs = decomp.coefficients(psi)[keep] * signs
     # Column 0 is the regression bias u_truth - u; columns 1..k_max are the
-    # images of the kept modes, so one product gives residual and design.
+    # images of the kept modes: one product gives the noiseless normal equations.
     fields = np.zeros((grid.n_nodes, 1 + keep.size))
-    fields[grid.interior_ids, 1:] = ctx._apply_B(decomp.modes[:, keep])
+    fields[grid.interior_ids, 1:] = ctx._apply_B(modes * signs)
     if theta_truth is not None:
         fields[:, 0] = ctx.forward_map(theta_truth).values - ctx.u.values
         truth_offset = inner_l2(
@@ -345,10 +356,12 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
         errors = np.empty(replicates)
         interp = grid.interpolator(fields[:, :k + 1])
         for r, child in enumerate(root.spawn(replicates)):
-            _, z, eps = _draw(grid, np.random.default_rng(child), n, interp, noiseless)
-            z[:, 0] += eps
+            rng = np.random.default_rng(child)
+            _, z = _draw(grid, rng, n, interp)
             gram = z.T @ z
-            beta = cho_solve(cho_factor(gram[1:, 1:]), gram[1:, 0])
+            upper = cholesky(gram[1:, 1:])
+            noise = 0.0 if noiseless else upper.T @ rng.standard_normal(k)
+            beta = cho_solve((upper, False), gram[1:, 0] + noise)
             errors[r] = float(beta @ coeffs[:k]) - truth_offset
         n_mse[j] = n * float(np.mean(errors ** 2))
     ratio = float(n_mse[-1] / n_mse[0]) if n_mse[0] > 0 else math.inf

@@ -304,6 +304,8 @@ def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: n
     image norms ||I h_N||^2 and quotients (:func:`degeneracy_sequence`), from
     one product for every h_N and one block apply of I."""
     keep = np.flatnonzero(~decomp.kernel_mask)
+    if not orders.size:
+        raise ConfigError("orders must be non-empty")
     outside = (orders < 1) | (orders > len(keep))
     if np.any(outside):
         raise ConfigError(f"orders must lie in 1..{len(keep)}, got {orders[outside][0]}")
@@ -394,6 +396,8 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     change of y.  A single grid never certifies divergence; that is the job of
     :func:`fisher_refinement`.
     """
+    if not np.all(np.isfinite(psi.values)):
+        raise ConfigError("psi contains non-finite values")
     psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
     if not np.any(psi_int):
         raise ConfigError("psi vanishes identically: Fisher functional undefined")

@@ -366,6 +366,8 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     the largest change of an integral under the Gauss-Legendre rule one
     order higher, and a value above ``integral_tol`` raises ``RuntimeError``.
     """
+    if not np.all(np.isfinite(psi.values)):  # nanmax below would skip NaN curves
+        raise ConfigError("psi contains non-finite values")
     grid = ctx.grid
     peak = float(np.abs(psi.values).max())
     integral_tol = INTEGRAL_TOL_FACTOR * peak if peak > 0 else INTEGRAL_TOL_FACTOR

@@ -113,3 +113,21 @@ class TestCanonicalJson:
     def test_table_metadata_is_strict(self, tmp_path):
         got = written(tmp_path, ("v",), ([1.0],), {"limit": float("inf")})
         assert got.splitlines()[0] == b'# {"limit":null}'
+
+
+class TestManifest:
+    """The manifest records the numerical environment a run's bits depend on."""
+
+    def test_blas_and_thread_settings(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        numerics = eio.build_manifest({}, [0], {})["numerics"]
+        assert numerics["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+        blas = numerics["blas"]
+        assert blas is None or set(blas) == {"name", "version"}
+        json.loads(eio.canonical_json(numerics))
+
+    def test_blas_is_null_without_the_dict_mode(self, monkeypatch):
+        """numpy before 1.26 has a show_config that takes no mode."""
+        monkeypatch.setattr(np, "show_config", lambda: None)
+        assert eio.build_manifest({}, [0], {})["numerics"]["blas"] is None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy import stats
+from scipy.linalg import cho_solve, cholesky
 
 from ellinfo import simulate, spectral
 from ellinfo.elliptic import Conductivity, assemble
@@ -28,7 +29,8 @@ def direction(grid, seed, scale=1.0):
 
 class TestDraw:
     """One seeded draw of the regression experiment: the design in grid
-    coordinates, the prepared fields at it, and the noise."""
+    coordinates and the prepared fields at it; each study draws its noise
+    from the same generator next."""
 
     @pytest.mark.parametrize("name", ["square_ex1", "disk_ex2"])
     def test_same_seed_reproduces_draw(self, ctx_cache, name):
@@ -44,8 +46,8 @@ class TestDraw:
         """(x, y) in [1, 2]^2 on the square; (r, theta) in [0, 1] x [0, 2 pi)
         on the disk."""
         ctx = ctx_cache(name, 17)
-        coords, _, _ = simulate._draw(ctx.grid, np.random.default_rng(1), 2000,
-                                      ctx.grid.interpolator(ctx.u.values))
+        coords, _ = simulate._draw(ctx.grid, np.random.default_rng(1), 2000,
+                                   ctx.grid.interpolator(ctx.u.values))
         assert coords.shape == (2000, 2)
         if ctx.grid.spec.kind is DomainKind.SQUARE:
             assert coords.min() >= 1.0 and coords.max() <= 2.0
@@ -59,8 +61,8 @@ class TestDraw:
         disk are U(0, 1): their means stay within four standard errors of 1/2."""
         ctx = ctx_cache(name, 17)
         n = 20000
-        coords, _, _ = simulate._draw(ctx.grid, np.random.default_rng(2), n,
-                                      ctx.grid.interpolator(ctx.u.values))
+        coords, _ = simulate._draw(ctx.grid, np.random.default_rng(2), n,
+                                   ctx.grid.interpolator(ctx.u.values))
         if ctx.grid.spec.kind is DomainKind.SQUARE:
             uniform = coords[:, 0] - 1.0
         else:
@@ -68,17 +70,16 @@ class TestDraw:
         assert abs(uniform.mean() - 0.5) <= 4.0 * math.sqrt(1.0 / 12.0 / n)
 
     def test_noiseless_draw_keeps_the_design(self, ctx_cache):
-        """The design is drawn before the noise, so a noiseless draw has the
-        noisy draw's design, zero noise, and the interpolant of u at it."""
+        """The design is all that a draw takes from the generator, so a
+        noiseless study, which draws nothing after it, has the noisy study's
+        design, a noisy study's noise is the stream's next value, and the
+        draw holds the interpolant of u at the design."""
         ctx = ctx_cache("square_ex1", 17)
-        interp = ctx.grid.interpolator(ctx.u.values)
-        coords, u_x, eps = simulate._draw(ctx.grid, np.random.default_rng(0), 100,
-                                          interp, noiseless=True)
-        noisy_coords, _, noisy_eps = simulate._draw(ctx.grid, np.random.default_rng(0),
-                                                    100, interp)
-        np.testing.assert_array_equal(coords, noisy_coords)
-        np.testing.assert_array_equal(eps, 0.0)
-        assert np.any(noisy_eps != 0.0)
+        rng, stream = np.random.default_rng(0), np.random.default_rng(0)
+        coords, u_x = simulate._draw(ctx.grid, rng, 100,
+                                     ctx.grid.interpolator(ctx.u.values))
+        np.testing.assert_array_equal(coords, 1.0 + stream.random((100, 2)))
+        np.testing.assert_array_equal(rng.standard_normal(3), stream.standard_normal(3))
         oracle = rgi_interpolator(ctx.grid, ctx.u.values)
         np.testing.assert_allclose(u_x, np.asarray(oracle(coords)), atol=1e-14)
 
@@ -88,9 +89,9 @@ class TestDraw:
         has mean zero; the empirical mean stays within four standard errors."""
         ctx = ctx_cache(name, 17)
         image = ctx.apply_linearization(direction(ctx.grid, 31))
-        _, image_x, eps = simulate._draw(ctx.grid, np.random.default_rng(3), 20000,
-                                         ctx.grid.interpolator(image.values))
-        scores = eps * image_x
+        rng = np.random.default_rng(3)
+        _, image_x = simulate._draw(ctx.grid, rng, 20000, ctx.grid.interpolator(image.values))
+        scores = rng.standard_normal(20000) * image_x
         se = scores.std(ddof=1) / math.sqrt(len(scores))
         assert abs(scores.mean()) <= 4.0 * se
 
@@ -147,6 +148,19 @@ class TestLanMC:
         ctx = ctx_cache("square_ex1", 17)
         rep = self._run(ctx, replicates=50)
         assert "low_power" in rep.flags
+
+    def test_one_normal_has_the_full_noise_law(self, ctx_cache):
+        """Given the design, the ratio -eps.d(X) - S/2 over fresh full-noise
+        eps is N(-S/2, S), the law that the study draws from one normal:
+        4,000 such draws at one square-17 design pass the KS test against it."""
+        ctx = ctx_cache("square_ex1", 17)
+        h, n = direction(ctx.grid, 31, scale=2.0), 2000
+        d = ctx.grid.interior_field(-ctx.solve_difference(h, 1.0 / math.sqrt(n))).values
+        rng = np.random.default_rng(2033)
+        _, d_x = simulate._draw(ctx.grid, rng, n, ctx.grid.interpolator(d))
+        s = float(d_x @ d_x)
+        ratios = [-float(rng.standard_normal(n) @ d_x) - 0.5 * s for _ in range(4000)]
+        assert ks_normal(np.array(ratios), -0.5 * s, math.sqrt(s))[1] >= 1e-3
 
     def test_zero_direction_is_degenerate(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 17)
@@ -274,7 +288,8 @@ class TestRiskStudy:
 
     def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
         """The study images its kept modes with one block apply of I; oracle:
-        ``_apply_B`` of each mode alone, on the same certified Lanczos pairs."""
+        ``_apply_B`` of each mode alone, on the same certified Lanczos pairs,
+        each signed to have a positive inner product with the probe."""
         ctx = ctx_cache("square_ex1", 17)
         seen, real = [], ctx.grid.interpolator
 
@@ -287,10 +302,32 @@ class TestRiskStudy:
         images = seen[0][:, 1:]
         decomp = eigendecompose(ctx, n_modes=images.shape[1])
         assert images.shape[1] == 10 and not np.any(decomp.kernel_mask)
+        signs = mode_signs(decomp.modes)
+        assert np.any(signs < 0.0)
         for k in range(images.shape[1]):
-            col = ctx.grid.interior_field(ctx._apply_B(decomp.modes[:, k])).values
+            col = ctx.grid.interior_field(ctx._apply_B(signs[k] * decomp.modes[:, k])).values
             np.testing.assert_allclose(images[:, k], col, rtol=0.0,
                                        atol=1e-13 * np.abs(col).max())
+
+    def test_noise_factor_reproduces_the_gram_matrix(self, ctx_cache):
+        """The fit draws Z1^T eps as F xi with F = U^T, U the upper factor of
+        ``scipy.linalg.cholesky``, and solves with ``cho_solve((U, False), .)``.
+        So U must be upper triangular, F F^T must be Z1^T Z1 to 1e-12 (it is
+        not if F is U), and the solve must invert Z1^T Z1."""
+        ctx = ctx_cache("square_ex1", 17)
+        decomp = eigendecompose(ctx, n_modes=8)
+        images = ctx.grid.interior_field(ctx._apply_B(decomp.modes)).values
+        _, z1 = simulate._draw(ctx.grid, np.random.default_rng(5), 300,
+                               ctx.grid.interpolator(images))
+        gram = z1.T @ z1
+        upper = cholesky(gram)
+        np.testing.assert_array_equal(np.tril(upper, -1), 0.0)
+        factor = upper.T
+        np.testing.assert_allclose(factor @ factor.T, gram, rtol=0.0,
+                                   atol=1e-12 * np.abs(gram).max())
+        rhs = np.arange(1.0, gram.shape[0] + 1.0)
+        np.testing.assert_allclose(gram @ cho_solve((upper, False), rhs), rhs,
+                                   rtol=0.0, atol=1e-10 * np.abs(rhs).max())
 
     def test_sample_size_below_cutoff_rejected(self, ctx_cache):
         """N < K leaves the plug-in regression underdetermined; the study
@@ -319,16 +356,14 @@ class TestRiskStudy:
 # -- reference: the same experiments, evaluated pointwise by the interpolation oracle --
 
 
-def reference_draw(grid, rng, n, noiseless=False):
-    """The design, then the noise, drawn as the library draws them."""
+def reference_draw(grid, rng, n):
+    """The design, in Cartesian coordinates, drawn as the library draws it;
+    each study draws its noise from ``rng`` next."""
     if grid.spec.kind is DomainKind.SQUARE:
-        x = 1.0 + rng.random((n, 2))
-    else:
-        r = np.sqrt(rng.random(n))
-        t = 2.0 * math.pi * rng.random(n)
-        x = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    eps = np.zeros(n) if noiseless else rng.standard_normal(n)
-    return x, eps
+        return 1.0 + rng.random((n, 2))
+    r = np.sqrt(rng.random(n))
+    t = 2.0 * math.pi * rng.random(n)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
 def perturbed_solution(ctx, h, n):
@@ -350,13 +385,18 @@ def lu_difference(ctx, h, n):
 
 
 def reference_lan(ctx, h, n, replicates, seed):
+    """The log-likelihood ratio from the residuals under both conductivities.
+    It sees the noise only along d(X) = u(X) - u2(X), so the noise is that
+    component, -Z d(X) / ||d(X)|| from the normal Z drawn after the design."""
     grid = ctx.grid
     u = rgi_interpolator(grid, ctx.u.values)
     u2 = rgi_interpolator(grid, perturbed_solution(ctx, h, n))
     llrs = []
     for child in np.random.SeedSequence(seed).spawn(replicates):
-        x, eps = reference_draw(grid, np.random.default_rng(child), n)
-        y = u(x) + eps
+        rng = np.random.default_rng(child)
+        x = reference_draw(grid, rng, n)
+        d_x = u(x) - u2(x)
+        y = u(x) - rng.standard_normal() * d_x / np.linalg.norm(d_x)
         r0, r1 = y - u(x), y - u2(x)
         llrs.append(0.5 * np.sum(r0 * r0 - r1 * r1))
     return np.array(llrs)
@@ -364,7 +404,9 @@ def reference_lan(ctx, h, n, replicates, seed):
 
 def reference_identity(ctx, h1, h2, n, seed):
     grid = ctx.grid
-    x, eps = reference_draw(grid, np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    x = reference_draw(grid, rng, n)
+    eps = rng.standard_normal(n)
     u_x = rgi_interpolator(grid, ctx.u.values)(x)
     resid = (u_x + eps) - u_x
     scores = [resid * rgi_interpolator(grid, ctx.apply_linearization(h).values)(x)
@@ -372,14 +414,29 @@ def reference_identity(ctx, h1, h2, n, seed):
     return scores[0] * scores[1]
 
 
+def mode_signs(modes):
+    """The sign that gives each mode a positive inner product with the
+    risk study's fixed probe."""
+    probe = np.random.default_rng(0).uniform(-1.0, 1.0, modes.shape[0])
+    return np.where(probe @ modes < 0.0, -1.0, 1.0)
+
+
 def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
                    theta_truth=None):
+    """The plug-in fit by least squares on the residuals, on the modes of the
+    dense decomposition.  It sees the noise only through its projection onto
+    the design's columns, which is Q xi for k normals xi drawn after the
+    design and Q = Z1 U^-1 the orthonormal basis from the Cholesky factor
+    U^T U = Z1^T Z1.  That draw depends on the modes' signs, so each mode is
+    signed by the study's probe rule."""
     grid = ctx.grid
     decomp = eigendecompose(ctx)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k]
-    coeffs = decomp.coefficients(psi)[keep]
+    signs = mode_signs(decomp.modes[:, keep])
+    coeffs = decomp.coefficients(psi)[keep] * signs
     modes = [rgi_interpolator(
-        grid, grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values) for i in keep]
+        grid, grid.interior_field(ctx._apply_B(sign * decomp.modes[:, i])).values)
+        for sign, i in zip(signs, keep)]
     u = rgi_interpolator(grid, ctx.u.values)
     truth, offset = u, 0.0
     if theta_truth is not None:
@@ -391,9 +448,14 @@ def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
     for n in n_list:
         errors = []
         for child in root.spawn(replicates):
-            x, eps = reference_draw(grid, np.random.default_rng(child), n, noiseless)
-            resid = (truth(x) + eps) - u(x)
+            rng = np.random.default_rng(child)
+            x = reference_draw(grid, rng, n)
             design = np.column_stack([mode(x) for mode in modes])
+            eps = np.zeros(n)
+            if not noiseless:
+                upper = np.linalg.cholesky(design.T @ design).T
+                eps = design @ np.linalg.solve(upper, rng.standard_normal(k))
+            resid = (truth(x) + eps) - u(x)
             beta, *_ = np.linalg.lstsq(design, resid, rcond=None)
             errors.append(float(beta @ coeffs) - offset)
         n_mse.append(n * np.mean(np.square(errors)))
@@ -420,12 +482,12 @@ class TestMatchesInterpolatorPath:
 
     @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 28)])
     def test_lan_statistics_match_extended_precision(self, ctx_cache, name, res):
-        """At the default bump and n the ratios are about 1e-3 while the
-        squared residuals are O(1): each statistic matches a long-double
-        evaluation of sum(eps^2 - (eps + d(X))^2) / 2 on the same draw, with
-        the study's d = u_theta - u_{theta + h/sqrt(n)}, to 1e-12 of its own
-        size.  That d is checked against an LU solve in
-        :meth:`test_lan_difference_is_one_solve`."""
+        """At the default bump and n the ratios are about 1e-3: each statistic
+        matches sqrt(S) Z - S/2 evaluated in long double on the same draw, with
+        S = ||d(X)||^2 summed in long double over the study's
+        d = u_theta - u_{theta + h/sqrt(n)} and Z the normal drawn after the
+        design, to 1e-12 of its own size.  That d is checked against an LU
+        solve in :meth:`test_lan_difference_is_one_solve`."""
         ctx = ctx_cache(name, res)
         h, n, seed = psi_fixture(ctx, "bump"), 10_000, 0
         rep = lan_mc(ctx, h, n, 10, seed=seed)
@@ -433,9 +495,10 @@ class TestMatchesInterpolatorPath:
             -ctx.solve_difference(h, 1.0 / math.sqrt(n))).values)
         exact = []
         for child in np.random.SeedSequence(seed).spawn(10):
-            x, eps = reference_draw(ctx.grid, np.random.default_rng(child), n)
-            eps, d_x = eps.astype(np.longdouble), d(x).astype(np.longdouble)
-            exact.append(0.5 * np.sum(eps * eps - (eps + d_x) ** 2))
+            rng = np.random.default_rng(child)
+            d_x = d(reference_draw(ctx.grid, rng, n)).astype(np.longdouble)
+            s = np.sum(d_x * d_x)
+            exact.append(np.sqrt(s) * np.longdouble(rng.standard_normal()) - s / 2)
         exact = np.array(exact)
         assert np.all(np.abs(rep.statistics - exact) <= 1e-12 * np.abs(exact))
 

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 
 from ellinfo import spectral
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
-from ellinfo.grids import inner_l2, norm_l2, random_smooth_field
+from ellinfo.grids import ConfigError, ScalarField, inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES, _observed_order,
                               degeneracy_profile, degeneracy_sequence,
@@ -31,12 +31,18 @@ class TestDecomposition:
         assert lam[-1] / lam[0] < 1e-3
 
     def test_iterative_matches_dense_leaders(self, ctx_cache, decomp_cache):
+        """The top ten pairs agree, the modes up to sign: their eigenvalues
+        are simple on this fixture."""
         ctx = ctx_cache("square_ex1", 15)
         dense = decomp_cache("square_ex1", 15)
         lanczos = eigendecompose(ctx, n_modes=10)
         np.testing.assert_allclose(
             lanczos.eigenvalues, dense.eigenvalues[:10],
             rtol=0.0, atol=1e-12 * dense.eigenvalues[0])
+        leaders = dense.modes[:, :10]
+        signs = np.sign(np.sum(lanczos.modes * leaders, axis=0))
+        np.testing.assert_allclose(lanczos.modes * signs, leaders, rtol=0.0,
+                                   atol=1e-10 * np.abs(leaders).max())
         assert dense.complete and dense.mode == "dense"
         assert not lanczos.complete and lanczos.mode == "iterative"
         assert lanczos.residuals is not None
@@ -321,6 +327,14 @@ class TestDegeneracyProfiles:
         with pytest.raises(ValueError, match="orders"):
             degeneracy_profile(d, psi, orders=[10**6])
 
+    def test_empty_ladder_rejected(self, ctx_cache, decomp_cache):
+        """An empty ladder is a config mistake, not numpy's zero-size
+        reduction error."""
+        ctx = ctx_cache("square_ex1", 15)
+        d = decomp_cache("square_ex1", 15)
+        with pytest.raises(ConfigError, match="orders must be non-empty"):
+            degeneracy_profile(d, psi_fixture(ctx, "bump"), orders=[])
+
 
 class TestFisherInformation:
     """The inverse Fisher quadratic form on a fixed grid."""
@@ -388,6 +402,14 @@ class TestFisherInformation:
         ctx = ctx_cache("square_ex1", 15)
         with pytest.raises(ValueError, match="vanishes"):
             fisher_information(ctx, ctx.grid.field(0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_functional_rejected(self, ctx_cache, bad):
+        ctx = ctx_cache("square_ex1", 15)
+        values = psi_fixture(ctx, "bump").values.copy()
+        values[values != 0.0] = bad
+        with pytest.raises(ConfigError, match="psi contains non-finite values"):
+            fisher_information(ctx, ScalarField(ctx.grid, values))
 
 
 class TestRefinementSweeps:

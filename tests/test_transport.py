@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 from ellinfo import score, transport
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
-from ellinfo.grids import ScalarField, make_bump, norm_l2
+from ellinfo.grids import ConfigError, ScalarField, make_bump, norm_l2
 from ellinfo.spectral import fisher_information
 from ellinfo.transport import (CURVE_TERMINATIONS, RANGE_VERDICTS, kernel_element,
                                range_verdict, ray_integral_disk,
@@ -389,6 +389,18 @@ class TestRangeVerdicts:
         assert verdict.verdict == "incompatible"
         assert verdict.zero_ray_witness
         assert verdict.max_abs_integral > 10.0 * verdict.threshold
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_psi_rejected(self, ctx_cache, bad):
+        """A square-17 bump with its support set to NaN has NaN integrals on
+        the curves through it; judged on its finite curves alone it would read
+        compatible_within_tol.  A non-finite psi is refused as a config
+        mistake instead."""
+        ctx = ctx_cache("square_ex1", 17)
+        values = psi_fixture(ctx, "bump").values.copy()
+        values[values != 0.0] = bad
+        with pytest.raises(ConfigError, match="psi contains non-finite values"):
+            range_verdict(ctx, ScalarField(ctx.grid, values))
 
 
 class TestTransportSolve:
