@@ -24,12 +24,14 @@ over these faces with theta, h or 1 on each face, K and T filled by parts.
 Point evaluation is bilinear on both grids, in grid coordinates: (x, y) on
 the square, (r, theta) on the disk, whose tensor axes gain a ring at r = 0
 holding the ring-0 mean and a seam column at theta = 2 pi.
-``Grid.interpolator(F)`` prepares the per-cell coefficients of a nodal
-stack F once and returns a plain function of (n, 2) grid coordinates; a call
-locates the cells arithmetically and evaluates every column with one sparse
-product.  ``Grid.grid_coords`` converts Cartesian points for callers that
-hold them (the curve tracer, curve integrals, the score); the Monte Carlo
-draws its design in grid coordinates and skips the round trip.
+``Grid.cell_table(F)`` holds the per-cell bilinear coefficients of a nodal
+stack F and ``Grid.locate`` finds the cells of (n, 2) grid coordinates
+arithmetically, with the offsets in them.  ``Grid.interpolator(F)`` builds
+the table once and returns a plain function of grid coordinates; a call
+locates the points once and gathers each column from its cells' four
+coefficients.  ``Grid.grid_coords`` converts Cartesian points for callers
+that hold them (the curve tracer, curve integrals, the score); the Monte
+Carlo draws its design in grid coordinates and skips the round trip.
 """
 
 from __future__ import annotations
@@ -321,53 +323,73 @@ class Grid:
         takes them: (x, y) on the square, (r, theta) on the disk."""
         raise NotImplementedError
 
-    def _tensor_axes(self, values: np.ndarray):
+    def _tensor_axes(self):
         """The two interpolation axes, each as (nodes, origin, h): cell k
         spans nodes[k] to nodes[k + 1] and holds the coordinates c with
-        floor((c - origin) / h) = k; and the nodal values on the axes, shape
+        floor((c - origin) / h) = k."""
+        raise NotImplementedError
+
+    def _tensor_values(self, values: np.ndarray) -> np.ndarray:
+        """The nodal values on the interpolation axes, shape
         (len(axis0), len(axis1)) + values.shape[1:]."""
         raise NotImplementedError
+
+    @cached_property
+    def _cells(self):
+        """Per axis (nodes, widths, origin, h) of the interpolation cells."""
+        return tuple((nodes, np.diff(nodes), origin, h)
+                     for nodes, origin, h in self._tensor_axes())
+
+    def locate(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of (n, 2) grid coordinates and the offsets in them, as
+        (cell, s, t): cell is the flat index of a row of :meth:`cell_table`,
+        found arithmetically and clipped to the edge cells, and s, t are the
+        offsets along the two axes, in [0, 1] inside the cell and beyond it
+        past the edges."""
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        k, offsets = [], []
+        for ax, (nodes, widths, origin, h) in enumerate(self._cells):
+            c = coords[:, ax]
+            # truncating the clipped position is flooring it, then clipping
+            x = np.subtract(c, origin)
+            x /= h
+            k.append(np.clip(x, 0, widths.size - 1, out=x).astype(np.intp))
+            s = np.subtract(c, nodes.take(k[-1]))
+            s /= widths.take(k[-1])
+            offsets.append(s)
+        return (k[0] * self._cells[1][1].size + k[1], *offsets)
+
+    def cell_table(self, values: np.ndarray) -> np.ndarray:
+        """Per cell the coefficients (a, b, c, d) of the bilinear interpolant
+        f = a + b s + c t + d s t of nodal values (or an (n_nodes, k) stack)
+        in the cell's offsets s, t: shape (cells, 4) + values.shape[1:]."""
+        vals = np.asarray(values, dtype=float)
+        v = self._tensor_values(vals)
+        v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
+        table = np.stack([v00, v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)], axis=2)
+        return table.reshape((-1, 4) + vals.shape[1:])
 
     def interpolator(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Bilinear interpolant of nodal values (or an (n_nodes, k) stack),
         extrapolated linearly past the edges, as a callable on (n, 2) grid
         coordinates (``grid_coords`` converts Cartesian points).
 
-        The build stores per cell the coefficients (a, b, c, d) of
-        f = a + b s + c t + d s t in the cell's offsets s, t in [0, 1]; a
-        call locates each point's cell arithmetically, clipped to the edge
-        cells, and evaluates every column with one sparse product whose row
-        i is [1, s_i, t_i, s_i t_i] against the four table rows of its cell.
+        The build stores each column's :meth:`cell_table` coefficients as
+        four contiguous arrays; a call runs :meth:`locate` once and gathers
+        every column as a + s b + t c + (s t) d at the points' cells, summed
+        in that order.
         """
-        vals = np.asarray(values, dtype=float)
-        axes, v = self._tensor_axes(vals)
-        v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
-        table = np.stack([v00, v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)], axis=2)
-        table = table.reshape((-1,) + vals.shape[1:])
-        cells = [(nodes, np.diff(nodes), origin, h) for nodes, origin, h in axes]
-        m1 = cells[1][1].size
+        table = self.cell_table(values)
+        tail = table.shape[2:]
+        coefs = np.ascontiguousarray(table.reshape(table.shape[:2] + (-1,)).transpose(2, 1, 0))
 
         def interpolate(coords: np.ndarray) -> np.ndarray:
-            coords = np.atleast_2d(np.asarray(coords, dtype=float))
-            n = coords.shape[0]
-            rows = np.empty((n, 4))
-            rows[:, 0] = 1.0
-            k = []
-            for ax, (nodes, widths, origin, h) in enumerate(cells):
-                c = coords[:, ax]
-                # truncating the clipped position is flooring it, then clipping
-                x = np.subtract(c, origin)
-                x /= h
-                k.append(np.clip(x, 0, widths.size - 1, out=x).astype(np.intp))
-                s = np.subtract(c, nodes.take(k[-1]), out=rows[:, 1 + ax])
-                s /= widths.take(k[-1])
-            np.multiply(rows[:, 1], rows[:, 2], out=rows[:, 3])
-            col = np.multiply(k[0] * m1 + k[1], 4, dtype=np.int32)
-            P = sp.csr_matrix((rows.reshape(-1),
-                               np.stack([col, col + 1, col + 2, col + 3], axis=1).reshape(-1),
-                               np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
-                              shape=(n, table.shape[0]))
-            return P @ table
+            cell, s, t = self.locate(coords)
+            st = s * t
+            out = np.empty((s.size, coefs.shape[0]))
+            for j, (a, b, c, d) in enumerate(coefs):
+                out[:, j] = a.take(cell) + s * b.take(cell) + t * c.take(cell) + st * d.take(cell)
+            return out.reshape(s.shape + tail)
 
         return interpolate
 
@@ -431,9 +453,11 @@ class SquareGrid(Grid):
     def grid_coords(self, points):
         return np.asarray(points, dtype=float)
 
-    def _tensor_axes(self, values):
-        axes = ((self.xs, 1.0, self.hx), (self.ys, 1.0, self.hy))
-        return axes, values.reshape(self.shape + values.shape[1:])
+    def _tensor_axes(self):
+        return (self.xs, 1.0, self.hx), (self.ys, 1.0, self.hy)
+
+    def _tensor_values(self, values):
+        return values.reshape(self.shape + values.shape[1:])
 
 
 class DiskGrid(Grid):
@@ -511,17 +535,19 @@ class DiskGrid(Grid):
         return np.column_stack([np.hypot(pts[:, 0], pts[:, 1]),
                                 np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)])
 
-    def _tensor_axes(self, values):
+    def _tensor_axes(self):
         # a ring at r = 0 holding the ring-0 mean, so the origin cell is an
-        # ordinary cell, and a seam column at theta = 2 pi repeating column 0;
+        # ordinary cell, and a seam column at theta = 2 pi repeating column 0
+        return ((np.concatenate([[0.0], self.rs]), -self.dr / 2.0, self.dr),
+                (np.append(self.ts, 2.0 * math.pi), 0.0, self.dt))
+
+    def _tensor_values(self, values):
         # the mean sums in node order, so a stacked column matches its scalar
         # interpolant bit for bit
         v = values.reshape(self.shape + values.shape[1:])
         mean = v[0].cumsum(axis=0)[-1] / self.shape[1]
         v = np.concatenate([np.broadcast_to(mean, v[:1].shape), v])
-        v = np.concatenate([v, v[:, :1]], axis=1)
-        return ((np.concatenate([[0.0], self.rs]), -self.dr / 2.0, self.dr),
-                (np.append(self.ts, 2.0 * math.pi), 0.0, self.dt)), v
+        return np.concatenate([v, v[:, :1]], axis=1)
 
 
 def build_grid(spec: DomainSpec) -> Grid:

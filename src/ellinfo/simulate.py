@@ -3,10 +3,13 @@
 Design points are drawn from the normalized measure on the domain (uniform
 area; the disk uses polar inversion), and every experiment is driven by
 spawned child seeds so reports are bitwise reproducible.  The design is
-drawn in grid coordinates ((r, theta) on the disk), and every nodal field a
-study needs at the design points is a column of one prepared
+drawn in grid coordinates ((r, theta) on the disk), so no design point is
+converted to Cartesian coordinates.  The LAN and score studies evaluate every
+nodal field they need at the design as a column of one prepared
 ``Grid.interpolator`` closure, built once per study outside the replicate
-loop, so no design point is converted to Cartesian coordinates.  Where a
+loop.  The risk study needs its fields only through the Gram matrix Z^T Z,
+which it forms from per-cell moments of the located design against one
+``Grid.cell_table``, without evaluating Z.  Where a
 statistic sees the noise only through a linear image, the study draws that
 image from its exact law given the design, next from the same generator:
 -eps.d(X) ~ N(0, ||d(X)||^2) for the likelihood ratio (one column,
@@ -41,14 +44,15 @@ LOW_POWER_N = 100
 LOW_REPLICATES = 100
 
 
-def _draw(grid, rng, n: int, interp):
-    """One design in grid coordinates and ``interp`` at it.
+def _draw(grid, rng, n: int, evaluate):
+    """One design in grid coordinates and ``evaluate`` at it.
 
     The design is uniform for the normalized measure: 1 + U on the square,
     (sqrt(U1), 2 pi U2) in (r, theta) on the disk.  Each study draws its
-    noise from ``rng`` next, so a seed fixes both.  ``interp`` is a
-    ``Grid.interpolator`` closure prepared once per study; it evaluates
-    every field it holds at the design without a Cartesian round trip.
+    noise from ``rng`` next, so a seed fixes both.  ``evaluate`` takes grid
+    coordinates: a ``Grid.interpolator`` closure prepared once per study,
+    which evaluates every field it holds at the design, or ``Grid.locate``,
+    which returns the design's cells and offsets in them.
     """
     if n < 1:
         raise ConfigError("need at least one observation")
@@ -58,7 +62,7 @@ def _draw(grid, rng, n: int, interp):
     else:
         r = np.sqrt(rng.random(n))
         coords = np.column_stack([r, 2.0 * math.pi * rng.random(n)])
-    return coords, interp(coords)
+    return coords, evaluate(coords)
 
 
 @dataclass
@@ -297,6 +301,22 @@ class RiskTable:
     flags: tuple = ()
 
 
+def _moment_gram(table: np.ndarray, cell: np.ndarray, s: np.ndarray,
+                 t: np.ndarray) -> np.ndarray:
+    """Z^T Z for the interpolant Z of the (cells, 4, m) ``Grid.cell_table``
+    at the located points, without forming Z: row i of Z is T_c^T w_i with
+    w = (1, s, t, s t) and c the point's cell, so Z^T Z = sum_c T_c^T M_c T_c
+    with the cell moments M_c = sum_{i in c} w_i w_i^T, whose ten distinct
+    entries are weighted bincounts."""
+    w = (np.ones_like(s), s, t, s * t)
+    moments = np.empty((table.shape[0], 4, 4))
+    for a, b in zip(*np.triu_indices(4)):
+        moments[:, a, b] = moments[:, b, a] = np.bincount(cell, w[a] * w[b],
+                                                          minlength=table.shape[0])
+    m = table.shape[2]
+    return table.reshape(-1, m).T @ (moments @ table).reshape(-1, m)
+
+
 def _default_cutoff(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
@@ -309,7 +329,10 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     The estimator regresses residuals Y - u_theta(X) on the interpolated
     images Z1 = (I e_k)(X) of the top-K information eigenvectors by Cholesky
     and plugs the fitted coefficients into the functional; K <= N follows the
-    cutoff rule (default ceil(N^{1/3})).  The noise enters as
+    cutoff rule (default ceil(N^{1/3})), and K may not exceed the number of
+    non-kernel modes.  The fit sees Z = [bias, Z1] only through Z^T Z, which
+    :func:`_moment_gram` forms from the cell moments of the located design,
+    so no (N, K + 1) array is formed.  The noise enters as
     Z1^T eps ~ N(0, Z1^T Z1), drawn as U^T xi from k normals, U^T U = Z1^T Z1;
     as that draw depends on the modes' signs, each mode is signed by a fixed
     probe, not by the eigensolver.  For in-range functionals the normalized
@@ -333,6 +356,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     k_max = max(k_values)
     decomp = eigendecompose(ctx, n_modes=k_max)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k_max]
+    if keep.size < k_max:
+        raise ConfigError(f"cutoff K = {k_max} exceeds the {keep.size} non-kernel "
+                          "information modes of the grid")
     series, _ = range_series(decomp, psi)
     grid = ctx.grid
     probe = np.random.default_rng(0).uniform(-1.0, 1.0, grid.n_interior)
@@ -340,7 +366,7 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     signs = np.where(probe @ modes < 0.0, -1.0, 1.0)
     coeffs = decomp.coefficients(psi)[keep] * signs
     # Column 0 is the regression bias u_truth - u; columns 1..k_max are the
-    # images of the kept modes: one product gives the noiseless normal equations.
+    # images of the kept modes: one Gram matrix gives the noiseless normal equations.
     fields = np.zeros((grid.n_nodes, 1 + keep.size))
     fields[grid.interior_ids, 1:] = ctx._apply_B(modes * signs)
     if theta_truth is not None:
@@ -354,11 +380,11 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     n_mse = np.empty(len(n_list))
     for j, (n, k) in enumerate(zip(n_list, k_values)):
         errors = np.empty(replicates)
-        interp = grid.interpolator(fields[:, :k + 1])
+        table = grid.cell_table(fields[:, :k + 1])
         for r, child in enumerate(root.spawn(replicates)):
             rng = np.random.default_rng(child)
-            _, z = _draw(grid, rng, n, interp)
-            gram = z.T @ z
+            _, located = _draw(grid, rng, n, grid.locate)
+            gram = _moment_gram(table, *located)
             upper = cholesky(gram[1:, 1:])
             noise = 0.0 if noiseless else upper.T @ rng.standard_normal(k)
             beta = cho_solve((upper, False), gram[1:, 0] + noise)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
 from ellinfo.grids import (COLLAR_CELLS, DomainKind, DomainSpec, ScalarField,
@@ -274,6 +275,40 @@ def evaluations(g, values, points):
     return rgi_interpolator(g, values)(points), g.interpolator(values)(g.grid_coords(points))
 
 
+def sparse_product_interpolator(g, values):
+    """Reference: the bilinear interpolant as one sparse product per call,
+    whose row i is [1, s_i, t_i, s_i t_i] against the four table rows of
+    point i's cell; the cells are located arithmetically, clipped to the
+    edge cells."""
+    vals = np.asarray(values, dtype=float)
+    v = g._tensor_values(vals)
+    v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
+    table = np.stack([v00, v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)], axis=2)
+    table = table.reshape((-1,) + vals.shape[1:])
+    cells = [(nodes, np.diff(nodes), origin, h) for nodes, origin, h in g._tensor_axes()]
+    m1 = cells[1][1].size
+
+    def interpolate(coords):
+        coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        n = coords.shape[0]
+        rows = np.empty((n, 4))
+        rows[:, 0] = 1.0
+        k = []
+        for ax, (nodes, widths, origin, h) in enumerate(cells):
+            c = coords[:, ax]
+            x = np.clip((c - origin) / h, 0, widths.size - 1)
+            k.append(x.astype(np.intp))
+            rows[:, 1 + ax] = (c - nodes[k[-1]]) / widths[k[-1]]
+        rows[:, 3] = rows[:, 1] * rows[:, 2]
+        col = 4 * (k[0] * m1 + k[1])
+        P = sp.csr_matrix((rows.reshape(-1), np.stack([col, col + 1, col + 2, col + 3],
+                                                      axis=1).reshape(-1),
+                           np.arange(0, 4 * n + 1, 4)), shape=(n, table.shape[0]))
+        return P @ table
+
+    return interpolate
+
+
 def special_points(g):
     """Corners, edges, nodes and points past the edge of the square; on the
     disk the origin, the origin cell, the 0 / 2 pi seam, the boundary ring
@@ -333,6 +368,16 @@ class TestInterpolation:
             sep = np.column_stack([g.interpolator(a)(coords), g.interpolator(b)(coords)])
             np.testing.assert_array_equal(stacked(coords), sep)
 
+    @staticmethod
+    def _test_points(g, rng):
+        """5000 random points of the domain, then every special point."""
+        if g.spec.kind is DomainKind.SQUARE:
+            pts = 1.0 + rng.random((5000, 2))
+        else:
+            r, t = np.sqrt(rng.random(5000)), 2.0 * math.pi * rng.random(5000)
+            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        return np.vstack([pts, special_points(g)])
+
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_prepared_interpolator_matches_oracle(self, g):
         """The prepared interpolator at grid coordinates reproduces the
@@ -340,16 +385,24 @@ class TestInterpolation:
         every special point, including the extrapolation past the square's
         edges."""
         rng = np.random.default_rng(5)
-        if g.spec.kind is DomainKind.SQUARE:
-            pts = 1.0 + rng.random((5000, 2))
-        else:
-            r, t = np.sqrt(rng.random(5000)), 2.0 * math.pi * rng.random(5000)
-            pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-        pts = np.vstack([pts, special_points(g)])
+        pts = self._test_points(g, rng)
         F = rng.standard_normal((g.n_nodes, 3))
         ref, got = evaluations(g, F, pts)
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    def test_gather_matches_sparse_product(self, g):
+        """The gather a + s b + t c + (s t) d sums in the order of the sparse
+        product's rows, so a scalar and a 3-column stack agree with
+        :func:`sparse_product_interpolator` bit for bit, past the edges, in
+        the origin cell and at the seam too."""
+        rng = np.random.default_rng(6)
+        coords = g.grid_coords(self._test_points(g, rng))
+        for F in (rng.standard_normal(g.n_nodes), rng.standard_normal((g.n_nodes, 3))):
+            got = g.interpolator(F)(coords)
+            assert got.shape == (len(coords),) + F.shape[1:]
+            np.testing.assert_array_equal(got, sparse_product_interpolator(g, F)(coords))
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_partition_of_unity(self, g):

@@ -19,7 +19,7 @@ from ellinfo.score import ScoreContext
 from ellinfo.simulate import (info_identity_mc, kolmogorov_sf, ks_normal, lan_mc,
                               plugin_risk_study)
 from ellinfo.spectral import eigendecompose
-from test_grids import rgi_interpolator
+from test_grids import rgi_interpolator, special_points
 
 
 def direction(grid, seed, scale=1.0):
@@ -231,17 +231,19 @@ class TestKolmogorovSmirnov:
 class TestRiskStudy:
     """N * MSE of the spectral-cutoff plug-in estimator."""
 
-    def test_noiseless_estimator_is_exact(self, ctx_cache, monkeypatch):
+    @pytest.mark.parametrize("name, res, psi", [("square_ex1", 17, "in_range"),
+                                                ("disk_ex2", 16, "constant")])
+    def test_noiseless_estimator_is_exact(self, ctx_cache, monkeypatch, name, res, psi):
         """With no noise and data generated at the base conductivity the
-        regression residuals vanish, so the risk is exactly zero.  The study
-        needs only its top max(K) pairs, so it runs with the dense B_hat
-        refused."""
+        regression residuals vanish, so the risk is exactly zero, on the
+        square and on the disk.  The study needs only its top max(K) pairs,
+        so it runs with the dense B_hat refused."""
         def refuse(self):
             raise AssertionError("dense linearization built for a risk study")
 
         monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
-        ctx = ctx_cache("square_ex1", 17)
-        table = plugin_risk_study(ctx, in_range_fixture(ctx).psi, (400,),
+        ctx = ctx_cache(name, res)
+        table = plugin_risk_study(ctx, psi_fixture(ctx, psi), (400,),
                                   replicates=4, seed=0,
                                   estimator_config={"noiseless": True})
         np.testing.assert_array_equal(table.n_mse, 0.0)
@@ -289,15 +291,16 @@ class TestRiskStudy:
     def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
         """The study images its kept modes with one block apply of I; oracle:
         ``_apply_B`` of each mode alone, on the same certified Lanczos pairs,
-        each signed to have a positive inner product with the probe."""
+        each signed to have a positive inner product with the probe.  The
+        images are read from the stack the study's cell table is built of."""
         ctx = ctx_cache("square_ex1", 17)
-        seen, real = [], ctx.grid.interpolator
+        seen, real = [], ctx.grid.cell_table
 
         def recording(values):
             seen.append(np.array(values))
             return real(values)
 
-        monkeypatch.setattr(ctx.grid, "interpolator", recording)
+        monkeypatch.setattr(ctx.grid, "cell_table", recording)
         plugin_risk_study(ctx, in_range_fixture(ctx).psi, (1000,), replicates=2, seed=0)
         images = seen[0][:, 1:]
         decomp = eigendecompose(ctx, n_modes=images.shape[1])
@@ -308,6 +311,39 @@ class TestRiskStudy:
             col = ctx.grid.interior_field(ctx._apply_B(signs[k] * decomp.modes[:, k])).values
             np.testing.assert_allclose(images[:, k], col, rtol=0.0,
                                        atol=1e-13 * np.abs(col).max())
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
+    def test_moment_gram_matches_evaluated_stack(self, ctx_cache, name, res):
+        """The Gram matrix from the cell moments of a design equals Z^T Z of
+        the interpolated [bias, images] stack Z to 1e-13 of its largest
+        entry, on a 300-point design plus the special points, which put
+        points in the disk's origin cell and seam column and past the edges."""
+        ctx = ctx_cache(name, res)
+        grid = ctx.grid
+        pert = random_smooth_field(grid, np.random.default_rng(9))
+        truth = Conductivity.from_perturbation(
+            grid, ScalarField(grid, 0.1 * pert.values), eta=None)
+        decomp = eigendecompose(ctx, n_modes=8)
+        fields = np.column_stack([ctx.forward_map(truth).values - ctx.u.values,
+                                  grid.interior_field(ctx._apply_B(decomp.modes)).values])
+        coords, _ = simulate._draw(grid, np.random.default_rng(5), 300, grid.locate)
+        coords = np.vstack([coords, grid.grid_coords(special_points(grid))])
+        cell, s, t = grid.locate(coords)
+        if grid.spec.kind is DomainKind.DISK:
+            n_t = grid.shape[1]
+            assert np.any(cell < n_t) and np.any(cell % n_t == n_t - 1)
+        z = grid.interpolator(fields)(coords)
+        ref = z.T @ z
+        gram = simulate._moment_gram(grid.cell_table(fields), cell, s, t)
+        np.testing.assert_allclose(gram, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+    def test_cutoff_above_non_kernel_modes_rejected(self, ctx_cache):
+        """The saddle at 9 has 7 kernel modes among its 49 pairs, so a cutoff
+        of 49 asks for more modes than the 42 it can fit on."""
+        ctx = ctx_cache("saddle", 9)
+        with pytest.raises(ConfigError, match="K = 49 exceeds the 42 non-kernel"):
+            plugin_risk_study(ctx, psi_fixture(ctx, "bump"), (100,), replicates=2,
+                              estimator_config={"cutoff": lambda n: 49})
 
     def test_noise_factor_reproduces_the_gram_matrix(self, ctx_cache):
         """The fit draws Z1^T eps as F xi with F = U^T, U the upper factor of
