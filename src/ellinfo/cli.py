@@ -355,8 +355,6 @@ def _run_transport(cfg: ExperimentConfig):
 
 
 def _run_simulate(cfg: ExperimentConfig):
-    if cfg.replicates < 2:
-        raise ConfigError("simulate needs at least two replicates for a standard error")
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
     h = psi_fixture(ctx, cfg.psi or "bump", **cfg.psi_params)

@@ -26,12 +26,13 @@ the square, (r, theta) on the disk, whose tensor axes gain a ring at r = 0
 holding the ring-0 mean and a seam column at theta = 2 pi.
 ``Grid.cell_table(F)`` holds the per-cell bilinear coefficients of a nodal
 stack F and ``Grid.locate`` finds the cells of (n, 2) grid coordinates
-arithmetically, with the offsets in them.  ``Grid.interpolator(F)`` builds
-the table once and returns a plain function of grid coordinates; a call
-locates the points once and gathers each column from its cells' four
-coefficients.  ``Grid.grid_coords`` converts Cartesian points for callers
-that hold them (the curve tracer, curve integrals, the score); the Monte
-Carlo draws its design in grid coordinates and skips the round trip.
+arithmetically, with the offsets in them (on the square's dyadic axes with
+no gather, bit for bit).  ``Grid.interpolator(F)`` builds the table once
+and returns a plain function of grid coordinates; a call locates the points
+once and gathers each column in place from its cells' four coefficients.
+``Grid.grid_coords`` converts Cartesian points for callers that hold them
+(the curve tracer, curve integrals, the score); the Monte Carlo draws its
+design in grid coordinates and skips the round trip.
 """
 
 from __future__ import annotations
@@ -336,27 +337,40 @@ class Grid:
 
     @cached_property
     def _cells(self):
-        """Per axis (nodes, widths, origin, h) of the interpolation cells."""
-        return tuple((nodes, np.diff(nodes), origin, h)
-                     for nodes, origin, h in self._tensor_axes())
+        """Per axis (nodes, widths, origin, h, dyadic) of the interpolation
+        cells; dyadic: h is a power of two, nodes origin + k h and widths h
+        bit for bit, as on the square at 2^m + 1 nodes, not on the disk."""
+        cells = []
+        for nodes, origin, h in self._tensor_axes():
+            widths = np.diff(nodes)
+            dyadic = (math.frexp(h)[0] == 0.5 and bool(np.all(widths == h))
+                      and np.array_equal(nodes, origin + np.arange(nodes.size) * h))
+            cells.append((nodes, widths, origin, h, dyadic))
+        return tuple(cells)
 
     def locate(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The cells of (n, 2) grid coordinates and the offsets in them, as
         (cell, s, t): cell is the flat index of a row of :meth:`cell_table`,
         found arithmetically and clipped to the edge cells, and s, t are the
         offsets along the two axes, in [0, 1] inside the cell and beyond it
-        past the edges."""
+        past the edges.  On a dyadic axis the offset (c - nodes[k]) / widths[k]
+        is x - k, x = (c - origin) / h, bit for bit: dividing by h is exact,
+        in cell 0 both are x, and past it the square's c - 1 is exact, so
+        both round (c - origin - k h) / h once."""
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         k, offsets = [], []
-        for ax, (nodes, widths, origin, h) in enumerate(self._cells):
+        for ax, (nodes, widths, origin, h, dyadic) in enumerate(self._cells):
             c = coords[:, ax]
-            # truncating the clipped position is flooring it, then clipping
+            # truncating the clipped x floors it, then clips; a dyadic offset needs x as is
             x = np.subtract(c, origin)
             x /= h
-            k.append(np.clip(x, 0, widths.size - 1, out=x).astype(np.intp))
-            s = np.subtract(c, nodes.take(k[-1]))
-            s /= widths.take(k[-1])
-            offsets.append(s)
+            k.append(np.clip(x, 0, widths.size - 1, out=None if dyadic else x).astype(np.intp))
+            if dyadic:
+                x -= k[-1]
+            else:
+                x = np.subtract(c, nodes.take(k[-1]))
+                x /= widths.take(k[-1])
+            offsets.append(x)
         return (k[0] * self._cells[1][1].size + k[1], *offsets)
 
     def cell_table(self, values: np.ndarray) -> np.ndarray:
@@ -376,8 +390,8 @@ class Grid:
 
         The build stores each column's :meth:`cell_table` coefficients as
         four contiguous arrays; a call runs :meth:`locate` once and gathers
-        every column as a + s b + t c + (s t) d at the points' cells, summed
-        in that order.
+        every column in place as a + s b + t c + (s t) d at the points'
+        cells, summed in that order.
         """
         table = self.cell_table(values)
         tail = table.shape[2:]
@@ -385,10 +399,14 @@ class Grid:
 
         def interpolate(coords: np.ndarray) -> np.ndarray:
             cell, s, t = self.locate(coords)
-            st = s * t
-            out = np.empty((s.size, coefs.shape[0]))
-            for j, (a, b, c, d) in enumerate(coefs):
-                out[:, j] = a.take(cell) + s * b.take(cell) + t * c.take(cell) + st * d.take(cell)
+            weights, out = (s, t, s * t), np.empty((s.size, coefs.shape[0]))
+            column, term = np.empty(s.size), np.empty(s.size)
+            for j, (a, *bcd) in enumerate(coefs):
+                # the cells are in range; "clip" spares take's buffered out
+                a.take(cell, out=column, mode="clip")
+                for w, b in zip(weights, bcd):
+                    column += np.multiply(w, b.take(cell, out=term, mode="clip"), out=term)
+                out[:, j] = column
             return out.reshape(s.shape + tail)
 
         return interpolate

@@ -245,8 +245,8 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     """
     if n < 1:  # before 1/sqrt(n) scales h
         raise ConfigError("need at least one observation")
-    if replicates < 1:
-        raise ConfigError("need at least one replicate")
+    if replicates < 2:
+        raise ConfigError("need at least two replicates for a standard error")
     grid = ctx.grid
     Conductivity.from_perturbation(  # validates theta + h/sqrt(n)
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
@@ -262,8 +262,8 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
         s = float(d_x @ d_x)
         llrs[r] = math.sqrt(s) * rng.standard_normal() - 0.5 * s
     mean = float(llrs.mean())
-    var = float(llrs.var(ddof=1)) if replicates > 1 else 0.0
-    se = (math.sqrt(var / replicates) if replicates > 1 else math.inf)
+    var = float(llrs.var(ddof=1))
+    se = math.sqrt(var / replicates)
     references = {"mean": -0.5 * norm_sq, "variance": norm_sq}
     flags = ()
     extras = {}
@@ -273,12 +273,10 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
         extras["ks_statistic"], extras["ks_pvalue"] = ks_normal(
             llrs, -0.5 * norm_sq, math.sqrt(norm_sq))
         extras["mean_within_4se"] = bool(abs(mean - references["mean"]) <= 4.0 * se)
-        if replicates > 1:
-            # Gaussian-based standard error of the sample variance.
-            se_var = var * math.sqrt(2.0 / (replicates - 1))
-            extras["variance_se"] = se_var
-            extras["var_within_4se"] = bool(
-                abs(var - references["variance"]) <= 4.0 * se_var)
+        # Gaussian-based standard error of the sample variance.
+        se_var = var * math.sqrt(2.0 / (replicates - 1))
+        extras["variance_se"] = se_var
+        extras["var_within_4se"] = bool(abs(var - references["variance"]) <= 4.0 * se_var)
     if replicates < LOW_REPLICATES:
         flags = flags + ("low_power",)
     return MCReport(kind="lan", seed=seed, n_samples=n, replicates=replicates,
@@ -301,18 +299,22 @@ class RiskTable:
     flags: tuple = ()
 
 
+#: Entry (a, b) of M_c as an index into [count, s, t, st, ss, s st, tt, t st, st st].
+_MOMENT_SLOTS = np.array([[0, 1, 2, 3], [1, 4, 3, 5], [2, 3, 6, 7], [3, 5, 7, 8]])
+
+
 def _moment_gram(table: np.ndarray, cell: np.ndarray, s: np.ndarray,
                  t: np.ndarray) -> np.ndarray:
     """Z^T Z for the interpolant Z of the (cells, 4, m) ``Grid.cell_table``
     at the located points, without forming Z: row i of Z is T_c^T w_i with
     w = (1, s, t, s t) and c the point's cell, so Z^T Z = sum_c T_c^T M_c T_c
-    with the cell moments M_c = sum_{i in c} w_i w_i^T, whose ten distinct
-    entries are weighted bincounts."""
-    w = (np.ones_like(s), s, t, s * t)
-    moments = np.empty((table.shape[0], 4, 4))
-    for a, b in zip(*np.triu_indices(4)):
-        moments[:, a, b] = moments[:, b, a] = np.bincount(cell, w[a] * w[b],
-                                                          minlength=table.shape[0])
+    with the cell moments M_c = sum_{i in c} w_i w_i^T: as w_0 w_3 = w_1 w_2,
+    a count and eight weighted bincounts, placed by _MOMENT_SLOTS."""
+    st = s * t
+    moments = np.stack([np.bincount(cell, minlength=table.shape[0])]
+                       + [np.bincount(cell, w, minlength=table.shape[0])
+                          for w in (s, t, st, s * s, s * st, t * t, t * st, st * st)],
+                       axis=-1)[:, _MOMENT_SLOTS]
     m = table.shape[2]
     return table.reshape(-1, m).T @ (moments @ table).reshape(-1, m)
 
@@ -350,6 +352,8 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     noiseless = bool(config.get("noiseless", False))
     theta_truth = config.get("theta_truth")
     n_list = tuple(int(n) for n in n_list)
+    if not n_list or replicates < 1:
+        raise ConfigError("need at least one sample size and at least one replicate")
     k_values = tuple(min(cutoff(n), ctx.grid.n_interior) for n in n_list)
     if any(n < k for n, k in zip(n_list, k_values)):
         raise ConfigError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")

@@ -275,32 +275,34 @@ def evaluations(g, values, points):
     return rgi_interpolator(g, values)(points), g.interpolator(values)(g.grid_coords(points))
 
 
+def gathered_locate(g, coords):
+    """Reference: the cells of grid coordinates, located arithmetically and
+    clipped to the edge cells, and the offsets in them from the gathered
+    nodes and widths, (c - nodes[k]) / widths[k], on every axis."""
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    k, offsets = [], []
+    for ax, (nodes, origin, h) in enumerate(g._tensor_axes()):
+        widths, c = np.diff(nodes), coords[:, ax]
+        k.append(np.clip((c - origin) / h, 0, widths.size - 1).astype(np.intp))
+        offsets.append((c - nodes[k[-1]]) / widths[k[-1]])
+    return (k[0] * widths.size + k[1], *offsets)  # widths of axis 1
+
+
 def sparse_product_interpolator(g, values):
     """Reference: the bilinear interpolant as one sparse product per call,
     whose row i is [1, s_i, t_i, s_i t_i] against the four table rows of
-    point i's cell; the cells are located arithmetically, clipped to the
-    edge cells."""
+    point i's cell, located by :func:`gathered_locate`."""
     vals = np.asarray(values, dtype=float)
     v = g._tensor_values(vals)
     v00, v10, v01, v11 = v[:-1, :-1], v[1:, :-1], v[:-1, 1:], v[1:, 1:]
     table = np.stack([v00, v10 - v00, v01 - v00, (v11 - v10) - (v01 - v00)], axis=2)
     table = table.reshape((-1,) + vals.shape[1:])
-    cells = [(nodes, np.diff(nodes), origin, h) for nodes, origin, h in g._tensor_axes()]
-    m1 = cells[1][1].size
 
     def interpolate(coords):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        n = coords.shape[0]
-        rows = np.empty((n, 4))
-        rows[:, 0] = 1.0
-        k = []
-        for ax, (nodes, widths, origin, h) in enumerate(cells):
-            c = coords[:, ax]
-            x = np.clip((c - origin) / h, 0, widths.size - 1)
-            k.append(x.astype(np.intp))
-            rows[:, 1 + ax] = (c - nodes[k[-1]]) / widths[k[-1]]
-        rows[:, 3] = rows[:, 1] * rows[:, 2]
-        col = 4 * (k[0] * m1 + k[1])
+        cell, s, t = gathered_locate(g, coords)
+        n = cell.size
+        rows = np.column_stack([np.ones(n), s, t, s * t])
+        col = 4 * cell
         P = sp.csr_matrix((rows.reshape(-1), np.stack([col, col + 1, col + 2, col + 3],
                                                       axis=1).reshape(-1),
                            np.arange(0, 4 * n + 1, 4)), shape=(n, table.shape[0]))
@@ -378,7 +380,8 @@ class TestInterpolation:
             pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
         return np.vstack([pts, special_points(g)])
 
-    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    @pytest.mark.parametrize("g", [square(33), square(25), disk(28)],
+                             ids=["square", "square25", "disk"])
     def test_prepared_interpolator_matches_oracle(self, g):
         """The prepared interpolator at grid coordinates reproduces the
         oracle at Cartesian points column by column, at random points and at
@@ -391,7 +394,8 @@ class TestInterpolation:
         assert got.shape == (len(pts), 3)
         assert np.max(np.abs(got - ref)) <= 1e-14
 
-    @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
+    @pytest.mark.parametrize("g", [square(33), square(25), disk(28)],
+                             ids=["square", "square25", "disk"])
     def test_gather_matches_sparse_product(self, g):
         """The gather a + s b + t c + (s t) d sums in the order of the sparse
         product's rows, so a scalar and a 3-column stack agree with
@@ -403,6 +407,32 @@ class TestInterpolation:
             got = g.interpolator(F)(coords)
             assert got.shape == (len(coords),) + F.shape[1:]
             np.testing.assert_array_equal(got, sparse_product_interpolator(g, F)(coords))
+
+    @pytest.mark.parametrize("g, dyadic", [(square(17), True), (square(33), True),
+                                           (square(65), True), (square(25), False),
+                                           (disk(28), False), (disk(32), False)],
+                             ids=["square17", "square33", "square65", "square25",
+                                  "disk28", "disk32"])
+    def test_dyadic_axes(self, g, dyadic):
+        """An axis is dyadic when h is a power of two and its nodes are
+        origin + k h bit for bit: the square's at 2^m + 1 nodes, neither
+        square 25's (h = 1/24) nor either disk axis."""
+        assert [axis[-1] for axis in g._cells] == [dyadic, dyadic]
+
+    @pytest.mark.parametrize("n", [17, 33, 65])
+    def test_dyadic_locate_matches_gathered_offsets(self, n):
+        """On dyadic axes the offsets x - k, with no gather, equal
+        :func:`gathered_locate`'s (c - nodes[k]) / widths[k] bit for bit,
+        and so do the cells: at random points, at every special point, and
+        up to 0.5, 10 and 1e6 past each edge."""
+        g = square(n)
+        assert all(axis[-1] for axis in g._cells)
+        rng = np.random.default_rng(n)
+        coords = np.vstack([self._test_points(g, rng)]
+                           + [rng.uniform(1.0 - far, 2.0 + far, (5000, 2))
+                              for far in (0.5, 10.0, 1e6)])
+        for got, ref in zip(g.locate(coords), gathered_locate(g, coords)):
+            np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("g", [square(33), disk(28)], ids=["square", "disk"])
     def test_partition_of_unity(self, g):

@@ -178,6 +178,15 @@ class TestLanMC:
         with pytest.raises(ConfigError, match="need at least one observation"):
             lan_mc(ctx, h, n, 10)
 
+    @pytest.mark.parametrize("replicates", [1, 0])
+    def test_fewer_than_two_replicates_rejected(self, ctx_cache, replicates):
+        """One replicate has no standard error, so no verdict: lan_mc refuses
+        it, not only the CLI, instead of reporting mean_within_4se from an
+        infinite one."""
+        ctx = ctx_cache("square_ex1", 17)
+        with pytest.raises(ConfigError, match="need at least two replicates"):
+            lan_mc(ctx, psi_fixture(ctx, "bump"), 100, replicates)
+
 
 class TestKolmogorovSmirnov:
     """The in-library two-sided KS test against its oracle, scipy.stats."""
@@ -216,7 +225,7 @@ class TestKolmogorovSmirnov:
             assert d == ref.statistic
             assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("replicates", (1, 150))
+    @pytest.mark.parametrize("replicates", (2, 150))
     def test_lan_report_matches_scipy(self, ctx_cache, replicates):
         ctx = ctx_cache("square_ex1", 17)
         rep = lan_mc(ctx, direction(ctx.grid, 31, scale=2.0), 2000, replicates, seed=9)
@@ -225,7 +234,7 @@ class TestKolmogorovSmirnov:
                                  math.sqrt(rep.references["variance"])))
         assert rep.extras["ks_statistic"] == ref.statistic
         assert rep.extras["ks_pvalue"] == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
-        assert ("variance_se" in rep.extras) == (replicates > 1)
+        assert "variance_se" in rep.extras
 
 
 class TestRiskStudy:
@@ -312,12 +321,26 @@ class TestRiskStudy:
             np.testing.assert_allclose(images[:, k], col, rtol=0.0,
                                        atol=1e-13 * np.abs(col).max())
 
+    @staticmethod
+    def _ten_bincount_gram(table, cell, s, t):
+        """Reference: Z^T Z from cell moments whose ten upper entries are
+        each a bincount weighted by w_a w_b, w = (1, s, t, s t)."""
+        w = (np.ones_like(s), s, t, s * t)
+        moments = np.empty((table.shape[0], 4, 4))
+        for a, b in zip(*np.triu_indices(4)):
+            moments[:, a, b] = moments[:, b, a] = np.bincount(cell, w[a] * w[b],
+                                                              minlength=table.shape[0])
+        m = table.shape[2]
+        return table.reshape(-1, m).T @ (moments @ table).reshape(-1, m)
+
     @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
     def test_moment_gram_matches_evaluated_stack(self, ctx_cache, name, res):
         """The Gram matrix from the cell moments of a design equals Z^T Z of
         the interpolated [bias, images] stack Z to 1e-13 of its largest
         entry, on a 300-point design plus the special points, which put
-        points in the disk's origin cell and seam column and past the edges."""
+        points in the disk's origin cell and seam column and past the edges.
+        It equals the ten-bincount reference bit for bit: a count and eight
+        distinct weighted bincounts give the same moments."""
         ctx = ctx_cache(name, res)
         grid = ctx.grid
         pert = random_smooth_field(grid, np.random.default_rng(9))
@@ -336,6 +359,8 @@ class TestRiskStudy:
         ref = z.T @ z
         gram = simulate._moment_gram(grid.cell_table(fields), cell, s, t)
         np.testing.assert_allclose(gram, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_array_equal(
+            gram, self._ten_bincount_gram(grid.cell_table(fields), cell, s, t))
 
     def test_cutoff_above_non_kernel_modes_rejected(self, ctx_cache):
         """The saddle at 9 has 7 kernel modes among its 49 pairs, so a cutoff
@@ -364,6 +389,22 @@ class TestRiskStudy:
         rhs = np.arange(1.0, gram.shape[0] + 1.0)
         np.testing.assert_allclose(gram @ cho_solve((upper, False), rhs), rhs,
                                    rtol=0.0, atol=1e-10 * np.abs(rhs).max())
+
+    @pytest.mark.parametrize("n_list, replicates, message", [
+        ((400,), 0, "at least one replicate"), ((400,), -3, "at least one replicate"),
+        ((), 2, "at least one sample size")],
+        ids=["zero-replicates", "negative-replicates", "no-sample-size"])
+    def test_empty_study_rejected(self, ctx_cache, monkeypatch, n_list, replicates,
+                                  message):
+        """No replicate or no sample size is a caller's mistake, refused
+        before any eigensolve, not a NaN risk or a numpy error."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve before the parameter checks")
+
+        monkeypatch.setattr(spectral, "eigendecompose", refuse)
+        ctx = ctx_cache("square_ex1", 17)
+        with pytest.raises(ConfigError, match=message):
+            plugin_risk_study(ctx, psi_fixture(ctx, "bump"), n_list, replicates=replicates)
 
     def test_sample_size_below_cutoff_rejected(self, ctx_cache):
         """N < K leaves the plug-in regression underdetermined; the study
