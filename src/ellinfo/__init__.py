@@ -35,7 +35,6 @@ from ellinfo.spectral import (
     RefinementSweep,
     SpectralDecomposition,
     degeneracy_profile,
-    degeneracy_sequence,
     eigendecompose,
     fisher_information,
     fisher_refinement,
@@ -84,7 +83,6 @@ __all__ = [
     "SpectralDecomposition",
     "eigendecompose",
     "range_series",
-    "degeneracy_sequence",
     "degeneracy_profile",
     "fisher_information",
     "fisher_refinement",

@@ -183,8 +183,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"defined on {cfg.fixture!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.samples < 1 or cfg.replicates < 1:
-        raise ConfigError("samples and replicates must be positive")
     cfg.psi = cfg.psi or row.psi
     cfg.resolutions = cfg.resolutions or row.by_fixture.get(cfg.fixture, row.resolutions)
     fewest, most, rule = row.counts

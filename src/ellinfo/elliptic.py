@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ellinfo.grids import ConfigError, Grid, ScalarField, laplacian, make_bump, sobolev_norm
+from ellinfo.grids import (ConfigError, Grid, ScalarField, laplacian, make_bump,
+                           require_finite, sobolev_norm)
 
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
@@ -70,8 +71,7 @@ class Conductivity:
 
     def validate(self):
         vals = self.field.values
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError("conductivity contains non-finite values")
+        require_finite(vals, "conductivity")
         if self.min_value <= ELLIPTICITY_FLOOR:
             raise ConfigError(
                 f"conductivity minimum {self.min_value:.6g} violates the "

@@ -58,6 +58,12 @@ class ConfigError(ValueError):
     """A caller's parameter that the library rejects; the CLI exits 2 on it."""
 
 
+def require_finite(values: np.ndarray, what: str) -> None:
+    """Refuse NaN or infinite ``values`` of ``what`` as a :class:`ConfigError`."""
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{what} contains non-finite values")
+
+
 class DomainKind(str, enum.Enum):
     SQUARE = "square_shifted"
     DISK = "unit_disk"

@@ -11,14 +11,15 @@ loop.  The risk study needs its fields only through the Gram matrix Z^T Z,
 which it forms from per-cell moments of the located design against one
 ``Grid.cell_table``, without evaluating Z.  Where a
 statistic sees the noise only through a linear image, the study draws that
-image from its exact law given the design, next from the same generator:
--eps.d(X) ~ N(0, ||d(X)||^2) for the likelihood ratio (one column,
-d = u_theta - u_{theta + h/sqrt(n)}) as one normal, and
-Z1^T eps ~ N(0, Z1^T Z1) for the plug-in fit on the mode images Z1 as k
-normals.  The three studies check the mean-zero/variance structure of the
-linearized score, the likelihood-ratio expansion against its predicted
-Gaussian limit, and the growth of the normalized risk of a spectral-cutoff
-plug-in estimator of a linear functional of the conductivity.  The limit is
+image from its exact law given the design, next from the same generator,
+as one normal: -eps.d(X) ~ N(0, ||d(X)||^2) for the likelihood ratio (one
+column, d = u_theta - u_{theta + h/sqrt(n)}), and
+c^T G^-1 Z1^T eps ~ N(0, c^T G^-1 c) for the plug-in error (Z1 the mode
+images, G = Z1^T Z1, c the functional's mode coefficients).  The three
+studies check the mean-zero/variance structure of the linearized score,
+the likelihood-ratio expansion against its predicted Gaussian limit, and
+the growth of the normalized risk of a spectral-cutoff plug-in estimator of
+a linear functional of the conductivity.  The limit is
 tested by a two-sided Kolmogorov-Smirnov test computed here, on scipy's branch
 rule (Simard and L'Ecuyer 2011): Ruben-Gambino closed forms at the ends, the
 Smirnov tail, Durbin's matrix for the exact body and Pelz-Good for large n;
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky
 
 from ellinfo.elliptic import Conductivity
-from ellinfo.grids import ConfigError, DomainKind, ScalarField, inner_l2
+from ellinfo.grids import ConfigError, DomainKind, ScalarField, inner_l2, require_finite
 from ellinfo.score import ScoreContext
 
 #: Observation counts below this yield low-power reports that carry no verdict.
@@ -329,21 +330,24 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     """Empirical N*MSE of a spectral-cutoff plug-in for the functional <psi, theta>.
 
     The estimator regresses residuals Y - u_theta(X) on the interpolated
-    images Z1 = (I e_k)(X) of the top-K information eigenvectors by Cholesky
-    and plugs the fitted coefficients into the functional; K <= N follows the
-    cutoff rule (default ceil(N^{1/3})), and K may not exceed the number of
-    non-kernel modes.  The fit sees Z = [bias, Z1] only through Z^T Z, which
-    :func:`_moment_gram` forms from the cell moments of the located design,
-    so no (N, K + 1) array is formed.  The noise enters as
-    Z1^T eps ~ N(0, Z1^T Z1), drawn as U^T xi from k normals, U^T U = Z1^T Z1;
-    as that draw depends on the modes' signs, each mode is signed by a fixed
-    probe, not by the eigensolver.  For in-range functionals the normalized
-    risk tracks the bounded partial sums M_K; for out-of-range bumps it
-    inherits their divergence.  ``estimator_config`` keys: ``cutoff``
-    (callable n -> K), ``noiseless`` (sanity mode), ``theta_truth`` (generate
-    data from a different conductivity to expose bias).  Only the top max(K)
-    pairs are computed; below the interior dimension they come from certified
-    Lanczos and no dense matrix is formed.
+    images Z1 = (I e_k)(X) of the top-K information eigenvectors and plugs
+    the fitted coefficients into the functional; K <= N follows the cutoff
+    rule (default ceil(N^{1/3})), and K may not exceed the number of
+    non-kernel modes.  The fit sees Z = [bias b, Z1] only through Z^T Z,
+    which :func:`_moment_gram` forms from the cell moments of the located
+    design.  With c the psi-coefficients of the kept modes and v = G^-1 c,
+    G = Z1^T Z1 by Cholesky, the error is v.(Z1^T b) - offset plus noise
+    N(0, c.v): one normal drawn after the design (none in noiseless mode).
+    Neither term changes when a mode's sign flips or a wholly kept
+    degenerate eigenspace is rotated; a cutoff that splits one (disk 28 at
+    K = 13 keeps mode 13 of the pair 13, 14) is defined by the mode it keeps.
+    For in-range functionals the normalized risk tracks the bounded partial
+    sums M_K; for out-of-range bumps it inherits their divergence.
+    ``estimator_config`` keys: ``cutoff`` (callable n -> K), ``noiseless``
+    (sanity mode), ``theta_truth`` (generate data from a different
+    conductivity to expose bias).  Only the top max(K) pairs are computed;
+    below the interior dimension they come from certified Lanczos and no
+    dense matrix is formed.
     """
     from ellinfo.spectral import eigendecompose, range_series
 
@@ -354,6 +358,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     n_list = tuple(int(n) for n in n_list)
     if not n_list or replicates < 1:
         raise ConfigError("need at least one sample size and at least one replicate")
+    require_finite(psi.values, "psi")
+    if not np.any(ctx.grid.restrict(psi)):
+        raise ConfigError("psi vanishes identically: the risk study has nothing to estimate")
     k_values = tuple(min(cutoff(n), ctx.grid.n_interior) for n in n_list)
     if any(n < k for n, k in zip(n_list, k_values)):
         raise ConfigError(f"sample sizes {n_list} fall below their cutoffs K = {k_values}")
@@ -365,14 +372,11 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
                           "information modes of the grid")
     series, _ = range_series(decomp, psi)
     grid = ctx.grid
-    probe = np.random.default_rng(0).uniform(-1.0, 1.0, grid.n_interior)
-    modes = decomp.modes[:, keep]
-    signs = np.where(probe @ modes < 0.0, -1.0, 1.0)
-    coeffs = decomp.coefficients(psi)[keep] * signs
+    coeffs = decomp.coefficients(psi)[keep]
     # Column 0 is the regression bias u_truth - u; columns 1..k_max are the
     # images of the kept modes: one Gram matrix gives the noiseless normal equations.
     fields = np.zeros((grid.n_nodes, 1 + keep.size))
-    fields[grid.interior_ids, 1:] = ctx._apply_B(modes * signs)
+    fields[grid.interior_ids, 1:] = ctx._apply_B(decomp.modes[:, keep])
     if theta_truth is not None:
         fields[:, 0] = ctx.forward_map(theta_truth).values - ctx.u.values
         truth_offset = inner_l2(
@@ -389,10 +393,9 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
             rng = np.random.default_rng(child)
             _, located = _draw(grid, rng, n, grid.locate)
             gram = _moment_gram(table, *located)
-            upper = cholesky(gram[1:, 1:])
-            noise = 0.0 if noiseless else upper.T @ rng.standard_normal(k)
-            beta = cho_solve((upper, False), gram[1:, 0] + noise)
-            errors[r] = float(beta @ coeffs[:k]) - truth_offset
+            v = cho_solve((cholesky(gram[1:, 1:]), False), coeffs[:k])
+            noise = 0.0 if noiseless else math.sqrt(coeffs[:k] @ v) * rng.standard_normal()
+            errors[r] = float(v @ gram[1:, 0]) + noise - truth_offset
         n_mse[j] = n * float(np.mean(errors ** 2))
     ratio = float(n_mse[-1] / n_mse[0]) if n_mse[0] > 0 else math.inf
     reference = np.array([series[k - 1] for k in k_values])

@@ -34,7 +34,7 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dsyrk
 
 from ellinfo import elliptic
-from ellinfo.grids import ConfigError, Grid, ScalarField, inner_l2, norm_l2
+from ellinfo.grids import ConfigError, Grid, ScalarField, inner_l2, norm_l2, require_finite
 from ellinfo.score import ScoreContext
 
 #: Eigenvalues below this multiple of the top eigenvalue count as kernel, and
@@ -299,10 +299,14 @@ def range_series(decomp: SpectralDecomposition,
 
 
 def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: np.ndarray,
-                      masked: bool) -> tuple[ScalarField, np.ndarray, np.ndarray, np.ndarray]:
-    """h_N for each of ``orders`` as one stack, with the pairings <psi, h_N>,
-    image norms ||I h_N||^2 and quotients (:func:`degeneracy_sequence`), from
-    one product for every h_N and one block apply of I."""
+                      masked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairings <psi, h_N>, image norms ||I h_N||^2 and quotients
+    ||I h_N||^2 / <psi, h_N>^2 for each of ``orders``, from one product for
+    every h_N and one block apply of I.  h_N is the truncated inverse image
+    sum_{k<=N} lambda_k^{-1} <e_k, psi> e_k, with the boundary collar zeroed
+    when ``masked`` (so h_N is an admissible perturbation); its quotient is
+    the inverse of the Fisher lower-bound candidate it generates, and 1/M_N
+    exactly when unmasked."""
     keep = np.flatnonzero(~decomp.kernel_mask)
     if not orders.size:
         raise ConfigError("orders must be non-empty")
@@ -320,21 +324,7 @@ def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: n
     info_norm_sq = norm_l2(grid.interior_field(decomp.ctx._apply_B(grid.restrict(h)))) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         quotient = np.where(pairing != 0.0, info_norm_sq / pairing ** 2, math.inf)
-    return h, pairing, info_norm_sq, quotient
-
-
-def degeneracy_sequence(decomp: SpectralDecomposition, psi: ScalarField,
-                        n: int, masked: bool = True) -> tuple[ScalarField, float]:
-    """Degeneracy direction h_N and its normalized quotient.
-
-    h_N is the truncated inverse image sum_{k<=N} lambda_k^{-1} <e_k,psi> e_k,
-    with the boundary collar zeroed out when ``masked`` (so h_N is admissible
-    as a conductivity perturbation).  The quotient ||I h_N||^2 / <psi, h_N>^2
-    is the inverse of the Fisher lower-bound candidate generated by h_N; for
-    the unmasked sequence it equals 1/M_N exactly by spectral algebra.
-    """
-    h, _, _, quotient = _degeneracy_terms(decomp, psi, np.array([n]), masked)
-    return ScalarField(h.grid, h.values[:, 0]), float(quotient[0])
+    return pairing, info_norm_sq, quotient
 
 
 @dataclass
@@ -358,7 +348,7 @@ def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
         orders = np.unique(np.geomspace(1, n_avail, num=min(24, n_avail)).round().astype(int))
     else:
         orders = np.asarray(sorted(set(int(v) for v in orders)))
-    _, pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders, masked)
+    pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders, masked)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = np.abs(pairing - m_n) / np.where(m_n > 0, m_n, 1.0)
@@ -396,8 +386,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     change of y.  A single grid never certifies divergence; that is the job of
     :func:`fisher_refinement`.
     """
-    if not np.all(np.isfinite(psi.values)):
-        raise ConfigError("psi contains non-finite values")
+    require_finite(psi.values, "psi")
     psi_int, w = ctx.grid.restrict(psi), ctx.grid.weights_interior
     if not np.any(psi_int):
         raise ConfigError("psi vanishes identically: Fisher functional undefined")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ellinfo.grids import ConfigError, DomainKind, Grid, ScalarField
+from ellinfo.grids import ConfigError, DomainKind, Grid, ScalarField, require_finite
 from ellinfo.score import ScoreContext
 
 #: Gauss-Legendre points per walk step and per radial cell of a disk ray.
@@ -366,8 +366,7 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     the largest change of an integral under the Gauss-Legendre rule one
     order higher, and a value above ``integral_tol`` raises ``RuntimeError``.
     """
-    if not np.all(np.isfinite(psi.values)):  # nanmax below would skip NaN curves
-        raise ConfigError("psi contains non-finite values")
+    require_finite(psi.values, "psi")  # nanmax below would skip NaN curves
     grid = ctx.grid
     peak = float(np.abs(psi.values).max())
     integral_tol = INTEGRAL_TOL_FACTOR * peak if peak > 0 else INTEGRAL_TOL_FACTOR

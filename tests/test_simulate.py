@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from scipy import stats
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from ellinfo import simulate, spectral
 from ellinfo.elliptic import Conductivity, assemble
@@ -299,9 +299,8 @@ class TestRiskStudy:
 
     def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
         """The study images its kept modes with one block apply of I; oracle:
-        ``_apply_B`` of each mode alone, on the same certified Lanczos pairs,
-        each signed to have a positive inner product with the probe.  The
-        images are read from the stack the study's cell table is built of."""
+        ``_apply_B`` of each mode alone, on the same certified Lanczos pairs.
+        The images are read from the stack the study's cell table is built of."""
         ctx = ctx_cache("square_ex1", 17)
         seen, real = [], ctx.grid.cell_table
 
@@ -314,10 +313,8 @@ class TestRiskStudy:
         images = seen[0][:, 1:]
         decomp = eigendecompose(ctx, n_modes=images.shape[1])
         assert images.shape[1] == 10 and not np.any(decomp.kernel_mask)
-        signs = mode_signs(decomp.modes)
-        assert np.any(signs < 0.0)
         for k in range(images.shape[1]):
-            col = ctx.grid.interior_field(ctx._apply_B(signs[k] * decomp.modes[:, k])).values
+            col = ctx.grid.interior_field(ctx._apply_B(decomp.modes[:, k])).values
             np.testing.assert_allclose(images[:, k], col, rtol=0.0,
                                        atol=1e-13 * np.abs(col).max())
 
@@ -371,10 +368,10 @@ class TestRiskStudy:
                               estimator_config={"cutoff": lambda n: 49})
 
     def test_noise_factor_reproduces_the_gram_matrix(self, ctx_cache):
-        """The fit draws Z1^T eps as F xi with F = U^T, U the upper factor of
-        ``scipy.linalg.cholesky``, and solves with ``cho_solve((U, False), .)``.
-        So U must be upper triangular, F F^T must be Z1^T Z1 to 1e-12 (it is
-        not if F is U), and the solve must invert Z1^T Z1."""
+        """The fit solves v = G^-1 c with ``cho_solve((U, False), .)``, U the
+        upper factor of ``scipy.linalg.cholesky`` of G = Z1^T Z1, and scales
+        its one noise normal by sqrt(c.v).  So U must be upper triangular,
+        the solve must invert G, and c.v must be ||U^-T c||^2 to 1e-12."""
         ctx = ctx_cache("square_ex1", 17)
         decomp = eigendecompose(ctx, n_modes=8)
         images = ctx.grid.interior_field(ctx._apply_B(decomp.modes)).values
@@ -383,28 +380,89 @@ class TestRiskStudy:
         gram = z1.T @ z1
         upper = cholesky(gram)
         np.testing.assert_array_equal(np.tril(upper, -1), 0.0)
-        factor = upper.T
-        np.testing.assert_allclose(factor @ factor.T, gram, rtol=0.0,
-                                   atol=1e-12 * np.abs(gram).max())
+        c = decomp.coefficients(psi_fixture(ctx, "bump"))
+        w = solve_triangular(upper, c, trans="T")
+        assert c @ cho_solve((upper, False), c) == pytest.approx(w @ w, rel=1e-12, abs=0.0)
         rhs = np.arange(1.0, gram.shape[0] + 1.0)
         np.testing.assert_allclose(gram @ cho_solve((upper, False), rhs), rhs,
                                    rtol=0.0, atol=1e-10 * np.abs(rhs).max())
 
-    @pytest.mark.parametrize("n_list, replicates, message", [
-        ((400,), 0, "at least one replicate"), ((400,), -3, "at least one replicate"),
-        ((), 2, "at least one sample size")],
-        ids=["zero-replicates", "negative-replicates", "no-sample-size"])
+    @pytest.mark.parametrize("n_list, replicates, psi_value, message", [
+        ((400,), 0, None, "at least one replicate"),
+        ((400,), -3, None, "at least one replicate"),
+        ((), 2, None, "at least one sample size"),
+        ((400,), 2, math.nan, "psi contains non-finite values"),
+        ((400,), 2, 0.0, "psi vanishes identically")],
+        ids=["zero-replicates", "negative-replicates", "no-sample-size", "nan-psi",
+             "zero-psi"])
     def test_empty_study_rejected(self, ctx_cache, monkeypatch, n_list, replicates,
-                                  message):
-        """No replicate or no sample size is a caller's mistake, refused
-        before any eigensolve, not a NaN risk or a numpy error."""
+                                  psi_value, message):
+        """No replicate, no sample size, or a NaN or identically zero psi (no
+        functional to estimate) is a caller's mistake, refused before any
+        eigensolve, not a NaN or zero risk with an infinite ratio, or a
+        numpy error."""
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolve before the parameter checks")
 
         monkeypatch.setattr(spectral, "eigendecompose", refuse)
         ctx = ctx_cache("square_ex1", 17)
+        psi = (psi_fixture(ctx, "bump") if psi_value is None
+               else ScalarField(ctx.grid, np.full(ctx.grid.n_nodes, psi_value)))
         with pytest.raises(ConfigError, match=message):
-            plugin_risk_study(ctx, psi_fixture(ctx, "bump"), n_list, replicates=replicates)
+            plugin_risk_study(ctx, psi, n_list, replicates=replicates)
+
+    @staticmethod
+    def _patched_modes(monkeypatch, transform):
+        """Route the study's eigensolve through ``transform`` of its modes."""
+        decompose = spectral.eigendecompose
+
+        def patched(*args, **kwargs):
+            decomp = decompose(*args, **kwargs)
+            return dataclasses.replace(decomp, modes=transform(decomp.modes.copy()))
+
+        monkeypatch.setattr(spectral, "eigendecompose", patched)
+
+    def test_rotating_a_kept_eigenspace_keeps_the_risk(self, ctx_cache, monkeypatch):
+        """Disk 28 has the degenerate pair (2, 3); K = 20 at n = 8000 keeps it
+        whole, so a rotation of its basis leaves the estimator, and the
+        seeded risk, unchanged to 1e-12 relative."""
+        ctx = ctx_cache("disk_ex2", 28)
+        psi = psi_fixture(ctx, "quadrant_bump")
+        base = plugin_risk_study(ctx, psi, (8000,), replicates=10, seed=3)
+        assert base.k_values == (20,)
+
+        def rotate(modes):
+            c, s = math.cos(0.7), math.sin(0.7)
+            modes[:, 1:3] = modes[:, 1:3] @ np.array([[c, s], [-s, c]])
+            return modes
+
+        self._patched_modes(monkeypatch, rotate)
+        rotated = plugin_risk_study(ctx, psi, (8000,), replicates=10, seed=3)
+        np.testing.assert_allclose(rotated.n_mse, base.n_mse, rtol=1e-12, atol=0.0)
+
+    def test_mode_signs_leave_the_risk_bit_identical(self, ctx_cache, monkeypatch):
+        """Flipping the signs of modes 1, 4 and 8 flips their coefficients
+        and images with them: the risk, noise and bias terms included, is
+        bit-identical."""
+        ctx = ctx_cache("square_ex1", 17)
+        grid = ctx.grid
+        pert = random_smooth_field(grid, np.random.default_rng(9))
+        truth = Conductivity.from_perturbation(
+            grid, ScalarField(grid, 0.1 * pert.values), eta=None)
+        psi = psi_fixture(ctx, "bump")
+        config = {"cutoff": lambda n: 8, "theta_truth": truth}
+        base = plugin_risk_study(ctx, psi, (300, 900), replicates=6, seed=4,
+                                 estimator_config=config)
+
+        def flip(modes):
+            modes[:, [0, 3, 7]] *= -1.0
+            return modes
+
+        self._patched_modes(monkeypatch, flip)
+        flipped = plugin_risk_study(ctx, psi, (300, 900), replicates=6, seed=4,
+                                    estimator_config=config)
+        np.testing.assert_array_equal(flipped.n_mse, base.n_mse)
+        assert np.all(base.n_mse > 0.0)
 
     def test_sample_size_below_cutoff_rejected(self, ctx_cache):
         """N < K leaves the plug-in regression underdetermined; the study
@@ -418,13 +476,7 @@ class TestRiskStudy:
         """Vanishing mode images make the Gram matrix singular: the Cholesky
         factorisation fails loudly instead of returning a fit."""
         ctx = ctx_cache("square_ex1", 17)
-        decompose = spectral.eigendecompose
-
-        def zero_modes(*args, **kwargs):
-            decomp = decompose(*args, **kwargs)
-            return dataclasses.replace(decomp, modes=np.zeros_like(decomp.modes))
-
-        monkeypatch.setattr(spectral, "eigendecompose", zero_modes)
+        self._patched_modes(monkeypatch, np.zeros_like)
         with pytest.raises(np.linalg.LinAlgError):
             plugin_risk_study(ctx, in_range_fixture(ctx).psi, (200,), replicates=2,
                               estimator_config={"cutoff": lambda n: 4})
@@ -491,29 +543,18 @@ def reference_identity(ctx, h1, h2, n, seed):
     return scores[0] * scores[1]
 
 
-def mode_signs(modes):
-    """The sign that gives each mode a positive inner product with the
-    risk study's fixed probe."""
-    probe = np.random.default_rng(0).uniform(-1.0, 1.0, modes.shape[0])
-    return np.where(probe @ modes < 0.0, -1.0, 1.0)
-
-
 def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
                    theta_truth=None):
-    """The plug-in fit by least squares on the residuals, on the modes of the
-    dense decomposition.  It sees the noise only through its projection onto
-    the design's columns, which is Q xi for k normals xi drawn after the
-    design and Q = Z1 U^-1 the orthonormal basis from the Cholesky factor
-    U^T U = Z1^T Z1.  That draw depends on the modes' signs, so each mode is
-    signed by the study's probe rule."""
+    """The plug-in fit by least squares on the noiseless residuals, on the
+    modes of the dense decomposition.  Given the design, the noise moves the
+    error by c^T (Z1^T Z1)^-1 Z1^T eps ~ N(0, c^T (Z1^T Z1)^-1 c), so it adds
+    that standard deviation times the one normal drawn after the design."""
     grid = ctx.grid
     decomp = eigendecompose(ctx)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k]
-    signs = mode_signs(decomp.modes[:, keep])
-    coeffs = decomp.coefficients(psi)[keep] * signs
-    modes = [rgi_interpolator(
-        grid, grid.interior_field(ctx._apply_B(sign * decomp.modes[:, i])).values)
-        for sign, i in zip(signs, keep)]
+    coeffs = decomp.coefficients(psi)[keep]
+    modes = [rgi_interpolator(grid, grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values)
+             for i in keep]
     u = rgi_interpolator(grid, ctx.u.values)
     truth, offset = u, 0.0
     if theta_truth is not None:
@@ -528,13 +569,12 @@ def reference_risk(ctx, psi, n_list, replicates, seed, k, noiseless=False,
             rng = np.random.default_rng(child)
             x = reference_draw(grid, rng, n)
             design = np.column_stack([mode(x) for mode in modes])
-            eps = np.zeros(n)
+            noise = 0.0
             if not noiseless:
-                upper = np.linalg.cholesky(design.T @ design).T
-                eps = design @ np.linalg.solve(upper, rng.standard_normal(k))
-            resid = (truth(x) + eps) - u(x)
-            beta, *_ = np.linalg.lstsq(design, resid, rcond=None)
-            errors.append(float(beta @ coeffs) - offset)
+                sd = math.sqrt(coeffs @ np.linalg.solve(design.T @ design, coeffs))
+                noise = sd * rng.standard_normal()
+            beta, *_ = np.linalg.lstsq(design, truth(x) - u(x), rcond=None)
+            errors.append(float(beta @ coeffs) + noise - offset)
         n_mse.append(n * np.mean(np.square(errors)))
     return np.array(n_mse)
 

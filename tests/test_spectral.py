@@ -12,8 +12,7 @@ from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import ConfigError, ScalarField, inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES, _observed_order,
-                              degeneracy_profile, degeneracy_sequence,
-                              eigendecompose, fisher_information,
+                              degeneracy_profile, eigendecompose, fisher_information,
                               fisher_refinement, kernel_decomposition,
                               range_series)
 
@@ -297,7 +296,7 @@ class TestDegeneracyProfiles:
     @pytest.mark.parametrize("masked", [True, False])
     def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache, masked):
         """Oracle: each h_N built alone from its first N kept modes, imaged by
-        one apply of I.  The sequence is the one-order case of the profile."""
+        one apply of I."""
         ctx = ctx_cache("square_ex1", 17)
         d = decomp_cache("square_ex1", 17, subspace="collar_supported")
         psi = psi_fixture(ctx, "bump")
@@ -313,17 +312,13 @@ class TestDegeneracyProfiles:
             np.testing.assert_allclose(
                 [prof.pairing[i], prof.info_norm_sq[i], prof.quotient[i]],
                 [pairing, info, info / pairing ** 2], rtol=1e-12, atol=0.0)
-            h_seq, quotient = degeneracy_sequence(d, psi, int(n), masked=masked)
-            assert h_seq.values.shape == (ctx.grid.n_nodes,)
-            assert np.linalg.norm(h_seq.values - h.values) <= 1e-12 * np.linalg.norm(h.values)
-            assert quotient == pytest.approx(prof.quotient[i], rel=1e-12, abs=0.0)
 
     def test_order_validation(self, ctx_cache, decomp_cache):
         ctx = ctx_cache("square_ex1", 15)
         d = decomp_cache("square_ex1", 15)
         psi = psi_fixture(ctx, "bump")
         with pytest.raises(ValueError, match="order"):
-            degeneracy_sequence(d, psi, 0)
+            degeneracy_profile(d, psi, orders=[0])
         with pytest.raises(ValueError, match="orders"):
             degeneracy_profile(d, psi, orders=[10**6])
 
