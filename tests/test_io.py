@@ -2,12 +2,16 @@
 they replaced, which stays here as the oracle."""
 
 import json
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ellinfo import io as eio
+from ellinfo.elliptic import Conductivity, DivergenceFormOperator
+from ellinfo.fixtures import fixture_data, fixture_domain
+from ellinfo.grids import build_grid
 
 
 def oracle_cell(v) -> str:
@@ -97,6 +101,101 @@ class TestTableCsv:
     def test_unequal_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="lengths"):
             written(tmp_path, ("a", "b"), (np.arange(3), np.arange(4.0)))
+
+
+def assert_float_cells(tmp_path, values):
+    """A float column, written, equals the oracle's ``format(v, ".17g")`` of
+    each cell (the float branch of ``oracle_cell``, without its type tests)."""
+    values = np.asarray(values)
+    expected = "v\n" + "".join(format(v, ".17g") + "\n" for v in values.tolist())
+    assert written(tmp_path, ("v",), (values,)) == expected.encode()
+
+
+class TestFloatRenderer:
+    """Float cells are rendered from numpy character planes: the 17 digits of
+    an exact product, placed in fixed notation for 1e-4 <= |v| < 1e16, with
+    ``%.17g`` per cell elsewhere.  Each case is byte-compared with the oracle."""
+
+    def test_ties_round_half_even(self, tmp_path):
+        """M / 2**(k + 1) with M odd: for k = 1, 2 many cells have exactly 18
+        significant digits ending in 5, so the 17th digit rounds half-even."""
+        rng = np.random.default_rng(11)
+        odd = rng.integers(2 ** 50, 2 ** 52, (19, 200)) * 2 + 1
+        values = (odd / 2.0 ** np.arange(2, 21)[:, None]).ravel()
+        assert_float_cells(tmp_path, np.concatenate([values, -values]))
+
+    def test_neighbours_of_powers_of_ten(self, tmp_path):
+        powers = 10.0 ** np.arange(-8, 18)
+        steps = np.arange(-6, 7)[:, None]
+        values = (powers.view(np.int64) + steps).view(np.float64).ravel()
+        assert_float_cells(tmp_path, np.concatenate([values, -values]))
+
+    def test_seventeen_nines(self, tmp_path):
+        values = [float(f"{'9' * k}e{e}") for k in (15, 16, 17, 18) for e in range(-26, 4)]
+        got = written(tmp_path, ("v",), (values,))
+        assert got == oracle_csv(("v",), zip(values))
+        assert b"\n0.00099999999999999999\n" not in got  # the literal parses to 1e-3
+        assert b"\n0.001\n" in got
+
+    def test_no_double_rounds_up_to_a_power_of_ten(self):
+        """The double below each 10**k in fixed notation is more than half a
+        unit of the 17th digit away, so the rounded digits never carry."""
+        for k in range(-3, 17):
+            below = float(Fraction(10) ** k)
+            if Fraction(below) >= Fraction(10) ** k:
+                below = np.nextafter(below, 0.0)
+            assert Fraction(10) ** 17 - Fraction(below) * Fraction(10) ** (17 - k) > 0.5, k
+
+    def test_edges_of_fixed_notation(self, tmp_path):
+        values = [1e-4, np.nextafter(1e-4, 0), 1e16, np.nextafter(1e16, 0),
+                  -1e-4, np.nextafter(-1e16, 0)]
+        got = written(tmp_path, ("v",), (values,))
+        assert got == oracle_csv(("v",), zip(values))
+        assert got.split(b"\n")[1:5] == [b"0.0001", b"9.9999999999999991e-05",
+                                         b"10000000000000000", b"9999999999999998"]
+
+    def test_float32_and_float16_columns(self, tmp_path):
+        half = np.arange(2 ** 16, dtype=np.uint16).view(np.float16)  # every float16
+        single = np.random.default_rng(12).integers(0, 2 ** 32, half.size, dtype=np.uint32)
+        columns = (half, single.view(np.float32))  # signalling NaNs among them
+        assert written(tmp_path, ("h", "s"), columns) == oracle_csv(("h", "s"), zip(*columns))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_whole_exponent_range(self, tmp_path, seed):
+        """3e5 doubles of random bits: one in 16 with any exponent field
+        (zeros, subnormals, inf and NaN included), the rest with the binary
+        exponents of fixed notation."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2 ** 64, 300_000, dtype=np.uint64)
+        window = np.arange(bits.size) % 16 != 0
+        exponent = rng.integers(1023 - 15, 1023 + 54, bits.size, dtype=np.uint64)
+        bits[window] = bits[window] & ~np.uint64(0x7FF << 52) | exponent[window] << np.uint64(52)
+        bits[:4] = [0, 1 << 63, 0x7FF << 52, 0x7FF8 << 48]
+        assert_float_cells(tmp_path, bits.view(np.float64))
+
+    def test_mixed_table_over_several_blocks(self, tmp_path):
+        n = 3 * eio._BLOCK_ROWS + 5
+        rng = np.random.default_rng(13)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 18, n)
+        values[::97] = np.nan
+        columns = (np.arange(n) - n // 2, values > 0, np.array(["a", "llr", "é,b", ""])[
+            np.arange(n) % 4], values)
+        names = ("i", "b", "s", "v")
+        assert written(tmp_path, names, columns, {"n": n}) == oracle_csv(
+            names, zip(*columns), {"n": n})
+
+    @pytest.mark.parametrize("fixture, resolution", [("square_ex1", 65), ("disk_ex2", 40)])
+    def test_solution_tables(self, tmp_path, fixture, resolution):
+        """The x, y, u columns of a theta = 1 solve, as ``solve`` writes them."""
+        grid = build_grid(fixture_domain(fixture, resolution))
+        u = DivergenceFormOperator(Conductivity.constant(grid)).solve(*fixture_data(fixture, grid))
+        columns = (grid.x, grid.y, u.values)
+        assert written(tmp_path, ("x", "y", "u"), columns) == oracle_csv(
+            ("x", "y", "u"), zip(*columns))
+
+    def test_table_without_columns_raises(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one column"):
+            written(tmp_path, (), ())
 
 
 class TestCanonicalJson:
