@@ -174,7 +174,7 @@ def write_table_csv(path, names, columns, meta: dict | None = None) -> Path:
     if len(names) != len(arrays) or any(len(a) != n_rows for a in arrays):
         raise ValueError(f"{len(names)} names for columns of lengths "
                          f"{[len(a) for a in arrays]}")
-    ends = [b","] * (len(arrays) - 1) + [b"\n"]
+    ends = b"," * (len(arrays) - 1) + b"\n"
     with path.open("wb") as fh:
         if meta is not None:
             fh.write(b"# " + json.dumps(_jsonable(meta), sort_keys=True, allow_nan=False,
@@ -184,7 +184,7 @@ def write_table_csv(path, names, columns, meta: dict | None = None) -> Path:
             planes, keep = [], []
             for a, end in zip(arrays, ends):
                 chars, mask = _cells(a[lo:lo + _BLOCK_ROWS])
-                planes += [chars, np.full((len(chars), 1), ord(end), np.uint8)]
+                planes += [chars, np.full((len(chars), 1), end, np.uint8)]
                 keep += [mask, np.ones((len(chars), 1), bool)]
             fh.write(np.compress(np.concatenate(keep, axis=1).ravel(),
                                  np.concatenate(planes, axis=1).ravel()))
