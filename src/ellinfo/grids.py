@@ -668,13 +668,12 @@ def random_smooth_field(
     grid: Grid,
     rng: np.random.Generator | int,
     kmax: int = 8,
-    decay: float = 3.0,
     apply_collar: bool = True,
     size: int | None = None,
 ) -> ScalarField:
     """Random smooth field from a truncated double-sine series.
 
-    Coefficients are standard Gaussians damped by (k^2 + l^2)^(-decay/2), so
+    Coefficients are standard Gaussians damped by (k^2 + l^2)^(-3/2), so
     realizations are smooth at the grid scale; with ``apply_collar`` the field
     is zeroed on the boundary collar to mimic compact support.  The sine
     tables are built once per grid and ``kmax``.  ``size`` gives an (n_nodes,
@@ -684,7 +683,7 @@ def random_smooth_field(
         rng = np.random.default_rng(rng)
     ks = np.arange(1, kmax + 1)
     coef = rng.standard_normal((1 if size is None else size, kmax, kmax))
-    damp = (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-decay / 2.0)
+    damp = (ks[:, None] ** 2 + ks[None, :] ** 2) ** -1.5
     coef = coef * damp
     if kmax not in grid._sine_tables:
         if grid.spec.kind is DomainKind.SQUARE:

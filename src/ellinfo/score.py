@@ -206,10 +206,6 @@ class ScoreContext:
         """Information operator I* I h (exact-transpose composition); stacks too."""
         return self.grid.interior_field(self._apply_info(self.grid.restrict(h)))
 
-    def forward_map(self, theta: Conductivity) -> ScalarField:
-        """Solve the PDE for another conductivity with the same data (f, g)."""
-        return DivergenceFormOperator(theta).solve(self.f, self.g)
-
     # -- dense symmetrized linearization -----------------------------------
 
     def dense_linearization_hat(self) -> np.ndarray:

@@ -298,15 +298,15 @@ def range_series(decomp: SpectralDecomposition,
     return np.cumsum(terms), p0_norm
 
 
-def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: np.ndarray,
-                      masked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField,
+                      orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairings <psi, h_N>, image norms ||I h_N||^2 and quotients
     ||I h_N||^2 / <psi, h_N>^2 for each of ``orders``, from one product for
     every h_N and one block apply of I.  h_N is the truncated inverse image
-    sum_{k<=N} lambda_k^{-1} <e_k, psi> e_k, with the boundary collar zeroed
-    when ``masked`` (so h_N is an admissible perturbation); its quotient is
-    the inverse of the Fisher lower-bound candidate it generates, and 1/M_N
-    exactly when unmasked."""
+    sum_{k<=N} lambda_k^{-1} <e_k, psi> e_k with the boundary collar zeroed,
+    so h_N is an admissible perturbation; its quotient is the inverse of the
+    Fisher lower-bound candidate it generates, and 1/M_N exactly on the
+    collar-restricted decomposition, where the mask changes nothing."""
     keep = np.flatnonzero(~decomp.kernel_mask)
     if not orders.size:
         raise ConfigError("orders must be non-empty")
@@ -318,8 +318,7 @@ def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField, orders: n
     ladder = c[:, None] * (np.arange(idx.size)[:, None] < orders)
     grid = decomp.grid
     h = grid.interior_field(decomp.modes[:, idx] @ ladder)
-    if masked:
-        h.values[grid.collar_mask] = 0.0
+    h.values[grid.collar_mask] = 0.0
     pairing = inner_l2(psi, h)
     info_norm_sq = norm_l2(grid.interior_field(decomp.ctx._apply_B(grid.restrict(h)))) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -341,14 +340,14 @@ class DegeneracyProfile:
 
 
 def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
-                       orders=None, masked: bool = True) -> DegeneracyProfile:
+                       orders=None) -> DegeneracyProfile:
     series, _ = range_series(decomp, psi)
     n_avail = len(series)
     if orders is None:
         orders = np.unique(np.geomspace(1, n_avail, num=min(24, n_avail)).round().astype(int))
     else:
         orders = np.asarray(sorted(set(int(v) for v in orders)))
-    pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders, masked)
+    pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = np.abs(pairing - m_n) / np.where(m_n > 0, m_n, 1.0)

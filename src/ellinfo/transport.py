@@ -21,7 +21,8 @@ On the disk configuration at theta = 1 the gradient field is radial with a
 critical point at the origin, so curves are straight rays and the range
 condition only forces ray integrals to share a common (unknown) constant;
 a functional vanishing along one ray forces that constant to zero, which is
-the witness pattern the verdicts look for.
+the witness pattern the verdicts look for; the disk verdict refuses any
+other theta, whose curves are not rays.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ class IntegralCurve:
     interval; ``n_steps`` counts the cells the curve crosses.
     """
 
-    seed: tuple
-    direction: str
     times: np.ndarray
     points: np.ndarray
     termination: str
@@ -217,7 +216,6 @@ def _walk(ctx: ScoreContext, starts: np.ndarray, signs: np.ndarray) -> list[Inte
     for i, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
         times = sgn0[i] * np.concatenate([[0.0], np.cumsum(durations[lo:hi])])
         curves.append(IntegralCurve(
-            seed=tuple(starts[i]), direction="forward" if sgn0[i] > 0 else "backward",
             times=times, points=coords[lo + i:hi + i + 1],
             termination=CURVE_TERMINATIONS[term[i]], travel_time=abs(float(times[-1])),
             n_steps=int(np.isfinite(durations[lo:hi]).sum()), steps=steps[lo:hi]))
@@ -362,9 +360,11 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
     ``_walk``) whose integral must vanish up to ``VERDICT_MARGIN`` times the
     noise floor.  Disk: integrals along ``N_DISK_RAYS`` boundary rays must
     agree; a vanishing ray alongside non-vanishing ones yields an
-    incompatible verdict with the witness flag.  On both, ``trace_error`` is
-    the largest change of an integral under the Gauss-Legendre rule one
-    order higher, and a value above ``integral_tol`` raises ``RuntimeError``.
+    incompatible verdict with the witness flag.  Rays are the flow's curves
+    only at theta = 1, so any other theta raises ``RuntimeError``.  On both,
+    ``trace_error`` is the largest change of an integral under the
+    Gauss-Legendre rule one order higher, and a value above ``integral_tol``
+    raises ``RuntimeError``.
     """
     require_finite(psi.values, "psi")  # nanmax below would skip NaN curves
     grid = ctx.grid
@@ -374,6 +374,9 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
 
     report = {}
     if grid.spec.kind is DomainKind.DISK:
+        if np.any(ctx.theta.values != 1.0):
+            raise RuntimeError("disk verdicts integrate psi along straight rays, the flow's "
+                               "curves only at theta = 1; this theta is not identically 1")
         angles = np.linspace(0.0, 2.0 * math.pi, N_DISK_RAYS, endpoint=False)
         seeds = np.column_stack([np.cos(angles), np.sin(angles)])
         integrals = ray_integral_disk(psi, seeds)

@@ -434,6 +434,22 @@ class TestRuntimeErrors:
             assert "not certified" in record["message"]
             assert not (out / "transport").exists()
 
+    def test_disk_verdict_under_a_theta_bump(self, tmp_path, capsys):
+        """The disk's ray verdict holds only at theta = 1: with the fixture's
+        own [theta] bump the in-range psi would read incompatible with a
+        zero-ray witness, so the run exits 1 with a record that says why,
+        and writes nothing."""
+        cfg = tmp_path / "theta.ini"
+        cfg.write_text("[theta]\nbump_center = 0.3,0.25\nbump_radius = 0.3\n"
+                       "bump_amplitude = 0.15\n")
+        rc, out = run(["transport", "--fixture", "disk_ex2", "--psi", "in_range",
+                       "--resolution", "40", "--config", str(cfg)], tmp_path, "a")
+        assert rc == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "RuntimeError"
+        assert "only at theta = 1; this theta is not identically 1" in record["message"]
+        assert not (out / "transport").exists()
+
     def test_kernel_certificate_failure(self, tmp_path, capsys, monkeypatch):
         """A sparse kernel pair that fails its residual certificate fails
         the sweep; it does not fall back to the dense decomposition."""

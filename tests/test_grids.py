@@ -459,7 +459,7 @@ class TestInterpolation:
         assert np.max(np.abs(got[keep, 1] - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-def fresh_smooth_field(g, seed, kmax, apply_collar, decay=3.0, contract=None):
+def fresh_smooth_field(g, seed, kmax, apply_collar, contract=None):
     """The double-sine series of random_smooth_field with its tables built
     anew on every call, contracted as the library does unless ``contract``
     (coef, SX, SY) -> values is given."""
@@ -470,7 +470,7 @@ def fresh_smooth_field(g, seed, kmax, apply_collar, decay=3.0, contract=None):
         X, Y = (g.x + 1.0) / 2.0, (g.y + 1.0) / 2.0
     ks = np.arange(1, kmax + 1)
     coef = rng.standard_normal((kmax, kmax))
-    coef = coef * (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-decay / 2.0)
+    coef = coef * (ks[:, None] ** 2 + ks[None, :] ** 2) ** (-3.0 / 2.0)
     SX = np.sin(np.pi * ks[:, None] * X[None, :])
     SY = np.sin(np.pi * ks[:, None] * Y[None, :])
     vals = (contract(coef, SX, SY) if contract is not None

@@ -277,36 +277,27 @@ class TestSqrtAndSeries:
 class TestDegeneracyProfiles:
     """Truncated inverse images h_N and their Fisher quotients."""
 
-    def test_unmasked_product_is_identically_one(self, ctx_cache, decomp_cache):
-        """Pure spectral algebra: quotient * M_N = 1 without masking."""
-        ctx = ctx_cache("square_ex1", 15)
-        d = decomp_cache("square_ex1", 15)
-        prof = degeneracy_profile(d, psi_fixture(ctx, "bump"), masked=False)
-        np.testing.assert_allclose(prof.product, 1.0, rtol=1e-8)
-
     def test_restricted_profile_keeps_product_one(self, ctx_cache, decomp_cache):
         """On the collar-restricted decomposition the mask is a no-op, so the
         pairing equals M_N and the product stays at one."""
         ctx = ctx_cache("square_ex1", 15)
         d = decomp_cache("square_ex1", 15, subspace="collar_supported")
-        prof = degeneracy_profile(d, psi_fixture(ctx, "bump"), masked=True)
+        prof = degeneracy_profile(d, psi_fixture(ctx, "bump"))
         np.testing.assert_allclose(prof.mask_correction, 0.0, atol=1e-12)
         np.testing.assert_allclose(prof.product, 1.0, rtol=1e-8)
 
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache, masked):
-        """Oracle: each h_N built alone from its first N kept modes, imaged by
-        one apply of I."""
+    def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache):
+        """Oracle: each h_N built alone from its first N kept modes, masked on
+        the collar, imaged by one apply of I."""
         ctx = ctx_cache("square_ex1", 17)
         d = decomp_cache("square_ex1", 17, subspace="collar_supported")
         psi = psi_fixture(ctx, "bump")
-        prof = degeneracy_profile(d, psi, masked=masked)
+        prof = degeneracy_profile(d, psi)
         keep, c = np.flatnonzero(~d.kernel_mask), d.coefficients(psi)
         for i, n in enumerate(prof.orders):
             h = ctx.grid.interior_field(d.modes[:, keep[:n]] @ (c[keep[:n]]
                                                                 / d.eigenvalues[keep[:n]]))
-            if masked:
-                h.values[ctx.grid.collar_mask] = 0.0
+            h.values[ctx.grid.collar_mask] = 0.0
             pairing = inner_l2(psi, h)
             info = norm_l2(ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h)))) ** 2
             np.testing.assert_allclose(

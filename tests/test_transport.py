@@ -390,6 +390,19 @@ class TestRangeVerdicts:
         assert verdict.zero_ray_witness
         assert verdict.max_abs_integral > 10.0 * verdict.threshold
 
+    def test_disk_theta_bump_refused(self, ctx_cache, monkeypatch):
+        """Straight rays are the disk flow's curves only at theta = 1; under
+        the fixture's own theta bump they called the in-range psi at 40
+        incompatible, with a zero-ray witness.  So a disk context whose theta
+        is not identically 1 is refused before any ray is integrated."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ray integrated under a theta bump")
+
+        monkeypatch.setattr(transport, "_ray_integrals", refuse)
+        ctx = ctx_cache("disk_ex2", 40, theta_bump=True)
+        with pytest.raises(RuntimeError, match="only at theta = 1; this theta is not"):
+            range_verdict(ctx, psi_fixture(ctx, "in_range"))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_psi_rejected(self, ctx_cache, bad):
         """A square-17 bump with its support set to NaN has NaN integrals on
