@@ -715,6 +715,18 @@ class TestConfigFile:
         assert load_summary(out, "transport")["verdict"] == "incompatible"
         capsys.readouterr()
 
+    def test_theta_section_keeps_square_verdicts(self, tmp_path, capsys):
+        """The theta = 1 refusal is the disk's alone: the square's walked
+        curves follow a bumped theta, and its bump psi stays incompatible."""
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(
+            "[experiment]\nfixture = square_ex1\nresolution = 25\npsi = bump\n"
+            "[theta]\nbump_center = 1.6, 1.4\nbump_radius = 0.28\nbump_amplitude = 0.15\n")
+        rc, out = run(["transport", "--config", str(cfg)], tmp_path, "a")
+        assert rc == 0
+        assert load_summary(out, "transport")["verdict"] == "incompatible"
+        capsys.readouterr()
+
 
 class TestAuxiliaryCommands:
     """Remaining subcommands produce coherent summaries."""

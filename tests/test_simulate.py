@@ -290,6 +290,20 @@ class TestRiskStudy:
             table.n_mse, [0.051705033354085744, 0.08548515525905688, 0.19393452700110511],
             rtol=1e-9, atol=0.0)
 
+    def test_disk_study_builds_no_dense_hat(self, ctx_cache, monkeypatch):
+        """On the disk, too, the study needs only its top max(K) Lanczos
+        pairs: with the dense B_hat refused it runs, and its table records
+        the sample sizes, the replicate count, the seed, the default
+        cutoffs ceil(n^(1/3)) and the flag for so few replicates."""
+        self._refuse_dense(monkeypatch)
+        ctx = ctx_cache("disk_ex2", 16)
+        table = plugin_risk_study(ctx, psi_fixture(ctx, "constant"), (300, 900),
+                                  replicates=6, seed=1)
+        assert table.n_values == (300, 900) and table.k_values == (7, 10)
+        assert table.replicates == 6 and table.seed == 1
+        assert table.flags == ("low_replicates",)
+        assert np.all(np.isfinite(table.n_mse)) and np.all(table.n_mse > 0.0)
+
     def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
         """The study images its kept modes with one block apply of I; oracle:
         ``_apply_B`` of each mode alone, on the same certified Lanczos pairs.
@@ -621,8 +635,14 @@ class TestMatchesInterpolatorPath:
         assert_relative_match(rep.statistics, ref)
         assert rep.empirical_mean == pytest.approx(ref.mean(), rel=1e-10)
 
-    def test_risk_study(self, ctx_cache):
-        ctx = ctx_cache("square_ex1", 17)
+    @pytest.mark.parametrize("name, res, bump", [("square_ex1", 17, None),
+                                                 ("disk_ex2", 28, None),
+                                                 ("square_ex1", 25, True)])
+    def test_risk_study(self, ctx_cache, name, res, bump):
+        """The study's true model is the context's own theta, the bumped one
+        too; K = 8 keeps every eigenspace of the disk whole, so its Lanczos
+        basis and the dense one give the same estimator."""
+        ctx = ctx_cache(name, res, theta_bump=bump)
         psi = psi_fixture(ctx, "bump")
         table = plugin_risk_study(ctx, psi, (300, 900), replicates=6, seed=4,
                                   cutoff=lambda n: 8)

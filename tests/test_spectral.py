@@ -286,11 +286,13 @@ class TestDegeneracyProfiles:
         np.testing.assert_allclose(prof.mask_correction, 0.0, atol=1e-12)
         np.testing.assert_allclose(prof.product, 1.0, rtol=1e-8)
 
-    def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache):
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 28)])
+    def test_block_ladder_matches_the_per_order_terms(self, ctx_cache, decomp_cache,
+                                                      name, res):
         """Oracle: each h_N built alone from its first N kept modes, masked on
         the collar, imaged by one apply of I."""
-        ctx = ctx_cache("square_ex1", 17)
-        d = decomp_cache("square_ex1", 17, subspace="collar_supported")
+        ctx = ctx_cache(name, res)
+        d = decomp_cache(name, res, subspace="collar_supported")
         psi = psi_fixture(ctx, "bump")
         prof = degeneracy_profile(d, psi)
         keep, c = np.flatnonzero(~d.kernel_mask), d.coefficients(psi)

@@ -403,6 +403,14 @@ class TestRangeVerdicts:
         with pytest.raises(RuntimeError, match="only at theta = 1; this theta is not"):
             range_verdict(ctx, psi_fixture(ctx, "in_range"))
 
+    def test_disk_theta_off_one_anywhere_refused(self, ctx_cache):
+        """The refusal asks for theta identically 1, not close to it: a bump
+        of amplitude 1e-9 is refused as well."""
+        ctx = ctx_cache("disk_ex2", 28, theta_bump=((0.3, 0.25), 0.3, 1e-9))
+        assert 0.0 < np.max(np.abs(ctx.theta.values - 1.0)) <= 1e-9
+        with pytest.raises(RuntimeError, match="this theta is not identically 1"):
+            range_verdict(ctx, psi_fixture(ctx, "quadrant_bump"))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_psi_rejected(self, ctx_cache, bad):
         """A square-17 bump with its support set to NaN has NaN integrals on
