@@ -40,7 +40,7 @@ from ellinfo.elliptic import Conductivity, DivergenceFormOperator
 from ellinfo.fixtures import (_PSI_PARAMS, FIXTURE_NAMES, PSI_KINDS, build_context,
                               exact_solution, fixture_data, fixture_domain, psi_fixture)
 from ellinfo.grids import MIN_RESOLUTION, ConfigError, build_grid, random_smooth_field
-from ellinfo.score import adjoint_defects, gateaux_remainders, stability_report
+from ellinfo.score import ADJOINT_PAIRS, adjoint_defects, gateaux_remainders, stability_report
 from ellinfo.simulate import lan_mc
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SWEEP_MAX_DIM, degeneracy_profile,
                               dense_eigenvalues, eigendecompose, fisher_refinement,
@@ -228,7 +228,7 @@ def _run_verify_operators(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
     t0 = time.perf_counter()
-    defects = adjoint_defects(ctx, n_pairs=100, seed=cfg.seed)
+    defects = adjoint_defects(ctx, seed=cfg.seed)
     t1 = time.perf_counter()
     slopes, gateaux = [], []
     for k in range(3):
@@ -236,11 +236,11 @@ def _run_verify_operators(cfg: ExperimentConfig):
         gateaux.append({})
         slopes.append(gateaux_remainders(ctx, h, stats=gateaux[-1])[1])
     t2 = time.perf_counter()
-    stab = stability_report(ctx, n_trials=200, seed=cfg.seed)
+    stab = stability_report(ctx, seed=cfg.seed)
     stages = {"adjoint": t1 - t0, "gateaux": t2 - t1, "stability": time.perf_counter() - t2}
     summary = {
         "fixture": cfg.fixture, "resolution": res, "seed": cfg.seed,
-        "adjoint": {"n_pairs": 100, "max_defect": float(defects.max()),
+        "adjoint": {"n_pairs": ADJOINT_PAIRS, "max_defect": float(defects.max()),
                     "mean_defect": float(defects.mean()), "bound_5h": 5.0 * ctx.grid.h_mesh},
         "linearization_slopes": slopes, "linearization_solves": gateaux,
         "stability": {"applicable": stab.applicable, "c0_hat": stab.c0_hat,
@@ -355,7 +355,7 @@ def _run_transport(cfg: ExperimentConfig):
 def _run_simulate(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
     ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
-    h = psi_fixture(ctx, cfg.psi or "bump", **cfg.psi_params)
+    h = psi_fixture(ctx, cfg.psi, **cfg.psi_params)
     report = lan_mc(ctx, h, n=cfg.samples, replicates=cfg.replicates,
                     seed=cfg.seed)
     summary = {
@@ -431,7 +431,7 @@ def _run_thm38(cfg: ExperimentConfig):
     unequal ray integrals (with a vanishing-ray witness) on the disk."""
     square_res, disk_res = cfg.resolutions
     ctx_sq = build_context("square_ex1", square_res)
-    curve = trace_curve(ctx_sq, (1.5, 1.5), direction="forward")
+    curve = trace_curve(ctx_sq, (1.5, 1.5))
     t_gamma_error = abs(curve.travel_time - math.log(4.0 / 3.0))
     v_sq_bump = range_verdict(ctx_sq, psi_fixture(ctx_sq, "bump"))
     v_sq_in = range_verdict(ctx_sq, psi_fixture(ctx_sq, "in_range"))
@@ -476,7 +476,7 @@ _SUBCOMMANDS = {
                          psi="bump", flags=(_PSI_FLAG,)),
     "transport": Subcommand(_run_transport, (33,), {"disk_ex2": (96,)}, _ONE,
                             psi="bump", flags=(_PSI_FLAG,)),
-    "simulate": Subcommand(_run_simulate, (33,), {}, _ONE, flags=(
+    "simulate": Subcommand(_run_simulate, (33,), {}, _ONE, psi="bump", flags=(
         _PSI_FLAG, ("--samples", {"type": int, "help": "observations per replicate"}),
         ("--replicates", {"type": int, "help": "Monte Carlo replicates"}))),
     "reproduce-thm37": Subcommand(_run_thm37, (17, 33, 65), {}, _SWEEP),

@@ -40,6 +40,9 @@ DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
 BACKWARD_ERROR_RTOL = 1e-12  # bound on every solve's normwise backward error
 PCG_MAXITER = 50  # PCG steps, each one apply of M and one product with A
 
+#: mu of the pointwise identifiability bound Lap u + mu |grad u|^2 > 0.
+IDENTIFIABILITY_MU = 4.0
+
 
 @dataclass
 class Conductivity:
@@ -87,8 +90,8 @@ class Conductivity:
             )
 
     @classmethod
-    def constant(cls, grid: Grid, value: float = 1.0, eta: float | None = None):
-        return cls(grid.field(value), eta=eta)
+    def constant(cls, grid: Grid):
+        return cls(grid.field(1.0), eta=None)
 
     @classmethod
     def from_perturbation(cls, grid: Grid, perturbation: ScalarField, eta: float | None = None):
@@ -255,26 +258,14 @@ class DivergenceFormOperator:
         return self._solve_spd(-(w_int.T * self.grid.weights_interior).T)
 
 
-@dataclass
-class IdentifiabilityReport:
-    c0_hat: float
-    mu: float
-    c0_min: float
-    passes: bool
-
-
-def check_identifiability(u: ScalarField, mu: float,
-                          c0_min: float = 0.0) -> IdentifiabilityReport:
-    """Pointwise lower bound underlying injectivity of the linearization.
-
-    Computes c0_hat = min over interior nodes of (Lap u + mu * |grad u|^2) for
-    the base solution u and reports whether it exceeds the configured floor.
-    With mu = 0 this reduces to a sign condition on the source.
+def check_identifiability(u: ScalarField) -> float:
+    """Pointwise lower bound underlying injectivity of the linearization:
+    c0_hat = min over interior nodes of Lap u + ``IDENTIFIABILITY_MU`` |grad u|^2
+    for the base solution u.  The bound holds where c0_hat > 0; with mu = 0
+    that is a sign condition on the source.
     """
     grid = u.grid
     lap = laplacian(u).values
     gx, gy = grid.gradient(u.values)
-    quantity = lap + mu * (gx**2 + gy**2)
-    c0_hat = float(quantity[grid.interior_ids].min())
-    return IdentifiabilityReport(c0_hat=c0_hat, mu=mu, c0_min=c0_min,
-                                 passes=bool(c0_hat > c0_min))
+    quantity = lap + IDENTIFIABILITY_MU * (gx**2 + gy**2)
+    return float(quantity[grid.interior_ids].min())

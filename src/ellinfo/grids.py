@@ -53,6 +53,9 @@ MIN_RESOLUTION = 8
 #: defined discretely for collar-supported h.
 COLLAR_CELLS = 2
 
+#: Sine modes per axis of the series that ``random_smooth_field`` draws.
+SMOOTH_FIELD_MODES = 8
+
 
 class ConfigError(ValueError):
     """A caller's parameter that the library rejects; the CLI exits 2 on it."""
@@ -214,8 +217,7 @@ class Grid:
         self.interior_index = np.full(self.n_nodes, -1, dtype=int)
         self.interior_index[self.interior_ids] = np.arange(self.n_interior)
         self.weights_interior = self.quad_weights[self.interior_ids]
-        # kmax -> (SX, SY) sine tables of random_smooth_field
-        self._sine_tables: dict[int, tuple] = {}
+        self._sine_tables: tuple | None = None  # (SX, SY) of random_smooth_field
         for arr in (self.x, self.y, self.quad_weights, self.boundary_mask):
             arr.setflags(write=False)
 
@@ -667,32 +669,31 @@ def make_bump(grid: Grid, center, radius: float, amplitude: float = 1.0) -> Scal
 def random_smooth_field(
     grid: Grid,
     rng: np.random.Generator | int,
-    kmax: int = 8,
     apply_collar: bool = True,
     size: int | None = None,
 ) -> ScalarField:
-    """Random smooth field from a truncated double-sine series.
+    """Random smooth field from a double-sine series of ``SMOOTH_FIELD_MODES``
+    modes per axis.
 
     Coefficients are standard Gaussians damped by (k^2 + l^2)^(-3/2), so
     realizations are smooth at the grid scale; with ``apply_collar`` the field
     is zeroed on the boundary collar to mimic compact support.  The sine
-    tables are built once per grid and ``kmax``.  ``size`` gives an (n_nodes,
-    size) stack of that many successive draws, bit for bit.
+    tables are built once per grid.  ``size`` gives an (n_nodes, size) stack
+    of that many successive draws, bit for bit.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    ks = np.arange(1, kmax + 1)
-    coef = rng.standard_normal((1 if size is None else size, kmax, kmax))
+    ks = np.arange(1, SMOOTH_FIELD_MODES + 1)
+    coef = rng.standard_normal((1 if size is None else size, ks.size, ks.size))
     damp = (ks[:, None] ** 2 + ks[None, :] ** 2) ** -1.5
     coef = coef * damp
-    if kmax not in grid._sine_tables:
+    if grid._sine_tables is None:
         if grid.spec.kind is DomainKind.SQUARE:
             X, Y = grid.x - 1.0, grid.y - 1.0
         else:
             X, Y = (grid.x + 1.0) / 2.0, (grid.y + 1.0) / 2.0
-        grid._sine_tables[kmax] = tuple(np.sin(np.pi * ks[:, None] * Z[None, :])
-                                        for Z in (X, Y))
-    SX, SY = grid._sine_tables[kmax]
+        grid._sine_tables = tuple(np.sin(np.pi * ks[:, None] * Z[None, :]) for Z in (X, Y))
+    SX, SY = grid._sine_tables
     vals = ((coef.transpose(0, 2, 1) @ SX) * SY).sum(axis=1).T
     if apply_collar:
         vals[grid.collar_mask] = 0.0

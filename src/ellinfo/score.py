@@ -10,8 +10,6 @@ T(h) = div(h grad u_theta), and the three linear maps
 * ``apply_linearization``   I h         = -V[T h]
 * ``apply_adjoint``         I* g        = grad u_theta . grad V[g]   (gradient formula)
 * ``apply_adjoint_exact``   exact transpose of I in the weighted inner product
-* ``apply_information``     I* I h using the exact transpose, so the quadratic
-  form equals ||I h||^2 to rounding and the dense matrix is symmetric PSD.
 
 The gradient-formula adjoint and the exact transpose are two discretizations
 of the same operator; their gap is a first-order mesh quantity and is measured
@@ -66,6 +64,12 @@ TRANSPORT_REFINEMENT_STEPS = 3
 
 #: Fields per block of the batched checks, bounding their temporaries; even.
 BLOCK_COLUMNS = 16
+
+#: Random pairs of the adjoint check, fields of the stability study, and the
+#: steps s of the Gateaux remainders.
+ADJOINT_PAIRS = 100
+STABILITY_TRIALS = 200
+GATEAUX_STEPS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def _per_row(d: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -202,10 +206,6 @@ class ScoreContext:
         """Exact discrete transpose of the linearization; stacks too."""
         return self.grid.interior_field(self._apply_B_adjoint(self.grid.restrict(g)))
 
-    def apply_information(self, h: ScalarField) -> ScalarField:
-        """Information operator I* I h (exact-transpose composition); stacks too."""
-        return self.grid.interior_field(self._apply_info(self.grid.restrict(h)))
-
     # -- dense symmetrized linearization -----------------------------------
 
     def dense_linearization_hat(self) -> np.ndarray:
@@ -235,13 +235,13 @@ class ScoreContext:
 # -- verification-style diagnostics ---------------------------------------
 
 
-def adjoint_defects(ctx: ScoreContext, n_pairs: int = 100, seed: int = 0) -> np.ndarray:
+def adjoint_defects(ctx: ScoreContext, seed: int = 0) -> np.ndarray:
     """Defects |<I h, g> - <h, I* g>| / (||h|| ||g||) of the gradient-formula
-    adjoint over random pairs without the collar, drawn h, g, h, g, ...
-    from one generator."""
+    adjoint over ``ADJOINT_PAIRS`` random pairs without the collar, drawn
+    h, g, h, g, ... from one generator."""
     rng, defects = np.random.default_rng(seed), []
-    for i in range(0, 2 * n_pairs, BLOCK_COLUMNS):
-        size = min(BLOCK_COLUMNS, 2 * n_pairs - i)
+    for i in range(0, 2 * ADJOINT_PAIRS, BLOCK_COLUMNS):
+        size = min(BLOCK_COLUMNS, 2 * ADJOINT_PAIRS - i)
         hg = random_smooth_field(ctx.grid, rng, apply_collar=False, size=size).values
         h, g = ScalarField(ctx.grid, hg[:, 0::2]), ScalarField(ctx.grid, hg[:, 1::2])
         ih = ctx.grid.interior_field(ctx._apply_B(ctx.grid.restrict(h)))
@@ -259,10 +259,8 @@ class StabilityReport:
     """
 
     applicable: bool
-    mu: float
     c0_hat: float
     n_trials: int
-    seed: int
     min_ratio_T: float
     min_ratio_H2: float
     ratios_T: np.ndarray
@@ -277,28 +275,26 @@ def _stability_ratios(ctx: ScoreContext, h: ScalarField) -> tuple[np.ndarray, np
     return norm_l2(ctx.grid.interior_field(th)) / hn, sobolev_norm(ih, 2) / hn
 
 
-def stability_report(ctx: ScoreContext, n_trials: int = 200, seed: int = 0,
-                     mu: float = 4.0, c0_min: float = 0.0) -> StabilityReport:
-    """The ratios over n_trials random fields of norm at least 1e-13, drawn in
-    blocks of BLOCK_COLUMNS; each block is one solve, and its arrays are freed
-    before the next draw, so memory does not grow with n_trials."""
-    ident = check_identifiability(ctx.u, mu, c0_min)
-    if not ident.passes:
-        return StabilityReport(False, mu, ident.c0_hat, 0, seed,
-                               math.nan, math.nan, np.array([]), np.array([]))
-    rng = np.random.default_rng(seed)
-    sizes = [min(BLOCK_COLUMNS, n_trials - i) for i in range(0, n_trials, BLOCK_COLUMNS)]
+def stability_report(ctx: ScoreContext, seed: int = 0) -> StabilityReport:
+    """The ratios over ``STABILITY_TRIALS`` random fields of norm at least 1e-13,
+    drawn in blocks of BLOCK_COLUMNS; each block is one solve, and its arrays are
+    freed before the next draw, so memory does not grow with the trials.  Unless
+    the identifiability bound c0_hat > 0 holds, nothing is sampled."""
+    c0_hat = check_identifiability(ctx.u)
+    if not c0_hat > 0.0:
+        return StabilityReport(False, c0_hat, 0, math.nan, math.nan, np.array([]), np.array([]))
+    rng, n = np.random.default_rng(seed), STABILITY_TRIALS
+    sizes = [min(BLOCK_COLUMNS, n - i) for i in range(0, n, BLOCK_COLUMNS)]
     blocks = [_stability_ratios(ctx, random_smooth_field(ctx.grid, rng, size=k)) for k in sizes]
     ratios_T, ratios_H2 = (np.concatenate(r) for r in zip(*blocks))
-    return StabilityReport(True, mu, ident.c0_hat, ratios_T.size, seed,
-                           float(ratios_T.min()), float(ratios_H2.min()),
-                           ratios_T, ratios_H2)
+    return StabilityReport(True, c0_hat, ratios_T.size, float(ratios_T.min()),
+                           float(ratios_H2.min()), ratios_T, ratios_H2)
 
 
-def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
-                       s_values=(1e-1, 1e-2, 1e-3, 1e-4), stats: dict | None = None):
-    """Sup-norm remainders ||G(theta + s h) - G(theta) - s I h|| and the
-    fitted log-log slope (quadratic remainder means slope 2).
+def gateaux_remainders(ctx: ScoreContext, h: ScalarField, stats: dict | None = None):
+    """Sup-norm remainders ||G(theta + s h) - G(theta) - s I h|| at each s of
+    ``GATEAUX_STEPS`` and the fitted log-log slope (quadratic remainder means
+    slope 2).
 
     Each s is one :meth:`ScoreContext.solve_difference` for d = G(theta + s h)
     - G(theta) in the operator's PCG loop, preconditioned by its solver of K; a
@@ -307,7 +303,7 @@ def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
     """
     ih = ctx._apply_B(ctx.grid.restrict(h))
     remainders, solves = [], []
-    for s in s_values:
+    for s in GATEAUX_STEPS:
         d = ctx.solve_difference(h, s)
         solves.append(ctx.op.last_stats)
         remainders.append(np.max(np.abs(d - s * ih)))
@@ -315,5 +311,5 @@ def gateaux_remainders(ctx: ScoreContext, h: ScalarField,
         stats.update(cg_iterations=[t["iterations"] for t in solves],
                      max_backward_error=max(t["backward_error"] for t in solves),
                      bound=elliptic.BACKWARD_ERROR_RTOL)
-    slope = float(np.polyfit(np.log(s_values), np.log(remainders), 1)[0])
+    slope = float(np.polyfit(np.log(GATEAUX_STEPS), np.log(remainders), 1)[0])
     return np.asarray(remainders), slope

@@ -70,8 +70,7 @@ class SpectralDecomposition:
 
     ``modes[:, k]`` holds the k-th eigenvector on interior nodes,
     orthonormal for the weighted discrete inner product.  Eigenvalues below
-    ``kernel_tol`` form the numerical kernel; the projector onto it is
-    available through :meth:`kernel_project`.
+    ``kernel_tol`` form the numerical kernel.
 
     ``subspace`` records which perturbation space was decomposed:
     ``interior`` is the full interior nodal space (whose deep spectrum
@@ -113,12 +112,6 @@ class SpectralDecomposition:
         """Weighted inner products <e_k, psi> against every computed mode."""
         w = self.grid.weights_interior
         return self.modes.T @ (w * self.grid.restrict(psi))
-
-    def kernel_project(self, psi: ScalarField) -> ScalarField:
-        mask = self.kernel_mask
-        c = self.coefficients(psi)
-        vals = self.modes[:, mask] @ c[mask]
-        return self.grid.interior_field(vals)
 
     def kernel_mass_fraction(self, psi: ScalarField) -> float:
         """Share of the squared norm of psi carried by kernel modes."""
@@ -307,13 +300,7 @@ def _degeneracy_terms(decomp: SpectralDecomposition, psi: ScalarField,
     so h_N is an admissible perturbation; its quotient is the inverse of the
     Fisher lower-bound candidate it generates, and 1/M_N exactly on the
     collar-restricted decomposition, where the mask changes nothing."""
-    keep = np.flatnonzero(~decomp.kernel_mask)
-    if not orders.size:
-        raise ConfigError("orders must be non-empty")
-    outside = (orders < 1) | (orders > len(keep))
-    if np.any(outside):
-        raise ConfigError(f"orders must lie in 1..{len(keep)}, got {orders[outside][0]}")
-    idx = keep[:orders.max()]
+    idx = np.flatnonzero(~decomp.kernel_mask)[:orders.max()]
     c = decomp.coefficients(psi)[idx] / decomp.eigenvalues[idx]
     ladder = c[:, None] * (np.arange(idx.size)[:, None] < orders)
     grid = decomp.grid
@@ -339,14 +326,14 @@ class DegeneracyProfile:
     mask_correction: np.ndarray     # relative pairing shift caused by masking
 
 
-def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField,
-                       orders=None) -> DegeneracyProfile:
+def degeneracy_profile(decomp: SpectralDecomposition, psi: ScalarField) -> DegeneracyProfile:
+    """The profile on a geometric ladder of at most 24 orders from 1 to the
+    number of non-kernel modes; with none, the ladder is empty (ConfigError)."""
     series, _ = range_series(decomp, psi)
     n_avail = len(series)
-    if orders is None:
-        orders = np.unique(np.geomspace(1, n_avail, num=min(24, n_avail)).round().astype(int))
-    else:
-        orders = np.asarray(sorted(set(int(v) for v in orders)))
+    if not n_avail:
+        raise ConfigError("the degeneracy ladder is empty: every mode lies in the kernel")
+    orders = np.unique(np.geomspace(1, n_avail, num=min(24, n_avail)).round().astype(int))
     pairing, info_norm_sq, quotient = _degeneracy_terms(decomp, psi, orders)
     m_n = series[orders - 1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -483,8 +470,7 @@ def _observed_order(h, values) -> tuple[float | None, float | None]:
     return p, (float(v3 + (v3 - v2) / math.expm1(p * log_b)) if p > 0.0 else None)
 
 
-def fisher_refinement(fixture: str, psi_kind: str,
-                      resolutions=(17, 25, 33), theta_bump=None,
+def fisher_refinement(fixture: str, psi_kind: str, resolutions, theta_bump=None,
                       psi_params: dict | None = None) -> RefinementSweep:
     """Classify a functional by sweeping the inverse Fisher form over grids.
 

@@ -326,7 +326,6 @@ class RangeVerdict:
     change of an integral under the Gauss-Legendre rule one order higher.
     """
 
-    psi: ScalarField
     seeds: np.ndarray
     integrals: np.ndarray
     max_abs_integral: float
@@ -345,9 +344,9 @@ class RangeVerdict:
             raise ValueError(f"verdict must be one of {RANGE_VERDICTS}")
 
 
-def _square_seed_lattice(grid: Grid, n_per_axis: int = 13) -> np.ndarray:
+def _square_seed_lattice(grid: Grid) -> np.ndarray:
     lo, hi = 1.0 + 2.5 * grid.h_mesh, 2.0 - 2.5 * grid.h_mesh
-    axis = np.linspace(lo, hi, n_per_axis)
+    axis = np.linspace(lo, hi, 13)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     return np.column_stack([xx.reshape(-1), yy.reshape(-1)])
 
@@ -414,7 +413,7 @@ def range_verdict(ctx: ScoreContext, psi: ScalarField) -> RangeVerdict:
         else:
             verdict = ("compatible_within_tol" if abs(offset) <= threshold
                        else "constant_offset_detected")
-    return RangeVerdict(psi=psi, seeds=seeds, integrals=integrals, max_abs_integral=max_abs,
+    return RangeVerdict(seeds=seeds, integrals=integrals, max_abs_integral=max_abs,
                         integral_tol=integral_tol, threshold=threshold, verdict=verdict,
                         trace_error=trace_error, **report)
 

@@ -768,13 +768,44 @@ class TestAuxiliaryCommands:
         assert summary["stability"]["applicable"]
         capsys.readouterr()
 
+    #: Seed-0 summaries, 17 significant digits: every count and step of the
+    #: battery (the identifiability mu, the adjoint pairs, the stability trials,
+    #: the Gateaux steps and the sine modes of the random fields) moves them.
+    PINNED = {
+        ("square_ex1", "17"): {
+            "max_defect": 0.005046872507297279, "mean_defect": 0.00132151117507692,
+            "slopes": [2.0020989479943343, 1.9968508764983943, 1.997786002465785],
+            "c0_hat": 11.031249999999062, "min_ratio_T": 7.875509505614347,
+            "min_ratio_H2": 7.2229028316917185},
+        ("disk_ex2", "20"): {
+            "max_defect": 0.007382164329403487, "mean_defect": 0.0031970840459429896,
+            "slopes": [2.002289639777541, 1.9964479369085875, 1.9976784437722828],
+            "c0_hat": 2.0026298487292133, "min_ratio_T": 2.3736222105833273,
+            "min_ratio_H2": 1.9320967855133682},
+    }
+
+    @pytest.mark.parametrize("fixture,res", sorted(PINNED))
+    def test_verify_operators_numbers_are_pinned(self, tmp_path, capsys, fixture, res):
+        """rtol 1e-9, not bit equality, so that other numpy and scipy
+        releases pass; the counts are exact."""
+        rc, out = run(["verify-operators", "--fixture", fixture, "--resolution", res],
+                      tmp_path, "a")
+        assert rc == 0
+        summary = load_summary(out, "verify-operators")
+        adjoint, stability = summary["adjoint"], summary["stability"]
+        got = {"max_defect": adjoint["max_defect"], "mean_defect": adjoint["mean_defect"],
+               "slopes": summary["linearization_slopes"], "c0_hat": stability["c0_hat"],
+               "min_ratio_T": stability["min_ratio_T"], "min_ratio_H2": stability["min_ratio_H2"]}
+        for key, want in self.PINNED[fixture, res].items():
+            np.testing.assert_allclose(got[key], want, rtol=1e-9, atol=0.0, err_msg=key)
+        assert adjoint["n_pairs"] == 100 and stability["n_trials"] == 200
+        capsys.readouterr()
+
     def test_failed_stability_gate_is_null_with_a_reason(self, tmp_path, capsys,
                                                           monkeypatch):
         """Without a sample the stability minima are undefined: strict JSON
         nulls, explained next to them."""
-        real = cli.stability_report
-        monkeypatch.setattr(cli, "stability_report",
-                            lambda ctx, **kw: real(ctx, c0_min=np.inf, **kw))
+        monkeypatch.setattr(score, "check_identifiability", lambda u: 0.0)
         rc, out = run(["verify-operators", "--fixture", "square_ex1",
                        "--resolution", "17"], tmp_path, "a")
         assert rc == 0

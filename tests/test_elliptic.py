@@ -550,39 +550,35 @@ class TestConductivityValidation:
 
 
 class TestIdentifiability:
-    """The pointwise lower bound c0_hat = min(Lap u + mu |grad u|^2)."""
+    """The pointwise lower bound c0_hat = min(Lap u + mu |grad u|^2), mu = 4."""
 
     def test_square_base_matches_closed_form(self):
         grid = fixture_grid("square_ex1", 33)
-        rep = check_identifiability(base_solution("square_ex1", grid), mu=4.0)
+        c0_hat = check_identifiability(base_solution("square_ex1", grid))
         h = 1.0 / 32.0
         expected = 2.0 + 4.0 * 2.0 * (1.0 + h) ** 2
-        np.testing.assert_allclose(rep.c0_hat, expected, rtol=1e-10)
-        assert rep.passes
+        np.testing.assert_allclose(c0_hat, expected, rtol=1e-10)
+        assert c0_hat > 0.0
 
     def test_disk_base_matches_closed_form(self):
         grid = fixture_grid("disk_ex2", 33)
-        rep = check_identifiability(base_solution("disk_ex2", grid), mu=4.0)
+        c0_hat = check_identifiability(base_solution("disk_ex2", grid))
         dr = 2.0 / 65.0
-        np.testing.assert_allclose(rep.c0_hat, 2.0 + 4.0 * (dr / 2.0) ** 2, rtol=1e-3)
-        assert rep.passes
+        np.testing.assert_allclose(c0_hat, 2.0 + 4.0 * (dr / 2.0) ** 2, rtol=1e-3)
+        assert c0_hat > 0.0
 
-    def test_harmonic_base_needs_gradient_term(self):
+    def test_harmonic_base_needs_gradient_term(self, monkeypatch):
         """With f = 0 the Laplacian term vanishes, so mu = 0 fails and the
         gradient term alone must carry the bound."""
         grid = fixture_grid("saddle", 33)
         u = base_solution("saddle", grid)
-        flat = check_identifiability(u, mu=0.0, c0_min=1e-6)
-        assert not flat.passes
-        assert abs(flat.c0_hat) <= 1e-9
-        lifted = check_identifiability(u, mu=4.0, c0_min=1e-6)
+        assert elliptic.IDENTIFIABILITY_MU == 4.0
+        monkeypatch.setattr(elliptic, "IDENTIFIABILITY_MU", 0.0)
+        flat = check_identifiability(u)
+        assert not flat > 1e-6
+        assert abs(flat) <= 1e-9
+        monkeypatch.undo()
+        lifted = check_identifiability(u)
         h = 1.0 / 32.0
-        np.testing.assert_allclose(lifted.c0_hat, 32.0 * (1.0 + h) ** 2, rtol=1e-10)
-        assert lifted.passes
-
-    def test_report_records_inputs(self):
-        grid = fixture_grid("square_ex1", 17)
-        rep = check_identifiability(base_solution("square_ex1", grid), mu=2.0, c0_min=1.5)
-        assert rep.mu == 2.0
-        assert rep.c0_min == 1.5
-        assert rep.passes == (rep.c0_hat > 1.5)
+        np.testing.assert_allclose(lifted, 32.0 * (1.0 + h) ** 2, rtol=1e-10)
+        assert lifted > 1e-6

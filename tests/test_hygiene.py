@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package or of the tests imports a name
-that it never uses."""
+that it never uses, and no private module-level name of the package is dead."""
 
 import ast
 from pathlib import Path
@@ -28,3 +28,35 @@ def unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level functions, classes and assigned constants whose names
+    start with one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_dead_private_names():
+    """Every private module-level name of src/ellinfo is read somewhere in
+    src/ellinfo, as a name or as an attribute (``module._name``); an
+    attribute of the same name elsewhere also counts, so the scan can miss
+    dead code but never flags live code."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src/ellinfo").glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in read]
+    assert dead == []

@@ -40,7 +40,7 @@ class TestPerturbationSource:
         errs = []
         for n in (17, 33):
             ctx = build_context("square_ex1", n)
-            h = random_smooth_field(ctx.grid, np.random.default_rng(6), kmax=4)
+            h = random_smooth_field(ctx.grid, np.random.default_rng(6))
             errs.append(self._relative_error(ctx, h))
         assert errs[1] <= 0.06
         assert errs[0] / errs[1] >= 2.5
@@ -72,7 +72,7 @@ class TestAdjointIdentities:
     def test_information_matches_image_norm(self):
         ctx = build_context("square_ex1", 25)
         h = random_smooth_field(ctx.grid, np.random.default_rng(15))
-        quad = inner_l2(h, ctx.apply_information(h))
+        quad = inner_l2(h, ctx.apply_adjoint_exact(ctx.apply_linearization(h)))
         image = norm_l2(ctx.apply_linearization(h)) ** 2
         np.testing.assert_allclose(quad, image, rtol=1e-9)
 
@@ -146,13 +146,11 @@ class TestGateauxSolves:
     """Each s is one CG solve on the context's LU, started from u_theta,
     against an oracle that builds and factors the operator at theta + s h."""
 
-    S_VALUES = (1e-1, 1e-2, 1e-3, 1e-4)
-
     @staticmethod
-    def oracle(ctx, h, s_values):
+    def oracle(ctx, h):
         ih = ctx.apply_linearization(h).values
         rems, scale = [], 0.0
-        for s in s_values:
+        for s in score.GATEAUX_STEPS:
             theta_s = Conductivity(ScalarField(ctx.grid, ctx.theta.values + s * h.values),
                                    eta=None)
             u_s = DivergenceFormOperator(theta_s).solve(ctx.f, ctx.g).values
@@ -170,8 +168,8 @@ class TestGateauxSolves:
         for seed in (1000, 1001):
             h = random_smooth_field(ctx.grid, np.random.default_rng(seed))
             stats = {}
-            rems, slope = gateaux_remainders(ctx, h, self.S_VALUES, stats=stats)
-            ref, scale = self.oracle(ctx, h, self.S_VALUES)
+            rems, slope = gateaux_remainders(ctx, h, stats=stats)
+            ref, scale = self.oracle(ctx, h)
             assert np.max(np.abs(rems - ref)) <= 1e-10 * scale
             np.testing.assert_allclose(rems[:2], ref[:2], rtol=1e-6)
             assert abs(slope - 2.0) <= 0.05
@@ -185,11 +183,11 @@ class TestGateauxSolves:
         ctx = build_context("disk_ex2", 28, theta_bump=True)
         assert ctx.op._lu is not None
         h = random_smooth_field(ctx.grid, np.random.default_rng(5))
-        rems, _ = gateaux_remainders(ctx, h, self.S_VALUES)
+        rems, _ = gateaux_remainders(ctx, h)
         past_lu_size(monkeypatch)
         ctx_cg = build_context("disk_ex2", 28, theta_bump=True)
         assert ctx_cg.op._lu is None
-        rems_cg, _ = gateaux_remainders(ctx_cg, h, self.S_VALUES)
+        rems_cg, _ = gateaux_remainders(ctx_cg, h)
         np.testing.assert_allclose(rems_cg, rems, rtol=1e-3)
 
     def test_iteration_cap_raises(self, monkeypatch):
@@ -219,14 +217,15 @@ class TestAdjointDefects:
     @pytest.mark.parametrize("name,res", [("square_ex1", 33), ("disk_ex2", 40)])
     def test_matches_the_per_pair_loop(self, ctx_cache, name, res):
         ctx = ctx_cache(name, res)
-        defects = adjoint_defects(ctx, n_pairs=100, seed=7)
+        defects = adjoint_defects(ctx, seed=7)
         assert defects.shape == (100,)
         np.testing.assert_allclose(defects.max(), _adjoint_defects(ctx, n_pairs=100, seed=7),
                                    rtol=1e-12)
 
-    def test_every_pair_matches_its_single_evaluation(self, ctx_cache):
+    def test_every_pair_matches_its_single_evaluation(self, ctx_cache, monkeypatch):
         """Pair by pair, over several blocks and a partial last one (37 pairs)."""
         ctx = ctx_cache("square_ex1", 33)
+        monkeypatch.setattr(score, "ADJOINT_PAIRS", 37)
         rng = np.random.default_rng(4)
         loop = []
         with warnings.catch_warnings():
@@ -236,7 +235,7 @@ class TestAdjointDefects:
                 g = random_smooth_field(ctx.grid, rng, apply_collar=False)
                 lhs = inner_l2(ctx.apply_linearization(h), g)
                 loop.append(abs(lhs - inner_l2(h, ctx.apply_adjoint(g))) / (norm_l2(h) * norm_l2(g)))
-        np.testing.assert_allclose(adjoint_defects(ctx, n_pairs=37, seed=4), loop, rtol=1e-9,
+        np.testing.assert_allclose(adjoint_defects(ctx, seed=4), loop, rtol=1e-9,
                                    atol=1e-16)
 
 
@@ -280,7 +279,8 @@ class TestInformationBlocks:
     def test_field_stacks_match_single_fields(self, ctx_cache, name, res):
         ctx = ctx_cache(name, res)
         stack = random_smooth_field(ctx.grid, np.random.default_rng(4), size=3)
-        for apply in (ctx.apply_adjoint_exact, ctx.apply_information):
+        for apply in (ctx.apply_adjoint_exact,
+                      lambda f: ctx.apply_adjoint_exact(ctx.apply_linearization(f))):
             out = apply(stack).values
             assert out.shape == stack.values.shape
             for j in range(3):
@@ -403,26 +403,27 @@ class TestStabilityReport:
 
     def test_applicable_with_positive_minima(self):
         ctx = build_context("square_ex1", 17)
-        rep = stability_report(ctx, n_trials=20, seed=3)
+        rep = stability_report(ctx, seed=3)
         assert rep.applicable
-        assert rep.n_trials == 20
+        assert rep.n_trials == score.STABILITY_TRIALS == 200
         assert rep.min_ratio_T > 0.0
         assert rep.min_ratio_H2 > 0.0
-        assert rep.ratios_T.shape == (20,)
+        assert rep.ratios_T.shape == (200,)
         np.testing.assert_allclose(rep.min_ratio_T, rep.ratios_T.min())
 
     def test_same_seed_reproduces_ratios(self):
         ctx = build_context("square_ex1", 17)
-        rep1 = stability_report(ctx, n_trials=20, seed=3)
-        rep2 = stability_report(ctx, n_trials=20, seed=3)
+        rep1 = stability_report(ctx, seed=3)
+        rep2 = stability_report(ctx, seed=3)
         np.testing.assert_array_equal(rep1.ratios_T, rep2.ratios_T)
         np.testing.assert_array_equal(rep1.ratios_H2, rep2.ratios_H2)
 
-    def test_blocks_match_the_single_field_ratios(self, ctx_cache):
+    def test_blocks_match_the_single_field_ratios(self, ctx_cache, monkeypatch):
         """Over several blocks and a partial last one (45 trials), each ratio
         equals the one computed from its field alone."""
         ctx = ctx_cache("disk_ex2", 40)
-        rep = stability_report(ctx, n_trials=45, seed=2)
+        monkeypatch.setattr(score, "STABILITY_TRIALS", 45)
+        rep = stability_report(ctx, seed=2)
         rng = np.random.default_rng(2)
         for j in range(45):
             h = random_smooth_field(ctx.grid, rng)
@@ -432,27 +433,31 @@ class TestStabilityReport:
             assert rep.ratios_H2[j] == pytest.approx(
                 score.sobolev_norm(ih, 2) / norm_l2(h), rel=1e-12)
 
-    def test_memory_does_not_grow_with_trials(self, ctx_cache):
+    def test_memory_does_not_grow_with_trials(self, ctx_cache, monkeypatch):
         """Fields are drawn and solved in bounded blocks: the traced peak at
         400 trials is within 10 % of the peak at 50."""
         ctx = ctx_cache("disk_ex2", 40)
-        stability_report(ctx, n_trials=5, seed=0)  # sine tables, collar mask
+        monkeypatch.setattr(score, "STABILITY_TRIALS", 5)
+        stability_report(ctx, seed=0)  # sine tables, collar mask
         peaks = []
         for n in (50, 400):
+            monkeypatch.setattr(score, "STABILITY_TRIALS", n)
             tracemalloc.start()
             try:
-                stability_report(ctx, n_trials=n, seed=0)
+                stability_report(ctx, seed=0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
 
-    def test_failed_gate_marks_inapplicable(self):
-        """A harmonic base with mu = 0 has no pointwise bound, so the ratio
-        study is skipped rather than reported."""
+    def test_failed_gate_marks_inapplicable(self, monkeypatch):
+        """Without a positive pointwise bound c0_hat the ratio study is
+        skipped rather than reported."""
         ctx = build_context("saddle", 17)
-        rep = stability_report(ctx, n_trials=5, seed=0, mu=0.0, c0_min=1e-6)
+        monkeypatch.setattr(score, "check_identifiability", lambda u: 0.0)
+        rep = stability_report(ctx, seed=0)
         assert not rep.applicable
+        assert rep.c0_hat == 0.0 and rep.n_trials == 0
         assert np.isnan(rep.min_ratio_T)
         assert rep.ratios_T.size == 0
 
