@@ -15,10 +15,8 @@ from ellinfo.grids import (
     DomainSpec,
     Grid,
     ScalarField,
-    VectorField,
     build_grid,
     inner_l2,
-    laplacian,
     make_bump,
     norm_l2,
     random_smooth_field,
@@ -65,11 +63,9 @@ __all__ = [
     "DomainSpec",
     "Grid",
     "ScalarField",
-    "VectorField",
     "build_grid",
     "inner_l2",
     "norm_l2",
-    "laplacian",
     "sobolev_norm",
     "make_bump",
     "random_smooth_field",

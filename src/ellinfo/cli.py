@@ -57,6 +57,7 @@ class Subcommand(NamedTuple):
     counts: tuple               # (fewest, most) grids, and the rule that says so
     psi: str | None = None      # default functional kind
     flags: tuple = ()           # extra (flag, argparse keywords) pairs
+    fixed: tuple = ()           # model settings the run never reads, which keep their defaults
 
 
 @dataclass
@@ -183,6 +184,9 @@ def _validate(cfg: ExperimentConfig) -> None:
             f"defined on {cfg.fixture!r}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
+    for name in row.fixed:
+        if (value := getattr(cfg, name)) != getattr(ExperimentConfig, name):
+            raise ConfigError(f"{cfg.subcommand} does not read the {name} setting, got {value!r}")
     cfg.psi = cfg.psi or row.psi
     cfg.resolutions = cfg.resolutions or row.by_fixture.get(cfg.fixture, row.resolutions)
     fewest, most, rule = row.counts
@@ -191,6 +195,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"{cfg.subcommand} {rule}, got {got}")
     if most == math.inf and list(cfg.resolutions) != sorted(set(cfg.resolutions)):
         raise ConfigError(f"{cfg.subcommand} needs strictly increasing resolutions, got {got}")
+
+
+def _context(cfg: ExperimentConfig, res: int):
+    """The score context of the run's fixture at one grid, under its theta bump and eta."""
+    return build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +235,7 @@ def _run_solve(cfg: ExperimentConfig):
 
 def _run_verify_operators(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
-    ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
+    ctx = _context(cfg, res)
     t0 = time.perf_counter()
     defects = adjoint_defects(ctx, seed=cfg.seed)
     t1 = time.perf_counter()
@@ -260,7 +269,7 @@ def _run_verify_operators(cfg: ExperimentConfig):
 
 def _run_spectrum(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
-    ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
+    ctx = _context(cfg, res)
     if cfg.n_modes is None:  # the full spectrum reads no mode
         lam, residuals, complete = dense_eigenvalues(ctx), None, True
     else:
@@ -308,9 +317,9 @@ def _sweep_table(sweep, meta: dict, kernel_fractions: bool) -> tuple:
 
 
 def _run_fisher(cfg: ExperimentConfig):
-    sweep = fisher_refinement(cfg.fixture, cfg.psi, cfg.resolutions,
-                              theta_bump=cfg.theta_bump,
-                              psi_params=cfg.psi_params)
+    contexts = (_context(cfg, res) for res in cfg.resolutions)
+    sweep = fisher_refinement((ctx, psi_fixture(ctx, cfg.psi, **cfg.psi_params))
+                              for ctx in contexts)
     summary = {"fixture": cfg.fixture, "psi": cfg.psi,
                "variation": sweep.variation, **_sweep_payload(sweep),
                "kernel_modes": sweep.kernel_counts,
@@ -340,7 +349,7 @@ def _curve_tables(verdict, fixture: str, psi: str) -> dict:
 
 def _run_transport(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
-    ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
+    ctx = _context(cfg, res)
     psi = psi_fixture(ctx, cfg.psi, **cfg.psi_params)
     verdict = range_verdict(ctx, psi)
     columns = _integral_columns(((cfg.psi, verdict),))[1:]
@@ -354,7 +363,7 @@ def _run_transport(cfg: ExperimentConfig):
 
 def _run_simulate(cfg: ExperimentConfig):
     res = cfg.resolutions[0]
-    ctx = build_context(cfg.fixture, res, theta_bump=cfg.theta_bump, eta=cfg.eta)
+    ctx = _context(cfg, res)
     h = psi_fixture(ctx, cfg.psi, **cfg.psi_params)
     report = lan_mc(ctx, h, n=cfg.samples, replicates=cfg.replicates,
                     seed=cfg.seed)
@@ -379,7 +388,8 @@ def _run_simulate(cfg: ExperimentConfig):
 def _run_thm37(cfg: ExperimentConfig):
     """Divergent inverse Fisher for a non-negative bump, plus the degeneracy
     ladder certifying i = 0 through vanishing quotients."""
-    sweep = fisher_refinement("square_ex1", "bump", cfg.resolutions)
+    contexts = (build_context("square_ex1", res) for res in cfg.resolutions)
+    sweep = fisher_refinement((ctx, psi_fixture(ctx, "bump")) for ctx in contexts)
     ladder_res = max((r for r, d in zip(sweep.resolutions, sweep.interior_dims)
                       if d <= KERNEL_SWEEP_MAX_DIM), default=sweep.resolutions[0])
     ctx = build_context("square_ex1", ladder_res)
@@ -463,11 +473,12 @@ def _run_thm38(cfg: ExperimentConfig):
 _ANY = (1, math.inf, "")
 _ONE = (1, 1, "takes one resolution")
 _SWEEP = (3, math.inf, "sweeps need at least three resolutions")
+_SHOWCASE = ("fixture", "theta_bump")  # fixed fixtures at theta = 1
 _PSI_FLAG = ("--psi", {"help": f"functional kind: {', '.join(PSI_KINDS)}"})
 
 #: Every subcommand, one row each: build_parser, _validate and main read only this.
 _SUBCOMMANDS = {
-    "solve": Subcommand(_run_solve, (33,), {}, _ANY),
+    "solve": Subcommand(_run_solve, (33,), {}, _ANY, fixed=("theta_bump",)),
     "verify-operators": Subcommand(_run_verify_operators, (33,), {}, _ONE),
     "spectrum": Subcommand(_run_spectrum, (33,), {}, _ONE, flags=(
         ("--n-modes", {"type": int, "help": "number of top modes, by certified Lanczos below "
@@ -479,9 +490,9 @@ _SUBCOMMANDS = {
     "simulate": Subcommand(_run_simulate, (33,), {}, _ONE, psi="bump", flags=(
         _PSI_FLAG, ("--samples", {"type": int, "help": "observations per replicate"}),
         ("--replicates", {"type": int, "help": "Monte Carlo replicates"}))),
-    "reproduce-thm37": Subcommand(_run_thm37, (17, 33, 65), {}, _SWEEP),
+    "reproduce-thm37": Subcommand(_run_thm37, (17, 33, 65), {}, _SWEEP, fixed=_SHOWCASE),
     "reproduce-thm38": Subcommand(_run_thm38, (33, 96), {}, (
-        2, 2, "takes two resolutions: square grid, disk grid")),
+        2, 2, "takes two resolutions: square grid, disk grid"), fixed=_SHOWCASE),
 }
 
 

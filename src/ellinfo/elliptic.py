@@ -8,8 +8,8 @@ nodal equation by its quadrature weight (on the square this is the classic
 the grid's face pattern (``Grid.faces``), shared with the source operator
 T, and the boundary coupling C; both are linear in the coefficient.
 ``DivergenceFormOperator`` prepares one solver of K; its ``solve`` handles
-Dirichlet data, and its zero-boundary inverse ``apply_inverse``, the discrete
-solution operator for a source w, is self-adjoint for the weighted inner product.
+Dirichlet data, and with ``g`` None it is the zero-boundary inverse, the discrete
+solution operator for a source w, self-adjoint for the weighted inner product.
 
 Every solve runs one block preconditioned CG loop (Hestenes & Stiefel 1952),
 certified by the worst column's normwise backward error (Rigal & Gaches 1967).
@@ -32,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ellinfo.grids import (ConfigError, Grid, ScalarField, laplacian, make_bump,
-                           require_finite, sobolev_norm)
+from ellinfo.grids import (ConfigError, Grid, ScalarField, make_bump, require_finite,
+                           sobolev_norm)
 
 ELLIPTICITY_FLOOR = 0.5
 DIRECT_SOLVE_MAX_UNKNOWNS = 200 * 200
@@ -249,12 +249,8 @@ class DivergenceFormOperator:
         u[grid.interior_ids] = self._solve_spd(rhs)
         return ScalarField(grid, u)
 
-    def apply_inverse(self, w) -> ScalarField:
-        """Zero-boundary solution operator: u with L(u) = w, u = 0 on the boundary."""
-        return self.solve(w, g=None)
-
     def apply_inverse_interior(self, w_int: np.ndarray) -> np.ndarray:
-        """Same as apply_inverse but on raw interior vectors or blocks (hot path)."""
+        """The zero-boundary solve of a source on raw interior vectors or blocks (hot path)."""
         return self._solve_spd(-(w_int.T * self.grid.weights_interior).T)
 
 
@@ -265,7 +261,7 @@ def check_identifiability(u: ScalarField) -> float:
     that is a sign condition on the source.
     """
     grid = u.grid
-    lap = laplacian(u).values
+    lap = grid.laplacian_values(u.values)
     gx, gy = grid.gradient(u.values)
     quantity = lap + IDENTIFIABILITY_MU * (gx**2 + gy**2)
     return float(quantity[grid.interior_ids].min())

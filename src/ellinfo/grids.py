@@ -122,21 +122,6 @@ class ScalarField:
             )
 
 
-@dataclass
-class VectorField:
-    """Nodal vector values, components along the Cartesian coordinate axes."""
-
-    grid: "Grid"
-    vx: np.ndarray
-    vy: np.ndarray
-
-    def __post_init__(self):
-        self.vx = np.asarray(self.vx, dtype=float).reshape(-1)
-        self.vy = np.asarray(self.vy, dtype=float).reshape(-1)
-        if self.vx.shape != (self.grid.n_nodes,) or self.vy.shape != (self.grid.n_nodes,):
-            raise ValueError("vector field components do not match grid size")
-
-
 @dataclass(frozen=True)
 class FaceSet:
     """Flux faces of all interior nodes, step-major, and the CSR pattern they fill.
@@ -606,11 +591,6 @@ def inner_l2(f: ScalarField, g: ScalarField):
 
 def norm_l2(f: ScalarField):
     return sobolev_norm(f, 0)
-
-
-def laplacian(f: ScalarField) -> ScalarField:
-    """Compact discrete Laplacian; valid at interior nodes, zero on the boundary."""
-    return ScalarField(f.grid, f.grid.laplacian_values(f.values))
 
 
 def sobolev_norm(f: ScalarField, order: int):

@@ -49,7 +49,6 @@ from ellinfo.elliptic import Conductivity, DivergenceFormOperator, assemble, che
 from ellinfo.grids import (
     Grid,
     ScalarField,
-    VectorField,
     inner_l2,
     norm_l2,
     random_smooth_field,
@@ -95,8 +94,7 @@ class ScoreContext:
         self.g = g if (g is None or isinstance(g, ScalarField)) else self.grid.field(g)
         self.op = DivergenceFormOperator(theta)
         self.u = self.op.solve(self.f, self.g)
-        gx, gy = self.grid.gradient(self.u.values)
-        self.grad_u = VectorField(self.grid, gx, gy)
+        self.grad_u = self.grid.gradient(self.u.values)  # (du/dx, du/dy)
         self.T = self._assemble_source_operator()
         self._transport_lu = None
 
@@ -198,7 +196,7 @@ class ScoreContext:
         """I* g = grad u_theta . grad V[g] (gradient formula, zero trace); stacks too."""
         v = self.grid.interior_field(self.op.apply_inverse_interior(self.grid.restrict(g)))
         gx, gy = self.grid.gradient(v.values)
-        vals = (self.grad_u.vx * gx.T + self.grad_u.vy * gy.T).T
+        vals = (self.grad_u[0] * gx.T + self.grad_u[1] * gy.T).T
         vals[self.grid.boundary_ids] = 0.0
         return ScalarField(self.grid, vals)
 

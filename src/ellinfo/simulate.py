@@ -71,7 +71,6 @@ def _draw(grid, rng, n: int, evaluate):
 class MCReport:
     """Summary of one Monte Carlo study against its analytic references."""
 
-    kind: str
     seed: int
     n_samples: int
     replicates: int | None
@@ -110,7 +109,7 @@ def info_identity_mc(ctx: ScoreContext, h1: ScalarField, h2: ScalarField,
         flags = ("low_power",)
     else:
         extras["within_4se"] = bool(abs(mean - reference) <= 4.0 * se)
-    return MCReport(kind="info_identity", seed=seed, n_samples=n,
+    return MCReport(seed=seed, n_samples=n,
                     replicates=None, statistics=products,
                     empirical_mean=mean,
                     empirical_variance=float(products.var(ddof=1)) if n > 1 else 0.0,
@@ -281,7 +280,7 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
         extras["var_within_4se"] = bool(abs(var - references["variance"]) <= 4.0 * se_var)
     if replicates < LOW_REPLICATES:
         flags = flags + ("low_power",)
-    return MCReport(kind="lan", seed=seed, n_samples=n, replicates=replicates,
+    return MCReport(seed=seed, n_samples=n, replicates=replicates,
                     statistics=llrs, empirical_mean=mean,
                     empirical_variance=var, standard_error=se,
                     references=references, flags=flags, extras=extras)

@@ -7,10 +7,10 @@ quadratic form psi^T (I*I)^{-1} psi by a certified sparse solve of the
 discrete transport equation T^T y = W psi, and builds the degeneracy
 sequences h_N whose normalized quotients certify vanishing information.
 Divergence verdicts are never issued from a single grid: `fisher_refinement`
-sweeps a family of meshes and classifies the growth of the inverse quadratic
-form.  Where T is singular (the saddle's harmonic base), sparse Lanczos
-certifies the kernels of T and T^T: psi with mass on ker T has zero
-information, and a bordered sparse solve gives the others' exact value.
+classifies the growth of the inverse quadratic form over a family of meshes
+that its caller builds.  Where T is singular (the saddle's harmonic base),
+sparse Lanczos certifies the kernels of T and T^T: psi with mass on ker T has
+zero information, and a bordered sparse solve gives the others' exact value.
 
 `eigendecompose` picks its solver from the request: the full spectrum is
 dense, and a few top pairs come from certified Lanczos.  Dense spectra serve
@@ -70,26 +70,15 @@ class SpectralDecomposition:
 
     ``modes[:, k]`` holds the k-th eigenvector on interior nodes,
     orthonormal for the weighted discrete inner product.  Eigenvalues below
-    ``kernel_tol`` form the numerical kernel.
-
-    ``subspace`` records which perturbation space was decomposed:
-    ``interior`` is the full interior nodal space (whose deep spectrum
-    contains first-integral near-kernel directions that no admissible
-    perturbation can realize), while ``collar_supported`` restricts to
-    fields vanishing on the boundary collar -- the discrete tangent space.
-    Degeneracy ladders are meaningful on the latter; kernel geometry on the
-    former.  ``mode`` records the solver that produced the pairs:
-    ``dense``, ``iterative`` (Lanczos) or ``inverse`` (Lanczos on the
-    inverse, see :func:`kernel_decomposition`).
+    ``kernel_tol`` form the numerical kernel.  ``complete`` marks a full
+    spectrum; Lanczos pairs carry their ``residuals``.
     """
 
     ctx: ScoreContext
     eigenvalues: np.ndarray
     modes: np.ndarray
     kernel_tol: float
-    mode: str
     complete: bool
-    subspace: str = "interior"
     residuals: np.ndarray | None = None
 
     @property
@@ -139,7 +128,9 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     to fields vanishing on the boundary collar, the discrete tangent space
     of admissible perturbations; it always takes the full spectrum, and the
     returned modes are padded with zeros on the collar and remain
-    orthonormal.
+    orthonormal.  Degeneracy ladders are meaningful there; kernel geometry on
+    the full ``interior`` space, whose deep spectrum holds first-integral
+    near-kernel directions that no admissible perturbation can realize.
     """
     if subspace not in ("interior", "collar_supported"):
         raise ConfigError("subspace must be 'interior' or 'collar_supported'")
@@ -164,9 +155,7 @@ def eigendecompose(ctx: ScoreContext, n_modes: int | None = None,
     modes /= np.sqrt(grid.weights_interior)[:, None]
     return SpectralDecomposition(ctx=ctx, eigenvalues=np.ascontiguousarray(vals),
                                  modes=modes, kernel_tol=kernel_tolerance(vals),
-                                 mode="dense" if dense else "iterative",
-                                 complete=dense, subspace=subspace,
-                                 residuals=residuals)
+                                 complete=dense, residuals=residuals)
 
 
 def _gram(ctx: ScoreContext, free=slice(None)) -> np.ndarray:
@@ -248,8 +237,8 @@ def kernel_decomposition(ctx: ScoreContext) -> SpectralDecomposition:
     s = np.sqrt(ctx.grid.weights_interior)
     return SpectralDecomposition(ctx=ctx, eigenvalues=vals,
                                  modes=np.ascontiguousarray(vecs / s[:, None]),
-                                 kernel_tol=kernel_tol, mode="inverse",
-                                 complete=False, residuals=residuals)
+                                 kernel_tol=kernel_tol, complete=False,
+                                 residuals=residuals)
 
 
 def _null_space(a) -> tuple[np.ndarray, float, float]:
@@ -357,7 +346,6 @@ class FisherReport:
 
     method: str
     i_inverse_full: float
-    i_value: float
     rel_error: float | None = None
 
 
@@ -379,8 +367,7 @@ def fisher_information(ctx: ScoreContext, psi: ScalarField) -> FisherReport:
     y, rel_error = ctx.solve_transport_equation(w * psi_int)
     x = ctx._k_w_inverse(y) / np.sqrt(w)
     i_inverse = float(x @ x)
-    return FisherReport(method="direct_solve", i_inverse_full=i_inverse, rel_error=rel_error,
-                        i_value=1.0 / i_inverse if i_inverse > 0 else math.inf)
+    return FisherReport(method="direct_solve", i_inverse_full=i_inverse, rel_error=rel_error)
 
 
 def singular_grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherReport, tuple]:
@@ -401,7 +388,7 @@ def singular_grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherRep
     coefficients = np.linalg.qr(s[:, None] * v0)[0].T @ (s * psi_int)
     kernel = (float(coefficients @ coefficients) / norm_l2(psi) ** 2, n, max(res_v, res_u))
     if kernel[0] > KERNEL_TOL_FACTOR:
-        return FisherReport("kernel_mass", math.inf, 0.0), kernel
+        return FisherReport("kernel_mass", math.inf), kernel
     rhs = np.concatenate([w * psi_int, np.zeros(n)])
     a = sp.bmat([[T.T, sp.csc_matrix(v0)], [sp.csc_matrix(u0.T), None]], format="csc")
     x = spla.splu(a).solve(rhs)
@@ -413,7 +400,7 @@ def singular_grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherRep
     z, zu = ctx._k_w_inverse(x[:-n]) / s, ctx._k_w_inverse(u0) / s[:, None]
     z -= zu @ np.linalg.lstsq(zu, z, rcond=None)[0]
     i_inverse = float(z @ z)
-    return FisherReport("bordered_solve", i_inverse, 1.0 / i_inverse), kernel
+    return FisherReport("bordered_solve", i_inverse), kernel
 
 
 def _grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherReport, tuple]:
@@ -434,8 +421,6 @@ def _grid_fisher(ctx: ScoreContext, psi: ScalarField) -> tuple[FisherReport, tup
 class RefinementSweep:
     """Inverse Fisher values across a family of grids, with classification."""
 
-    fixture: str
-    psi_kind: str
     resolutions: tuple
     interior_dims: tuple
     values: np.ndarray
@@ -470,10 +455,11 @@ def _observed_order(h, values) -> tuple[float | None, float | None]:
     return p, (float(v3 + (v3 - v2) / math.expm1(p * log_b)) if p > 0.0 else None)
 
 
-def fisher_refinement(fixture: str, psi_kind: str, resolutions, theta_bump=None,
-                      psi_params: dict | None = None) -> RefinementSweep:
+def fisher_refinement(grids) -> RefinementSweep:
     """Classify a functional by sweeping the inverse Fisher form over grids.
 
+    ``grids`` yields one (score context, psi) pair per grid, coarsest first;
+    it is consumed one grid at a time, so a generator keeps one context alive.
     A grid where T is invertible reports a finite inverse form, so divergence
     is read off the refinement trend and stability needs a convergence
     certificate: growth on every pair (``DIVERGENCE_GROWTH`` in total) marks
@@ -489,18 +475,16 @@ def fisher_refinement(fixture: str, psi_kind: str, resolutions, theta_bump=None,
     fraction of :func:`kernel_decomposition` on the other grids is reported
     but decides nothing (:func:`_grid_fisher`).
     """
-    from ellinfo.fixtures import build_context, psi_fixture
-
-    if len(resolutions) < 3:
-        raise ConfigError("refinement sweeps need at least three grids")
-    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
-        raise ConfigError("refinement sweeps need strictly increasing resolutions")
     rows = []
-    for n in resolutions:
-        ctx = build_context(fixture, n, theta_bump=theta_bump)
-        report, kernel = _grid_fisher(ctx, psi_fixture(ctx, psi_kind, **(psi_params or {})))
-        rows.append((ctx.grid.n_interior, ctx.grid.h_mesh, report, *kernel))
-    dims, h_mesh, reports, fractions, counts, residuals = map(list, zip(*rows))
+    for ctx, psi in grids:
+        grid = ctx.grid
+        if rows and grid.h_mesh >= rows[-1][2]:
+            raise ConfigError("refinement sweeps need strictly increasing resolutions")
+        report, kernel = _grid_fisher(ctx, psi)
+        rows.append((grid.spec.resolution[0], grid.n_interior, grid.h_mesh, report, *kernel))
+    if len(rows) < 3:
+        raise ConfigError("refinement sweeps need at least three grids")
+    resolutions, dims, h_mesh, reports, fractions, counts, residuals = map(list, zip(*rows))
     values = np.array([report.i_inverse_full for report in reports])
     growth = variation = order = limit = None
     if np.any(np.isinf(values)):
@@ -517,8 +501,8 @@ def fisher_refinement(fixture: str, psi_kind: str, resolutions, theta_bump=None,
                       else "order_below_1" if order < MIN_CONVERGENCE_ORDER else "converged")
             verdict = "in_range" if reason == "converged" else "undetermined"
     return RefinementSweep(
-        fixture=fixture, psi_kind=psi_kind, resolutions=tuple(resolutions),
-        interior_dims=tuple(dims), values=values, growth=growth, variation=variation,
-        kernel_fractions=fractions, kernel_counts=counts, kernel_residuals=residuals,
+        resolutions=tuple(resolutions), interior_dims=tuple(dims), values=values,
+        growth=growth, variation=variation, kernel_fractions=fractions,
+        kernel_counts=counts, kernel_residuals=residuals,
         verdict=verdict, verdict_reason=reason, order=order, richardson_limit=limit,
         lower_bounds=(False,) * len(reports), reports=reports)

@@ -8,8 +8,8 @@ across test modules.
 
 import pytest
 
-from ellinfo.fixtures import build_context
-from ellinfo.spectral import eigendecompose
+from ellinfo.fixtures import build_context, psi_fixture
+from ellinfo.spectral import eigendecompose, fisher_refinement
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,14 @@ def decomp_cache(ctx_cache):
         return cache[key]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def fisher_sweep():
+    """Session factory: fisher_sweep(name, psi_kind, resolutions) runs
+    ``fisher_refinement`` on fresh contexts, built one grid at a time."""
+    def sweep(name, kind, resolutions):
+        contexts = (build_context(name, res) for res in resolutions)
+        return fisher_refinement((ctx, psi_fixture(ctx, kind)) for ctx in contexts)
+
+    return sweep

@@ -17,8 +17,7 @@ from ellinfo.fixtures import (exact_solution, fixture_data, fixture_domain,
 from ellinfo.grids import ScalarField, build_grid, inner_l2, norm_l2, random_smooth_field
 from ellinfo.score import ScoreContext, gateaux_remainders, stability_report
 from ellinfo.simulate import info_identity_mc, lan_mc
-from ellinfo.spectral import (degeneracy_profile, fisher_information, fisher_refinement,
-                              range_series)
+from ellinfo.spectral import degeneracy_profile, fisher_information, range_series
 from ellinfo.transport import range_verdict, trace_curve
 
 
@@ -138,7 +137,7 @@ def test_criterion_04_stability_floor(ctx_cache):
     _criterion(4, ok, "; ".join(details))
 
 
-def test_criterion_05_fisher_degeneracy(ctx_cache, decomp_cache):
+def test_criterion_05_fisher_degeneracy(ctx_cache, decomp_cache, fisher_sweep):
     """For the non-negative bump on the square: the restricted partial sums
     M_N grow without plateau, the inverse quadratic form grows at least 2x
     from the 17 to the 65 grid, and every admissible degeneracy direction
@@ -153,7 +152,7 @@ def test_criterion_05_fisher_degeneracy(ctx_cache, decomp_cache):
     ladder_growth = float(m[-1] / m[half])
     eligible = m >= 2.0
     max_product = float(prof.product[eligible].max())
-    sweep = fisher_refinement("square_ex1", "bump", (17, 33, 65))
+    sweep = fisher_sweep("square_ex1", "bump", (17, 33, 65))
     runtime = time.perf_counter() - t0
     ok = (ladder_growth >= 3.0
           and sweep.growth >= 2.0
@@ -273,14 +272,14 @@ def test_criterion_10_kernel_witnesses(ctx_cache, decomp_cache):
     _criterion(10, ok, detail)
 
 
-def test_criterion_11_cross_module_coherence(transport_checks):
+def test_criterion_11_cross_module_coherence(transport_checks, fisher_sweep):
     """Spectral refinement and transport geometry agree on the
     classification of every shipped functional."""
     sweeps = {
-        ("square_ex1", "bump"): fisher_refinement("square_ex1", "bump", (17, 25, 33)),
-        ("square_ex1", "in_range"): fisher_refinement("square_ex1", "in_range", (17, 25, 33)),
-        ("disk_ex2", "quadrant_bump"): fisher_refinement("disk_ex2", "quadrant_bump", (20, 28, 40)),
-        ("disk_ex2", "in_range"): fisher_refinement("disk_ex2", "in_range", (20, 28, 40)),
+        ("square_ex1", "bump"): fisher_sweep("square_ex1", "bump", (17, 25, 33)),
+        ("square_ex1", "in_range"): fisher_sweep("square_ex1", "in_range", (17, 25, 33)),
+        ("disk_ex2", "quadrant_bump"): fisher_sweep("disk_ex2", "quadrant_bump", (20, 28, 40)),
+        ("disk_ex2", "in_range"): fisher_sweep("disk_ex2", "in_range", (20, 28, 40)),
     }
     agree = {"out_of_range_divergent": "incompatible",
              "in_range": "compatible_within_tol"}

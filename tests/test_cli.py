@@ -20,6 +20,10 @@ from ellinfo.grids import MIN_RESOLUTION, build_grid
 from ellinfo.score import ScoreContext
 
 
+#: A legal [theta] bump on the square.
+THETA_BUMP = "[theta]\nbump_center = 1.5, 1.5\nbump_radius = 0.3\nbump_amplitude = 0.2\n"
+
+
 def run(args, tmp_path, name):
     out = tmp_path / name
     rc = main(args + ["--out", str(out)])
@@ -302,14 +306,25 @@ class TestConfigErrors:
          "bump_amplitude = 0.2\n", "smoothness budget"),
         (["transport", "--resolution", "17"], "[psi]\namplitude = nan\n",
          "bump amplitude must be finite"),
+        (["fisher", "--resolution", "17,25,33"],
+         "[theta]\neta = 0.01\nbump_center = 1.5, 1.5\nbump_radius = 0.3\n"
+         "bump_amplitude = 0.2\n", "smoothness budget"),
+        (["reproduce-thm38", "--fixture", "disk_ex2"], "",
+         "reproduce-thm38 does not read the fixture setting, got 'disk_ex2'"),
+        (["reproduce-thm37"], THETA_BUMP,
+         "reproduce-thm37 does not read the theta_bump setting, got ((1.5, 1.5), 0.3, 0.2)"),
+        (["reproduce-thm38"], THETA_BUMP, "does not read the theta_bump setting"),
+        (["solve", "--resolution", "17"], THETA_BUMP, "solve does not read the theta_bump"),
     ], ids=["window-clearance", "psi-radius", "theta-floor", "theta-eta", "simulate-floor",
-            "theta-radius-nan", "theta-eta-nan", "psi-amplitude-nan"])
+            "theta-radius-nan", "theta-eta-nan", "psi-amplitude-nan", "fisher-theta-eta",
+            "thm38-fixture", "thm37-theta", "thm38-theta", "solve-theta"])
     def test_mistake_caught_by_the_library(self, tmp_path, capsys, args, text, message):
         """A mistake that only the library can judge (a support too close to
         the boundary for the grid, a conductivity below the ellipticity floor
         or over the eta budget, a NaN that would pass a plain comparison) is
-        a config mistake too: exit 2 with the library's message, and nothing
-        is written."""
+        a config mistake too, and so is a model setting that the run never
+        reads (the showcases' fixed fixtures at theta = 1, solve's theta = 1):
+        exit 2 with a message naming it, and nothing is written."""
         cfg = tmp_path / "exp.ini"
         cfg.write_text(text)
         rc, out = run(args + ["--config", str(cfg)], tmp_path, "a")

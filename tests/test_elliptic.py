@@ -123,8 +123,8 @@ class TestOperatorAlgebra:
         op = DivergenceFormOperator(theta)
         w1 = random_smooth_field(grid, rng, apply_collar=False)
         w2 = random_smooth_field(grid, rng, apply_collar=False)
-        lhs = inner_l2(op.apply_inverse(w1), w2)
-        rhs = inner_l2(w1, op.apply_inverse(w2))
+        lhs = inner_l2(op.solve(w1), w2)
+        rhs = inner_l2(w1, op.solve(w2))
         assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), 1.0)
 
     def test_inverse_quadratic_form_is_negative(self):
@@ -132,7 +132,7 @@ class TestOperatorAlgebra:
         grid = square(15)
         w = random_smooth_field(grid, np.random.default_rng(4), apply_collar=False)
         op = DivergenceFormOperator(Conductivity.constant(grid))
-        assert inner_l2(w, op.apply_inverse(w)) < 0.0
+        assert inner_l2(w, op.solve(w)) < 0.0
 
     def test_cg_mode_matches_direct(self, monkeypatch):
         """A random theta past the LU size: PCG by the theta = 1 inverse
@@ -142,10 +142,10 @@ class TestOperatorAlgebra:
         theta = Conductivity.from_perturbation(
             grid, scaled(random_smooth_field(grid, rng), 0.15), eta=None)
         f = random_smooth_field(grid, rng, apply_collar=False)
-        u_direct = DivergenceFormOperator(theta).apply_inverse(f)
+        u_direct = DivergenceFormOperator(theta).solve(f)
         past_lu_size(monkeypatch)
         op_cg = DivergenceFormOperator(theta)
-        u_cg = op_cg.apply_inverse(f)
+        u_cg = op_cg.solve(f)
         assert op_cg.mode == "separable" and op_cg._lu is None
         assert op_cg.last_stats["mode"] == "separable"
         assert op_cg.last_stats["iterations"] > 1
@@ -313,9 +313,9 @@ class TestPCG:
         monkeypatch.setattr(elliptic, "PCG_MAXITER", 2)
         with pytest.raises(RuntimeError, match=r"^separable solve of K: backward error .* "
                                                r"after 2 PCG steps \(bound 1e-12, cap 2\)$"):
-            op_pcg.apply_inverse(grid.field(1.0))
+            op_pcg.solve(grid.field(1.0))
         monkeypatch.setattr(elliptic, "PCG_MAXITER", 1)
-        op.apply_inverse(grid.field(1.0))
+        op.solve(grid.field(1.0))
         assert op.last_stats == {"mode": "direct", "iterations": 1,
                                  "backward_error": op.max_backward_error}
 
@@ -512,7 +512,7 @@ class TestDiscreteSineOracle:
         lam = (4.0 / h**2) * (math.sin(j * math.pi * h / 2.0) ** 2
                               + math.sin(k * math.pi * h / 2.0) ** 2)
         op = DivergenceFormOperator(Conductivity.constant(grid))
-        u = op.apply_inverse(ScalarField(grid, mode))
+        u = op.solve(ScalarField(grid, mode))
         np.testing.assert_allclose(u.values, -mode / lam, atol=1e-12)
 
 

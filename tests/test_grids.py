@@ -8,8 +8,8 @@ import scipy.sparse as sp
 from scipy.interpolate import RegularGridInterpolator
 
 from ellinfo.grids import (COLLAR_CELLS, SMOOTH_FIELD_MODES, DomainKind, DomainSpec,
-                           ScalarField, _diff, build_grid, inner_l2, laplacian, make_bump,
-                           norm_l2, random_smooth_field, sobolev_norm)
+                           ScalarField, _diff, build_grid, inner_l2, make_bump, norm_l2,
+                           random_smooth_field, sobolev_norm)
 
 
 def square(n=17):
@@ -168,13 +168,6 @@ class TestStencils:
                 for got, want in zip(g.gradient(values), expected):
                     np.testing.assert_array_equal(got, want)
 
-    def test_laplacian_field_wrapper(self):
-        g = square(17)
-        f = g.field(lambda x, y: x**2 - y**2)
-        lap = laplacian(f)
-        interior = g.reshape(lap.values)[1:-1, 1:-1]
-        np.testing.assert_allclose(interior, 0.0, atol=1e-10)
-
 
 class TestStackedCalculus:
     """Every calculus function takes an (n_nodes, k) stack and returns what
@@ -188,7 +181,7 @@ class TestStackedCalculus:
     def test_derivatives(self, g):
         F = self.stack(g).values
         for op in (g.gradient, g.second_derivatives,
-                   lambda v: (laplacian(ScalarField(g, v)).values,)):
+                   lambda v: (g.laplacian_values(v),)):
             parts = op(F)
             for j in range(F.shape[1]):
                 for part, single in zip(parts, op(np.ascontiguousarray(F[:, j]))):

@@ -12,11 +12,10 @@ import scipy.linalg as sla
 from ellinfo import spectral
 from ellinfo.fixtures import build_context, in_range_fixture, psi_fixture
 from ellinfo.grids import ConfigError, ScalarField, inner_l2, norm_l2, random_smooth_field
-from ellinfo.score import ScoreContext
+from ellinfo.score import TRANSPORT_SOLVE_RTOL, ScoreContext
 from ellinfo.spectral import (EIG_RESIDUAL_RTOL, KERNEL_SEARCH_MODES, _observed_order,
                               degeneracy_profile, eigendecompose, fisher_information,
-                              fisher_refinement, kernel_decomposition,
-                              range_series)
+                              kernel_decomposition, range_series)
 
 
 class TestDecomposition:
@@ -44,9 +43,9 @@ class TestDecomposition:
         signs = np.sign(np.sum(lanczos.modes * leaders, axis=0))
         np.testing.assert_allclose(lanczos.modes * signs, leaders, rtol=0.0,
                                    atol=1e-10 * np.abs(leaders).max())
-        assert dense.complete and dense.mode == "dense"
-        assert not lanczos.complete and lanczos.mode == "iterative"
-        assert lanczos.residuals is not None
+        assert dense.complete and dense.residuals is None
+        assert not lanczos.complete
+        assert np.all(lanczos.residuals <= EIG_RESIDUAL_RTOL * lanczos.eigenvalues[0])
 
     def test_top_pairs_build_no_dense_matrix(self, ctx_cache, monkeypatch):
         """Fewer pairs than the interior dimension come from Lanczos alone,
@@ -59,7 +58,7 @@ class TestDecomposition:
         m = ctx.grid.n_interior
         for k in (1, m - 1):
             d = eigendecompose(ctx, n_modes=k)
-            assert d.n_modes == k and d.mode == "iterative" and not d.complete
+            assert d.n_modes == k and not d.complete
             assert np.all(d.residuals <= EIG_RESIDUAL_RTOL * d.eigenvalues[0])
 
     @pytest.mark.parametrize("extra", [0, 1, 500])
@@ -68,7 +67,7 @@ class TestDecomposition:
         ctx = ctx_cache("square_ex1", 15)
         dense = decomp_cache("square_ex1", 15)
         d = eigendecompose(ctx, n_modes=ctx.grid.n_interior + extra)
-        assert d.complete and d.mode == "dense" and d.residuals is None
+        assert d.complete and d.residuals is None
         np.testing.assert_array_equal(d.eigenvalues, dense.eigenvalues)
         np.testing.assert_array_equal(d.modes, dense.modes)
 
@@ -91,7 +90,7 @@ class TestDecomposition:
         d = decomp_cache("square_ex1", 15, subspace="collar_supported")
         body = d.modes[d.grid.collar_mask[d.grid.interior_ids], :]
         np.testing.assert_array_equal(body, 0.0)
-        assert d.subspace == "collar_supported"
+        assert d.complete and d.n_modes == d.grid.n_interior - body.shape[0]
 
     def test_disk_interior_spectrum_has_no_kernel(self, decomp_cache):
         """On the disk the interior operator stays numerically injective."""
@@ -205,7 +204,7 @@ class TestKernelDecomposition:
         ctx = ctx_cache("disk_ex2", 20)
         d = kernel_decomposition(ctx)
         lam_1 = d.kernel_tol / spectral.KERNEL_TOL_FACTOR
-        assert d.mode == "inverse" and not d.complete
+        assert not d.complete
         assert d.n_kernel == 31 and d.n_modes > KERNEL_SEARCH_MODES
         assert d.eigenvalues[0] > d.kernel_tol
         assert np.all(np.diff(d.eigenvalues) <= 0.0)
@@ -329,8 +328,8 @@ class TestFisherInformation:
         direct = fisher_information(ctx, psi)
         np.testing.assert_allclose(direct.i_inverse_full,
                                    range_series(d, psi)[0][-1], rtol=1e-5)
-        np.testing.assert_allclose(direct.i_value,
-                                   1.0 / direct.i_inverse_full)
+        assert direct.method == "direct_solve"
+        assert 0.0 <= direct.rel_error <= TRANSPORT_SOLVE_RTOL
 
     @pytest.mark.parametrize("name, res", [("square_ex1", 15), ("square_ex1", 33),
                                            ("disk_ex2", 20)])
@@ -398,14 +397,14 @@ class TestFisherInformation:
 class TestRefinementSweeps:
     """Grid-refinement classification of functionals."""
 
-    def test_bump_functional_is_divergent(self, monkeypatch):
+    def test_bump_functional_is_divergent(self, fisher_sweep, monkeypatch):
         """Every grid is certified, so the kernel diagnostics come from the
         sparse search and no dense B_hat is built."""
         def refuse(self):
             raise AssertionError("dense linearization built on a certified grid")
 
         monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
-        sweep = fisher_refinement("square_ex1", "bump", (17, 21, 25))
+        sweep = fisher_sweep("square_ex1", "bump", (17, 21, 25))
         assert sweep.kernel_counts == [5, 6, 8]
         assert all(0.0 < r <= EIG_RESIDUAL_RTOL for r in sweep.kernel_residuals)
         assert sweep.verdict == "out_of_range_divergent"
@@ -415,10 +414,10 @@ class TestRefinementSweeps:
         assert sweep.verdict_reason == "growth_on_every_pair"
         assert sweep.order < 0.0 and sweep.richardson_limit is None
 
-    def test_in_range_functional_is_stable(self):
+    def test_in_range_functional_is_stable(self, fisher_sweep):
         """The differences 19.9 and 11.3 shrink at an observed order near 1.8,
         and the Richardson limit lies beyond the finest value."""
-        sweep = fisher_refinement("square_ex1", "in_range", (17, 21, 25))
+        sweep = fisher_sweep("square_ex1", "in_range", (17, 21, 25))
         assert sweep.verdict == "in_range"
         assert sweep.verdict_reason == "converged"
         assert sweep.variation <= 0.20
@@ -441,7 +440,7 @@ class TestRefinementSweeps:
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 2.0, 1.5]) == (None, None)
         assert _observed_order([0.3, 0.2, 0.1], [1.0, 1.0, 1.5]) == (None, None)
 
-    def test_singular_grids_report_exact_values(self, monkeypatch):
+    def test_singular_grids_report_exact_values(self, fisher_sweep, monkeypatch):
         """On the saddle every grid is singular; the in-range functional is
         consistent, so each grid reports the exact pseudo-inverse value from
         the bordered sparse solve, and the values converge at order 1.87.  The
@@ -452,7 +451,7 @@ class TestRefinementSweeps:
 
         monkeypatch.setattr(spectral, "kernel_decomposition", refuse)
         monkeypatch.setattr(ScoreContext, "dense_linearization_hat", refuse)
-        sweep = fisher_refinement("saddle", "in_range", (17, 25, 33))
+        sweep = fisher_sweep("saddle", "in_range", (17, 25, 33))
         assert sweep.kernel_counts == [15, 23, 31]
         assert all(0.0 < r <= spectral.NULL_SPACE_RTOL for r in sweep.kernel_residuals)
         assert all(f <= spectral.KERNEL_TOL_FACTOR for f in sweep.kernel_fractions)
@@ -465,38 +464,61 @@ class TestRefinementSweeps:
         np.testing.assert_allclose(sweep.values, [504.41393743087, 535.83000139773,
                                                   547.36588080996], rtol=1e-10)
 
-    def test_kernel_mass_on_every_grid_obstructs(self):
+    def test_kernel_mass_on_every_grid_obstructs(self, fisher_sweep):
         """The bump has certified mass on ker T of the saddle on every grid, so
         its information is 0 there and the sweep reads no trend."""
-        sweep = fisher_refinement("saddle", "bump", (17, 25, 33))
+        sweep = fisher_sweep("saddle", "bump", (17, 25, 33))
         assert sweep.verdict == "kernel_obstructed"
         assert sweep.verdict_reason == "kernel_mass"
         assert np.all(np.isinf(sweep.values))
-        assert [r.i_value for r in sweep.reports] == [0.0, 0.0, 0.0]
+        assert [(r.method, r.i_inverse_full) for r in sweep.reports] == [
+            ("kernel_mass", math.inf)] * 3
         assert sweep.growth is sweep.variation is sweep.order is sweep.richardson_limit is None
         np.testing.assert_allclose(sweep.kernel_fractions, [0.17075, 0.148741, 0.141724],
                                    rtol=0.0, atol=5e-6)
 
-    def test_kernel_mass_on_some_grids_is_undetermined(self, monkeypatch):
+    def test_kernel_mass_on_some_grids_is_undetermined(self, fisher_sweep, monkeypatch):
         """Kernel mass that does not persist over the sweep decides nothing."""
         fisher = spectral.singular_grid_fisher
 
         def coarsest_only(ctx, psi):
             report, kernel = fisher(ctx, psi)
             if ctx.grid.n_interior > 225:
-                report = spectral.FisherReport("bordered_solve", 1.0, 1.0)
+                report = spectral.FisherReport("bordered_solve", 1.0)
             return report, kernel
 
         monkeypatch.setattr(spectral, "singular_grid_fisher", coarsest_only)
-        sweep = fisher_refinement("saddle", "bump", (17, 25, 33))
+        sweep = fisher_sweep("saddle", "bump", (17, 25, 33))
         assert sweep.verdict == "undetermined"
         assert sweep.verdict_reason == "kernel_mass_on_some_grids"
         assert sweep.growth is sweep.variation is sweep.order is sweep.richardson_limit is None
 
-    def test_sweep_needs_three_grids(self):
-        with pytest.raises(ValueError, match="three"):
-            fisher_refinement("square_ex1", "bump", (17, 25))
+    def test_grids_are_consumed_one_at_a_time(self, ctx_cache, monkeypatch):
+        """Each grid is classified before the next is requested, so a generator
+        keeps one context alive; a resolution is the grid's first node count,
+        the disk's radial one."""
+        events = []
 
-    def test_sweep_needs_increasing_resolutions(self):
+        def grid_fisher(ctx, psi):
+            events.append(("fisher", ctx.grid.spec.resolution))
+            return spectral.FisherReport("direct_solve", 1.0 / ctx.grid.h_mesh), (None,) * 3
+
+        def grids():
+            for res in (10, 12, 14):
+                events.append(("build", res))
+                ctx = ctx_cache("disk_ex2", res)
+                yield ctx, ctx.grid.field(1.0)
+
+        monkeypatch.setattr(spectral, "_grid_fisher", grid_fisher)
+        sweep = spectral.fisher_refinement(grids())
+        assert events == [event for res in (10, 12, 14)
+                          for event in (("build", res), ("fisher", (res, 2 * res)))]
+        assert sweep.resolutions == (10, 12, 14)
+
+    def test_sweep_needs_three_grids(self, fisher_sweep):
+        with pytest.raises(ValueError, match="three"):
+            fisher_sweep("square_ex1", "bump", (17, 25))
+
+    def test_sweep_needs_increasing_resolutions(self, fisher_sweep):
         with pytest.raises(ValueError, match="increasing"):
-            fisher_refinement("square_ex1", "bump", (17, 25, 25))
+            fisher_sweep("square_ex1", "bump", (17, 25, 25))

@@ -190,7 +190,7 @@ class TestCrossingConsistency:
             acc, _ = _sweep_from_nodes(ctx, pairs, psi.values, sign=1.0)
             scale = np.max(np.abs(acc))
             for i in np.argsort(-np.abs(acc))[:5]:
-                gu = np.array([ctx.grad_u.vx[ids[i]], ctx.grad_u.vy[ids[i]]])
+                gu = np.array([ctx.grad_u[0][ids[i]], ctx.grad_u[1][ids[i]]])
                 start = pairs[i] + 1e-9 * gu / np.linalg.norm(gu)
                 li = line_integral(psi, trace_curve(ctx, start, "forward"))
                 assert abs(acc[i] - li) / scale <= 1e-4
@@ -201,8 +201,8 @@ def solve_ivp_curve(ctx, seed, sign):
     the context's grad u, with terminal boundary and critical-point events.
     Returns the termination, the end parameter and the dense solution."""
     grid = ctx.grid
-    interp = grid.interpolator(np.column_stack([ctx.grad_u.vx, ctx.grad_u.vy]))
-    crit_tol = transport.CRIT_TOL_FACTOR * float(np.hypot(ctx.grad_u.vx, ctx.grad_u.vy).max())
+    interp = grid.interpolator(np.column_stack([ctx.grad_u[0], ctx.grad_u[1]]))
+    crit_tol = transport.CRIT_TOL_FACTOR * float(np.hypot(ctx.grad_u[0], ctx.grad_u[1]).max())
 
     def flow(z):
         return interp(grid.grid_coords(z[None]))[0]
