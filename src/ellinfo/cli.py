@@ -148,6 +148,10 @@ def _read_config_file(path: str, cfg: ExperimentConfig) -> None:
         raise ConfigError("theta bump needs bump_center, bump_radius and bump_amplitude")
     if bump:
         cfg.theta_bump = (bump["bump_center"], bump["bump_radius"], bump["bump_amplitude"])
+    elif cfg.eta is not None:
+        raise ConfigError(f"[theta] eta = {cfg.eta:g} bounds a theta bump, and the file sets "
+                          "none; add bump_center, bump_radius and bump_amplitude, or set "
+                          "eta = none")
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:

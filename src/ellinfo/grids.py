@@ -31,8 +31,8 @@ no gather, bit for bit).  ``Grid.interpolator(F)`` builds the table once
 and returns a plain function of grid coordinates; a call locates the points
 once and gathers each column in place from its cells' four coefficients.
 ``Grid.grid_coords`` converts Cartesian points for callers that hold them
-(the curve tracer, curve integrals, the score); the Monte Carlo draws its
-design in grid coordinates and skips the round trip.
+(the curve tracer, curve integrals, the score); the score identity study
+draws its design in grid coordinates and skips the round trip.
 """
 
 from __future__ import annotations

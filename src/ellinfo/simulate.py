@@ -1,21 +1,21 @@
 """Monte Carlo experiments for the regression model Y = u_theta(X) + noise.
 
 Design points are drawn from the normalized measure on the domain (uniform
-area; the disk uses polar inversion), and every experiment is driven by
-spawned child seeds so reports are bitwise reproducible.  The design is
-drawn in grid coordinates ((r, theta) on the disk), so no design point is
-converted to Cartesian coordinates.  The LAN and score studies evaluate every
-nodal field they need at the design as a column of one prepared
-``Grid.interpolator`` closure, built once per study outside the replicate
-loop.  The risk study needs its mode images only through the Gram matrix
-Z1^T Z1, which it forms from per-cell moments of the located design against
-one ``Grid.cell_table``, without evaluating Z1.  Where a
-statistic sees the noise only through a linear image, the study draws that
-image from its exact law given the design, next from the same generator,
-as one normal: -eps.d(X) ~ N(0, ||d(X)||^2) for the likelihood ratio (one
-column, d = u_theta - u_{theta + h/sqrt(n)}), and
+area), and every experiment is driven by spawned child seeds so reports are
+bitwise reproducible.  The LAN and risk studies observe each nodal value on
+its dual cell, whose area is the node's lumped weight w, so they see a
+design of n points only through its interior node counts
+N ~ Multinomial(n, w): one draw of O(m) per replicate in the m interior
+nodes, and the lumped references are exact for it.  The score identity
+study draws n points in grid coordinates ((r, theta) on the disk) and
+evaluates its images there through one prepared ``Grid.interpolator``
+closure.  Where a statistic sees the noise only through a linear image, the
+study draws that image from its exact law given the design, next from the
+same generator, as one normal: -eps.d(X) ~ N(0, S), S = sum_j N_j d_j^2,
+for the likelihood ratio (d = u_theta - u_{theta + h/sqrt(n)}), and
 c^T G^-1 Z1^T eps ~ N(0, c^T G^-1 c) for the plug-in error (Z1 the mode
-images, G = Z1^T Z1, c the functional's mode coefficients).  The three
+images at the design, G = Z1^T Z1 = Z^T diag(N) Z with Z the nodal images,
+c the functional's mode coefficients).  The three
 studies check the mean-zero/variance structure of the linearized score,
 the likelihood-ratio expansion against its predicted Gaussian limit, and
 the growth of the normalized risk of a spectral-cutoff plug-in estimator of
@@ -50,11 +50,9 @@ def _draw(grid, rng, n: int, evaluate):
     """One design in grid coordinates and ``evaluate`` at it.
 
     The design is uniform for the normalized measure: 1 + U on the square,
-    (sqrt(U1), 2 pi U2) in (r, theta) on the disk.  Each study draws its
-    noise from ``rng`` next, so a seed fixes both.  ``evaluate`` takes grid
-    coordinates: a ``Grid.interpolator`` closure prepared once per study,
-    which evaluates every field it holds at the design, or ``Grid.locate``,
-    which returns the design's cells and offsets in them.
+    (sqrt(U1), 2 pi U2) in (r, theta) on the disk.  The study draws its
+    noise from ``rng`` next, so a seed fixes both.  ``evaluate`` is a
+    ``Grid.interpolator`` closure prepared once per study.
     """
     if n < 1:
         raise ConfigError("need at least one observation")
@@ -65,6 +63,19 @@ def _draw(grid, rng, n: int, evaluate):
         r = np.sqrt(rng.random(n))
         coords = np.column_stack([r, 2.0 * math.pi * rng.random(n)])
     return coords, evaluate(coords)
+
+
+def _counts(grid, rng, n: int) -> np.ndarray:
+    """Interior node counts of n uniform points observed on dual cells.
+
+    A point lands in a node's dual cell with probability w, the cell's area
+    under the normalized measure.  The appended bin takes the boundary
+    nodes' cells, where the observed fields vanish, and is dropped.  The
+    study draws its noise from ``rng`` next, so a seed fixes both.
+    """
+    if n < 1:
+        raise ConfigError("need at least one observation")
+    return rng.multinomial(n, np.append(grid.weights_interior, 0.0))[:-1]
 
 
 @dataclass
@@ -235,10 +246,11 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
            seed: int = 0) -> MCReport:
     """Monte Carlo for the log-likelihood ratio of the 1/sqrt(n) perturbation.
 
-    Each replicate draws a design of n points under the base conductivity; the
-    exact log-likelihood ratio against theta + h/sqrt(n), -eps.d(X) - S/2 with
-    S = ||d(X)||^2, is drawn as sqrt(S) Z - S/2 from one normal Z, its law given
-    the design.  The nodal d is one solve shared across replicates
+    Each replicate draws the node counts N of n points under the base
+    conductivity (:func:`_counts`); the exact log-likelihood ratio against
+    theta + h/sqrt(n), -eps.d(X) - S/2 with S = sum_j N_j d_j^2, is drawn as
+    sqrt(S) Z - S/2 from one normal Z, its law given the design.  The nodal
+    d is one solve shared across replicates
     (:meth:`ScoreContext.solve_difference`).  References are
     the predicted Gaussian limit: mean -||I h||^2/2, variance ||I h||^2;
     the two-sided Kolmogorov-Smirnov statistic and p-value against that
@@ -252,15 +264,13 @@ def lan_mc(ctx: ScoreContext, h: ScalarField, n: int, replicates: int,
     Conductivity.from_perturbation(  # validates theta + h/sqrt(n)
         grid, ScalarField(grid, ctx.theta.field.values - 1.0 + h.values / math.sqrt(n)),
         eta=None)
-    d = grid.interior_field(-ctx.solve_difference(h, 1.0 / math.sqrt(n))).values
+    d_sq = ctx.solve_difference(h, 1.0 / math.sqrt(n)) ** 2
     image = ctx.apply_linearization(h)
     norm_sq = inner_l2(image, image)
     llrs = np.empty(replicates)
-    interp = grid.interpolator(d)
     for r, child in enumerate(np.random.SeedSequence(seed).spawn(replicates)):
         rng = np.random.default_rng(child)
-        _, d_x = _draw(grid, rng, n, interp)
-        s = float(d_x @ d_x)
+        s = float(_counts(grid, rng, n) @ d_sq)
         llrs[r] = math.sqrt(s) * rng.standard_normal() - 0.5 * s
     mean = float(llrs.mean())
     var = float(llrs.var(ddof=1))
@@ -300,26 +310,6 @@ class RiskTable:
     flags: tuple = ()
 
 
-#: Entry (a, b) of M_c as an index into [count, s, t, st, ss, s st, tt, t st, st st].
-_MOMENT_SLOTS = np.array([[0, 1, 2, 3], [1, 4, 3, 5], [2, 3, 6, 7], [3, 5, 7, 8]])
-
-
-def _moment_gram(table: np.ndarray, cell: np.ndarray, s: np.ndarray,
-                 t: np.ndarray) -> np.ndarray:
-    """Z^T Z for the interpolant Z of the (cells, 4, m) ``Grid.cell_table``
-    at the located points, without forming Z: row i of Z is T_c^T w_i with
-    w = (1, s, t, s t) and c the point's cell, so Z^T Z = sum_c T_c^T M_c T_c
-    with the cell moments M_c = sum_{i in c} w_i w_i^T: as w_0 w_3 = w_1 w_2,
-    a count and eight weighted bincounts, placed by _MOMENT_SLOTS."""
-    st = s * t
-    moments = np.stack([np.bincount(cell, minlength=table.shape[0])]
-                       + [np.bincount(cell, w, minlength=table.shape[0])
-                          for w in (s, t, st, s * s, s * st, t * t, t * st, st * st)],
-                       axis=-1)[:, _MOMENT_SLOTS]
-    m = table.shape[2]
-    return table.reshape(-1, m).T @ (moments @ table).reshape(-1, m)
-
-
 def _default_cutoff(n: int) -> int:
     return max(1, math.ceil(n ** (1.0 / 3.0)))
 
@@ -334,15 +324,17 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     the top-K information eigenvectors and plugs the fit into the functional;
     K <= N follows ``cutoff`` (default ceil(N^{1/3})) and may not exceed the
     non-kernel modes.  With c the kept modes' psi-coefficients and v = G^-1 c,
-    G = Z1^T Z1 (from :func:`_moment_gram`) by Cholesky, the error given the
-    design is N(0, c.v): sqrt(c.v) times one normal drawn after the design.
+    G = Z1^T Z1 = Z^T diag(N) Z by Cholesky (Z the nodal images, N the node
+    counts of :func:`_counts`), the error given the design is N(0, c.v):
+    sqrt(c.v) times one normal drawn after the counts.
     c.v is unchanged by a mode's sign flip or a rotation of a wholly kept
     degenerate eigenspace; a cutoff that splits one (disk 28 at K = 13 keeps
     mode 13 of the pair 13, 14) is defined by the mode it keeps.  Out of range
     the risk inherits the divergence of the partial sums M_K.  In range it
     tracks their plateau only under a cutoff that reaches it, such as
-    3 N^{1/3} on square 17; under the default it grows 2.0-3.3x there over
-    N = 500, 2000, 8000 (M_K 2.29x) and sits about 12 % above M_K at K = 20.
+    3 N^{1/3} on square 17; under the default it grows 1.8-3.0x there over
+    N = 500, 2000, 8000 (M_K 2.29x, 200 replicates, seeds 0-11) and meets M_K
+    at K = 20 (-0.2 +- 1.5 % over seeds 1-12 at 1,000 replicates).
     Only the top max(K) pairs are computed: by certified Lanczos below the
     interior dimension, with no dense matrix.
     """
@@ -366,17 +358,17 @@ def plugin_risk_study(ctx: ScoreContext, psi: ScalarField, n_list,
     series, _ = range_series(decomp, psi)
     grid = ctx.grid
     coeffs = decomp.coefficients(psi)[keep]
-    images = grid.interior_field(ctx._apply_B(decomp.modes[:, keep])).values
+    images = ctx._apply_B(decomp.modes[:, keep])
     flags = ("low_replicates",) if replicates < LOW_REPLICATES else ()
     root = np.random.SeedSequence(seed)
     n_mse = np.empty(len(n_list))
     for j, (n, k) in enumerate(zip(n_list, k_values)):
         errors = np.empty(replicates)
-        table = grid.cell_table(images[:, :k])
+        z = images[:, :k]
         for r, child in enumerate(root.spawn(replicates)):
             rng = np.random.default_rng(child)
-            _, located = _draw(grid, rng, n, grid.locate)
-            v = cho_solve((cholesky(_moment_gram(table, *located)), False), coeffs[:k])
+            gram = z.T @ (_counts(grid, rng, n)[:, None] * z)
+            v = cho_solve((cholesky(gram), False), coeffs[:k])
             errors[r] = math.sqrt(coeffs[:k] @ v) * rng.standard_normal()
         n_mse[j] = n * float(np.mean(errors ** 2))
     ratio = float(n_mse[-1] / n_mse[0]) if n_mse[0] > 0 else math.inf

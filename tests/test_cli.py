@@ -315,15 +315,18 @@ class TestConfigErrors:
          "reproduce-thm37 does not read the theta_bump setting, got ((1.5, 1.5), 0.3, 0.2)"),
         (["reproduce-thm38"], THETA_BUMP, "does not read the theta_bump setting"),
         (["solve", "--resolution", "17"], THETA_BUMP, "solve does not read the theta_bump"),
+        (["spectrum", "--resolution", "17"], "[theta]\neta = 0.01\n",
+         "[theta] eta = 0.01 bounds a theta bump"),
     ], ids=["window-clearance", "psi-radius", "theta-floor", "theta-eta", "simulate-floor",
             "theta-radius-nan", "theta-eta-nan", "psi-amplitude-nan", "fisher-theta-eta",
-            "thm38-fixture", "thm37-theta", "thm38-theta", "solve-theta"])
+            "thm38-fixture", "thm37-theta", "thm38-theta", "solve-theta", "eta-without-bump"])
     def test_mistake_caught_by_the_library(self, tmp_path, capsys, args, text, message):
         """A mistake that only the library can judge (a support too close to
         the boundary for the grid, a conductivity below the ellipticity floor
         or over the eta budget, a NaN that would pass a plain comparison) is
         a config mistake too, and so is a model setting that the run never
-        reads (the showcases' fixed fixtures at theta = 1, solve's theta = 1):
+        reads (the showcases' fixed fixtures at theta = 1, solve's theta = 1,
+        an eta with no theta bump to bound):
         exit 2 with a message naming it, and nothing is written."""
         cfg = tmp_path / "exp.ini"
         cfg.write_text(text)

@@ -19,7 +19,7 @@ from ellinfo.score import ScoreContext
 from ellinfo.simulate import (info_identity_mc, kolmogorov_sf, ks_normal, lan_mc,
                               plugin_risk_study)
 from ellinfo.spectral import eigendecompose
-from test_grids import rgi_interpolator, special_points
+from test_grids import rgi_interpolator
 
 
 def direction(grid, seed, scale=1.0):
@@ -95,6 +95,70 @@ class TestDraw:
         assert abs(scores.mean()) <= 4.0 * se
 
 
+class TestCounts:
+    """The LAN and risk studies' design: the interior node counts of n
+    uniform points observed on dual cells, N ~ Multinomial(n, w)."""
+
+    @staticmethod
+    def _dual_cells(grid, coords):
+        """Node of the dual cell holding each point, by the cells' own
+        geometry: nearest node per axis on the square; on the disk, ring
+        floor(r / dr) (the last ring's cell is its inner half) and nearest
+        angle, modulo the seam."""
+        if grid.spec.kind is DomainKind.SQUARE:
+            i = np.rint((coords[:, 0] - 1.0) / grid.hx).astype(int)
+            j = np.rint((coords[:, 1] - 1.0) / grid.hy).astype(int)
+            return i * grid.shape[1] + j
+        r, t = np.hypot(coords[:, 0], coords[:, 1]), np.arctan2(coords[:, 1], coords[:, 0])
+        ring = np.minimum(np.floor(r / grid.dr).astype(int), grid.shape[0] - 1)
+        angle = np.rint(t / grid.dt).astype(int) % grid.shape[1]
+        return ring * grid.shape[1] + angle
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
+    def test_weights_are_the_dual_cell_law(self, ctx_cache, name, res):
+        """10^6 uniform points fall in the nodes' dual cells with the
+        frequencies that the quadrature weights predict: chi-square p >= 1e-3.
+        So Multinomial(n, w) is the law of a uniform design's cell counts."""
+        grid, n = ctx_cache(name, res).grid, 1_000_000
+        rng = np.random.default_rng(11)
+        if grid.spec.kind is DomainKind.SQUARE:
+            coords = 1.0 + rng.random((n, 2))
+        else:
+            r, t = np.sqrt(rng.random(n)), 2.0 * math.pi * rng.random(n)
+            coords = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        freq = np.bincount(self._dual_cells(grid, coords), minlength=grid.n_nodes)
+        assert stats.chisquare(freq, n * grid.quad_weights).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
+    def test_ratio_scale_matches_the_lumped_norm(self, ctx_cache, name, res):
+        """Over 2,000 replicates the mean of S = sum_j N_j d_j^2 lies within
+        four exact standard errors of n d^T W d, the LAN reference's own
+        quadrature: Var S = n (sum w d^4 - (sum w d^2)^2)."""
+        ctx = ctx_cache(name, res)
+        grid, n, replicates = ctx.grid, 10_000, 2000
+        d_sq = ctx.solve_difference(direction(grid, 31, scale=2.0), 1.0 / math.sqrt(n)) ** 2
+        s = [float(simulate._counts(grid, np.random.default_rng(child), n) @ d_sq)
+             for child in np.random.SeedSequence(7).spawn(replicates)]
+        w = grid.weights_interior
+        se = math.sqrt(n * (w @ d_sq ** 2 - (w @ d_sq) ** 2) / replicates)
+        assert abs(np.mean(s) - n * (w @ d_sq)) <= 4.0 * se
+
+    def test_counts_keep_the_stream(self, ctx_cache):
+        """The counts are one multinomial over the interior weights, all that
+        the draw takes from the generator, so a study's noise is the stream's
+        next value; n < 1 is refused with _draw's message."""
+        grid = ctx_cache("square_ex1", 17).grid
+        rng, stream = np.random.default_rng(0), np.random.default_rng(0)
+        counts = simulate._counts(grid, rng, 500)
+        w = grid.quad_weights[grid.interior_ids]
+        np.testing.assert_array_equal(counts,
+                                      stream.multinomial(500, np.append(w, 1.0 - w.sum()))[:-1])
+        assert counts.shape == (grid.n_interior,) and counts.sum() <= 500
+        np.testing.assert_array_equal(rng.standard_normal(3), stream.standard_normal(3))
+        with pytest.raises(ConfigError, match="need at least one observation"):
+            simulate._counts(grid, rng, 0)
+
+
 class TestInfoIdentity:
     """E[score(h1) score(h2)] against the image inner product."""
 
@@ -151,12 +215,16 @@ class TestLanMC:
     def test_one_normal_has_the_full_noise_law(self, ctx_cache):
         """Given the design, the ratio -eps.d(X) - S/2 over fresh full-noise
         eps is N(-S/2, S), the law that the study draws from one normal:
-        4,000 such draws at one square-17 design pass the KS test against it."""
+        4,000 such draws at one square-17 design, its n observations
+        expanded from the node counts (d = 0 in the boundary cells), pass the
+        KS test against it."""
         ctx = ctx_cache("square_ex1", 17)
         h, n = direction(ctx.grid, 31, scale=2.0), 2000
-        d = ctx.grid.interior_field(-ctx.solve_difference(h, 1.0 / math.sqrt(n))).values
+        d = -ctx.solve_difference(h, 1.0 / math.sqrt(n))
         rng = np.random.default_rng(2033)
-        _, d_x = simulate._draw(ctx.grid, rng, n, ctx.grid.interpolator(d))
+        d_x = np.zeros(n)
+        inside = np.repeat(d, simulate._counts(ctx.grid, rng, n))
+        d_x[:inside.size] = inside
         s = float(d_x @ d_x)
         ratios = [-float(rng.standard_normal(n) @ d_x) - 0.5 * s for _ in range(4000)]
         assert ks_normal(np.array(ratios), -0.5 * s, math.sqrt(s))[1] >= 1e-3
@@ -259,7 +327,7 @@ class TestRiskStudy:
                                   replicates=200, seed=0)
         assert table.k_values == (8, 13, 20) and table.flags == ()
         np.testing.assert_allclose(
-            table.n_mse, [0.0038710670116239212, 0.01431332476892202, 0.032377622255303079],
+            table.n_mse, [0.0032880325785042447, 0.011564350554428482, 0.029277292649856373],
             rtol=1e-9, atol=0.0)
 
     def test_in_range_risk_stays_bounded(self, ctx_cache, monkeypatch):
@@ -275,7 +343,7 @@ class TestRiskStudy:
         assert table.ratio_last_first <= 2.0
         assert np.all(np.diff(table.reference_m_k) >= 0.0)
         np.testing.assert_allclose(
-            table.n_mse, [409.78269306828753, 341.48625736666645, 440.6751147030572],
+            table.n_mse, [350.8623032846457, 337.01933872369113, 346.08592349583387],
             rtol=1e-9, atol=0.0)
 
     def test_out_of_range_risk_grows(self, ctx_cache):
@@ -287,7 +355,7 @@ class TestRiskStudy:
             replicates=200, seed=2, cutoff=lambda n: math.ceil(3 * n ** (1 / 3)))
         assert table.ratio_last_first >= 2.0
         np.testing.assert_allclose(
-            table.n_mse, [0.051705033354085744, 0.08548515525905688, 0.19393452700110511],
+            table.n_mse, [0.044596887160003054, 0.07659993002972289, 0.12930729763167567],
             rtol=1e-9, atol=0.0)
 
     def test_disk_study_builds_no_dense_hat(self, ctx_cache, monkeypatch):
@@ -307,66 +375,19 @@ class TestRiskStudy:
     def test_mode_images_match_single_applies(self, ctx_cache, monkeypatch):
         """The study images its kept modes with one block apply of I; oracle:
         ``_apply_B`` of each mode alone, on the same certified Lanczos pairs.
-        The images are read from the stack the study's cell table is built of."""
+        The images are the study's last apply, which its Gram matrices read."""
         ctx = ctx_cache("square_ex1", 17)
-        seen, real = [], ctx.grid.cell_table
-
-        def recording(values):
-            seen.append(np.array(values))
-            return real(values)
-
-        monkeypatch.setattr(ctx.grid, "cell_table", recording)
+        seen, real = [], ScoreContext._apply_B
+        monkeypatch.setattr(ScoreContext, "_apply_B",
+                            lambda self, x: seen.append(real(self, x)) or seen[-1])
         plugin_risk_study(ctx, in_range_fixture(ctx).psi, (1000,), replicates=2, seed=0)
-        images = seen[0]
+        images = seen[-1]
         decomp = eigendecompose(ctx, n_modes=images.shape[1])
         assert images.shape[1] == 10 and not np.any(decomp.kernel_mask)
         for k in range(images.shape[1]):
-            col = ctx.grid.interior_field(ctx._apply_B(decomp.modes[:, k])).values
+            col = real(ctx, decomp.modes[:, k])
             np.testing.assert_allclose(images[:, k], col, rtol=0.0,
                                        atol=1e-13 * np.abs(col).max())
-
-    @staticmethod
-    def _ten_bincount_gram(table, cell, s, t):
-        """Reference: Z^T Z from cell moments whose ten upper entries are
-        each a bincount weighted by w_a w_b, w = (1, s, t, s t)."""
-        w = (np.ones_like(s), s, t, s * t)
-        moments = np.empty((table.shape[0], 4, 4))
-        for a, b in zip(*np.triu_indices(4)):
-            moments[:, a, b] = moments[:, b, a] = np.bincount(cell, w[a] * w[b],
-                                                              minlength=table.shape[0])
-        m = table.shape[2]
-        return table.reshape(-1, m).T @ (moments @ table).reshape(-1, m)
-
-    @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
-    def test_moment_gram_matches_evaluated_stack(self, ctx_cache, name, res):
-        """The Gram matrix from the cell moments of a design equals Z^T Z of
-        the interpolated stack Z (a solution difference, then the mode
-        images) to 1e-13 of its largest entry, on a 300-point design plus the
-        special points, which put points in the disk's origin cell and seam
-        column and past the edges.
-        It equals the ten-bincount reference bit for bit: a count and eight
-        distinct weighted bincounts give the same moments."""
-        ctx = ctx_cache(name, res)
-        grid = ctx.grid
-        pert = random_smooth_field(grid, np.random.default_rng(9))
-        truth = Conductivity.from_perturbation(
-            grid, ScalarField(grid, 0.1 * pert.values), eta=None)
-        decomp = eigendecompose(ctx, n_modes=8)
-        fields = np.column_stack([DivergenceFormOperator(truth).solve(ctx.f, ctx.g).values
-                                  - ctx.u.values,
-                                  grid.interior_field(ctx._apply_B(decomp.modes)).values])
-        coords, _ = simulate._draw(grid, np.random.default_rng(5), 300, grid.locate)
-        coords = np.vstack([coords, grid.grid_coords(special_points(grid))])
-        cell, s, t = grid.locate(coords)
-        if grid.spec.kind is DomainKind.DISK:
-            n_t = grid.shape[1]
-            assert np.any(cell < n_t) and np.any(cell % n_t == n_t - 1)
-        z = grid.interpolator(fields)(coords)
-        ref = z.T @ z
-        gram = simulate._moment_gram(grid.cell_table(fields), cell, s, t)
-        np.testing.assert_allclose(gram, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
-        np.testing.assert_array_equal(
-            gram, self._ten_bincount_gram(grid.cell_table(fields), cell, s, t))
 
     def test_cutoff_above_non_kernel_modes_rejected(self, ctx_cache):
         """The saddle at 9 has 7 kernel modes among its 49 pairs, so a cutoff
@@ -383,10 +404,9 @@ class TestRiskStudy:
         the solve must invert G, and c.v must be ||U^-T c||^2 to 1e-12."""
         ctx = ctx_cache("square_ex1", 17)
         decomp = eigendecompose(ctx, n_modes=8)
-        images = ctx.grid.interior_field(ctx._apply_B(decomp.modes)).values
-        _, z1 = simulate._draw(ctx.grid, np.random.default_rng(5), 300,
-                               ctx.grid.interpolator(images))
-        gram = z1.T @ z1
+        images = ctx._apply_B(decomp.modes)
+        counts = simulate._counts(ctx.grid, np.random.default_rng(5), 300)
+        gram = images.T @ (counts[:, None] * images)
         upper = cholesky(gram)
         np.testing.assert_array_equal(np.tril(upper, -1), 0.0)
         c = decomp.coefficients(psi_fixture(ctx, "bump"))
@@ -485,7 +505,7 @@ class TestRiskStudy:
                               cutoff=lambda n: 4)
 
 
-# -- reference: the same experiments, evaluated pointwise by the interpolation oracle --
+# -- reference: the same experiments, replayed observation by observation --
 
 
 def reference_draw(grid, rng, n):
@@ -498,6 +518,15 @@ def reference_draw(grid, rng, n):
     return np.column_stack([r * np.cos(t), r * np.sin(t)])
 
 
+def reference_nodes(grid, rng, n):
+    """The interior node (position) of each of the n observations, from
+    counts drawn as the library draws them; numpy's last bin takes the rest
+    of the mass, the boundary cells."""
+    w = grid.quad_weights[grid.interior_ids]
+    counts = rng.multinomial(n, np.append(w, 1.0 - w.sum()))[:-1]
+    return np.repeat(np.arange(grid.n_interior), counts)
+
+
 def perturbed_solution(ctx, h, n):
     """Nodal u at theta + h / sqrt(n)."""
     grid = ctx.grid
@@ -508,28 +537,28 @@ def perturbed_solution(ctx, h, n):
 
 
 def lu_difference(ctx, h, n):
-    """Nodal d = u_theta - u_{theta + h/sqrt(n)} from a sparse LU solve of
+    """Interior d = u_theta - u_{theta + h/sqrt(n)} from a sparse LU solve of
     (K + s K(h)) d' = s (C(h) g - K(h) u_theta), s = 1/sqrt(n), d = -d'."""
     grid, s = ctx.grid, 1.0 / math.sqrt(n)
     K_h, C_h = assemble(grid, h.values)
     rhs = s * (C_h @ ctx.u.values[grid.boundary_ids] - K_h @ grid.restrict(ctx.u))
-    return grid.interior_field(-spla.splu((ctx.op.K + s * K_h).tocsc()).solve(rhs)).values
+    return -spla.splu((ctx.op.K + s * K_h).tocsc()).solve(rhs)
 
 
 def reference_lan(ctx, h, n, replicates, seed):
-    """The log-likelihood ratio from the residuals under both conductivities.
-    It sees the noise only along d(X) = u(X) - u2(X), so the noise is that
-    component, -Z d(X) / ||d(X)|| from the normal Z drawn after the design."""
+    """The log-likelihood ratio from the residuals under both conductivities,
+    each observation reading its node.  It sees the noise only along
+    d(X) = u(X) - u2(X), so the noise is that component, -Z d(X) / ||d(X)||
+    from the normal Z drawn after the design."""
     grid = ctx.grid
-    u = rgi_interpolator(grid, ctx.u.values)
-    u2 = rgi_interpolator(grid, perturbed_solution(ctx, h, n))
+    u, u2 = grid.restrict(ctx.u), grid.restrict(perturbed_solution(ctx, h, n))
     llrs = []
     for child in np.random.SeedSequence(seed).spawn(replicates):
         rng = np.random.default_rng(child)
-        x = reference_draw(grid, rng, n)
-        d_x = u(x) - u2(x)
-        y = u(x) - rng.standard_normal() * d_x / np.linalg.norm(d_x)
-        r0, r1 = y - u(x), y - u2(x)
+        x = reference_nodes(grid, rng, n)
+        d_x = u[x] - u2[x]
+        y = u[x] - rng.standard_normal() * d_x / np.linalg.norm(d_x)
+        r0, r1 = y - u[x], y - u2[x]
         llrs.append(0.5 * np.sum(r0 * r0 - r1 * r1))
     return np.array(llrs)
 
@@ -548,23 +577,22 @@ def reference_identity(ctx, h1, h2, n, seed):
 
 def reference_risk(ctx, psi, n_list, replicates, seed, k):
     """The plug-in error under the base conductivity, on the modes of the
-    dense decomposition.  Given the design, the residuals are the noise, so
-    the error c^T (Z1^T Z1)^-1 Z1^T eps is N(0, c^T (Z1^T Z1)^-1 c): that
-    standard deviation times the one normal drawn after the design."""
+    dense decomposition, imaged one at a time, each observation reading its
+    node.  Given the design, the residuals are the noise, so the error
+    c^T (Z1^T Z1)^-1 Z1^T eps is N(0, c^T (Z1^T Z1)^-1 c): that standard
+    deviation times the one normal drawn after the design."""
     grid = ctx.grid
     decomp = eigendecompose(ctx)
     keep = np.flatnonzero(~decomp.kernel_mask)[:k]
     coeffs = decomp.coefficients(psi)[keep]
-    modes = [rgi_interpolator(grid, grid.interior_field(ctx._apply_B(decomp.modes[:, i])).values)
-             for i in keep]
+    images = np.column_stack([ctx._apply_B(decomp.modes[:, i]) for i in keep])
     root = np.random.SeedSequence(seed)
     n_mse = []
     for n in n_list:
         errors = []
         for child in root.spawn(replicates):
             rng = np.random.default_rng(child)
-            x = reference_draw(grid, rng, n)
-            design = np.column_stack([mode(x) for mode in modes])
+            design = images[reference_nodes(grid, rng, n)]
             sd = math.sqrt(coeffs @ np.linalg.solve(design.T @ design, coeffs))
             errors.append(sd * rng.standard_normal())
         n_mse.append(n * np.mean(np.square(errors)))
@@ -579,8 +607,10 @@ def assert_relative_match(got, ref, rel=1e-10):
 
 
 class TestMatchesInterpolatorPath:
-    """Seeded statistics from the sparse observation operator P(X) agree with
-    pointwise interpolation of every field at the same seed."""
+    """Seeded statistics agree with an oracle that replays the same design
+    observation by observation: each of the n observations reads its node
+    for the LAN and risk studies, and pointwise interpolation of every field
+    serves the score identity."""
 
     @pytest.mark.parametrize("name, res", [("square_ex1", 17), ("disk_ex2", 16)])
     def test_lan_statistics(self, ctx_cache, name, res):
@@ -593,19 +623,18 @@ class TestMatchesInterpolatorPath:
     def test_lan_statistics_match_extended_precision(self, ctx_cache, name, res):
         """At the default bump and n the ratios are about 1e-3: each statistic
         matches sqrt(S) Z - S/2 evaluated in long double on the same draw, with
-        S = ||d(X)||^2 summed in long double over the study's
-        d = u_theta - u_{theta + h/sqrt(n)} and Z the normal drawn after the
-        design, to 1e-12 of its own size.  That d is checked against an LU
-        solve in :meth:`test_lan_difference_is_one_solve`."""
+        S = sum_j N_j d_j^2 summed in long double over the replayed counts and
+        the study's d = u_theta - u_{theta + h/sqrt(n)}, and Z the normal drawn
+        after the design, to 1e-12 of its own size.  That d is checked against
+        an LU solve in :meth:`test_lan_difference_is_one_solve`."""
         ctx = ctx_cache(name, res)
         h, n, seed = psi_fixture(ctx, "bump"), 10_000, 0
         rep = lan_mc(ctx, h, n, 10, seed=seed)
-        d = rgi_interpolator(ctx.grid, ctx.grid.interior_field(
-            -ctx.solve_difference(h, 1.0 / math.sqrt(n))).values)
+        d = (-ctx.solve_difference(h, 1.0 / math.sqrt(n))).astype(np.longdouble)
         exact = []
         for child in np.random.SeedSequence(seed).spawn(10):
             rng = np.random.default_rng(child)
-            d_x = d(reference_draw(ctx.grid, rng, n)).astype(np.longdouble)
+            d_x = d[reference_nodes(ctx.grid, rng, n)]
             s = np.sum(d_x * d_x)
             exact.append(np.sqrt(s) * np.longdouble(rng.standard_normal()) - s / 2)
         exact = np.array(exact)
@@ -615,18 +644,19 @@ class TestMatchesInterpolatorPath:
                                                  ("disk_ex2", 33, None),
                                                  ("square_ex1", 25, True)])
     def test_lan_difference_is_one_solve(self, ctx_cache, monkeypatch, name, res, bump):
-        """The nodal d that the study interpolates equals the LU solve of its
-        own equation to 1e-12 relative; subtracting u_{theta + h/sqrt(n)}
-        from u_theta cancels about four digits and misses by about 1e-9."""
+        """The nodal d whose squares the study weighs by the counts equals the
+        LU solve of its own equation to 1e-12 relative; subtracting
+        u_{theta + h/sqrt(n)} from u_theta cancels about four digits and
+        misses by about 1e-9."""
         ctx = ctx_cache(name, res, theta_bump=bump)
         h, n, seen = psi_fixture(ctx, "bump"), 10_000, []
-        build = type(ctx.grid).interpolator
-        monkeypatch.setattr(type(ctx.grid), "interpolator",
-                            lambda grid, values: seen.append(values) or build(grid, values))
+        real = ScoreContext.solve_difference
+        monkeypatch.setattr(ScoreContext, "solve_difference",
+                            lambda self, h, s: seen.append(-real(self, h, s)) or -seen[-1])
         lan_mc(ctx, h, n, 2, seed=0)
         ref = lu_difference(ctx, h, n)
+        assert len(seen) == 1
         assert np.max(np.abs(seen[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
-
     def test_info_identity_statistics(self, ctx_cache):
         ctx = ctx_cache("square_ex1", 17)
         h1, h2 = direction(ctx.grid, 31), direction(ctx.grid, 32)
